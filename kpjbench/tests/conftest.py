@@ -1,0 +1,14 @@
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[2]
+for path in (ROOT / "kpjbench", ROOT / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
+
+
+@pytest.fixture
+def root() -> Path:
+    return ROOT
