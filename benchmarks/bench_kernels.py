@@ -6,13 +6,11 @@ full Dijkstra, goal-directed A*, bounded A* (TestLB), the full-SPT
 build (DA-SPT's fixed cost), the per-query Eq. (2) bound vector, and
 the batch-API saving from reusing it.
 
-``test_kernel_comparison_report`` additionally times the ``dict``,
-``flat``, and ``native`` kernels head-to-head, checks the results
-agree, and writes a machine-readable summary to
+``test_kernel_comparison_report`` additionally times the ``dict``
+and ``flat`` kernels head-to-head, checks the results agree, and
+writes a machine-readable summary to
 ``benchmarks/results/BENCH_kernels.json`` (queries/sec per kernel
-plus the speedup ratios).  The native-over-flat floor (3x) is only
-asserted when numba is installed; without it the native tier
-delegates to flat and the column documents fallback parity instead.
+plus the speedup ratio).
 """
 
 from __future__ import annotations
@@ -159,26 +157,6 @@ def test_flat_full_spt_build(benchmark):
     )
 
 
-def test_native_dijkstra_full_sssp(benchmark):
-    """The native-kernel counterpart of ``test_dijkstra_full_sssp``.
-
-    Without numba this measures the flat-delegating fallback — a
-    sanity check that the dispatch layer adds no real overhead.
-    """
-    from repro.pathing.native import warmup_jit
-
-    network, _, workload = _setup()
-    source = workload.group("Q3")[0]
-    warmup_jit()
-    single_source_distances(network.graph, source, kernel="native")
-    benchmark.pedantic(
-        lambda: single_source_distances(network.graph, source, kernel="native"),
-        rounds=3,
-        iterations=1,
-        warmup_rounds=1,
-    )
-
-
 def _time_kernel(fn, rounds: int) -> float:
     """Best-of-``rounds`` wall-clock seconds for one call of ``fn``."""
     fn()  # warmup (also primes lazy CSR/landmark caches)
@@ -197,7 +175,6 @@ def test_kernel_comparison_report():
     speedup numbers are for *identical* answers.
     """
     from repro.pathing.kernels import KERNELS
-    from repro.pathing.native import HAVE_NUMBA, warmup_jit
 
     network, _, workload = _setup()
     sources = workload.group("Q3")[:3]
@@ -211,13 +188,7 @@ def test_kernel_comparison_report():
             np.asarray(dist_dict), np.asarray(dist)
         ), f"{kernel} and dict SSSP disagree on COL"
 
-    warmup_jit()  # JIT compilation must not pollute the native column
-    report = {
-        "dataset": "COL",
-        "n": network.graph.n,
-        "have_numba": HAVE_NUMBA,
-        "kernels": {},
-    }
+    report = {"dataset": "COL", "n": network.graph.n, "kernels": {}}
     for kernel in KERNELS:
 
         def run(kernel=kernel):
@@ -236,14 +207,11 @@ def test_kernel_comparison_report():
     }
     ratio = per_query["dict"] / per_query["flat"]
     report["flat_speedup_over_dict"] = ratio
-    native_ratio = per_query["flat"] / per_query["native"]
-    report["native_speedup_over_flat"] = native_ratio
 
     RESULTS_DIR.mkdir(exist_ok=True)
     out = RESULTS_DIR / "BENCH_kernels.json"
     out.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"\nflat vs dict SSSP on COL: {ratio:.2f}x, "
-          f"native vs flat: {native_ratio:.2f}x  -> {out}")
+    print(f"\nflat vs dict SSSP on COL: {ratio:.2f}x  -> {out}")
 
     from repro.pathing.flat import HAVE_SCIPY
 
@@ -251,9 +219,4 @@ def test_kernel_comparison_report():
         assert ratio >= 2.0, (
             f"flat kernel only {ratio:.2f}x over dict on COL SSSP "
             "(acceptance floor is 2x)"
-        )
-    if HAVE_NUMBA:
-        assert native_ratio >= 3.0, (
-            f"native kernel only {native_ratio:.2f}x over flat on COL SSSP "
-            "(acceptance floor is 3x)"
         )

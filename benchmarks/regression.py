@@ -2,18 +2,16 @@
 
 Runs a **pinned** small workload — COL, category T2, eight fixed
 sources, ``k=64``, eight landmarks, ``iter-bound-spti`` — once per
-kernel (``dict``, ``flat``, ``native``) with the span tracer
-attached, and derives per-phase latencies from the recorded spans
+kernel (``dict``, ``flat``) with the span tracer attached, and derives per-phase latencies from the recorded spans
 (:func:`repro.obs.tracing.phase_durations`, which sums only the
 ``cat == "phase"`` leaves, so container spans never double-count).
 The dict workload is protocol v1, byte-identical to the original
 single-workload harness, so its trajectory continues unbroken; the
-flat and native workloads differ only in the ``kernel`` field, which
-lets the trajectory file record the dict/flat/native speed story of
-the same answers over time.  (Under ``native`` the tracer forces the
-sequential TestLB loop — the batched driver has no span story — so
-the native column measures the compiled kernels per request.)  Each
-invocation either:
+flat workload differs only in the ``kernel`` field, which lets the
+trajectory file record the dict/flat speed story of the same answers
+over time.  (Committed ``native`` entries from an earlier compiled
+tier stay in the file as history; no protocol measures them now.)
+Each invocation either:
 
 * ``--update`` — appends one trajectory entry per workload (git SHA,
   UTC date, per-phase p50/p95 across the workload's queries,
@@ -111,7 +109,6 @@ PROTOCOL = {
 PROTOCOLS = [
     PROTOCOL,
     {**PROTOCOL, "kernel": "flat"},
-    {**PROTOCOL, "kernel": "native"},
 ]
 
 

@@ -20,7 +20,6 @@ from repro.core.gkpj import gkpj
 from repro.core.kpj import ALGORITHMS, DEFAULT_ALGORITHM, KPJSolver
 from repro.core.result import Path, QueryResult
 from repro.core.stats import SearchStats
-from repro.core.walks import top_k_walks
 from repro.validation import (
     validate_against_oracle,
     validate_instance,
@@ -44,7 +43,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "gkpj",
-    "top_k_walks",
     "validate_against_oracle",
     "validate_instance",
     "validate_result",

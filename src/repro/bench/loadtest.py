@@ -18,7 +18,7 @@ Three targets share that dispatcher:
   new timers on the query path;
 * ``target="service"`` — the resident-worker tier
   (:class:`repro.server.service.QueryService`), spun in-process for
-  the replay: warm-up (JIT, shared-memory export, category prewarm)
+  the replay: warm-up (shared-memory export, category prewarm)
   is paid **once at service start** and lands in the entry's
   one-time ``warmup`` phase, so ``service_ms`` reflects steady-state
   serving;

@@ -52,8 +52,6 @@ WORK_PHASE_FIELDS: dict[str, tuple[str, ...]] = {
         "edges_relaxed",
         "heap_pushes",
         "heap_pops",
-        "batch_rounds",
-        "batch_slots_filled",
     ),
     "division": (
         "subspaces_created",

@@ -47,12 +47,6 @@ from repro.pathing.flat import (
     release_inf_array,
     release_scratch,
 )
-from repro.pathing.native import (
-    NativeIncrementalSPT,
-    native_batch_compsp,
-    native_bounded_astar_path,
-    use_array_engine,
-)
 
 __all__ = [
     "FlatQueryContext",
@@ -107,15 +101,9 @@ class FlatQueryContext:
 
     Call :meth:`close` when the query finishes (drivers do this in a
     ``finally``).
-
-    ``kernel`` picks the leaf substrate the closures dispatch to:
-    ``"flat"`` (default) or ``"native"`` — the latter routes each
-    ``TestLB`` through the compiled kernel and unlocks
-    :meth:`make_batch_test_lb`, the batched multi-source ``CompSP``
-    hook of the iteratively bounding driver.
     """
 
-    __slots__ = ("csr", "h", "kernel")
+    __slots__ = ("csr", "h")
 
     def __init__(
         self,
@@ -124,56 +112,23 @@ class FlatQueryContext:
         csr: CSRGraph | None = None,
         h: list[float] | Callable[[int], float] | None = None,
         metrics=None,
-        kernel: str = "flat",
     ) -> None:
         self.csr = csr if csr is not None else shared_csr(graph)
         self.h = h if h is not None else dense_heuristic(heuristic, self.csr.n)
-        self.kernel = kernel
-        if (
-            kernel == "native"
-            and use_array_engine()
-            and isinstance(self.h, list)
-        ):
-            # Densify once for the compiled kernel; float64 round-trip
-            # is exact, so every estimate sum stays bit-identical.
-            self.h = np.asarray(self.h, dtype=np.float64)
         if metrics is not None:
             metrics.inc("flat_query_contexts")
 
     def make_test_lb(self, goal: int, stats: SearchStats | None):
         """The ``TestLB`` closure for :func:`iter_bound_search`.
 
-        Runs :func:`~repro.pathing.flat.flat_bounded_astar_path` (or
-        its compiled counterpart under ``kernel="native"``) directly
-        from the context — no per-call kernel dispatch, CSR lookup, or
-        heuristic wrapping.  ``banned`` passes through as the
+        Runs :func:`~repro.pathing.flat.flat_bounded_astar_path`
+        directly from the context — no per-call kernel dispatch, CSR
+        lookup, or heuristic wrapping.  ``banned`` passes through as the
         subspace's frozenset (it is only consulted on the source row,
         where a C-level set lookup beats stamping).
         """
         csr = self.csr
         h = self.h
-
-        if self.kernel == "native":
-
-            def test_lb(subspace: Subspace, tau: float, info: dict):
-                if stats is not None:
-                    stats.native_kernel_calls += 1
-                prefix = subspace.prefix
-                return native_bounded_astar_path(
-                    csr,
-                    prefix[-1],
-                    goal,
-                    h,
-                    tau,
-                    blocked=prefix if len(prefix) > 1 else _EMPTY,
-                    banned_first_hops=subspace.banned,
-                    initial_distance=subspace.prefix_weight,
-                    stats=stats,
-                    info=info,
-                    collect_dists=True,
-                )
-
-            return test_lb
 
         def test_lb(subspace: Subspace, tau: float, info: dict):
             if stats is not None:
@@ -197,34 +152,6 @@ class FlatQueryContext:
             )
 
         return test_lb
-
-    def make_batch_test_lb(self, goal: int, stats: SearchStats | None, grow=None):
-        """The batched multi-source ``CompSP`` hook (``kernel="native"``).
-
-        Returns ``batch_test_lb(pairs, clocked)`` for
-        :func:`~repro.core.iter_bound.iter_bound_search`: ``pairs`` is
-        one speculative run of ``(subspace, tau)`` requests and the
-        result is the list of executed
-        :class:`~repro.pathing.native.CompSPOutcome`\\ s (stop-at-first-
-        deviation semantics, so executed work equals the sequential
-        schedule exactly).  ``grow`` may be an incremental tree (its
-        ``grow`` method is invoked per request) or a bare callable.
-        Unclocked batches over a :class:`NativeIncrementalSPT` collapse
-        into the single compiled mega-kernel call.
-        """
-        csr = self.csr
-        h = self.h
-        tree = grow if isinstance(grow, NativeIncrementalSPT) else None
-        grow_fn = getattr(grow, "grow", grow)
-
-        def batch_test_lb(pairs, clocked: bool):
-            if tree is not None and not clocked:
-                return tree.batch_test(csr, goal, pairs, stats)
-            return native_batch_compsp(
-                csr, goal, pairs, h=h, stats=stats, grow=grow_fn, clocked=clocked
-            )
-
-        return batch_test_lb
 
     def close(self) -> None:
         """Release the context (pooled resources are per-kernel-call)."""
@@ -611,21 +538,13 @@ def flat_spti_search(
     trace=None,
     metrics=None,
     tracer=None,
-    kernel: str = "flat",
 ) -> list[Path]:
     """``IterBound-SPT_I`` (Algs. 4, 7, 8) entirely on the flat engine.
 
     Drop-in replacement for the dict
     :func:`repro.core.spt_incremental.iter_bound_spti` — same
     parameters, identical returned paths — dispatched automatically
-    when the ambient kernel is ``"flat"`` or ``"native"``.  Under
-    ``kernel="native"`` the incremental tree and every ``TestLB`` run
-    on the compiled tier when available
-    (:class:`~repro.pathing.native.NativeIncrementalSPT`; callable
-    target bounds keep the flat tree), and the driver receives the
-    batched multi-source ``CompSP`` hook so consecutive bound-only
-    tests of one division round share a single kernel call.  ``trace``
-    records the same
+    when the ambient kernel is ``"flat"``.  ``trace`` records the same
     ``output``/``test-hit``/``test-miss``/``retire`` events as the
     dict engine (``kpj explain --kernel flat``); ``metrics`` receives
     the ``comp_sp`` phase plus the tree's size gauges, with the
@@ -641,24 +560,11 @@ def flat_spti_search(
     csr = shared_csr(query_graph.graph)
     rcsr = csr.reverse()
     destinations = frozenset(query_graph.destinations)
-    tree = None
-    if kernel == "native" and use_array_engine():
-        tb = dense_heuristic(target_bounds, csr.n)
-        if not callable(tb):
-            tree = NativeIncrementalSPT(
-                csr,
-                query_graph.source,
-                None if tb is None else np.asarray(tb, dtype=np.float64),
-                destinations,
-                stats=stats,
-                metrics=metrics,
-            )
-    if tree is None:
-        tree = FlatIncrementalSPT(
-            csr, query_graph.source, target_bounds, destinations, stats=stats,
-            metrics=metrics,
-        )
-    ctx = FlatQueryContext(csr=rcsr, h=tree.h, metrics=metrics, kernel=kernel)
+    tree = FlatIncrementalSPT(
+        csr, query_graph.source, target_bounds, destinations, stats=stats,
+        metrics=metrics,
+    )
+    ctx = FlatQueryContext(csr=rcsr, h=tree.h, metrics=metrics)
     try:
         stats.shortest_path_computations += 1
         if metrics is not None or tracer is not None:
@@ -713,11 +619,6 @@ def flat_spti_search(
             comp_lb=comp_lb,
             before_test=tree.grow,
             test_lb=ctx.make_test_lb(query_graph.source, stats),
-            batch_test_lb=(
-                ctx.make_batch_test_lb(query_graph.source, stats, grow=tree)
-                if kernel == "native"
-                else None
-            ),
             comp_lb_children=_make_flat_comp_lb_children(
                 tree, reversed_graph.adjacency, comp_lb, source_bounds
             ),

@@ -40,9 +40,6 @@ __all__ = ["iter_bound_search", "iter_bound"]
 
 INF = float("inf")
 
-#: Maximum requests collected into one speculative batched-CompSP run.
-BATCH_TESTS = 8
-
 
 def iter_bound_search(
     graph: DiGraph,
@@ -59,7 +56,6 @@ def iter_bound_search(
     test_lb: Callable[[Subspace, float, dict], tuple[tuple[int, ...], float] | None]
     | None = None,
     use_flat_engine: bool | None = None,
-    batch_test_lb: Callable | None = None,
     comp_lb_children: Callable | None = None,
     initial_dists: list[float] | None = None,
     metrics=None,
@@ -104,24 +100,8 @@ def iter_bound_search(
         ``True`` builds a :class:`~repro.core.flat_engine.FlatQueryContext`
         over ``graph`` and runs every test on the flat kernel;
         ``False`` forces the dict closure; ``None`` (default) follows
-        the ambient kernel selection (``"flat"`` and ``"native"`` both
-        take the flat-engine fast path, the latter with native leaves
-        and the batched hook below).
-    batch_test_lb:
-        Optional batched multi-source ``CompSP`` entry point (the
-        ``native`` kernel's Alg. 8 vectorisation): called as
-        ``batch_test_lb(pairs, clocked)`` with one speculative run of
-        ``(subspace, tau)`` requests in exact sequential schedule
-        order, returning one outcome per *executed* request
-        (:class:`~repro.pathing.native.CompSPOutcome`) and stopping
-        right after the first result that deviates from the predicted
-        bound-holds miss.  The driver collects up to
-        :data:`BATCH_TESTS` consecutive bound-only iterations by
-        pushing each request's predicted re-entry speculatively, then
-        replays the executed outcomes — committing exactly the
-        sequential trace, stats, and queue operations and restoring
-        any unexecuted requests untouched.  Ignored while a ``tracer``
-        is attached (span nesting requires the sequential loop).
+        the ambient kernel selection (``"flat"`` takes the flat-engine
+        fast path).
     comp_lb_children:
         Optional batched division: called as
         ``comp_lb_children(subspace, path, tail_dists)`` and expected
@@ -168,18 +148,13 @@ def iter_bound_search(
     own_ctx: FlatQueryContext | None = None
     if test_lb is None:
         if use_flat_engine is None:
-            ctx_kernel = active_kernel()
-            use_flat_engine = ctx_kernel != "dict"
-        else:
-            ctx_kernel = "flat"
+            use_flat_engine = active_kernel() != "dict"
         if use_flat_engine:
             # Flat-core fast path: resolve the CSR snapshot, densify
             # the heuristic, and pool the blocked mask once per query
             # instead of once per TestLB.
-            own_ctx = FlatQueryContext(graph, heuristic, kernel=ctx_kernel)
+            own_ctx = FlatQueryContext(graph, heuristic)
             test_lb = own_ctx.make_test_lb(goal, stats)
-            if ctx_kernel == "native" and batch_test_lb is None:
-                batch_test_lb = own_ctx.make_batch_test_lb(goal, stats)
         else:
             def test_lb(subspace: Subspace, tau: float, info: dict):
                 return bounded_astar_path(
@@ -198,13 +173,6 @@ def iter_bound_search(
     timed = metrics is not None
     traced = tracer is not None
     clocked = timed or traced
-    # Batched CompSP runs replay the sequential loop's bookkeeping but
-    # not its span nesting, so tracing keeps the sequential path.
-    batching = batch_test_lb is not None and not traced
-    # Tie ids of speculative re-entries whose prediction failed; the
-    # heap can't remove mid-structure, so they are discarded lazily at
-    # every pop/peek.  Empty (and never consulted) unless batching.
-    cancelled: set[int] = set()
     search_span = None
     if traced:
         search_span = tracer.begin("iter_bound", cat="search", bound_kind=bound_kind)
@@ -258,25 +226,15 @@ def iter_bound_search(
     n_pruned = 0
     n_tests = 0
     n_test_failures = 0
-    # Verdict tallies — one per tested subspace, identical under the
-    # sequential and the batched schedule (the batch stops at the first
-    # deviation, so executed verdicts match the sequential order).
+    # Verdict tallies — one per tested subspace.
     n_test_hits = 0
     n_test_misses = 0
     n_test_retires = 0
-    n_batch_rounds = 0
-    n_batch_slots = 0
     t_test = t_div = t_grow = 0.0
     n_div = n_grow = 0
     queue_peak = 1
     try:
         while queue and len(results) < k:
-            if batching:
-                while queue and queue[0][1] in cancelled:
-                    cancelled.discard(queue[0][1])
-                    heappop(queue)
-                if not queue:
-                    break
             if timed and len(queue) > queue_peak:
                 queue_peak = len(queue)
             bound, _, subspace, found = heappop(queue)
@@ -325,105 +283,6 @@ def iter_bound_search(
                             },
                         )
                         tracer.end(it_span, verdict="output", length=bound)
-                continue
-            if batching:
-                # ---- Speculative batched CompSP (one division round) ----
-                # Collect consecutive bound-only iterations under the
-                # predicted bound-holds miss.  Each request's τ follows
-                # the exact sequential schedule because its predicted
-                # re-entry is pushed *before* the next peek; the batch
-                # executes in order and stops at the first deviation, so
-                # no executed work is ever discarded.
-                requests = []  # (subspace, tau, bound, terminal)
-                spec = []  # predicted re-entry per request (None = not pushed)
-                popped = []  # entries consumed as requests 1..n-1
-                cur_sub, cur_bound = subspace, bound
-                while True:
-                    while queue and queue[0][1] in cancelled:
-                        cancelled.discard(queue[0][1])
-                        heappop(queue)
-                    next_bound = queue[0][0] if queue else INF
-                    tau = alpha * max(cur_bound, next_bound, first_length)
-                    if tau <= 0.0:
-                        tau = graph.max_edge_weight or 1.0
-                    terminal = tau >= tau_limit
-                    if terminal:
-                        tau = tau_limit
-                    requests.append((cur_sub, tau, cur_bound, terminal))
-                    if terminal or len(requests) == BATCH_TESTS:
-                        spec.append(None)
-                        break
-                    entry = (tau, next(tie), cur_sub, None)
-                    spec.append(entry)
-                    heappush(queue, entry)
-                    while queue[0][1] in cancelled:
-                        cancelled.discard(queue[0][1])
-                        heappop(queue)
-                    if queue[0][3] is not None:
-                        break
-                    nxt = heappop(queue)
-                    popped.append(nxt)
-                    cur_bound, _, cur_sub, _ = nxt
-                outcomes = batch_test_lb(
-                    [(s, t) for s, t, _b, _tm in requests], clocked
-                )
-                executed = len(outcomes)
-                n_batch_rounds += 1
-                n_batch_slots += executed
-                # Unexecuted requests go back exactly as popped; their
-                # speculative re-entries are cancelled.
-                for j in range(executed, len(requests)):
-                    heappush(queue, popped[j - 1])
-                    r = spec[j]
-                    if r is not None:
-                        cancelled.add(r[1])
-                for i in range(executed):
-                    sub_i, tau_i, bound_i, term_i = requests[i]
-                    out = outcomes[i]
-                    n_tests += 1
-                    if timed:
-                        if out.g0 is not None:
-                            t_grow += out.g1 - out.g0
-                            n_grow += 1
-                        if out.t0 is not None:
-                            t_test += out.t1 - out.t0
-                    if out.path is not None:
-                        n_test_hits += 1
-                        r = spec[i]
-                        if r is not None:
-                            cancelled.add(r[1])
-                        if trace is not None:
-                            trace.record(
-                                "test-hit", sub_i.prefix, bound_i,
-                                tau=tau_i, length=out.length,
-                            )
-                        heappush(
-                            queue,
-                            (
-                                out.length,
-                                next(tie),
-                                sub_i,
-                                (sub_i.prefix[:-1] + out.path, out.tail_dists),
-                            ),
-                        )
-                        continue
-                    n_test_failures += 1
-                    if not out.pruned or term_i:
-                        n_test_retires += 1
-                        r = spec[i]
-                        if r is not None:
-                            cancelled.add(r[1])
-                        if trace is not None:
-                            trace.record(
-                                "retire", sub_i.prefix, bound_i, tau=tau_i
-                            )
-                        n_pruned += 1
-                        continue
-                    n_test_misses += 1
-                    if trace is not None:
-                        trace.record("test-miss", sub_i.prefix, bound_i, tau=tau_i)
-                    if spec[i] is None:
-                        heappush(queue, (tau_i, next(tie), sub_i, None))
                 continue
             # Enlarge tau: alpha * max(lb(S), next pending bound) — Alg. 4
             # line 9, with the queue top defined as +inf when empty.
@@ -524,8 +383,6 @@ def iter_bound_search(
         stats.lb_test_hits += n_test_hits
         stats.lb_test_misses += n_test_misses
         stats.lb_test_retires += n_test_retires
-        stats.batch_rounds += n_batch_rounds
-        stats.batch_slots_filled += n_batch_slots
         if timed:
             if n_tests:
                 metrics.observe_phase("test_lb", t_test, n_tests)
@@ -534,9 +391,7 @@ def iter_bound_search(
             if n_grow:
                 metrics.observe_phase("spt_grow", t_grow, n_grow)
             metrics.set_gauge("iterbound_queue_peak", queue_peak)
-    leftover = sum(
-        1 for entry in queue if entry[3] is None and entry[1] not in cancelled
-    )
+    leftover = sum(1 for entry in queue if entry[3] is None)
     stats.subspaces_pruned += leftover
     if traced:
         tracer.end(search_span, leftover=leftover, results=len(results))

@@ -172,14 +172,9 @@ class KPJSolver:
         Forwarded to :meth:`LandmarkIndex.build` when ``landmarks``
         is an ``int``.
     kernel:
-        Search substrate every query runs on: ``"dict"`` (default),
-        ``"flat"`` (CSR flat-array kernels), or ``"native"`` (the
-        compiled numba tier of :mod:`repro.pathing.native`, with
-        batched multi-source ``CompSP``; falls back to the flat
-        kernels when numba is absent).  Results are identical; only
-        the speed profile changes.  A ``native`` solver triggers JIT
-        compilation at construction (the ``warmup`` phase) so no
-        query pays it.
+        Search substrate every query runs on: ``"dict"`` (default) or
+        ``"flat"`` (CSR flat-array kernels).  Results are identical;
+        only the speed profile changes.
     prepared_cache_size:
         Number of prepared destination sets kept in the LRU
         cross-query cache (``0`` disables caching).  Each entry holds
@@ -213,8 +208,8 @@ class KPJSolver:
         (and started), the ``prepare`` and ``search`` phases record
         tracemalloc attribution into the per-query registry, and each
         query stamps the process/pool byte gauges
-        (``process_peak_rss_bytes``, ``flat_scratch_pool_bytes``,
-        ``native_scratch_pool_bytes``).  Requires ``metrics`` to be
+        (``process_peak_rss_bytes``, ``flat_scratch_pool_bytes``).
+        Requires ``metrics`` to be
         set for the numbers to land anywhere.
 
     Example
@@ -260,19 +255,6 @@ class KPJSolver:
         self._prepared_cache: OrderedDict[tuple, PreparedCategory] = OrderedDict()
         self._cache_hits = 0
         self._cache_misses = 0
-        if kernel == "native":
-            # Compile the JIT kernels now (idempotent; an immediate
-            # no-op without numba) so the one-time compilation cost
-            # lands in the warmup phase, never in a query's comp_sp.
-            from repro.pathing import native
-
-            t0 = perf_counter()
-            native.warmup_jit()
-            t1 = perf_counter()
-            if metrics is not None:
-                metrics.observe_phase("warmup", t1 - t0)
-            if tracer is not None:
-                tracer.add("warmup", t0, t1, cat="phase")
         if isinstance(landmarks, int):
             self.landmark_index: LandmarkIndex | None = LandmarkIndex.build(
                 graph, landmarks, strategy=landmark_strategy, seed=seed, kernel=kernel,

@@ -213,14 +213,12 @@ def iter_bound_spti(
         ``lb(s, v)`` — Alg. 8's fallback for nodes outside the tree.
     flat_core:
         Tri-state engine switch.  ``None`` (default) follows the
-        ambient kernel: under ``"flat"`` or ``"native"`` the whole
-        query runs on :func:`~repro.core.flat_engine.flat_spti_search`
-        (with native leaves, the compiled incremental tree, and the
-        batched CompSP hook under ``"native"``).  ``False`` forces the
-        dict tree/driver with per-call kernel dispatch in the leaves —
-        the pre-flat-core configuration, kept addressable so
-        benchmarks can measure the engine against it.  ``True`` forces
-        the flat engine regardless of the ambient kernel.
+        ambient kernel: under ``"flat"`` the whole query runs on
+        :func:`~repro.core.flat_engine.flat_spti_search`.  ``False``
+        forces the dict tree/driver with per-call kernel dispatch in
+        the leaves — the pre-flat-core configuration, kept addressable
+        so benchmarks can measure the engine against it.  ``True``
+        forces the flat engine regardless of the ambient kernel.
     trace:
         Optional :class:`~repro.core.trace.SearchTrace`; both engines
         record the identical ``output``/``test-hit``/``test-miss``/
@@ -238,16 +236,12 @@ def iter_bound_spti(
 
     Returns paths in ``G_Q`` coordinates (source → … → virtual target).
     """
-    engine_kernel = "flat"
     if flat_core is None:
-        kern = active_kernel()
-        flat_core = kern != "dict"
-        if flat_core:
-            engine_kernel = kern
+        flat_core = active_kernel() != "dict"
     if flat_core:
         return flat_spti_search(
             query_graph, k, target_bounds, source_bounds, alpha=alpha, stats=stats,
-            trace=trace, metrics=metrics, tracer=tracer, kernel=engine_kernel,
+            trace=trace, metrics=metrics, tracer=tracer,
         )
     stats = stats if stats is not None else SearchStats()
     tree = IncrementalSPT(query_graph, target_bounds, stats=stats)

@@ -14,16 +14,13 @@ from dataclasses import dataclass, fields
 
 __all__ = ["SearchStats", "WORK_PARITY_FIELDS"]
 
-#: Counters expected to agree **exactly** across the dict, flat, and
-#: native kernels for any one query (the fuzz harness asserts this on
-#: the pinned corpus).  Excluded by design: the per-substrate
+#: Counters expected to agree **exactly** across the dict and flat
+#: kernels for any one query (the fuzz harness asserts this on the
+#: pinned corpus).  Excluded by design: the per-substrate
 #: ``*_kernel_calls`` dispatch counters (they record *which* kernel
-#: ran), and ``batch_rounds`` / ``batch_slots_filled`` (the batched
-#: multi-source CompSP exists only on the native tier — the dict and
-#: flat engines always run the sequential schedule, so their occupancy
-#: is zero by construction).  ``nodes_settled`` is additionally
-#: excluded for ``da-spt`` only: its full-SPT build counts settles on
-#: the dict substrate but not on the scipy/compiled array paths (see
+#: ran).  ``nodes_settled`` is additionally excluded for ``da-spt``
+#: only: its full-SPT build counts settles on the dict substrate but
+#: not on the scipy array path (see
 #: :func:`repro.pathing.spt.build_spt_to_target`).
 WORK_PARITY_FIELDS: tuple[str, ...] = (
     "shortest_path_computations",
@@ -64,28 +61,21 @@ class SearchStats:
         found the subspace's shortest path within the current bound, a
         *retire* proved the subspace exhausted (or past the length
         limit), and a *miss* merely re-queued it at a larger ``τ``.
-        Counted once per tested subspace regardless of whether the
-        sequential or the batched schedule executed the test, so they
-        are kernel-parity counters.
+        Counted once per tested subspace, so they are kernel-parity
+        counters.
     nodes_settled / edges_relaxed:
         Priority-queue pops with exact distances / successful edge
         relaxations, across every kernel of the query.
     heap_pushes / heap_pops:
         Priority-queue traffic of the *query-scoped* search kernels:
-        the constrained bounded-A*/Dijkstra bodies (dict, flat, and
-        native alike) and the incremental ``SPT_I`` trees.  Includes
+        the constrained bounded-A*/Dijkstra bodies (dict and flat
+        alike) and the incremental ``SPT_I`` trees.  Includes
         lazy-deletion pops of stale entries.  Whole-graph
         preprocessing sweeps (landmark selection, full backward SPTs,
-        scipy/compiled SSSP) and driver-level queues (the subspace
+        scipy SSSP) and driver-level queues (the subspace
         priority queue, deviation candidate heaps) are *not* counted —
         they are either kernel-asymmetric by construction or not heap
         kernels at all.
-    batch_rounds / batch_slots_filled:
-        Occupancy of the batched multi-source ``CompSP`` tier: rounds
-        dispatched and request slots actually executed (the batch stops
-        at the first result that deviates from the sequential
-        schedule, so filled ≤ ``BATCH_TESTS`` × rounds).  Native-only;
-        zero on the dict and flat engines.
     spt_nodes:
         Final size of the SPT index built for the query (full SPT for
         DA-SPT, ``SPT_P`` or ``SPT_I`` for the indexed variants).
@@ -93,14 +83,10 @@ class SearchStats:
         Subspaces produced by division / subspaces discarded without a
         shortest-path computation (empty or still unresolved when the
         k-th path was confirmed).
-    dict_kernel_calls / flat_kernel_calls / native_kernel_calls:
+    dict_kernel_calls / flat_kernel_calls:
         Kernel dispatches per substrate — how many constrained
-        searches / SPT builds ran on the dict arrangement, the flat
-        CSR arrays, or the compiled native tier (see
-        :mod:`repro.pathing.kernels`).  A ``native`` query that falls
-        back to a flat leaf (callable heuristic, numba absent for an
-        unconstrained kernel) still counts as a native dispatch — the
-        counter records what the caller asked for.
+        searches / SPT builds ran on the dict arrangement or the flat
+        CSR arrays (see :mod:`repro.pathing.kernels`).
     prepared_cache_hits / prepared_cache_misses:
         Whether this query's destination set was served from the
         solver's prepared-category cache (bounds + ``G_Q`` overlay
@@ -118,14 +104,11 @@ class SearchStats:
     edges_relaxed: int = 0
     heap_pushes: int = 0
     heap_pops: int = 0
-    batch_rounds: int = 0
-    batch_slots_filled: int = 0
     spt_nodes: int = 0
     subspaces_created: int = 0
     subspaces_pruned: int = 0
     dict_kernel_calls: int = 0
     flat_kernel_calls: int = 0
-    native_kernel_calls: int = 0
     prepared_cache_hits: int = 0
     prepared_cache_misses: int = 0
 

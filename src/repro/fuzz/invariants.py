@@ -25,9 +25,12 @@ flags any disagreement:
 * **work parity** — the work counters of
   :data:`repro.core.stats.WORK_PARITY_FIELDS` (relaxations, heap
   pushes/pops, settled nodes, TestLB verdicts, …) agree *exactly*
-  across the dict, flat, and native kernels: the three substrates
-  claim to run the same algorithm, so they must do the same work,
-  not just return the same lengths.
+  across the dict and flat kernels: the two substrates claim to run
+  the same algorithm, so they must do the same work, not just return
+  the same lengths;
+* **observer parity** — attaching a metrics registry and a span
+  tracer to the solver changes neither the returned paths nor the
+  work counters: observing a query must not change the code it runs.
 
 All checks use the public solver API, so they also cover the prepared
 cache, the kernels, and the query-graph overlay on the way through.
@@ -41,12 +44,19 @@ from typing import Sequence
 from repro.core.kpj import DEFAULT_ALGORITHM, KPJSolver
 from repro.core.result import QueryResult
 from repro.core.stats import WORK_PARITY_FIELDS
-from repro.fuzz.generators import FuzzCase, simplified
+from repro.fuzz.generators import FuzzCase, sequence_hash, simplified
 from repro.fuzz.oracles import TOL, _yen_lengths, build_solver, run_query
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.tracing import SpanTracer
 from repro.pathing.kernels import KERNELS
 from repro.validation import validate_result
 
-__all__ = ["check_invariants", "work_parity_failures", "INVARIANTS"]
+__all__ = [
+    "check_invariants",
+    "work_parity_failures",
+    "observer_parity_failures",
+    "INVARIANTS",
+]
 
 #: Invariant names, in the order they run (for reporting).
 INVARIANTS = (
@@ -57,6 +67,7 @@ INVARIANTS = (
     "permutation",
     "weight_scaling",
     "work_parity",
+    "observer_parity",
 )
 
 #: Counters that are kernel-asymmetric for ``da-spt`` only: its full
@@ -100,6 +111,38 @@ def work_parity_failures(
                 failures.append(
                     f"work_parity/{algorithm}: {name} diverges — "
                     f"{baseline_kernel}={baseline[name]} {kernel}={value}"
+                )
+    return failures
+
+
+def observer_parity_failures(
+    case: FuzzCase,
+    algorithm: str = DEFAULT_ALGORITHM,
+    kernels: Sequence[str] = KERNELS,
+) -> list[str]:
+    """Assert that observing a query does not change what it does.
+
+    Per kernel, solves the case on a bare solver and on one carrying a
+    :class:`~repro.obs.metrics.MetricsRegistry` and a
+    :class:`~repro.obs.tracing.SpanTracer`; the path sequences and the
+    :data:`~repro.core.stats.WORK_PARITY_FIELDS` snapshots must be
+    identical.  Returns one failure message per divergence.
+    """
+    failures: list[str] = []
+    for kernel in kernels:
+        where = f"observer_parity/{algorithm}/{kernel}"
+        bare = run_query(build_solver(case, kernel, cached=True), case, algorithm)
+        observed_solver = build_solver(case, kernel, cached=True)
+        observed_solver.metrics = MetricsRegistry()
+        observed_solver.tracer = SpanTracer()
+        observed = run_query(observed_solver, case, algorithm)
+        if sequence_hash(observed.paths) != sequence_hash(bare.paths):
+            failures.append(f"{where}: paths differ with metrics and tracer attached")
+        for name in WORK_PARITY_FIELDS:
+            plain, watched = getattr(bare.stats, name), getattr(observed.stats, name)
+            if plain != watched:
+                failures.append(
+                    f"{where}: {name} diverges — bare={plain} observed={watched}"
                 )
     return failures
 
@@ -157,6 +200,7 @@ def check_invariants(
     failures: list[str] = []
     rng = random.Random(case.seed if case.seed is not None else 0)
     failures.extend(work_parity_failures(case, algorithm, kernels))
+    failures.extend(observer_parity_failures(case, algorithm, kernels))
     base_lengths: tuple[float, ...] | None = None
     for kernel in kernels:
         where = f"invariant/{algorithm}/{kernel}"

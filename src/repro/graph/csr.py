@@ -69,11 +69,8 @@ class CSRGraph:
     _mask_pool: list = field(default_factory=list, repr=False, compare=False)
     _inf_pool: list = field(default_factory=list, repr=False, compare=False)
     _rows: list | None = field(default=None, repr=False, compare=False)
-    # Compiled-kernel support: the dtype-checked contiguous array
-    # triple handed to the native (numba) kernels, and a pool of
-    # preallocated per-search ndarray scratch sets.
+    # The dtype-checked contiguous array triple (see typed_arrays).
     _typed: tuple | None = field(default=None, repr=False, compare=False)
-    _native_pool: list = field(default_factory=list, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -165,9 +162,10 @@ class CSRGraph:
         return self._rows
 
     def typed_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """C-contiguous ``(indptr, indices, weights)`` for compiled kernels.
+        """C-contiguous ``(indptr, indices, weights)`` with fixed dtypes.
 
-        The native (numba) kernels require fixed dtypes
+        Consumers that copy the raw buffers (the shared-memory export
+        of :mod:`repro.server.shared`) need fixed dtypes
         (``int64``/``int64``/``float64``) and contiguous memory; the
         snapshot arrays already satisfy both in the common case, so
         this normally returns the attributes themselves.  Arrays built

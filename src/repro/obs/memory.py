@@ -6,9 +6,8 @@ that work *cost in memory*, in three independent tiers:
 * :func:`peak_rss_bytes` — the process high-water mark from
   ``getrusage`` (always available, ~µs to read);
 * pool/cache byte accounting — :func:`scratch_pool_bytes` sizes the
-  pooled :class:`~repro.pathing.flat.FlatScratch` /
-  :class:`~repro.pathing.native.NativeScratch` buffers parked on a CSR
-  snapshot (each class reports itself via ``nbytes()``), complementing
+  pooled :class:`~repro.pathing.flat.FlatScratch` buffers parked on a
+  CSR snapshot (each reports itself via ``nbytes()``), complementing
   the solver's ``prepared_cache_bytes`` gauge;
 * :class:`MemoryTelemetry` — **opt-in** per-phase ``tracemalloc``
   attribution.  Tracemalloc instruments every allocation in the
@@ -62,16 +61,13 @@ def peak_rss_bytes() -> int:
 def scratch_pool_bytes(csr) -> dict[str, int]:
     """Bytes parked in one CSR snapshot's scratch pools.
 
-    Sums ``nbytes()`` over the pooled flat and native scratch sets
-    (idle buffers awaiting reuse — buffers currently checked out by a
-    running search are owned by that search, not the pool).
+    Sums ``nbytes()`` over the pooled flat scratch sets (idle buffers
+    awaiting reuse — buffers currently checked out by a running search
+    are owned by that search, not the pool).
     """
     return {
         "flat_scratch_pool_bytes": sum(
             s.nbytes() for s in getattr(csr, "_scratch_pool", ())
-        ),
-        "native_scratch_pool_bytes": sum(
-            s.nbytes() for s in getattr(csr, "_native_pool", ())
         ),
     }
 
@@ -85,7 +81,7 @@ def graph_pool_bytes(*graphs) -> dict[str, int]:
     can pass the base graph and the lazily-built ``G_Q`` overlay
     unconditionally.
     """
-    totals = {"flat_scratch_pool_bytes": 0, "native_scratch_pool_bytes": 0}
+    totals = {"flat_scratch_pool_bytes": 0}
     for graph in graphs:
         if graph is None:
             continue

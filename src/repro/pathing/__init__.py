@@ -6,10 +6,6 @@ selected via ``kernel="flat"`` or :func:`use_kernel`.
 """
 
 from repro.pathing.astar import astar_path, bounded_astar_path
-from repro.pathing.bidirectional import (
-    bidirectional_distance,
-    bidirectional_shortest_path,
-)
 from repro.pathing.dijkstra import (
     constrained_shortest_path,
     multi_source_distances,
@@ -47,8 +43,6 @@ __all__ = [
     "flat_spt_arrays",
     "astar_path",
     "bounded_astar_path",
-    "bidirectional_distance",
-    "bidirectional_shortest_path",
     "constrained_shortest_path",
     "multi_source_distances",
     "shortest_path",

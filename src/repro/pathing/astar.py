@@ -46,8 +46,7 @@ def astar_path(
     ``blocked`` / ``banned_first_hops`` / ``initial_distance``
     contract) but the queue is ordered by ``g + h``, shrinking the
     explored area when the heuristic is informative.  ``kernel``
-    selects the substrate (``"dict"``/``"flat"``/``"native"``;
-    ``None`` = ambient).
+    selects the substrate (``"dict"``/``"flat"``; ``None`` = ambient).
     """
     result = bounded_astar_path(
         graph,
@@ -95,33 +94,12 @@ def bounded_astar_path(
     With ``kernel="flat"`` the identical search runs over the graph's
     cached CSR arrays (:func:`repro.pathing.flat.flat_bounded_astar_path`)
     with pooled scratch buffers; results and ``info`` semantics match
-    the dict substrate exactly.  ``kernel="native"`` runs the compiled
-    counterpart (:func:`repro.pathing.native.native_bounded_astar_path`)
-    — callable heuristics, which cannot cross the JIT boundary, fall
-    back to the flat kernel with identical results.
+    the dict substrate exactly.
 
     Returns ``(path, length)`` — lengths include ``initial_distance``
     — or ``None``.
     """
     chosen = resolve_kernel(kernel)
-    if chosen == "native":
-        from repro.graph.csr import shared_csr
-        from repro.pathing.native import native_bounded_astar_path
-
-        if stats is not None:
-            stats.native_kernel_calls += 1
-        return native_bounded_astar_path(
-            shared_csr(graph),
-            source,
-            target,
-            heuristic,
-            bound,
-            blocked=blocked,
-            banned_first_hops=banned_first_hops,
-            initial_distance=initial_distance,
-            stats=stats,
-            info=info,
-        )
     if chosen == "flat":
         from repro.graph.csr import shared_csr
         from repro.pathing.flat import flat_bounded_astar_path

@@ -6,9 +6,7 @@ the raw adjacency lists of a :class:`~repro.graph.digraph.DiGraph`
 fastest arrangement available in pure CPython.  Every entry point also
 accepts ``kernel="flat"`` to run the equivalent search from
 :mod:`repro.pathing.flat` over the graph's cached CSR arrays instead
-(scipy-accelerated where available), or ``kernel="native"`` for the
-compiled tier of :mod:`repro.pathing.native` (numba-JIT when
-installed, flat fallback otherwise); ``kernel=None`` defers to the
+(scipy-accelerated where available); ``kernel=None`` defers to the
 ambient selection of :mod:`repro.pathing.kernels`.
 
 The constrained variant is what subspace search needs: a set of
@@ -50,7 +48,7 @@ def single_source_distances(
     nodes at distance exactly ``cutoff`` are still settled (inclusive
     boundary), nodes strictly beyond it keep distance ``inf``.
     ``kernel`` selects the search substrate
-    (``"dict"``/``"flat"``/``"native"``; ``None`` = ambient).
+    (``"dict"``/``"flat"``; ``None`` = ambient).
     """
     return multi_source_distances(graph, (source,), cutoff=cutoff, kernel=kernel)
 
@@ -70,13 +68,6 @@ def multi_source_distances(
     :func:`single_source_distances`.
     """
     chosen = resolve_kernel(kernel)
-    if chosen == "native":
-        from repro.graph.csr import shared_csr
-        from repro.pathing.native import native_multi_source_distances
-
-        return native_multi_source_distances(
-            shared_csr(graph), sources, cutoff=cutoff
-        ).tolist()
     if chosen == "flat":
         from repro.graph.csr import shared_csr
         from repro.pathing.flat import flat_multi_source_distances
@@ -110,16 +101,10 @@ def shortest_path(
     """Shortest path from ``source`` to ``target``.
 
     Returns ``(path, length)`` or ``None`` if ``target`` is
-    unreachable.  With ``kernel="flat"`` (or a ``"native"`` run that
-    falls back to it) equal-length ties may resolve to a different
-    (equally shortest) path than the dict kernel.
+    unreachable.  With ``kernel="flat"`` equal-length ties may resolve
+    to a different (equally shortest) path than the dict kernel.
     """
     chosen = resolve_kernel(kernel)
-    if chosen == "native":
-        from repro.graph.csr import shared_csr
-        from repro.pathing.native import native_shortest_path
-
-        return native_shortest_path(shared_csr(graph), source, target)
     if chosen == "flat":
         from repro.graph.csr import shared_csr
         from repro.pathing.flat import flat_shortest_path
@@ -160,8 +145,7 @@ def constrained_shortest_path(
         relaxation, and kernel-dispatch counters are bumped when
         provided.
     kernel:
-        Search substrate (``"dict"``/``"flat"``/``"native"``;
-        ``None`` = ambient).
+        Search substrate (``"dict"``/``"flat"``; ``None`` = ambient).
 
     Returns
     -------
@@ -185,21 +169,6 @@ def constrained_shortest_path(
                 "endpoint can never lie on a constraint-satisfying path"
             )
     chosen = resolve_kernel(kernel)
-    if chosen == "native":
-        from repro.graph.csr import shared_csr
-        from repro.pathing.native import native_constrained_shortest_path
-
-        if stats is not None:
-            stats.native_kernel_calls += 1
-        return native_constrained_shortest_path(
-            shared_csr(graph),
-            source,
-            target,
-            blocked=blocked,
-            banned_first_hops=banned_first_hops,
-            initial_distance=initial_distance,
-            stats=stats,
-        )
     if chosen == "flat":
         from repro.graph.csr import shared_csr
         from repro.pathing.flat import flat_constrained_shortest_path

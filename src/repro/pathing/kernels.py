@@ -12,11 +12,8 @@ parameter through each implementation.
 ``dict`` is the pure-CPython arrangement (dict state, tuple adjacency)
 and remains the default; ``flat`` routes to
 :mod:`repro.pathing.flat`'s CSR kernels (scipy-accelerated where
-available); ``native`` routes to :mod:`repro.pathing.native`'s
-compiled tier — numba-JIT kernels over the same CSR buffers plus the
-batched multi-source ``CompSP`` driver — degrading gracefully to the
-flat kernels when numba is absent.  The active choice is recorded per
-search in :class:`~repro.core.stats.SearchStats` dispatch counters.
+available).  The active choice is recorded per search in
+:class:`~repro.core.stats.SearchStats` dispatch counters.
 """
 
 from __future__ import annotations
@@ -27,7 +24,7 @@ from contextvars import ContextVar
 __all__ = ["KERNELS", "DEFAULT_KERNEL", "active_kernel", "resolve_kernel", "use_kernel"]
 
 #: Names accepted by every ``kernel=`` parameter.
-KERNELS = ("dict", "flat", "native")
+KERNELS = ("dict", "flat")
 
 DEFAULT_KERNEL = "dict"
 

@@ -74,7 +74,7 @@ def canonical_next_hops(graph: DiGraph, target: int, dist) -> list[int]:
 
     Every kernel's Dijkstra produces the same ``dist`` vector, but the
     successor it records for a node is an accident of relaxation order
-    — with zero-weight or equal-weight ties the scipy/compiled builds
+    — with zero-weight or equal-weight ties the scipy array build
     and the dict build pick different (equally shortest) trees, and
     downstream consumers that branch on tree *shape* (DA-SPT's Pascoal
     simplicity check) then do kernel-dependent amounts of work.  This
@@ -116,10 +116,7 @@ def build_spt_to_target(
     CSR kernel (scipy-accelerated where available); distances are
     identical, but per-node ``stats.nodes_settled`` increments are not
     recorded on that path (the C loop has no counter hook) — the
-    kernel-dispatch counter is bumped instead.  ``kernel="native"``
-    produces the arrays with the compiled kernel
-    (:func:`repro.pathing.native.native_spt_arrays`) under the same
-    contract.
+    kernel-dispatch counter is bumped instead.
 
     Whatever kernel ran, the successor pointers are normalised by
     :func:`canonical_next_hops` so the returned *tree* — not just the
@@ -129,14 +126,6 @@ def build_spt_to_target(
     from repro.pathing.kernels import resolve_kernel
 
     chosen = resolve_kernel(kernel)
-    if chosen == "native":
-        from repro.graph.csr import shared_csr
-        from repro.pathing.native import native_spt_arrays
-
-        if stats is not None:
-            stats.native_kernel_calls += 1
-        dist, _ = native_spt_arrays(shared_csr(graph), target)
-        return ShortestPathTree(target, dist, canonical_next_hops(graph, target, dist))
     if chosen == "flat":
         from repro.graph.csr import shared_csr
         from repro.pathing.flat import flat_spt_arrays

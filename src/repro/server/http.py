@@ -19,7 +19,8 @@ tiny and JSON-first:
 
 Error mapping keeps the service's failure taxonomy visible to load
 generators: admission shedding → ``429``, a lapsed deadline → ``504``,
-any other ``QueryError`` (bad category, malformed body) → ``400``,
+any other ``QueryError`` (bad category, malformed body, a wrongly
+typed field, a negative or non-integer ``Content-Length``) → ``400``,
 worker death mid-query → ``500``.
 """
 
@@ -88,16 +89,27 @@ async def _handle(service: QueryService, reader, writer) -> None:
             return
         method, path = parts[0], parts[1]
         content_length = 0
+        bad_length = None
         while True:
             line = await reader.readline()
             if line in (b"\r\n", b"\n", b""):
                 break
             name, _, value = line.decode("ascii", "replace").partition(":")
             if name.strip().lower() == "content-length":
-                try:
-                    content_length = int(value.strip())
-                except ValueError:
-                    content_length = 0
+                value = value.strip()
+                # isdigit() rejects signs, blanks and non-integers alike.
+                if value.isdigit():
+                    content_length = int(value)
+                else:
+                    bad_length = value
+        if bad_length is not None:
+            writer.write(
+                _json_response(
+                    400, {"error": f"malformed Content-Length header: {bad_length!r}"}
+                )
+            )
+            await writer.drain()
+            return
         body = (
             await reader.readexactly(content_length) if content_length else b""
         )

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import multiprocessing
 from dataclasses import dataclass
+from numbers import Integral, Real
 from time import perf_counter
 from typing import Mapping, Sequence
 
@@ -89,18 +90,49 @@ class BatchQuery:
     alpha: float = 1.1
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def _check_types(query: BatchQuery) -> BatchQuery:
+    """Reject a wrongly typed field with a ``QueryError`` naming it.
+
+    Range checks stay with the solver; this only makes malformed input
+    (a JSON string where a number belongs, a list as a category) fail
+    at admission instead of as a ``TypeError`` inside a worker.
+    """
+    if not _is_int(query.source):
+        problem = "source must be an integer"
+    elif query.category is not None and not isinstance(query.category, str):
+        problem = "category must be a string"
+    elif query.destinations is not None and not all(
+        map(_is_int, query.destinations)
+    ):
+        problem = "destinations must be integers"
+    elif not _is_int(query.k):
+        problem = "k must be an integer"
+    elif not isinstance(query.algorithm, str):
+        problem = "algorithm must be a string"
+    elif not isinstance(query.alpha, Real) or isinstance(query.alpha, bool):
+        problem = "alpha must be a number"
+    else:
+        return query
+    raise QueryError(f"malformed batch query {query!r}: {problem}")
+
+
 def _coerce(query) -> BatchQuery:
     """Accept :class:`BatchQuery` instances or plain mappings."""
     if isinstance(query, BatchQuery):
-        return query
+        return _check_types(query)
     if isinstance(query, Mapping):
         try:
             query = dict(query)
             if "destinations" in query and query["destinations"] is not None:
                 query["destinations"] = tuple(query["destinations"])
-            return BatchQuery(**query)
+            query = BatchQuery(**query)
         except TypeError as exc:
             raise QueryError(f"malformed batch query {query!r}: {exc}") from None
+        return _check_types(query)
     raise QueryError(
         f"batch queries must be BatchQuery or mappings, got {type(query).__name__}"
     )
@@ -151,14 +183,8 @@ def _warm_cache(solver, queries: Sequence[BatchQuery]) -> None:
     entry (bounds, ``G_Q`` overlay, CSR export under the flat kernel)
     built in the parent, so each worker inherits a hot cache instead
     of rebuilding it ``workers`` times.  Invalid queries are left for
-    the workers to report in order.  A ``native`` solver additionally
-    compiles its JIT kernels here (idempotent), so every forked worker
-    inherits warm machine code and no query pays compilation latency.
+    the workers to report in order.
     """
-    if getattr(solver, "kernel", None) == "native":
-        from repro.pathing import native
-
-        native.warmup_jit()
     seen: set = set()
     for q in queries:
         key = (q.category, q.destinations)

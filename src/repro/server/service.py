@@ -1,7 +1,7 @@
 """Long-lived query service: resident workers over shared-memory CSR.
 
 The fork-per-batch pool (:mod:`repro.server.pool`) re-pays warm-up —
-JIT compilation, landmark residency, prepared-category construction —
+landmark residency, prepared-category construction —
 on every batch, because nothing survives between pools.
 :class:`QueryService` inverts that: worker processes are spawned
 **once**, hold the CSR graph arrays in
@@ -58,6 +58,7 @@ from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait as connection_wait
+from numbers import Real
 from time import perf_counter, sleep as _sleep
 from typing import Sequence
 
@@ -340,7 +341,7 @@ class QueryService:
         )
         for index in range(self.workers):
             self._residents.append(self._spawn(ctx, index))
-        # One-time cost — JIT, shared-memory export, prewarm, forks —
+        # One-time cost — shared-memory export, prewarm, forks —
         # lands under the same ``warmup`` phase the batch pool uses,
         # so "paid once at startup" is visible in the exposition.
         self.metrics.observe_phase("warmup", perf_counter() - t0)
@@ -353,10 +354,6 @@ class QueryService:
             # snapshots; removed again at shutdown.
             solver.metrics = MetricsRegistry()
             self._own_metrics = True
-        if getattr(solver, "kernel", None) == "native":
-            from repro.pathing import native
-
-            native.warmup_jit()
         from repro.graph.csr import shared_csr
 
         # Export the in-process CSR into shared segments and point the
@@ -531,6 +528,14 @@ class QueryService:
         """Admission control; loop-thread only.  Raises on overflow."""
         if self._closed or not self._started:
             raise QueryError("service is not running (call start() first)")
+        if timeout_s is not None and (
+            not isinstance(timeout_s, Real)
+            or isinstance(timeout_s, bool)
+            or not timeout_s >= 0
+        ):
+            raise QueryError(
+                f"timeout_s must be a non-negative number, got {timeout_s!r}"
+            )
         if self._pending >= self.max_pending:
             self.metrics.inc("service_rejected_overload")
             raise QueryError(

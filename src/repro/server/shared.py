@@ -2,7 +2,7 @@
 
 The service tier keeps one physical copy of the graph's CSR triple
 (``indptr``/``indices``/``weights`` — exactly what
-:meth:`~repro.graph.csr.CSRGraph.typed_arrays` hands the kernels) in
+:meth:`~repro.graph.csr.CSRGraph.typed_arrays` returns) in
 named ``multiprocessing.shared_memory`` segments.  The parent exports
 the arrays once at service start; every resident worker — including
 workers respawned after a crash — maps the same segments, so worker

@@ -97,7 +97,7 @@ class TestTrajectoryArtifact:
                 assert numbers["p95_ms"] >= numbers["p50_ms"]
 
     def test_committed_kernels_agree_on_answers(self):
-        """The latest dict/flat/native baselines share one checksum."""
+        """The latest dict/flat baselines share one checksum."""
         trajectory = regression.load_trajectory()
         digests = {
             regression.baseline_for(trajectory, spec)["paths_checksum"]
@@ -108,7 +108,7 @@ class TestTrajectoryArtifact:
     def test_workloads_differ_only_in_kernel(self):
         """The protocol list pins one workload per kernel, nothing else."""
         kernels = [spec["kernel"] for spec in regression.PROTOCOLS]
-        assert kernels == ["dict", "flat", "native"]
+        assert kernels == ["dict", "flat"]
         for spec in regression.PROTOCOLS:
             stripped = {k: v for k, v in spec.items() if k != "kernel"}
             base = {
@@ -125,5 +125,5 @@ class TestTrajectoryArtifact:
         hit = regression.baseline_for(trajectory, regression.PROTOCOL)
         assert hit is trajectory[0]
         assert regression.baseline_for(
-            trajectory, {**regression.PROTOCOL, "kernel": "native"}
+            trajectory, {**regression.PROTOCOL, "version": 2}
         ) is None

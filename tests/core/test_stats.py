@@ -39,14 +39,11 @@ class TestSearchStats:
             "edges_relaxed",
             "heap_pushes",
             "heap_pops",
-            "batch_rounds",
-            "batch_slots_filled",
             "spt_nodes",
             "subspaces_created",
             "subspaces_pruned",
             "dict_kernel_calls",
             "flat_kernel_calls",
-            "native_kernel_calls",
             "prepared_cache_hits",
             "prepared_cache_misses",
         }
@@ -54,14 +51,10 @@ class TestSearchStats:
     def test_parity_fields_are_real_fields(self):
         names = {f.name for f in fields(SearchStats)}
         assert set(WORK_PARITY_FIELDS) <= names
-        # The exclusions are exactly the dispatch counters and the
-        # native-only batch occupancy.
+        # The exclusions are exactly the dispatch counters.
         assert names - set(WORK_PARITY_FIELDS) == {
             "dict_kernel_calls",
             "flat_kernel_calls",
-            "native_kernel_calls",
-            "batch_rounds",
-            "batch_slots_filled",
         }
 
     def test_mutation(self):

@@ -17,7 +17,6 @@ from repro.obs.memory import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.pathing.flat import FlatScratch
-from repro.pathing.native import NativeScratch
 
 
 @pytest.fixture(scope="module")
@@ -47,19 +46,6 @@ class TestScratchBytes:
     def test_flat_scratch_nbytes_nominal(self):
         assert FlatScratch(100).nbytes() == 100 * 3 * 8
 
-    def test_native_scratch_nbytes_exact(self, sj):
-        csr = shared_csr(sj.graph)
-        scratch = NativeScratch(csr.n, csr.m)
-        total = scratch.nbytes()
-        assert total == sum(
-            getattr(scratch, name).nbytes
-            for name in (
-                "dist", "parent", "stamp", "gen", "hp", "hn", "hs",
-                "path", "dists", "counters",
-            )
-        )
-        assert total > csr.n * 8  # at least the distance array
-
     def test_pool_bytes_track_checkin(self, sj):
         csr = shared_csr(sj.graph)
         csr._scratch_pool.clear()
@@ -76,10 +62,7 @@ class TestScratchBytes:
             csr_cache = None
 
         totals = graph_pool_bytes(None, Cold(), object())
-        assert totals == {
-            "flat_scratch_pool_bytes": 0,
-            "native_scratch_pool_bytes": 0,
-        }
+        assert totals == {"flat_scratch_pool_bytes": 0}
         # A warm graph contributes its pooled bytes.
         shared_csr(sj.graph)._scratch_pool.append(FlatScratch(sj.n))
         try:

@@ -96,80 +96,6 @@ def test_flat_returns_identical_paths_per_algorithm(case):
 
 @settings(max_examples=25, deadline=None)
 @given(case=graph_and_query())
-def test_native_returns_identical_paths_per_algorithm(case):
-    """``native`` obeys the same strong parity contract as ``flat``.
-
-    Runs twice: once in whatever mode the environment provides (numba
-    JIT, or flat-delegating fallback without it) and once with the
-    array engine forced (``_FORCE_ARRAYS``), so the compiled kernels'
-    code paths are exercised — interpreted — even where numba is
-    absent.  ``da-spt`` is length-multiset-only, as for ``flat``.
-    """
-    from repro.pathing import native
-
-    g, source, destinations, k = case
-    cats = CategoryIndex({"T": destinations})
-    solver_dict = KPJSolver(g, cats, landmarks=min(3, g.n), kernel="dict")
-    expected = {
-        algorithm: solver_dict.top_k(source, category="T", k=k, algorithm=algorithm)
-        for algorithm in sorted(ALGORITHMS)
-    }
-    for forced in (False, True):
-        saved = native._FORCE_ARRAYS
-        native._FORCE_ARRAYS = forced
-        try:
-            solver_native = KPJSolver(
-                g, cats, landmarks=min(3, g.n), kernel="native"
-            )
-            for algorithm, a in expected.items():
-                b = solver_native.top_k(
-                    source, category="T", k=k, algorithm=algorithm
-                )
-                if algorithm == "da-spt":
-                    assert _length_multiset(a) == _length_multiset(b), algorithm
-                    continue
-                assert [(p.length, p.nodes) for p in a.paths] == [
-                    (p.length, p.nodes) for p in b.paths
-                ], (algorithm, forced)
-        finally:
-            native._FORCE_ARRAYS = saved
-
-
-@settings(max_examples=15, deadline=None)
-@given(case=graph_and_query())
-def test_native_cached_and_batch_axes(case):
-    """``native`` parity across cached/uncached × batch/sequential.
-
-    The speculative batch driver is active by default under
-    ``native``; attaching a tracer forces the per-test sequential
-    loop, so comparing a traced solver against untraced ones pins
-    batch == sequential.  The cached/uncached axis rides along via
-    ``prepared_cache_size``.
-    """
-    from repro.obs.tracing import SpanTracer
-
-    g, source, destinations, k = case
-    cats = CategoryIndex({"T": destinations})
-    baseline = KPJSolver(g, cats, landmarks=min(3, g.n), kernel="dict").top_k(
-        source, category="T", k=k, algorithm="iter-bound-spti"
-    )
-    expected = [(p.length, p.nodes) for p in baseline.paths]
-    cached = KPJSolver(
-        g, cats, landmarks=min(3, g.n), kernel="native", prepared_cache_size=8
-    )
-    uncached = KPJSolver(
-        g, cats, landmarks=min(3, g.n), kernel="native", prepared_cache_size=0
-    )
-    sequential = KPJSolver(
-        g, cats, landmarks=min(3, g.n), kernel="native", tracer=SpanTracer()
-    )
-    for solver in (cached, cached, uncached, sequential):  # 2nd cached = warm
-        got = solver.top_k(source, category="T", k=k, algorithm="iter-bound-spti")
-        assert [(p.length, p.nodes) for p in got.paths] == expected
-
-
-@settings(max_examples=25, deadline=None)
-@given(case=graph_and_query())
 def test_cached_matches_uncached_on_every_algorithm(case):
     g, source, destinations, k = case
     cats = CategoryIndex({"T": destinations})

@@ -1,18 +1,13 @@
 """Cross-kernel work-counter parity over the pinned fuzz corpus.
 
-The dict, flat, and native kernels claim to execute the *same*
-algorithm, and the uniform work counters make that claim falsifiable:
+The dict and flat kernels claim to execute the *same* algorithm, and
+the uniform work counters make that claim falsifiable:
 :data:`repro.core.stats.WORK_PARITY_FIELDS` (relaxations, heap
 pushes/pops, settled nodes, TestLB verdict tallies, …) must agree
-**exactly** — not approximately — across all three substrates for any
-one query.  Every committed corpus case runs through
+**exactly** — not approximately — across both substrates for any one
+query.  Every committed corpus case runs through
 :func:`repro.fuzz.invariants.work_parity_failures` with the algorithm
-rotated per case (the harness convention), and the native kernel is
-exercised in both modes: whatever the environment provides (numba JIT,
-or flat-delegating fallback without it) and with the array engine
-forced (``_FORCE_ARRAYS``), which runs the ``@njit`` kernel bodies
-interpreted so their counter arithmetic is covered even where numba is
-absent.
+rotated per case (the harness convention).
 """
 
 from __future__ import annotations
@@ -22,7 +17,6 @@ import pytest
 from repro.core.kpj import ALGORITHMS
 from repro.fuzz import seed_corpus_cases
 from repro.fuzz.invariants import work_parity_failures
-from repro.pathing import native
 
 _CASES = list(seed_corpus_cases())
 _ALGOS = sorted(ALGORITHMS)
@@ -32,12 +26,10 @@ def _algorithm_for(index: int) -> str:
     return _ALGOS[index % len(_ALGOS)]
 
 
-@pytest.mark.parametrize("forced", [False, True], ids=["ambient", "forced-arrays"])
 @pytest.mark.parametrize(
     "index,name", [(i, name) for i, (name, _) in enumerate(_CASES)]
 )
-def test_corpus_case_work_parity(index, name, forced, monkeypatch):
-    monkeypatch.setattr(native, "_FORCE_ARRAYS", forced)
+def test_corpus_case_work_parity(index, name):
     case = _CASES[index][1]
     failures = work_parity_failures(case, _algorithm_for(index))
     assert not failures, failures
@@ -56,11 +48,11 @@ def test_da_spt_parity_on_zero_weight_ties():
     """Fuzz-found regression (seed 0, case 87, shrunk to 11 nodes).
 
     On near-clique graphs with zero-weight edges the backward SPT has
-    many equally-shortest trees; the scipy/compiled builds and the
-    dict build used to pick different ones, so DA-SPT's Pascoal
-    simplicity check passed on one kernel and fell through to the
-    counted Gao A* on another (``shortest_path_computations`` dict=1
-    vs flat/native=0, ``edges_relaxed`` 5 vs 0).  Canonicalised
+    many equally-shortest trees; the scipy build and the dict build
+    used to pick different ones, so DA-SPT's Pascoal simplicity check
+    passed on one kernel and fell through to the counted Gao A* on
+    another (``shortest_path_computations`` dict=1 vs flat=0,
+    ``edges_relaxed`` 5 vs 0).  Canonicalised
     successor pointers (:func:`repro.pathing.spt.canonical_next_hops`)
     make the tree — and therefore the counters — kernel-independent.
     """

@@ -1,12 +1,15 @@
 """The `kpj serve` HTTP front-end (`repro.server.http`).
 
 A real service behind a real socket (ephemeral port via the ``ready``
-callback), exercised with stdlib urllib only: health, query, metrics
-exposition, status, and the error-code mapping.
+callback), exercised with stdlib urllib and raw sockets only: health,
+query, metrics exposition, status, the error-code mapping, and
+malformed input (wrong field types, bad ``Content-Length``) answered
+with a 400 instead of a dropped connection.
 """
 
 import asyncio
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -49,10 +52,12 @@ def endpoint():
     thread.start()
     assert ready.wait(60), "server did not come up"
     host, port = bound["addr"]
+    segments = service.shared_segments()
     yield f"http://{host}:{port}", service
     control["loop"].call_soon_threadsafe(control["stop"].set)
     thread.join(timeout=30)
     assert not thread.is_alive()
+    assert not set(segments) & set(active_segments())
 
 
 def _get(url):
@@ -69,6 +74,28 @@ def _post(url, payload):
     )
     with urllib.request.urlopen(request, timeout=30) as response:
         return response.status, json.loads(response.read())
+
+
+def _raw(base, head: bytes):
+    """Send raw request bytes; return ``(status, body)``.
+
+    ``status`` is ``None`` when the server closed the connection
+    without writing a status line.
+    """
+    host, port = base.removeprefix("http://").split(":")
+    with socket.create_connection((host, int(port)), timeout=30) as sock:
+        sock.sendall(head)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            chunks.append(chunk)
+    response = b"".join(chunks)
+    if not response.startswith(b"HTTP/1.1 "):
+        return None, response
+    head_part, _, body = response.partition(b"\r\n\r\n")
+    return int(head_part.split()[1]), body
 
 
 class TestEndpoints:
@@ -155,6 +182,59 @@ class TestErrorMapping:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _get(base + "/query")  # GET on a POST-only route
         assert excinfo.value.code == 405
+
+
+def _assert_still_serving(base):
+    status, body = _post(base + "/query", {"source": 3, "category": "T1", "k": 2})
+    assert status == 200
+    assert len(body["paths"]) == 2
+
+
+class TestMalformedInput:
+    """Wrong field types and bad framing get a 400 JSON error, and the
+    server keeps answering afterwards."""
+
+    @pytest.mark.parametrize(
+        "payload,field",
+        [
+            ({"source": 3, "category": "T1", "k": "3"}, "k"),
+            ({"source": "a", "category": "T1"}, "source"),
+            ({"source": 3, "category": ["T3"]}, "category"),
+            ({"source": 3, "category": "T1", "timeout_s": "x"}, "timeout_s"),
+            ({"source": 3, "category": "T1", "timeout_s": -1}, "timeout_s"),
+            ({"source": 3, "destinations": [1, "b"]}, "destinations"),
+            ({"source": 3, "category": "T1", "alpha": "fast"}, "alpha"),
+            ({"source": 3, "category": "T1", "algorithm": ["da"]}, "algorithm"),
+            ({"source": True, "category": "T1"}, "source"),
+        ],
+        ids=[
+            "k-string", "source-string", "category-list", "timeout-string",
+            "timeout-negative", "destinations-string-member", "alpha-string",
+            "algorithm-list", "source-bool",
+        ],
+    )
+    def test_wrong_field_type_is_400(self, endpoint, payload, field):
+        base, _ = endpoint
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _post(base + "/query", payload)
+        assert excinfo.value.code == 400
+        body = json.loads(excinfo.value.read())
+        assert field in body["error"]
+        _assert_still_serving(base)
+
+    @pytest.mark.parametrize("value", ["-5", "abc"])
+    def test_bad_content_length_is_400(self, endpoint, value):
+        base, _ = endpoint
+        status, body = _raw(
+            base,
+            (
+                "POST /query HTTP/1.1\r\nHost: localhost\r\n"
+                f"Content-Length: {value}\r\n\r\n"
+            ).encode("ascii"),
+        )
+        assert status == 400
+        assert "Content-Length" in json.loads(body)["error"]
+        _assert_still_serving(base)
 
 
 def test_shutdown_unlinks_segments():

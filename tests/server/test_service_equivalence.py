@@ -9,7 +9,7 @@ harness's sequential matrix:
   oracle (`repro.fuzz.oracles` is the comparator, not a re-derivation);
 * the answer must hash-match a sequential reference that mirrors the
   service discipline (explicit ``prepare`` then search), under every
-  kernel — dict, flat, and native;
+  kernel — dict and flat;
 * the §3g work counters (`WORK_PARITY_FIELDS`) and the per-query
   metrics snapshot must tie out exactly with the sequential reference:
   shipping the search to a resident process over shared memory is not
