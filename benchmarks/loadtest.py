@@ -8,7 +8,8 @@ occupancy, and error counts — for one or more declarative workload
 specs (see :mod:`repro.bench.workload` and ``benchmarks/specs/``).
 
 Each invocation replays every ``--spec`` (default: the pinned smoke
-spec) and either:
+spec) on an in-process resident-worker service — or, with ``--url``,
+over HTTP against a running ``kpj serve`` — and either:
 
 * ``--update`` — appends one schema-versioned entry per spec to
   ``benchmarks/results/BENCH_loadtest.json``;
@@ -68,17 +69,11 @@ def main(argv: list[str] | None = None) -> int:
         help="gate against the spec SLO + committed baseline (default)",
     )
     parser.add_argument(
-        "--target", choices=("pool", "service"), default="pool",
-        help="serving tier to replay against (default: pool); entries "
-        "and baselines are matched per target",
-    )
-    parser.add_argument(
         "--url", metavar="URL", default=None,
         help="replay over HTTP against a running `kpj serve` endpoint "
-        "(implies --target service)",
+        "instead of an in-process service",
     )
     args = parser.parse_args(argv)
-    target = "service" if args.url else args.target
 
     spec_paths = args.spec or [str(DEFAULT_SPEC)]
     try:
@@ -90,11 +85,10 @@ def main(argv: list[str] | None = None) -> int:
 
     exit_code = 0
     for spec in specs:
-        baseline = baseline_for(trajectory, spec.as_dict(), target=target)
+        baseline = baseline_for(trajectory, spec.as_dict())
         try:
             entry = replay_workload(
-                spec, progress=lambda msg: print(f"# {msg}"),
-                target=target, url=args.url,
+                spec, progress=lambda msg: print(f"# {msg}"), url=args.url
             )
         except QueryError as exc:
             print(str(exc), file=sys.stderr)

@@ -2,33 +2,31 @@
 
 :func:`replay_workload` takes a frozen
 :class:`~repro.bench.workload.WorkloadSpec`, expands it into its
-deterministic arrival schedule, and replays it against a serving
-target: the dispatcher sleeps until each arrival's scheduled offset
-and submits the query **regardless of completions** (open loop), so a
-system that cannot keep up accumulates visible queue wait instead of
-quietly throttling the offered load.
+deterministic arrival schedule, and replays it against the
+resident-worker service: the dispatcher sleeps until each arrival's
+scheduled offset and submits the query **regardless of completions**
+(open loop), so a system that cannot keep up accumulates visible
+queue wait instead of quietly throttling the offered load.
 
-Three targets share that dispatcher:
+The same pacing loop drives both ways of reaching the service:
 
-* ``target="pool"`` (default) — the same forked processes
-  :func:`repro.server.pool.run_batch` uses; each query comes back
-  with its metrics snapshot and a worker-stamped ``started_at_s``,
-  and the dispatcher records its own enqueue offset per arrival, so
-  queue wait and service time are attributed separately without any
-  new timers on the query path;
-* ``target="service"`` — the resident-worker tier
-  (:class:`repro.server.service.QueryService`), spun in-process for
-  the replay: warm-up (shared-memory export, category prewarm)
-  is paid **once at service start** and lands in the entry's
-  one-time ``warmup`` phase, so ``service_ms`` reflects steady-state
-  serving;
+* in-process — a :class:`repro.server.service.QueryService` started
+  for the replay with ``spec.workers`` workers and the spec's
+  categories prewarmed: warm-up (shared-memory export, category
+  prewarm, forks) is paid **once at service start** and lands in the
+  entry's one-time ``warmup`` phase, so ``service_ms`` reflects
+  steady-state serving;
 * ``url=...`` — an already-running ``kpj serve`` endpoint, replayed
-  over HTTP (the entry still records ``target: service``); phase
-  attribution comes from the server's ``/status`` report, which
-  covers the server's lifetime, not just this replay.
+  over HTTP; the per-query phases come from each response's metrics
+  snapshot and the ``warmup`` phase from the server's ``/status``
+  report.
 
-Entries record their ``target``, and :func:`baseline_for` matches on
-it, so pool and service trajectories gate independently.
+Every query comes back with its metrics snapshot and epoch-rebased
+timing carrying its ``queue_wait_s``, so queue wait and service time
+are attributed separately without any new timers on the query path.
+Entries record ``target: service``; :func:`baseline_for` only matches
+such entries, so the committed entries of the deleted fork-per-batch
+pool (no ``target`` field, or ``"pool"``) never gate a replay.
 
 Collection rides the existing observability layers: per-query latency
 from ``QueryResult.elapsed_ms``, per-phase wall clock from the merged
@@ -131,83 +129,29 @@ def _solver_for(spec: WorkloadSpec):
     return dataset, solver
 
 
-def _replay_pool(spec, solver, schedule, queries, agg):
-    """The fork-per-batch target (the original replay engine)."""
-    from repro.server.pool import (
-        _execute,
-        _warm_cache,
-        _WorkerFailure,
-        _worker_execute,
-    )
-    from repro.server import pool as pool_mod
-
-    # Per-query snapshots need a registry attached before the fork;
-    # the parent merges each result's snapshot into ``agg`` uniformly
-    # (pooled or not), so the solver's own registry is never read.
-    solver.metrics = MetricsRegistry()
-    t_warm = perf_counter()
-    _warm_cache(solver, queries)
-    agg.observe_phase("warmup", perf_counter() - t_warm)
-
-    ctx = None
-    if spec.workers > 1:
-        import multiprocessing
-
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-fork platforms
-            ctx = None
-
-    raws: list[tuple] = []  # (arrival, enqueued_abs, result-or-failure)
+def _pace(schedule, queries, submit) -> tuple[list, float]:
+    """Submit each query at its scheduled offset, regardless of
+    completions; return ``(arrival, result-or-exception)`` pairs and
+    the makespan.  ``submit`` returns a ``concurrent.futures`` future.
+    """
     t0 = perf_counter()
-    if ctx is not None:
-        pool_mod._WORKER_SOLVER = solver
+    pending = []
+    for arrival, query in zip(schedule, queries):
+        delay = arrival.offset_s - (perf_counter() - t0)
+        if delay > 0:
+            sleep(delay)
+        pending.append((arrival, submit(query)))
+    raws: list[tuple] = []
+    for arrival, future in pending:
         try:
-            with ctx.Pool(
-                processes=spec.workers,
-                initializer=pool_mod._init_worker,
-                initargs=(ctx.Value("i", 0),),
-            ) as pool:
-                t0 = perf_counter()
-                pending = []
-                for arrival, query in zip(schedule, queries):
-                    delay = arrival.offset_s - (perf_counter() - t0)
-                    if delay > 0:
-                        sleep(delay)
-                    enq = perf_counter()
-                    pending.append(
-                        (arrival, enq, pool.apply_async(_worker_execute, (query,)))
-                    )
-                raws = [(a, enq, h.get()) for a, enq, h in pending]
-        finally:
-            pool_mod._WORKER_SOLVER = None
-    else:
-        # Single-worker (or fork-less) replay: the dispatcher itself
-        # is the one worker.  Arrivals stay open-loop — a query that
-        # arrives while the previous one is still running starts late,
-        # and that lateness *is* its queue wait.
-        t0 = perf_counter()
-        for arrival, query in zip(schedule, queries):
-            delay = arrival.offset_s - (perf_counter() - t0)
-            if delay > 0:
-                sleep(delay)
-            enq = perf_counter()
-            try:
-                result = _execute(solver, query)
-            except Exception as exc:
-                raws.append((arrival, enq, _WorkerFailure(error=exc)))
-                continue
-            result.timing = {"started_at_s": enq}
-            raws.append((arrival, enq, result))
-    makespan = perf_counter() - t0
-    solver.metrics = None
-    return raws, makespan
+            raws.append((arrival, future.result()))
+        except Exception as exc:
+            raws.append((arrival, exc))
+    return raws, perf_counter() - t0
 
 
 def _replay_service(spec, solver, schedule, queries, agg):
-    """The resident-worker target: one long-lived service for the
-    whole replay, warm-up paid once at start."""
-    from repro.server.pool import _WorkerFailure
+    """Replay on a service started for the run, warm-up paid once."""
     from repro.server.service import QueryService
 
     service = QueryService(
@@ -217,31 +161,16 @@ def _replay_service(spec, solver, schedule, queries, agg):
         # turn offered-load pressure into errors, which is the serve
         # path's policy, not the benchmark's.  Bound high enough that
         # every arrival is admitted.
-        max_pending=len(schedule) + spec.workers + 1,
+        max_pending=len(schedule),
         prewarm=spec.categories,
     )
     service.start()
     try:
-        t0 = perf_counter()
-        pending = []
-        for arrival, query in zip(schedule, queries):
-            delay = arrival.offset_s - (perf_counter() - t0)
-            if delay > 0:
-                sleep(delay)
-            enq = perf_counter()
-            pending.append((arrival, enq, service.submit(query)))
-        raws = []
-        for arrival, enq, future in pending:
-            try:
-                raws.append((arrival, enq, future.result()))
-            except Exception as exc:
-                raws.append((arrival, enq, _WorkerFailure(error=exc)))
-        makespan = perf_counter() - t0
+        raws, makespan = _pace(schedule, queries, service.submit)
     finally:
         service.shutdown()
-    # The service registry holds the one-time ``warmup`` phase, every
-    # per-query snapshot, and the service counters/histograms.
-    agg.merge(service.metrics)
+    seconds, calls = service.metrics.phases["warmup"]
+    agg.observe_phase("warmup", seconds, calls=calls)
     return raws, makespan
 
 
@@ -276,50 +205,34 @@ def _replay_http(spec, url, schedule, queries, agg):
     from types import SimpleNamespace
 
     from repro.core.stats import SearchStats
-    from repro.server.pool import _WorkerFailure
 
-    raws: list[tuple] = []
     timeout = 120.0
+
+    def fetch(query):
+        payload = {
+            "source": query.source, "k": query.k,
+            "algorithm": query.algorithm, "alpha": query.alpha,
+        }
+        if query.category is not None:
+            payload["category"] = query.category
+        if query.destinations is not None:
+            payload["destinations"] = list(query.destinations)
+        body = _http_query(url, payload, timeout)
+        # The fields of a QueryResult that the aggregation reads.
+        return SimpleNamespace(
+            timing=body.get("timing") or {},
+            elapsed_ms=float(body.get("elapsed_ms", 0.0)),
+            stats=SearchStats(**(body.get("stats") or {})),
+            metrics=body.get("metrics"),
+        )
+
     with ThreadPoolExecutor(
         max_workers=min(64, max(4, spec.workers * 4))
     ) as executor:
-        t0 = perf_counter()
-        pending = []
-        for arrival, query in zip(schedule, queries):
-            delay = arrival.offset_s - (perf_counter() - t0)
-            if delay > 0:
-                sleep(delay)
-            enq = perf_counter()
-            payload = {
-                "source": query.source, "k": query.k,
-                "algorithm": query.algorithm, "alpha": query.alpha,
-            }
-            if query.category is not None:
-                payload["category"] = query.category
-            if query.destinations is not None:
-                payload["destinations"] = list(query.destinations)
-            pending.append(
-                (arrival, enq, executor.submit(_http_query, url, payload, timeout))
-            )
-        for arrival, enq, future in pending:
-            try:
-                body = future.result()
-            except Exception as exc:
-                raws.append((arrival, enq, _WorkerFailure(error=exc)))
-                continue
-            raws.append((
-                arrival,
-                enq,
-                SimpleNamespace(
-                    timing=body.get("timing") or {},
-                    elapsed_ms=float(body.get("elapsed_ms", 0.0)),
-                    stats=SearchStats(**(body.get("stats") or {})),
-                    metrics=body.get("metrics"),
-                ),
-            ))
-        makespan = perf_counter() - t0
-    # Phase attribution lives server-side; fold in the /status report
-    # (lifetime totals — documented caveat for long-running servers).
+        raws, makespan = _pace(
+            schedule, queries, lambda query: executor.submit(fetch, query)
+        )
+    # The server's one-time warm-up lives in its /status report.
     try:
         import urllib.request
 
@@ -327,9 +240,10 @@ def _replay_http(spec, url, schedule, queries, agg):
             url.rstrip("/") + "/status", timeout=10
         ) as response:
             status = json.loads(response.read().decode("utf-8"))
-        for phase, block in (status["metrics"].get("phases") or {}).items():
+        warmup = (status["metrics"].get("phases") or {}).get("warmup")
+        if warmup:
             agg.observe_phase(
-                phase, block.get("seconds", 0.0), calls=block.get("calls", 1)
+                "warmup", warmup.get("seconds", 0.0), calls=warmup.get("calls", 1)
             )
     except Exception:  # pragma: no cover - status endpoint unreachable
         pass
@@ -337,43 +251,33 @@ def _replay_http(spec, url, schedule, queries, agg):
 
 
 def replay_workload(
-    spec: WorkloadSpec, progress=None, target: str = "pool",
-    url: str | None = None,
+    spec: WorkloadSpec, progress=None, url: str | None = None
 ) -> dict:
     """Replay ``spec`` open-loop and return one trajectory entry.
 
-    ``target`` picks the serving tier (``"pool"`` or ``"service"``);
-    passing ``url`` replays over HTTP against a running ``kpj serve``
-    (and implies ``target="service"``).  Raises
+    The replay runs on a :class:`~repro.server.service.QueryService`
+    started in-process, or — when ``url`` is given — over HTTP against
+    a running ``kpj serve``.  Raises
     :class:`~repro.exceptions.QueryError` on spec/dataset mismatches
     (unknown category).  Individual query failures during the replay
     are counted into the entry's ``errors`` block instead of aborting
     — the SLO gate's error budget decides whether they fail the run.
     """
-    from repro.server.pool import BatchQuery, _WorkerFailure
+    from repro.server.service import BatchQuery
 
     if url is not None:
-        target = "service"
-    if target not in ("pool", "service"):
-        raise QueryError(
-            f"unknown loadtest target {target!r}; choose 'pool' or 'service'"
-        )
-    if url is not None:
-        dataset_n = None
         from repro.datasets.registry import road_network
 
-        dataset_n = road_network(spec.dataset).n
         solver = None
-        schedule = generate_schedule(spec, dataset_n)
+        schedule = generate_schedule(spec, road_network(spec.dataset).n)
     else:
         dataset, solver = _solver_for(spec)
         schedule = generate_schedule(spec, dataset.n)
     if progress is not None:
-        where = url if url is not None else target
         progress(
             f"replaying {spec.name!r}: {len(schedule)} arrivals at "
             f"{spec.target_qps:g} qps over {spec.workers} worker(s) "
-            f"[{where}]"
+            f"[{url if url is not None else 'in-process service'}]"
         )
     queries = [
         BatchQuery(
@@ -385,10 +289,8 @@ def replay_workload(
     agg = MetricsRegistry()
     if url is not None:
         raws, makespan = _replay_http(spec, url, schedule, queries, agg)
-    elif target == "service":
-        raws, makespan = _replay_service(spec, solver, schedule, queries, agg)
     else:
-        raws, makespan = _replay_pool(spec, solver, schedule, queries, agg)
+        raws, makespan = _replay_service(spec, solver, schedule, queries, agg)
 
     latency = Histogram(LOADTEST_LATENCY_BUCKETS_MS)
     queue_wait = Histogram(LOADTEST_LATENCY_BUCKETS_MS)
@@ -396,19 +298,12 @@ def replay_workload(
     work: dict = {}
     errors: list[dict] = []
     service_total_s = 0.0
-    for arrival, enq, raw in raws:
-        if isinstance(raw, _WorkerFailure):
-            errors.append({"index": arrival.index, "error": str(raw.error)})
+    for arrival, raw in raws:
+        if isinstance(raw, Exception):
+            errors.append({"index": arrival.index, "error": str(raw)})
             continue
-        timing = raw.timing or {}
-        if "queue_wait_s" in timing:
-            # Service/HTTP results arrive with the wait already derived
-            # (their ``*_at_s`` offsets are epoch-rebased, not raw
-            # ``perf_counter`` readings comparable to ``enq``).
-            qw_ms = max(0.0, timing["queue_wait_s"]) * 1e3
-        else:
-            started = timing.get("started_at_s", enq)
-            qw_ms = max(0.0, started - enq) * 1e3
+        # Results arrive with the service-derived queue wait.
+        qw_ms = max(0.0, (raw.timing or {}).get("queue_wait_s", 0.0)) * 1e3
         svc_ms = raw.elapsed_ms
         queue_wait.observe(qw_ms)
         service.observe(svc_ms)
@@ -426,7 +321,7 @@ def replay_workload(
         "date": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
         "python": ".".join(str(v) for v in sys.version_info[:3]),
         "spec": spec.as_dict(),
-        "target": target,
+        "target": "service",
         "schedule_sha": schedule_digest(schedule),
         "queries": len(schedule),
         "completed": completed,
@@ -448,21 +343,15 @@ def replay_workload(
     return entry
 
 
-def baseline_for(
-    entries: Sequence[Mapping], spec_dict: Mapping, target: str = "pool"
-) -> dict | None:
-    """The latest entry recorded under exactly ``spec_dict`` for
-    ``target``.
+def baseline_for(entries: Sequence[Mapping], spec_dict: Mapping) -> dict | None:
+    """The latest service entry recorded under exactly ``spec_dict``.
 
-    Entries from before targets existed carry no ``target`` field and
-    are treated as ``"pool"`` — the only tier that produced them — so
-    pool and service trajectories gate against their own baselines.
+    Entries of the deleted fork-per-batch pool carry no ``target``
+    field (or ``"pool"``) and are skipped: they measured another
+    serving path.
     """
     for entry in reversed(list(entries)):
-        if (
-            entry.get("spec") == spec_dict
-            and entry.get("target", "pool") == target
-        ):
+        if entry.get("spec") == spec_dict and entry.get("target") == "service":
             return dict(entry)
     return None
 

@@ -15,10 +15,10 @@ Subcommands::
     kpj fuzz     --seed 0 --cases 1000 [--shrink] [--self-check]
 
 ``query`` answers one KPJ query on a named dataset and prints the
-paths; ``batch`` answers a whole workload (optionally across a worker
-pool) and reports throughput; ``datasets`` lists the registry
-(Table-1 style); ``bench`` reproduces one figure and prints its
-table; ``metrics`` replays a workload file and emits the aggregate
+paths; ``batch`` answers a whole workload (optionally on resident
+worker processes) and reports throughput; ``datasets`` lists the
+registry (Table-1 style); ``bench`` reproduces one figure and prints
+its table; ``metrics`` replays a workload file and emits the aggregate
 registry as Prometheus text exposition.  ``--kernel flat`` switches
 any query-answering subcommand to the CSR flat-array search
 substrate, ``--stats`` prints the instrumentation counters (search
@@ -53,16 +53,15 @@ work-counter deltas — as markdown.
 Load testing (DESIGN.md §3h): ``loadtest`` validates a declarative
 JSON/TOML workload spec (:mod:`repro.bench.workload`), expands it
 into a seeded deterministic open-loop arrival schedule, replays it
-against a serving tier — the forked pool (default), the resident
-service (``--target service``), or a running ``kpj serve`` endpoint
-(``--url``) — and emits one schema-versioned ``BENCH_loadtest.json``
-entry — p50/p95/p99/p99.9 tail latency split into queue wait vs
-service time, achieved-vs-target QPS, occupancy, error counts,
-per-phase timers and work counters — then evaluates the spec's SLO
-gate (absolute p99/throughput floors plus a regression bound against
-the pinned baseline entry for the same target), exiting non-zero on
-any violation.  ``report --loadtest`` renders that trajectory as
-markdown.
+against the resident-worker service — started in-process, or a
+running ``kpj serve`` endpoint (``--url``) — and emits one
+schema-versioned ``BENCH_loadtest.json`` entry — p50/p95/p99/p99.9
+tail latency split into queue wait vs service time, achieved-vs-target
+QPS, occupancy, error counts, per-phase timers and work counters —
+then evaluates the spec's SLO gate (absolute p99/throughput floors
+plus a regression bound against the pinned baseline entry), exiting
+non-zero on any violation.  ``report --loadtest`` renders that
+trajectory as markdown.
 
 Serving (DESIGN.md §3i): ``serve`` runs the persistent query service
 — resident worker processes spawned once over shared-memory CSR
@@ -170,7 +169,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     batch.add_argument("--landmarks", type=int, default=16)
     batch.add_argument(
-        "--workers", type=int, default=1, help="process-pool size (1 = sequential)"
+        "--workers",
+        type=int,
+        default=1,
+        help="resident worker processes (1 = sequential)",
     )
     batch.add_argument(
         "--kernel", default="dict", choices=KERNELS, help="search substrate"
@@ -381,18 +383,11 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: on)",
     )
     loadtest.add_argument(
-        "--target",
-        choices=("pool", "service"),
-        default="pool",
-        help="serving tier: the fork-per-batch pool (default) or the "
-        "resident-worker service; entries and baselines match per target",
-    )
-    loadtest.add_argument(
         "--url",
         default=None,
         metavar="URL",
         help="replay over HTTP against a running `kpj serve` endpoint "
-        "(implies --target service)",
+        "instead of an in-process service",
     )
 
     serve = sub.add_parser(
@@ -692,7 +687,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     import time
 
     from repro.core.stats import SearchStats
-    from repro.server.pool import BatchQuery
+    from repro.server.service import BatchQuery
 
     dataset = road_network(args.dataset)
     if args.sources is not None:
@@ -737,9 +732,9 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         # detach it so run_batch installs its own per-batch registry
         # (the aggregate arrives via the ``metrics=`` merge — leaving
         # it attached would double-count sequential batches).  The
-        # query logger and memory telemetry stay attached: pool workers
-        # inherit them through the fork, each appending whole lines to
-        # the same log file (O_APPEND keeps lines intact).
+        # query logger and memory telemetry stay attached: resident
+        # workers inherit them through the fork, each appending whole
+        # lines to the same log file (O_APPEND keeps lines intact).
         solver.metrics = None
     queries = [
         BatchQuery(
@@ -1147,20 +1142,19 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
         if args.out is not None:
             trajectory = load_entries(args.out)
         if baseline_path is not None:
-            pool = (
+            entries = (
                 trajectory
                 if baseline_path == args.out
                 else load_entries(baseline_path)
             )
-            target = "service" if args.url else args.target
-            baseline = baseline_for(pool, spec.as_dict(), target=target)
+            baseline = baseline_for(entries, spec.as_dict())
     except QueryError as exc:
         print(str(exc), file=sys.stderr)
         return 2
     try:
         entry = replay_workload(
             spec, progress=lambda msg: print(f"# {msg}", file=sys.stderr),
-            target=args.target, url=args.url,
+            url=args.url,
         )
     except QueryError as exc:
         print(str(exc), file=sys.stderr)

@@ -16,8 +16,8 @@ Two serving-oriented layers sit on top of the per-query path:
   landmark configuration)`` and reused across queries, with hit/miss
   counters surfaced in :class:`~repro.core.stats.SearchStats`;
 * a **batch API** — :meth:`KPJSolver.solve_batch` answers a list of
-  queries, optionally sharded across a process pool
-  (:mod:`repro.server.pool`), returning results in submission order.
+  queries, optionally on resident worker processes
+  (:mod:`repro.server.service`), returning results in submission order.
 
 The ``kernel`` knob selects the search substrate for every algorithm:
 ``"dict"`` (pure-CPython dicts and tuple adjacency, the default) or
@@ -317,48 +317,43 @@ class KPJSolver:
         stats: SearchStats | None = None,
         metrics: MetricsRegistry | None = None,
         tracer: SpanTracer | None = None,
-        engine: str = "pool",
     ) -> list[QueryResult]:
-        """Answer a list of queries, optionally across a process pool.
+        """Answer a list of queries, optionally on resident workers.
 
-        Each query is a :class:`~repro.server.pool.BatchQuery` or a
+        Each query is a :class:`~repro.server.service.BatchQuery` or a
         mapping with the same fields (``source`` required;
         ``category``/``destinations``, ``k``, ``algorithm``, ``alpha``
-        optional).  With ``workers > 1`` the list is sharded across a
-        ``multiprocessing`` pool — the graph, landmark index, and
-        warmed prepared-category cache are shipped once per worker via
-        fork — and results stream back **in submission order**,
-        identical to what sequential solving returns.  See
-        :mod:`repro.server.pool` for the sharding details and the
-        platforms where the pool falls back to sequential execution.
+        optional).  With ``workers > 1`` the batch runs on a
+        :class:`~repro.server.service.QueryService` started for the
+        call — the graph, landmark index, and the batch's prewarmed
+        destination sets are shipped once per worker via fork — and
+        results come back **in submission order**, identical to what
+        sequential solving returns.  See
+        :func:`repro.server.service.run_batch` for the details and the
+        platforms where the batch runs sequentially.
 
         Pass a :class:`~repro.core.stats.SearchStats` as ``stats`` to
         collect the batch's aggregate counters: the merge of every
         result's per-query stats (across all workers) plus the
-        parent-side prepared-cache warm-up that precedes a fork.
+        parent-side prepared-cache prewarm that precedes a fork.
 
         Pass a :class:`~repro.obs.metrics.MetricsRegistry` as
         ``metrics`` to likewise collect the batch's aggregate phase
-        timers/counters/gauges — per-query snapshots cross the fork
+        timers/counters/gauges — per-query snapshots cross the process
         boundary on each result and are merged on return, with the
-        parent-side warm-up attributed to the ``warmup`` phase.
+        service start attributed to the ``warmup`` phase.
 
         Pass a :class:`~repro.obs.tracing.SpanTracer` as ``tracer`` to
         collect one batch-wide span tree: the whole call becomes a
         ``batch`` span, and each sampled query's span snapshot (local
         or shipped back from a worker process, keeping the worker's
         pid) is re-rooted under it.
-
-        ``engine="service"`` routes the batch through the
-        resident-worker tier (:mod:`repro.server.service`) instead of
-        the fork-per-batch pool: workers are spawned once over
-        shared-memory CSR state and answer with a warm prepared cache.
         """
-        from repro.server.pool import run_batch
+        from repro.server.service import run_batch
 
         return run_batch(
             self, queries, workers=workers, stats=stats, metrics=metrics,
-            tracer=tracer, engine=engine,
+            tracer=tracer,
         )
 
     def prepare(
@@ -494,7 +489,7 @@ class KPJSolver:
         query_id = new_query_id()
         qid_token = current_query_id.set(query_id)
         # Fresh per-query registry: its snapshot rides back on the
-        # result (picklable across the pool's fork boundary) and is
+        # result (picklable across the process boundary) and is
         # merged into the solver-lifetime registry afterwards.
         qreg = MetricsRegistry() if self.metrics is not None else None
         # Same pattern for the tracer, plus the sampling decision —

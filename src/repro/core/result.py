@@ -66,13 +66,13 @@ class QueryResult:
         Per-query :meth:`~repro.obs.metrics.MetricsRegistry.as_dict`
         snapshot (phase timers, gauges) when the solver has metrics
         enabled; ``None`` otherwise.  A plain dict so it crosses the
-        batch pool's fork boundary like the stats counters do.
+        worker process boundary like the stats counters do.
     trace:
         Per-query :meth:`~repro.obs.tracing.SpanTracer.as_dict` span
         snapshot when the solver has a tracer attached and this query
-        was sampled; ``None`` otherwise.  Also a plain dict — pool
+        was sampled; ``None`` otherwise.  Also a plain dict — resident
         workers ship it back with the result and
-        :func:`~repro.server.pool.run_batch` re-roots it under the
+        :func:`~repro.server.service.run_batch` re-roots it under the
         batch span.
     query_id:
         Stable id minted by the solver for this query
@@ -81,14 +81,14 @@ class QueryResult:
         A plain string, so it too survives the fork boundary.
     timing:
         Serving-side timestamps stamped by
-        :func:`~repro.server.pool.run_batch`, the resident
+        :func:`~repro.server.service.run_batch`, the resident
         :class:`~repro.server.service.QueryService`, and the load-test
         replay engine: ``enqueued_at_s``/``started_at_s`` monotonic
         offsets from the process-wide
         :func:`~repro.server.epoch.service_epoch` plus the derived
         ``queue_wait_s``, so queue wait is attributable separately
         from the service time in :attr:`elapsed_ms` and offsets from
-        different batches/targets share one timeline.  ``None``
+        different batches and surfaces share one timeline.  ``None``
         outside batch/service/load-test serving.  A plain dict —
         workers stamp their half (``started_at_s``) and the parent
         merges the enqueue side after results cross the fork boundary.

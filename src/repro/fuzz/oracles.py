@@ -26,7 +26,7 @@ from repro.core.kpj import ALGORITHMS, KPJSolver
 from repro.core.result import Path, QueryResult
 from repro.fuzz.generators import FuzzCase, sequence_hash
 from repro.pathing.kernels import KERNELS
-from repro.server.pool import BatchQuery
+from repro.server.service import BatchQuery
 from repro.validation import validate_result
 
 __all__ = ["RunConfig", "OracleExpectation", "check_against_oracles", "run_query"]

@@ -13,9 +13,10 @@ so a log line, a trace tree, and a batch report all name the same
 query the same way.
 
 Query ids are fork-safe by construction: ``q-<pid hex>-<seq>`` — a
-pool worker inherits the parent's sequence counter but never its pid,
-so ids stay globally unique across :func:`~repro.server.pool.run_batch`
-workers with zero coordination.
+forked worker inherits the parent's sequence counter but never its
+pid, so ids stay globally unique across
+:class:`~repro.server.service.QueryService` workers with zero
+coordination.
 
 **Slow-query dumps.**  A :class:`QueryLogger` built with ``slow_ms``
 additionally snapshots any query at or over the threshold into its own
@@ -74,7 +75,7 @@ _SEQ = itertools.count(1)
 def new_query_id() -> str:
     """Mint a process-unique query id (``q-<pid hex>-<seq>``).
 
-    The pid component makes ids unique across forked pool workers
+    The pid component makes ids unique across forked service workers
     (each worker inherits the sequence position but not the pid); the
     monotone sequence makes them unique — and sortable by issue order
     — within a process.

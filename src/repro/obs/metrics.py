@@ -213,8 +213,8 @@ class MetricsRegistry:
     A registry is *per scope*, not global: the solver keeps one for
     its lifetime, every query records into a fresh per-query registry
     whose snapshot rides on the :class:`~repro.core.result.QueryResult`,
-    and :func:`~repro.server.pool.run_batch` merges the per-query
-    snapshots (plus the parent's pre-fork ``warmup``) into the
+    and :func:`~repro.server.service.run_batch` merges the per-query
+    snapshots (plus the service's one-time ``warmup``) into the
     caller's aggregate — the same shape as ``SearchStats`` threading.
     """
 

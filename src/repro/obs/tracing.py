@@ -22,8 +22,8 @@ unit test asserts the no-allocation property).  Tracers are *per
 scope*: the solver keeps one for its lifetime, every sampled query
 records into a fresh per-query tracer whose :meth:`SpanTracer.as_dict`
 snapshot rides back on the :class:`~repro.core.result.QueryResult`
-(a plain dict, so it crosses the batch pool's fork boundary), and
-:func:`~repro.server.pool.run_batch` re-roots the worker snapshots
+(a plain dict, so it crosses the worker process boundary), and
+:func:`~repro.server.service.run_batch` re-roots the worker snapshots
 under its batch span via :meth:`SpanTracer.absorb`.
 
 Span taxonomy (see DESIGN.md §3d for the full contract):
@@ -77,7 +77,7 @@ class SpanTracer:
     Spans are plain dicts — ``{"id", "parent", "name", "cat", "ts",
     "dur", "pid", "attrs"}`` — appended to a ring buffer on
     completion, so :meth:`as_dict` is a shallow copy and the snapshot
-    pickles across the pool's fork boundary unchanged.  ``ts`` is
+    pickles across the worker process boundary unchanged.  ``ts`` is
     :func:`time.perf_counter` (``CLOCK_MONOTONIC``: one machine-wide
     clock, so parent- and worker-process spans share a timeline) and
     ``dur`` is in seconds.
@@ -203,7 +203,7 @@ class SpanTracer:
         Span ids are re-based to stay unique; spans whose parent is
         missing from the snapshot (evicted in the source ring, or
         genuine roots) are re-parented under ``parent`` — this is how
-        :func:`~repro.server.pool.run_batch` roots each worker's query
+        :func:`~repro.server.service.run_batch` roots each worker's query
         tree under its batch span.  Original ``pid``/timestamps are
         kept, so a Chrome export shows one lane per worker on the
         shared monotonic timeline.
@@ -303,7 +303,7 @@ def chrome_trace(trace: "SpanTracer | Mapping") -> dict:
     microsecond timestamps relative to the earliest span; ``cat``
     carries the phase taxonomy so Perfetto can filter by category, and
     span attributes land in ``args``.  ``pid`` and ``tid`` are the
-    recording process id, which gives each pool worker its own lane.
+    recording process id, which gives each worker process its own lane.
     Load the JSON in ``chrome://tracing`` or https://ui.perfetto.dev.
     """
     spans = _snapshot(trace).get("spans", [])

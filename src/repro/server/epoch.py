@@ -1,14 +1,13 @@
 """The process-wide serving epoch.
 
-Every serving surface — the fork-per-batch pool, the resident-worker
+Every serving surface — sequential batches, the resident-worker
 service, the load-test replay — stamps ``QueryResult.timing`` offsets
-relative to **one** origin so histograms built from different targets
-(or from successive batches) share a timeline.  Before this module the
-pool rebased each batch onto its own start, which made
+relative to **one** origin so histograms built from different
+surfaces (or from successive batches) share a timeline.  Before this
+module each batch was rebased onto its own start, which made
 ``enqueued_at_s`` reset to ~0 every batch: two batches' offsets were
-incomparable and a load-test replay through ``run_batch`` produced
-queue-wait distributions that could not be overlaid on the service
-tier's.
+incomparable, and batch queue-wait distributions could not be
+overlaid on the service's.
 
 ``perf_counter`` is a single machine-wide monotonic clock on every
 platform that can fork, so the epoch survives the fork boundary: a

@@ -11,17 +11,19 @@ tiny and JSON-first:
 * ``GET /status`` — JSON service description: pids, shared segments,
   uptime, the full metrics report, aggregate §3g work counters;
 * ``POST /query`` — one KPJ/KSP query; the body mirrors
-  :class:`~repro.server.pool.BatchQuery` (``source`` required,
+  :class:`~repro.server.service.BatchQuery` (``source`` required,
   ``category``/``destinations``/``k``/``algorithm``/``alpha``
   optional) plus ``timeout_s`` for a per-query deadline.  Responds
   with ``QueryResult.to_dict()`` — paths, stats, per-query metrics
   snapshot, query id, and the epoch-rebased serving timing.
 
 Error mapping keeps the service's failure taxonomy visible to load
-generators: admission shedding → ``429``, a lapsed deadline → ``504``,
-any other ``QueryError`` (bad category, malformed body, a wrongly
-typed field, a negative or non-integer ``Content-Length``) → ``400``,
-worker death mid-query → ``500``.
+generators, and goes by exception type, never by the error text:
+admission shedding (:class:`~repro.server.service.ServiceOverloaded`)
+→ ``429``, a lapsed deadline (``DeadlineExceeded``) → ``504``, worker
+death mid-query (``WorkerDied``) → ``500``, any other ``QueryError``
+(bad category, malformed body, a wrongly typed field, a negative or
+non-integer ``Content-Length``) → ``400``.
 """
 
 from __future__ import annotations
@@ -31,7 +33,12 @@ import json
 import signal
 
 from repro.exceptions import QueryError
-from repro.server.service import DeadlineExceeded, QueryService
+from repro.server.service import (
+    DeadlineExceeded,
+    QueryService,
+    ServiceOverloaded,
+    WorkerDied,
+)
 
 __all__ = ["run_server", "serve_forever"]
 
@@ -71,14 +78,19 @@ async def _handle_query(service: QueryService, body: bytes) -> bytes:
     timeout_s = fields.pop("timeout_s", None)
     try:
         result = await service.asubmit(fields, timeout_s=timeout_s)
-    except DeadlineExceeded as exc:
-        return _json_response(504, {"error": str(exc)})
     except QueryError as exc:
-        status = 429 if "service overloaded" in str(exc) else 400
-        if "died mid-query" in str(exc):
-            status = 500
-        return _json_response(status, {"error": str(exc)})
+        return _json_response(_error_status(exc), {"error": str(exc)})
     return _json_response(200, result.to_dict())
+
+
+def _error_status(exc: QueryError) -> int:
+    if isinstance(exc, ServiceOverloaded):
+        return 429
+    if isinstance(exc, DeadlineExceeded):
+        return 504
+    if isinstance(exc, WorkerDied):
+        return 500
+    return 400
 
 
 async def _handle(service: QueryService, reader, writer) -> None:

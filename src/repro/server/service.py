@@ -1,50 +1,62 @@
-"""Long-lived query service: resident workers over shared-memory CSR.
+"""Resident-worker query service over shared-memory CSR.
 
-The fork-per-batch pool (:mod:`repro.server.pool`) re-pays warm-up —
-landmark residency, prepared-category construction —
-on every batch, because nothing survives between pools.
-:class:`QueryService` inverts that: worker processes are spawned
-**once**, hold the CSR graph arrays in
-:mod:`multiprocessing.shared_memory` segments (one physical copy for
-the whole pool, mapped read-only — see :mod:`repro.server.shared`),
-and keep a process-local :class:`~repro.core.kpj.PreparedCategory` LRU
-warm across requests, so steady-state queries pay only their own
-search.
+CPython's GIL rules out thread-level parallelism for the search
+kernels, so throughput comes from processes.  :class:`QueryService`
+forks its worker processes **once**, after the solver is fully built:
+they hold the CSR graph arrays in :mod:`multiprocessing.shared_memory`
+segments (one physical copy for all workers, mapped read-only — see
+:mod:`repro.server.shared`) and keep a process-local
+:class:`~repro.core.kpj.PreparedCategory` LRU warm across requests, so
+steady-state queries pay only their own search.  Only the small
+:class:`BatchQuery` / ``QueryResult`` objects cross the pipes.
+
+It is the one multi-process path: ``kpj serve`` runs a long-lived
+service behind HTTP (:mod:`repro.server.http`), and :func:`run_batch`
+(``KPJSolver.solve_batch``, ``kpj batch``) and the in-process load-test
+replay each run on a service started for the call.
 
 Front-end structure (asyncio, one driver task per worker):
 
 * **admission** — a bounded pending set; a submission that would
-  exceed ``max_pending`` is shed immediately with a clean
-  :class:`~repro.exceptions.QueryError` (counter
-  ``service_rejected_overload``) instead of queueing without bound;
+  exceed ``max_pending`` is shed immediately with
+  :class:`ServiceOverloaded` (counter ``service_rejected_overload``)
+  instead of queueing without bound;
 * **deadlines** — an admitted query carries an absolute deadline;
   cancellation is cooperative, checked at phase boundaries: before
   dispatch in the parent, and before the ``prepare`` and ``search``
   phases inside the worker (:class:`DeadlineExceeded`, counter
   ``service_deadline_exceeded``).  A search that has already started
   runs to completion — its result is returned, late;
-* **coalescing** — requests route to workers by destination-set
-  affinity (stable hash), and each driver tracks which prepare keys
-  its worker holds warm: concurrent identical ``(category, k)``
-  requests trigger exactly **one** explicit prepare op (counter
-  ``service_prepares``); the rest ride the warm entry (counter
-  ``service_prepares_coalesced``);
+* **routing and coalescing** — each driver tracks which prepare keys
+  its worker holds warm.  A request goes to the least-loaded worker
+  among those holding its key, or to the key's stable ``crc32``
+  worker when none does, so concurrent identical cold keys trigger
+  exactly **one** explicit prepare op (counter ``service_prepares``);
+  the rest ride the warm entry (counter
+  ``service_prepares_coalesced``).  A key prewarmed in every worker
+  spreads over all of them;
 * **fault recovery** — a worker that dies mid-query fails that query
-  with a clean :class:`~repro.exceptions.QueryError` (counter
-  ``service_worker_deaths``) and is respawned by re-forking the
-  parent, which still maps the same shared segments — the replacement
-  inherits the graph state without re-exporting anything.
+  with :class:`WorkerDied` (counter ``service_worker_deaths``) and is
+  respawned by re-forking the parent, which still maps the same
+  shared segments — the replacement inherits the graph state without
+  re-exporting anything.
+
+A start that raises part-way (a failed fork, a worker that never
+answers its handshake) undoes what it did: forked workers are
+retired, the segments unlinked, and the solver's ``csr_cache`` and
+``metrics`` restored.
 
 Telemetry is the stack every other surface already uses: a
 :class:`~repro.obs.metrics.MetricsRegistry` holding the service
 counters, log-spaced ``queue_wait_ms``/``service_ms`` histograms, the
 one-time ``warmup`` phase, and the merge of every per-query snapshot
-(§3g work counters included); Prometheus exposition via
-:meth:`QueryService.render_prom`; per-query ids minted fork-safely by
-the workers (:func:`repro.obs.log.new_query_id`).  ``QueryResult``
-timing offsets are rebased onto the process-wide
-:func:`~repro.server.epoch.service_epoch`, so histograms are
-comparable across the pool and service targets.
+(§3g work counters and ``worker_<i>_queries`` tags included);
+Prometheus exposition via :meth:`QueryService.render_prom`; per-query
+ids minted fork-safely by the workers
+(:func:`repro.obs.log.new_query_id`).  ``QueryResult`` timing offsets
+are rebased onto the process-wide
+:func:`~repro.server.epoch.service_epoch`, so sequential batches, the
+service and HTTP replays share one timeline.
 """
 
 from __future__ import annotations
@@ -58,22 +70,113 @@ from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait as connection_wait
-from numbers import Real
+from numbers import Integral, Real
 from time import perf_counter, sleep as _sleep
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from repro.core.stats import SearchStats
 from repro.exceptions import QueryError
 from repro.obs.metrics import LOADTEST_LATENCY_BUCKETS_MS, MetricsRegistry
+from repro.obs.tracing import SpanTracer
 from repro.server.epoch import service_epoch
-from repro.server.pool import BatchQuery, _coerce, _execute
 from repro.server.shared import SharedCSR
 
-__all__ = ["DeadlineExceeded", "QueryService", "run_service_batch"]
+__all__ = [
+    "BatchQuery",
+    "DeadlineExceeded",
+    "QueryService",
+    "ServiceOverloaded",
+    "WorkerDied",
+    "run_batch",
+]
+
+
+@dataclass(frozen=True)
+class BatchQuery:
+    """One KPJ/KSP query of a batch workload.
+
+    ``category`` and ``destinations`` are mutually exclusive, exactly
+    as in :meth:`KPJSolver.top_k`.
+    """
+
+    source: int
+    category: str | None = None
+    destinations: tuple[int, ...] | None = None
+    k: int = 10
+    algorithm: str = "iter-bound-spti"
+    alpha: float = 1.1
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def _check_types(query: BatchQuery) -> BatchQuery:
+    """Reject a wrongly typed field with a ``QueryError`` naming it.
+
+    Range checks stay with the solver; this only makes malformed input
+    (a JSON string where a number belongs, a list as a category) fail
+    at admission instead of as a ``TypeError`` inside a worker.
+    """
+    if not _is_int(query.source):
+        problem = "source must be an integer"
+    elif query.category is not None and not isinstance(query.category, str):
+        problem = "category must be a string"
+    elif query.destinations is not None and not all(
+        map(_is_int, query.destinations)
+    ):
+        problem = "destinations must be integers"
+    elif not _is_int(query.k):
+        problem = "k must be an integer"
+    elif not isinstance(query.algorithm, str):
+        problem = "algorithm must be a string"
+    elif not isinstance(query.alpha, Real) or isinstance(query.alpha, bool):
+        problem = "alpha must be a number"
+    else:
+        return query
+    raise QueryError(f"malformed batch query {query!r}: {problem}")
+
+
+def _coerce(query) -> BatchQuery:
+    """Accept :class:`BatchQuery` instances or plain mappings."""
+    if isinstance(query, BatchQuery):
+        return _check_types(query)
+    if isinstance(query, Mapping):
+        try:
+            query = dict(query)
+            if "destinations" in query and query["destinations"] is not None:
+                query["destinations"] = tuple(query["destinations"])
+            query = BatchQuery(**query)
+        except TypeError as exc:
+            raise QueryError(f"malformed batch query {query!r}: {exc}") from None
+        return _check_types(query)
+    raise QueryError(
+        f"batch queries must be BatchQuery or mappings, got {type(query).__name__}"
+    )
+
+
+def _execute(solver, query: BatchQuery):
+    """Answer one batch query against a solver."""
+    return solver.top_k(
+        query.source,
+        category=query.category,
+        destinations=query.destinations,
+        k=query.k,
+        algorithm=query.algorithm,
+        alpha=query.alpha,
+    )
 
 
 class DeadlineExceeded(QueryError):
     """A query's deadline lapsed at a cooperative cancellation point."""
+
+
+class ServiceOverloaded(QueryError):
+    """Admission shed a submission: ``max_pending`` queries in flight."""
+
+
+class WorkerDied(QueryError):
+    """The worker serving a query died mid-query (it was respawned)."""
 
 
 #: Solver and shared-CSR handle inherited by forked workers.  Set only
@@ -135,6 +238,12 @@ def _worker_main(conn, index: int) -> None:
             if op == "query":
                 _, query, deadline = msg
                 out = _serve_query(solver, query, deadline)
+                if out.metrics is not None:
+                    # Merged snapshots sum the tags, so the aggregate
+                    # shows how the queries spread over the workers.
+                    counters = out.metrics["counters"]
+                    tag = f"worker_{index}_queries"
+                    counters[tag] = counters.get(tag, 0) + 1
             elif op == "prepare":
                 _, category, destinations = msg
                 prepared = solver.prepare(
@@ -235,7 +344,7 @@ class QueryService:
     * ``start()`` / ``shutdown()`` — the service owns a background
       event-loop thread; ``submit``/``query``/``solve`` are plain
       synchronous calls usable from any thread (this is what
-      ``run_batch(engine="service")`` and the load-test replay use);
+      :func:`run_batch` and the load-test replay use);
     * ``await start_async()`` / ``await astop()`` — the service joins
       the caller's running loop; ``await asubmit(...)`` serves
       requests (this is what ``kpj serve``'s HTTP front-end uses).
@@ -288,6 +397,8 @@ class QueryService:
         self._queues: list[asyncio.Queue] = []
         self._drivers: list[asyncio.Task] = []
         self._prewarmed: set[tuple] = set()
+        #: Requests queued or in flight per worker (the routing load).
+        self._load = [0] * self.workers
         self._loop: asyncio.AbstractEventLoop | None = None
         self._thread: threading.Thread | None = None
         self._executor: ThreadPoolExecutor | None = None
@@ -303,35 +414,50 @@ class QueryService:
     def start(self) -> "QueryService":
         """Spawn workers and the background event loop; blocks until
         every worker has completed its ready handshake."""
-        self._prepare_start()
-        self._loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self._loop.run_forever, name="kpj-service-loop", daemon=True
-        )
-        self._thread.start()
-        asyncio.run_coroutine_threadsafe(
-            self._start_drivers(), self._loop
-        ).result(timeout=60)
+        self._check_startable()
+        try:
+            self._prepare_start()
+            self._loop = asyncio.new_event_loop()
+            self._thread = threading.Thread(
+                target=self._loop.run_forever, name="kpj-service-loop",
+                daemon=True,
+            )
+            self._thread.start()
+            asyncio.run_coroutine_threadsafe(
+                self._start_drivers(), self._loop
+            ).result(timeout=60)
+        except BaseException:
+            self._stop_loop()
+            self._teardown()
+            raise
         self._started = True
         return self
 
     async def start_async(self) -> "QueryService":
         """Like :meth:`start`, joining the caller's running loop."""
-        self._prepare_start()
-        self._loop = asyncio.get_running_loop()
-        await self._start_drivers()
+        self._check_startable()
+        try:
+            self._prepare_start()
+            self._loop = asyncio.get_running_loop()
+            await self._start_drivers()
+        except BaseException:
+            self._loop = None
+            self._teardown()
+            raise
         self._started = True
         return self
 
-    def _prepare_start(self) -> None:
+    def _check_startable(self) -> None:
         if self._started or self._closed:
             raise QueryError("service already started")
+
+    def _prepare_start(self) -> None:
         try:
             ctx = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-fork platforms
             raise QueryError(
                 "the resident-worker service needs the fork start method; "
-                "use run_batch(engine='pool') on this platform"
+                "use run_batch(workers=1) on this platform"
             ) from None
         service_epoch()  # pin the timing origin before anything enqueues
         t0 = perf_counter()
@@ -341,9 +467,9 @@ class QueryService:
         )
         for index in range(self.workers):
             self._residents.append(self._spawn(ctx, index))
-        # One-time cost — shared-memory export, prewarm, forks —
-        # lands under the same ``warmup`` phase the batch pool uses,
-        # so "paid once at startup" is visible in the exposition.
+        # One-time cost — shared-memory export, prewarm, forks — lands
+        # under the ``warmup`` phase, so "paid once at startup" is
+        # visible in the exposition.
         self.metrics.observe_phase("warmup", perf_counter() - t0)
         self._started_at = perf_counter()
 
@@ -361,22 +487,32 @@ class QueryService:
         # from here on (overlays, landmark residency, worker forks)
         # references shared pages.  The pre-service cache is restored
         # at teardown so the solver leaves the service as it entered.
-        plain = shared_csr(solver.graph)
-        self._shared = SharedCSR.export(plain)
-        self._saved_csr = plain
+        saved = solver.graph.csr_cache
+        self._shared = SharedCSR.export(shared_csr(solver.graph))
+        self._saved_csr = saved
         solver.graph.csr_cache = self._shared.graph
-        for item in self.prewarm:
-            category, destinations = (
-                (item, None) if isinstance(item, str) else item
-            )
-            try:
-                prepared = solver.prepare(
-                    category=category, destinations=destinations
+        # The prewarm's cache counters and gauges go to the service
+        # registry; its time is already inside ``warmup``, so its own
+        # ``prepare`` phase is dropped rather than counted twice.
+        saved_metrics = solver.metrics
+        solver.metrics = prewarm_metrics = MetricsRegistry()
+        try:
+            for item in self.prewarm:
+                category, destinations = (
+                    (item, None) if isinstance(item, str) else item
                 )
-                prepared.csr_overlay()
-            except QueryError:
-                continue
-            self._prewarmed.add(self._prepare_key(category, destinations))
+                try:
+                    prepared = solver.prepare(
+                        category=category, destinations=destinations
+                    )
+                    prepared.csr_overlay()
+                except QueryError:
+                    continue
+                self._prewarmed.add(self._prepare_key(category, destinations))
+        finally:
+            solver.metrics = saved_metrics
+        prewarm_metrics.phases.pop("prepare", None)
+        self.metrics.merge(prewarm_metrics)
 
     def _spawn(self, ctx, index: int) -> _Resident:
         global _SERVICE_SOLVER, _SERVICE_SHARED
@@ -391,17 +527,22 @@ class QueryService:
                 daemon=True,
             )
             process.start()
+        except BaseException:
+            parent_conn.close()
+            raise
         finally:
             _SERVICE_SOLVER = None
             _SERVICE_SHARED = None
-        child_conn.close()
-        if not parent_conn.poll(60):
+            child_conn.close()
+        try:
+            tag = parent_conn.recv()[0] if parent_conn.poll(60) else None
+        except (EOFError, OSError):  # the child died before its handshake
+            tag = None
+        if tag != "ready":
             process.terminate()
+            process.join(timeout=5)
+            parent_conn.close()
             raise QueryError(f"resident worker {index} failed to start")
-        tag, _info = parent_conn.recv()
-        if tag != "ready":  # pragma: no cover - protocol violation
-            process.terminate()
-            raise QueryError(f"resident worker {index} bad handshake: {tag!r}")
         warm = OrderedDict((key, None) for key in sorted(self._prewarmed))
         return _Resident(index=index, process=process, conn=parent_conn, warm=warm)
 
@@ -427,13 +568,19 @@ class QueryService:
                     self.astop(), self._loop
                 ).result(timeout=60)
             finally:
-                self._loop.call_soon_threadsafe(self._loop.stop)
-                self._thread.join(timeout=30)
-                self._loop.close()
-                self._loop = None
-                self._thread = None
+                self._stop_loop()
         else:
             self._teardown()
+
+    def _stop_loop(self) -> None:
+        """Stop, join and close the owned background loop, if any."""
+        if self._thread is not None:
+            self._loop.call_soon_threadsafe(self._loop.stop)
+            self._thread.join(timeout=30)
+            self._thread = None
+        if self._loop is not None:
+            self._loop.close()
+            self._loop = None
 
     async def astop(self) -> None:
         """Async half of :meth:`shutdown` (for external loops)."""
@@ -468,6 +615,7 @@ class QueryService:
         if self._shared is not None:
             self._shared.unlink()
             self.solver.graph.csr_cache = self._saved_csr
+            self._shared.release()
         if self._own_metrics:
             self.solver.metrics = None
             self._own_metrics = False
@@ -538,24 +686,26 @@ class QueryService:
             )
         if self._pending >= self.max_pending:
             self.metrics.inc("service_rejected_overload")
-            raise QueryError(
+            raise ServiceOverloaded(
                 f"service overloaded: {self._pending} queries pending "
                 f"(max_pending={self.max_pending})"
             )
         if timeout_s is None:
             timeout_s = self.default_timeout_s
         enqueued = perf_counter()
+        key = self._query_key(query) if op == "query" else None
         request = _Request(
             op=op,
             query=query if op == "query" else None,
-            key=self._query_key(query) if op == "query" else None,
+            key=key,
             deadline=enqueued + timeout_s if timeout_s is not None else None,
             enqueued=enqueued,
             future=asyncio.get_running_loop().create_future(),
             payload=payload,
         )
         self._pending += 1
-        index = self._route(query) if route is None else route % self.workers
+        index = self._route(key) if route is None else route % self.workers
+        self._load[index] += 1
         self._queues[index].put_nowait(request)
         return request
 
@@ -568,12 +718,18 @@ class QueryService:
     def _query_key(self, query: BatchQuery) -> tuple:
         return self._prepare_key(query.category, query.destinations)
 
-    def _route(self, query: BatchQuery) -> int:
-        """Destination-set affinity: identical prepare keys always land
-        on the same worker, which is what makes coalescing local state.
-        ``crc32`` (not ``hash``) so routing is stable across runs."""
-        basis = repr(self._query_key(query)).encode()
-        return zlib.crc32(basis) % self.workers
+    def _route(self, key: tuple) -> int:
+        """The least-loaded worker holding ``key`` warm, else the key's
+        ``crc32`` worker.
+
+        A cold key always lands on the same worker, so concurrent
+        identical cold requests share one prepare; a key warm in
+        several workers (prewarmed) spreads over them.  ``crc32`` (not
+        ``hash``) so routing is stable across runs."""
+        warm = [r.index for r in self._residents if key in r.warm]
+        if not warm:
+            return zlib.crc32(repr(key).encode()) % self.workers
+        return min(warm, key=self._load.__getitem__)
 
     # ------------------------------------------------------------------
     # Drivers
@@ -594,6 +750,7 @@ class QueryService:
                     request.future.set_result(result)
             finally:
                 self._pending -= 1
+                self._load[index] -= 1
 
     async def _dispatch(self, index: int, request: _Request):
         resident = self._residents[index]
@@ -660,7 +817,7 @@ class QueryService:
             await loop.run_in_executor(
                 self._executor, self._respawn, resident.index
             )
-            raise QueryError(
+            raise WorkerDied(
                 f"resident worker {resident.index} (pid {died.pid}) died "
                 f"mid-query; respawned"
             ) from None
@@ -729,35 +886,139 @@ class QueryService:
         }
 
 
-def run_service_batch(
-    solver,
-    queries: Sequence,
-    workers: int = 1,
-    stats=None,
-    metrics=None,
+def run_batch(
+    solver, queries: Sequence, workers: int = 1, stats=None, metrics=None,
     tracer=None,
-    service: QueryService | None = None,
 ) -> list:
-    """`run_batch` semantics over the service tier.
+    """Answer ``queries`` with ``solver``, in submission order.
 
-    Either routes through an already-running ``service`` or spins a
-    private one for the call.  Results come back in submission order;
-    a failed query fails the batch with its original exception, but
-    only after the successful results' stats/metrics snapshots are
-    merged — the same contract as the pool path.
+    Returns one :class:`~repro.core.result.QueryResult` per query.
+    ``workers`` is capped at the batch size; ``workers <= 1`` (or a
+    platform without ``fork``) runs the batch sequentially in-process.
+    Larger values start a :class:`QueryService` for the call, prewarmed
+    with the batch's distinct destination sets so every worker forks
+    with a hot prepared cache, and shut it down before returning.
+    Answers are identical to sequential solving: workers run the
+    per-query code path of :meth:`KPJSolver.top_k`.
+
+    ``stats`` (a :class:`~repro.core.stats.SearchStats`) receives the
+    merge of every result's per-query counters, plus the parent's
+    prepared-cache activity from the prewarm, which belongs to no
+    query.  ``metrics`` (a :class:`~repro.obs.metrics.MetricsRegistry`)
+    receives the merge of every per-query snapshot and a
+    ``queue_wait_ms`` histogram; a multi-worker batch adds the
+    service's one-time ``warmup`` phase, its counters, and per-worker
+    ``worker_<i>_queries`` tags.  If the solver has no registry of its
+    own, one is installed for the call (before any fork) so the
+    snapshots exist.
+
+    ``tracer`` (a :class:`~repro.obs.tracing.SpanTracer`) records the
+    call as one ``batch`` span, the service start as a ``warmup`` span
+    under it, and re-roots every sampled query's span snapshot under
+    the batch span with the recording process's ``pid`` intact.  If
+    the solver has no tracer, one with the same sampling stride is
+    installed for the call, before any fork.
+
+    Every result carries ``QueryResult.timing``: ``enqueued_at_s`` and
+    ``started_at_s`` offsets from
+    :func:`~repro.server.epoch.service_epoch` and the derived
+    ``queue_wait_s`` (zero on the sequential path).  A query that
+    raises fails the batch with its original exception, but only after
+    the completed queries' stats/metrics/trace snapshots are merged.
+    The solver's ``metrics``, ``tracer`` and graph ``csr_cache`` are
+    restored whether the batch succeeds, raises, or its service fails
+    to start.
     """
     batch = [_coerce(q) for q in queries]
     if not batch:
         return []
-    own = service is None
-    if own:
-        service = QueryService(
-            solver,
-            workers=max(1, int(workers)),
-            max_pending=len(batch) + max(1, int(workers)),
+    workers = min(int(workers), len(batch))
+    if "fork" not in multiprocessing.get_all_start_methods():
+        workers = 1  # pragma: no cover - non-fork platforms
+    own_metrics = metrics is not None and solver.metrics is None
+    if own_metrics:
+        solver.metrics = MetricsRegistry()
+    own_tracer = tracer is not None and solver.tracer is None
+    if own_tracer:
+        solver.tracer = SpanTracer(
+            capacity=tracer.capacity, sample_every=tracer.sample_every
         )
-        service.start()
+    batch_span = (
+        tracer.begin("batch", cat="batch", queries=len(batch), workers=workers)
+        if tracer is not None
+        else None
+    )
     try:
+        if workers > 1:
+            results, failure = _solve_on_service(
+                solver, batch, workers, stats, metrics, tracer
+            )
+        else:
+            results, failure = _solve_in_process(solver, batch, metrics)
+        if stats is not None:
+            for result in results:
+                stats.merge(result.stats)
+        if tracer is not None:
+            # Re-root before ending the batch span, so its interval
+            # covers all of its children.
+            for result in results:
+                tracer.absorb(result.trace, parent=batch_span)
+            tracer.end(batch_span)
+            batch_span = None
+        if failure is not None:
+            raise failure
+        return results
+    finally:
+        if own_metrics:
+            solver.metrics = None
+        if own_tracer:
+            solver.tracer = None
+        if batch_span is not None:
+            tracer.end(batch_span)  # error path: close the batch span
+
+
+def _solve_in_process(solver, batch: list, metrics) -> tuple[list, Exception | None]:
+    """The sequential path: stops at the first query that raises."""
+    epoch = service_epoch()
+    results: list = []
+    for query in batch:
+        started = perf_counter()
+        try:
+            result = _execute(solver, query)
+        except Exception as exc:
+            return results, exc
+        # The query starts the instant it is dequeued: zero queue wait.
+        result.timing = {
+            "enqueued_at_s": started - epoch,
+            "started_at_s": started - epoch,
+            "queue_wait_s": 0.0,
+        }
+        if metrics is not None:
+            metrics.observe("queue_wait_ms", 0.0, buckets=LOADTEST_LATENCY_BUCKETS_MS)
+            if result.metrics is not None:
+                metrics.merge(result.metrics)
+        results.append(result)
+    return results, None
+
+
+def _solve_on_service(
+    solver, batch: list, workers: int, stats, metrics, tracer
+) -> tuple[list, Exception | None]:
+    """The multi-worker path: one :class:`QueryService` for the call."""
+    prewarm = tuple(dict.fromkeys((q.category, q.destinations) for q in batch))
+    service = QueryService(
+        solver, workers=workers, max_pending=len(batch), prewarm=prewarm
+    )
+    before = solver.cache_info()
+    t_warm = perf_counter()
+    service.start()
+    try:
+        if tracer is not None:
+            tracer.add("warmup", t_warm, perf_counter(), cat="phase")
+        if stats is not None:
+            after = solver.cache_info()
+            stats.prepared_cache_hits += after["hits"] - before["hits"]
+            stats.prepared_cache_misses += after["misses"] - before["misses"]
         futures = [service.submit(q) for q in batch]
         results: list = []
         failure: Exception | None = None
@@ -765,32 +1026,11 @@ def run_service_batch(
             try:
                 results.append(future.result())
             except Exception as exc:
-                if failure is None:
-                    failure = exc
-        if stats is not None:
-            for result in results:
-                stats.merge(result.stats)
-        if metrics is not None:
-            if own:
-                # The service registry already merged every per-query
-                # snapshot plus the one-time warmup and the service
-                # counters/histograms — hand the whole thing over.
-                metrics.merge(service.metrics)
-            else:
-                for result in results:
-                    if result.metrics is not None:
-                        metrics.merge(result.metrics)
-        if tracer is not None:
-            span = tracer.begin(
-                "batch", cat="batch", queries=len(batch), workers=service.workers
-            )
-            for result in results:
-                if result.trace is not None:
-                    tracer.absorb(result.trace, parent=span)
-            tracer.end(span)
-        if failure is not None:
-            raise failure
-        return results
+                failure = failure or exc
     finally:
-        if own:
-            service.shutdown()
+        service.shutdown()
+    if metrics is not None:
+        # Every per-query snapshot, the warmup phase, and the service
+        # counters and histograms, failures' siblings included.
+        metrics.merge(service.metrics)
+    return results, failure

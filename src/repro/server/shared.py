@@ -6,7 +6,7 @@ The service tier keeps one physical copy of the graph's CSR triple
 named ``multiprocessing.shared_memory`` segments.  The parent exports
 the arrays once at service start; every resident worker — including
 workers respawned after a crash — maps the same segments, so worker
-memory stays bounded by one graph regardless of pool size and a
+memory stays bounded by one graph regardless of worker count and a
 respawn inherits the graph state instead of re-materialising it.
 
 The numpy views built over the segments have ``writeable=False`` set,
@@ -35,6 +35,7 @@ segments or unmap memory still referenced by live arrays):
 from __future__ import annotations
 
 import os
+import weakref
 from dataclasses import dataclass
 from itertools import count
 from multiprocessing import resource_tracker, shared_memory
@@ -55,9 +56,9 @@ _EXPORT_SEQ = count()
 #: were garbage-collected, ``SharedMemory.__del__`` would unmap the
 #: segments and every view handed out (a frozen graph's ``csr_cache``,
 #: a prepared overlay) would dangle — a segfault, not an exception.
-#: Exports are therefore pinned for the life of the process; ``unlink``
-#: still removes the *names* at shutdown, so nothing leaks in
-#: ``/dev/shm``, and the mapping itself is reclaimed at process exit.
+#: Exports are therefore pinned until :meth:`SharedCSR.release` finds
+#: no live view; ``unlink`` still removes the *names* at shutdown, so
+#: nothing leaks in ``/dev/shm``.
 _EXPORTED: list = []
 
 #: The three parts of the CSR triple, in layout order.
@@ -201,14 +202,37 @@ class SharedCSR:
             except FileNotFoundError:  # pragma: no cover - already gone
                 pass
 
+    def release(self) -> None:
+        """Unmap the exporter's views once nothing else reads them.
+
+        The handle drops its :attr:`graph`; when the three view arrays
+        are then unreachable, the segments are unmapped and the handle
+        unpinned, so a process that starts many services (one per
+        batch) does not keep one mapping per service.  When anything
+        still holds a view the handle stays mapped and pinned: unmapping
+        under a live view would crash the process on its next read.
+        """
+        graph, self.graph = self.graph, None
+        if graph is None or not self._owner:
+            return
+        views = [weakref.ref(a) for a in (graph.indptr, graph.indices, graph.weights)]
+        reverse = graph._reverse
+        if reverse is not None:  # break the graph <-> reverse cycle
+            object.__setattr__(reverse, "_reverse", None)
+        object.__setattr__(graph, "_reverse", None)
+        del graph, reverse
+        if any(view() is not None for view in views):
+            return
+        self.close()
+        _EXPORTED.remove(self)
+
     def close(self) -> None:
         """Unmap this process's views.
 
         After this the handle's :attr:`graph` arrays are dangling and
         must not be touched — only call once the attaching process is
-        done with the graph.  The service itself never closes: the
-        parent's views back live solver state for the whole process
-        lifetime and the OS reclaims the mapping at exit.  The
+        done with the graph.  The exporter goes through
+        :meth:`release`, which closes only once no view is alive.  The
         ``BufferError`` guard covers interpreters that refuse to unmap
         while exports exist rather than dangling them.
         """

@@ -51,6 +51,7 @@ class TestReplayEntry:
         assert e["completed"] == 12
         assert e["errors"]["count"] == 0
         assert e["spec"] == tiny_spec().as_dict()
+        assert e["target"] == "service"
         assert len(e["schedule_sha"]) == 64
         assert e["achieved_qps"] > 0
         assert 0.0 <= e["occupancy"]
@@ -105,6 +106,7 @@ def synthetic_entry(spec, *, p99=50.0, qps=100.0, errors=0, queries=10):
         "service_ms": dict(block),
         "date": "2026-01-01T00:00:00Z",
         "sha": "feedface",
+        "target": "service",
     }
 
 
@@ -194,49 +196,35 @@ class TestTrajectoryIO:
 
 
 class TestServiceTarget:
-    """`--target service`: replay against the resident-worker tier."""
+    """Replays run on the resident-worker service; entries of the
+    deleted fork-per-batch pool never serve as a baseline."""
 
-    @pytest.fixture(scope="class")
-    def service_entry(self):
-        return replay_workload(tiny_spec(), target="service")
-
-    def test_entry_matches_pool_shape(self, service_entry, tiny_entry):
-        assert service_entry["target"] == "service"
-        assert tiny_entry.get("target", "pool") == "pool"
-        assert service_entry["completed"] == 12
-        assert service_entry["errors"]["count"] == 0
-        assert service_entry["schedule_sha"] == tiny_entry["schedule_sha"]
-        for block in ("latency_ms", "queue_wait_ms", "service_ms"):
-            assert service_entry[block]["count"] == 12
-
-    def test_warmup_paid_once_at_startup(self, service_entry):
+    def test_warmup_paid_once_at_startup(self, tiny_entry):
         # The acceptance criterion for the service tier: per-query
         # service time excludes warm-up, which shows up as exactly one
         # call of the one-time warmup phase.
-        assert service_entry["phases"]["warmup"]["calls"] == 1
-        assert service_entry["work"]
+        assert tiny_entry["phases"]["warmup"]["calls"] == 1
+        assert tiny_entry["work"]
 
-    def test_unknown_target_rejected(self):
-        with pytest.raises(QueryError, match="unknown loadtest target"):
-            replay_workload(tiny_spec(), target="bogus")
+    def test_per_query_phases_counted_once(self, tiny_entry):
+        assert tiny_entry["phases"]["comp_sp"]["calls"] == tiny_entry["completed"]
 
     def test_baseline_lookup_is_target_scoped(self):
         spec = tiny_spec()
-        pool_base = synthetic_entry(spec, p99=10.0)
-        service_base = dict(synthetic_entry(spec, p99=20.0), target="service")
-        entries = [pool_base, service_base]
-        found = baseline_for(entries, spec.as_dict(), target="service")
+        service_base = synthetic_entry(spec, p99=20.0)
+        pool_base = dict(synthetic_entry(spec, p99=10.0), target="pool")
+        legacy = synthetic_entry(spec, p99=5.0)
+        del legacy["target"]  # recorded before targets existed
+        found = baseline_for([service_base, pool_base, legacy], spec.as_dict())
         assert found is not None and found["latency_ms"]["p99"] == 20.0
-        # Entries from before targets existed count as pool.
-        found = baseline_for(entries, spec.as_dict(), target="pool")
-        assert found is not None and found["latency_ms"]["p99"] == 10.0
+        assert baseline_for([pool_base, legacy], spec.as_dict()) is None
 
     def test_gate_flags_cross_target_baseline(self):
         spec = tiny_spec(slo={"regression_factor": 2.0})
-        entry = dict(synthetic_entry(spec), target="service")
-        baseline = synthetic_entry(spec)  # implicit pool
+        entry = synthetic_entry(spec)
+        baseline = dict(synthetic_entry(spec), target="pool")
         failures = evaluate_gate(entry, spec, baseline)
         assert any("different target" in f for f in failures)
 
-    def test_summary_names_the_target(self, service_entry):
-        assert "target service" in render_entry_summary(service_entry)
+    def test_summary_names_the_target(self, tiny_entry):
+        assert "target service" in render_entry_summary(tiny_entry)

@@ -13,7 +13,7 @@ import pytest
 from repro.core.kpj import KPJSolver
 from repro.graph.categories import CategoryIndex
 from repro.pathing.kernels import KERNELS
-from repro.server.pool import BatchQuery
+from repro.server.service import BatchQuery
 
 from tests.conftest import random_graph
 

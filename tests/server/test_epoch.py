@@ -15,8 +15,7 @@ import pytest
 from repro.core.kpj import KPJSolver
 from repro.datasets.registry import road_network
 from repro.server.epoch import service_epoch, since_epoch
-from repro.server.pool import BatchQuery, run_batch
-from repro.server.service import QueryService
+from repro.server.service import BatchQuery, QueryService, run_batch
 
 
 @pytest.fixture(scope="module")

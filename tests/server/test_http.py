@@ -18,9 +18,15 @@ import pytest
 
 from repro.core.kpj import KPJSolver
 from repro.datasets.registry import road_network
+from repro.exceptions import QueryError
 from repro.obs.metrics import parse_prom
-from repro.server.http import serve_forever
-from repro.server.service import QueryService
+from repro.server.http import _error_status, serve_forever
+from repro.server.service import (
+    DeadlineExceeded,
+    QueryService,
+    ServiceOverloaded,
+    WorkerDied,
+)
 from repro.server.shared import active_segments
 
 
@@ -170,6 +176,32 @@ class TestErrorMapping:
         )
         assert code == 504
         assert "deadline exceeded" in body["error"]
+
+    @pytest.mark.parametrize(
+        "category", ["x died mid-query", "service overloaded?"]
+    )
+    def test_error_text_does_not_pick_the_status(self, endpoint, category):
+        # The unknown category is echoed in the error; the status must
+        # still come from the exception type.
+        base, _ = endpoint
+        code, body = self._error(
+            base, {"source": 1, "category": category, "k": 2}
+        )
+        assert code == 400
+        assert category in body["error"]
+        _assert_still_serving(base)
+
+    @pytest.mark.parametrize(
+        "error,status",
+        [
+            (ServiceOverloaded("service overloaded"), 429),
+            (DeadlineExceeded("deadline exceeded"), 504),
+            (WorkerDied("resident worker 0 died mid-query"), 500),
+            (QueryError("unknown category"), 400),
+        ],
+    )
+    def test_status_follows_the_exception_type(self, error, status):
+        assert _error_status(error) == status
 
     def test_unknown_path_is_404(self, endpoint):
         base, _ = endpoint

@@ -12,7 +12,7 @@ from repro.core.stats import SearchStats
 from repro.datasets.registry import road_network
 from repro.exceptions import QueryError
 from repro.obs.metrics import SEARCH_PHASES, MetricsRegistry
-from repro.server.pool import BatchQuery, _coerce, run_batch
+from repro.server.service import BatchQuery, _coerce, run_batch
 
 
 @pytest.fixture(scope="module")

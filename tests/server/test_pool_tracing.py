@@ -9,7 +9,7 @@ import pytest
 from repro.core.kpj import KPJSolver
 from repro.datasets.registry import road_network
 from repro.obs.tracing import SpanTracer, chrome_trace, validate_chrome_trace
-from repro.server.pool import BatchQuery
+from repro.server.service import BatchQuery
 
 
 @pytest.fixture()

@@ -15,8 +15,7 @@ from repro.core.stats import SearchStats
 from repro.datasets.registry import road_network
 from repro.exceptions import QueryError
 from repro.obs.metrics import MetricsRegistry, parse_prom
-from repro.server.pool import BatchQuery, run_batch
-from repro.server.service import QueryService, run_service_batch
+from repro.server.service import BatchQuery, QueryService, run_batch
 from repro.server.shared import active_segments
 
 
@@ -166,6 +165,17 @@ class TestTelemetry:
         assert phases["warmup"]["calls"] == 1
         assert phases["warmup"]["ms"] > 0.0
 
+    def test_prewarm_cache_activity_lands_in_the_service_registry(self, sj_solver):
+        dataset, _ = sj_solver
+        solver = KPJSolver(dataset.graph, dataset.categories, landmarks=4)
+        with QueryService(solver, workers=1, prewarm=("T1", "T2")) as svc:
+            counters = dict(svc.metrics.counters)
+            gauges = dict(svc.metrics.gauges)
+            phases = dict(svc.metrics.phases)
+        assert counters["prepared_cache_misses"] == 2
+        assert gauges["prepared_cache_entries"] == 2
+        assert "prepare" not in phases  # its time is inside ``warmup``
+
     def test_work_counters_aggregate(self, service, sj_solver):
         dataset, _ = sj_solver
         before = service.stats.as_dict()
@@ -198,31 +208,48 @@ class TestTelemetry:
         assert a.query_id and b.query_id and a.query_id != b.query_id
 
 
+def _worker_pid(result) -> int:
+    """The answering process, read from the ``q-<pid hex>-<seq>`` id."""
+    return int(result.query_id.split("-")[1], 16)
+
+
 class TestBatchIntegration:
     def test_run_batch_engine_service(self, sj_solver):
+        """A multi-worker batch is answered by resident service workers,
+        identically to sequential solving."""
+        import os
+
         dataset, solver = sj_solver
         queries = _query_mix(dataset, 10)
-        pooled = run_batch(solver, queries, workers=2)
-        served = run_batch(solver, queries, workers=2, engine="service")
-        assert _fingerprint(served) == _fingerprint(pooled)
+        sequential = run_batch(solver, queries, workers=1)
+        served = run_batch(solver, queries, workers=2)
+        assert _fingerprint(served) == _fingerprint(sequential)
+        assert {_worker_pid(r) for r in sequential} == {os.getpid()}
+        assert os.getpid() not in {_worker_pid(r) for r in served}
 
     def test_solve_batch_engine_passthrough(self, sj_solver):
+        """The solver facade hands every argument to the service-backed
+        batch engine."""
+        from repro.obs.tracing import SpanTracer
+
         dataset, solver = sj_solver
         queries = _query_mix(dataset, 6)
         sequential = solver.solve_batch(queries)
-        served = solver.solve_batch(queries, workers=2, engine="service")
+        stats, metrics, tracer = SearchStats(), MetricsRegistry(), SpanTracer()
+        served = solver.solve_batch(
+            queries, workers=2, stats=stats, metrics=metrics, tracer=tracer
+        )
         assert _fingerprint(served) == _fingerprint(sequential)
+        assert stats.lb_tests == sum(r.stats.lb_tests for r in served)
+        assert metrics.counters["service_queries"] == len(queries)
+        (batch,) = [s for s in tracer.spans if s["name"] == "batch"]
+        assert batch["attrs"] == {"queries": len(queries), "workers": 2}
 
-    def test_unknown_engine_rejected(self, sj_solver):
-        _, solver = sj_solver
-        with pytest.raises(QueryError, match="engine"):
-            run_batch(solver, [{"source": 0, "category": "T1"}], engine="bogus")
-
-    def test_run_service_batch_aggregates_telemetry(self, sj_solver):
+    def test_run_batch_aggregates_service_telemetry(self, sj_solver):
         dataset, solver = sj_solver
         queries = _query_mix(dataset, 8)
         stats, metrics = SearchStats(), MetricsRegistry()
-        results = run_service_batch(
+        results = run_batch(
             solver, queries, workers=2, stats=stats, metrics=metrics
         )
         assert len(results) == len(queries)
@@ -230,27 +257,21 @@ class TestBatchIntegration:
         assert metrics.counters["service_queries"] == len(queries)
         assert "warmup" in metrics.phases
 
-    def test_run_service_batch_failure_keeps_sibling_results(self, sj_solver):
+    def test_run_batch_failure_keeps_sibling_results(self, sj_solver):
         dataset, solver = sj_solver
         queries = _query_mix(dataset, 4)
         queries.insert(2, BatchQuery(source=0, category="NOPE"))
-        stats = SearchStats()
+        stats, metrics = SearchStats(), MetricsRegistry()
         with pytest.raises(QueryError, match="NOPE"):
-            run_service_batch(solver, queries, workers=1, stats=stats)
-        assert stats.lb_tests > 0  # completed siblings still merged
-
-    def test_run_service_batch_against_running_service(self, service, sj_solver):
-        dataset, solver = sj_solver
-        queries = _query_mix(dataset, 5)
-        results = run_service_batch(solver, queries, service=service)
-        direct = [
-            solver.top_k(q.source, category=q.category, k=q.k) for q in queries
-        ]
-        assert _fingerprint(results) == _fingerprint(direct)
+            run_batch(solver, queries, workers=2, stats=stats, metrics=metrics)
+        # The service drains the whole batch: the siblings queued after
+        # the bad query are merged too.
+        assert metrics.counters["queries"] == 4
+        assert stats.lb_tests > 0
 
     def test_empty_batch(self, sj_solver):
         _, solver = sj_solver
-        assert run_service_batch(solver, []) == []
+        assert run_batch(solver, [], workers=2) == []
 
 
 def test_no_segments_leaked_by_this_module():

@@ -1,18 +1,18 @@
-"""Request-coalescing correctness (satellite of the service tier).
+"""Request routing and coalescing in the service tier.
 
 Concurrent identical ``(category, k)`` submissions must trigger
 exactly one explicit prepare op on the owning worker — observable in
 the ``service_prepares`` / ``service_prepares_coalesced`` counters —
 while every caller still gets the full, correct answer.  Distinct
-prepare keys must never coalesce with each other.
+prepare keys must never coalesce with each other.  A key warm in
+several workers spreads over them by load.
 """
 
 import pytest
 
 from repro.core.kpj import KPJSolver
 from repro.datasets.registry import road_network
-from repro.server.pool import BatchQuery
-from repro.server.service import QueryService
+from repro.server.service import BatchQuery, QueryService
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +122,49 @@ def test_warm_set_is_bounded_by_the_prepared_cache(sj):
         counters = dict(service.metrics.counters)
     assert counters["service_prepares"] == 3
     assert counters.get("service_prepares_coalesced", 0) == 0
+
+
+def _worker_pid(result) -> int:
+    """The answering process, read from the ``q-<pid hex>-<seq>`` id."""
+    return int(result.query_id.split("-")[1], 16)
+
+
+def test_warm_key_burst_spreads_over_workers(sj):
+    # A key prewarmed in every worker goes to the least-loaded one;
+    # crc32 affinity alone would send the whole burst to one worker.
+    dataset, _ = sj
+    solver = _solver(dataset)
+    with QueryService(solver, workers=2, prewarm=("T1",)) as service:
+        # Both workers busy while the burst queues: loads stay 1:1.
+        blockers = [service.sleep(0.5, worker=w) for w in (0, 1)]
+        futures = [
+            service.submit(BatchQuery(source=s, category="T1", k=3))
+            for s in range(8)
+        ]
+        pids = [_worker_pid(f.result(timeout=60)) for f in futures]
+        for blocker in blockers:
+            blocker.result(timeout=60)
+        assert set(pids) == set(service.worker_pids())
+        counters = dict(service.metrics.counters)
+    assert counters["worker_0_queries"] == counters["worker_1_queries"] == 4
+
+
+def test_cold_key_burst_on_two_workers_prepares_once(sj):
+    # No worker holds the key warm, so every request goes to its crc32
+    # worker and the burst still pays exactly one prepare.
+    dataset, _ = sj
+    solver = _solver(dataset)
+    with QueryService(solver, workers=2) as service:
+        blockers = [service.sleep(0.2, worker=w) for w in (0, 1)]
+        futures = [
+            service.submit(BatchQuery(source=s, category="T2", k=4))
+            for s in (1, 5, 9, 13, 17, 21)
+        ]
+        for f in [*futures, *blockers]:
+            f.result(timeout=60)
+        counters = dict(service.metrics.counters)
+    assert counters["service_prepares"] == 1
+    assert counters["service_prepares_coalesced"] == 5
 
 
 def test_coalescing_counters_in_prometheus_output(sj):

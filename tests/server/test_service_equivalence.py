@@ -32,8 +32,7 @@ from repro.fuzz.oracles import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.pathing.kernels import KERNELS
-from repro.server.pool import BatchQuery, _execute
-from repro.server.service import QueryService
+from repro.server.service import BatchQuery, QueryService, _execute
 
 CASES = [
     (name, case)

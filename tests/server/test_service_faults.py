@@ -10,13 +10,18 @@ API change, not an accident:
   subclass) + ``service_deadline_exceeded``;
 * admission-queue overflow -> ``QueryError`` +
   ``service_rejected_overload``;
-* shutdown -> zero shared-memory segments left behind.
+* shutdown -> zero shared-memory segments left behind;
+* a fork that fails during start -> the start undoes itself, and a
+  multi-worker batch leaves the solver as it found it.
 """
 
+import asyncio
+import errno
 import os
 import pickle
 import signal
 import time
+from multiprocessing.context import ForkProcess
 from time import perf_counter
 
 import pytest
@@ -24,12 +29,15 @@ import pytest
 from repro.core.kpj import KPJSolver
 from repro.datasets.registry import road_network
 from repro.exceptions import QueryError
-from repro.server.pool import BatchQuery
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.tracing import SpanTracer
 from repro.server.service import (
+    BatchQuery,
     DeadlineExceeded,
     QueryService,
     _serve_query,
 )
+from repro.server import shared as shared_mod
 from repro.server.shared import active_segments
 
 
@@ -210,6 +218,93 @@ class TestShutdownHygiene:
             inflight.result(timeout=30)
         svc.shutdown()
         assert not set(segments) & set(active_segments())
+
+
+def _fail_second_fork(monkeypatch) -> list:
+    """Let the first worker fork, make the second raise ``EAGAIN``.
+
+    Returns the list of processes whose start was attempted."""
+    original = ForkProcess.start
+    attempted: list = []
+
+    def start(process):
+        attempted.append(process)
+        if len(attempted) > 1:
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+        original(process)
+
+    monkeypatch.setattr(ForkProcess, "start", start)
+    return attempted
+
+
+def _solver_state(solver) -> tuple:
+    return (
+        solver.graph.csr_cache, solver.metrics, solver.tracer,
+        len(shared_mod._EXPORTED),
+    )
+
+
+def _assert_restored(solver, state, segments) -> None:
+    """Same csr_cache, metrics and tracer; no segment left in /dev/shm
+    and no export left mapped in this process."""
+    now = _solver_state(solver)
+    assert all(a is b for a, b in zip(now[:3], state[:3]))
+    assert now[3] == state[3]
+    assert set(active_segments()) <= segments
+
+
+class TestStartFailure:
+    @pytest.mark.parametrize("lifecycle", ["start", "start_async"])
+    def test_failed_fork_undoes_the_start(self, sj, monkeypatch, lifecycle):
+        _, solver = sj
+        state, segments = _solver_state(solver), set(active_segments())
+        attempted = _fail_second_fork(monkeypatch)
+        svc = QueryService(solver, workers=2, prewarm=("T1",))
+        with pytest.raises(OSError, match="temporarily unavailable"):
+            if lifecycle == "start":
+                svc.start()
+            else:
+                asyncio.run(svc.start_async())
+        _assert_restored(solver, state, segments)
+        assert len(attempted) == 2
+        assert not attempted[0].is_alive()  # the forked worker is retired
+        with pytest.raises(QueryError, match="not running"):
+            svc.query(_query())
+
+
+class TestBatchHygiene:
+    """Every multi-worker batch leaves no ``kpj_*`` segment behind and
+    hands back the solver's ``csr_cache``, ``metrics`` and ``tracer``
+    as it found them."""
+
+    def _batch(self, solver, category="T1"):
+        return solver.solve_batch(
+            [_query(source=1), _query(source=5, category=category)],
+            workers=2,
+            metrics=MetricsRegistry(),
+            tracer=SpanTracer(),
+        )
+
+    def test_batch_that_succeeds(self, sj):
+        _, solver = sj
+        state, segments = _solver_state(solver), set(active_segments())
+        assert len(self._batch(solver)) == 2
+        _assert_restored(solver, state, segments)
+
+    def test_batch_that_raises(self, sj):
+        _, solver = sj
+        state, segments = _solver_state(solver), set(active_segments())
+        with pytest.raises(QueryError, match="NOPE"):
+            self._batch(solver, category="NOPE")
+        _assert_restored(solver, state, segments)
+
+    def test_batch_whose_service_fails_to_start(self, sj, monkeypatch):
+        _, solver = sj
+        state, segments = _solver_state(solver), set(active_segments())
+        _fail_second_fork(monkeypatch)
+        with pytest.raises(OSError, match="temporarily unavailable"):
+            self._batch(solver)
+        _assert_restored(solver, state, segments)
 
 
 def _pid_alive(pid: int) -> bool:

@@ -13,6 +13,7 @@ import pytest
 from repro.datasets.registry import road_network
 from repro.exceptions import GraphError
 from repro.graph.csr import shared_csr
+from repro.server import shared as shared_mod
 from repro.server.shared import SharedCSR, SharedCSRLayout, active_segments
 
 
@@ -128,3 +129,21 @@ class TestLifecycle:
 
     def test_no_segments_leak_from_this_module(self):
         assert active_segments("kpjtest") == []
+
+
+class TestRelease:
+    def test_unreferenced_export_is_unmapped_and_unpinned(self, sj_csr):
+        shared = SharedCSR.export(sj_csr)
+        shared.graph.reverse()  # the graph <-> reverse cycle is broken
+        shared.unlink()
+        shared.release()
+        assert shared.graph is None
+        assert shared not in shared_mod._EXPORTED
+
+    def test_export_with_a_live_view_stays_mapped(self, sj_csr):
+        shared = SharedCSR.export(sj_csr)
+        view = shared.graph.indices[1:]
+        shared.unlink()
+        shared.release()
+        assert shared in shared_mod._EXPORTED
+        np.testing.assert_array_equal(view, sj_csr.typed_arrays()[1][1:])
