@@ -3,8 +3,9 @@
 Not a paper figure — these isolate the kernels every algorithm is
 built from, so a regression here explains a regression everywhere:
 full Dijkstra, goal-directed A*, bounded A* (TestLB), the full-SPT
-build (DA-SPT's fixed cost), the per-query Eq. (2) bound vector, and
-the batch-API saving from reusing it.
+build (DA-SPT's fixed cost), the two halves of a prepared-cache miss
+(the Eq. (2) bound vector and the ``G_Q`` overlay), and the batch-API
+saving from reusing them.
 
 ``test_kernel_comparison_report`` additionally times the ``dict``
 and ``flat`` kernels head-to-head, checks the results agree, and
@@ -101,6 +102,22 @@ def test_eq2_bound_vector(benchmark):
     targets = network.categories.nodes_of("T2")
     benchmark.pedantic(
         lambda: solver.landmark_index.to_target_bounds(targets),
+        rounds=5,
+        iterations=1,
+        warmup_rounds=1,
+    )
+
+
+def test_query_graph_overlay(benchmark):
+    """The other half of a prepared-cache miss: the ``G_Q`` overlay
+    for COL's T2 destinations, O(|V_T|) beside Eq. (2)'s O(|L| n)."""
+    from repro.graph.virtual import build_query_graph
+
+    network, _, workload = _setup()
+    source = workload.group("Q3")[0]
+    targets = network.categories.nodes_of("T2")
+    benchmark.pedantic(
+        lambda: build_query_graph(network.graph, (source,), targets),
         rounds=5,
         iterations=1,
         warmup_rounds=1,

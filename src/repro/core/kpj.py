@@ -56,7 +56,7 @@ from repro.core.stats import SearchStats
 from repro.exceptions import QueryError
 from repro.graph.categories import CategoryIndex
 from repro.graph.digraph import DiGraph
-from repro.graph.virtual import QueryGraph, build_query_graph
+from repro.graph.virtual import QueryGraph, build_query_graph, check_query_nodes
 from repro.landmarks.index import ZERO_BOUNDS, LandmarkIndex, TargetBounds
 from repro.obs.log import QueryLogger, current_query_id, new_query_id
 from repro.obs.memory import MemoryTelemetry, graph_pool_bytes
@@ -179,7 +179,10 @@ class KPJSolver:
         Number of prepared destination sets kept in the LRU
         cross-query cache (``0`` disables caching).  Each entry holds
         the Eq. (2) bound vector (``O(n)`` floats) and, lazily, the
-        ``G_Q`` overlay and its CSR export.
+        ``G_Q`` overlay (``O(|V_T|)``: the destination rows and the
+        virtual target's in-row, every other row shared with the base
+        graph) and, once a flat kernel or the service asks for it, the
+        overlay's ``O(m)`` CSR export.
     metrics:
         Optional :class:`~repro.obs.metrics.MetricsRegistry`.  When
         set, every query records phase wall times, counters, and
@@ -409,13 +412,10 @@ class KPJSolver:
         return self.categories.nodes_of(category)
 
     def _canonical_destinations(self, destinations: Sequence[int]) -> tuple[int, ...]:
-        """Deduplicated, sorted, range-checked destination tuple."""
+        """Deduplicated, sorted, type- and range-checked destination tuple."""
         if not destinations:
             raise QueryError("query needs at least one destination node")
-        n = self.graph.n
-        for node in destinations:
-            if not 0 <= node < n:
-                raise QueryError(f"query node {node} out of range [0, {n})")
+        check_query_nodes(destinations, self.graph.n)
         return tuple(sorted(set(destinations)))
 
     def _prepared(
@@ -642,8 +642,9 @@ class PreparedCategory:
     solver's LRU cache); issue any number of ``top_k`` / ``join``
     calls without re-deriving the Eq. (2) bounds, the ``G_Q`` overlay,
     or the backward SPT.  Everything beyond the bound vector is built
-    lazily on first use, so an entry costs ``O(n)`` floats until a
-    query actually needs more.
+    lazily on first use: the overlay costs ``O(|V_T|)`` (it shares the
+    base graph's rows), so an entry stays at ``O(n)`` floats until a
+    query needs the ``O(m)`` CSR export or the backward SPT.
     """
 
     def __init__(
@@ -668,8 +669,7 @@ class PreparedCategory:
         only the tiny :class:`QueryGraph` wrapper is per-query.
         """
         base = self._solver.graph
-        if not 0 <= source < base.n:
-            raise QueryError(f"query node {source} out of range [0, {base.n})")
+        check_query_nodes((source,), base.n)
         if self._gq_graph is None:
             self._gq_graph = build_query_graph(
                 base, (source,), self.destinations
@@ -686,7 +686,9 @@ class PreparedCategory:
     def csr_overlay(self):
         """CSR export of the ``G_Q`` overlay, cached on the overlay.
 
-        This is what the flat kernels run on; materialising it here
+        This is what the flat kernels run on.  It is derived from the
+        base graph's export by one vectorised insert
+        (:func:`~repro.graph.csr.query_overlay`); materialising it here
         (rather than per query) is the cross-query saving.
         """
         from repro.graph.csr import shared_csr

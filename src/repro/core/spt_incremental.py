@@ -50,7 +50,10 @@ class IncrementalSPT:
     """
 
     __slots__ = (
+        "_base_rows",
         "_adjacency",
+        "_n",
+        "_target",
         "_source",
         "_target_bounds",
         "_destinations",
@@ -68,7 +71,12 @@ class IncrementalSPT:
         target_bounds: Callable[[int], float],
         stats: SearchStats | None = None,
     ) -> None:
+        # Real nodes relax the base graph's plain rows; the virtual
+        # nodes' rows come from the G_Q overlay.
+        self._base_rows = query_graph.base.adjacency
         self._adjacency = query_graph.graph.adjacency
+        self._n = query_graph.base.n
+        self._target = query_graph.target
         self._source = query_graph.source
         self._target_bounds = target_bounds
         self._destinations = frozenset(query_graph.destinations)
@@ -100,13 +108,15 @@ class IncrementalSPT:
                 continue
             du = self._dist[u]
             settled[u] = du
-            if u in self._destinations:
+            is_destination = u in self._destinations
+            if is_destination:
                 self.settled_destinations.add(u)
             if self._stats is not None:
                 self._stats.nodes_settled += 1
             bounds = self._target_bounds
             dist = self._dist
-            for v, w in self._adjacency[u]:
+            row = self._base_rows[u] if u < self._n else self._adjacency[u]
+            for v, w in row:
                 if v in settled:
                     continue
                 nd = du + w
@@ -114,6 +124,16 @@ class IncrementalSPT:
                     dist[v] = nd
                     self.parent[v] = u
                     heappush(heap, (nd + bounds(v), v))
+                    if self._stats is not None:
+                        self._stats.edges_relaxed += 1
+                        self._stats.heap_pushes += 1
+            if is_destination:
+                # G_Q's zero-weight edge u -> t, last in u's overlay row.
+                t = self._target
+                if t not in settled and du < dist.get(t, INF):
+                    dist[t] = du
+                    self.parent[t] = u
+                    heappush(heap, (du + bounds(t), t))
                     if self._stats is not None:
                         self._stats.edges_relaxed += 1
                         self._stats.heap_pushes += 1

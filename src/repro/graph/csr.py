@@ -27,7 +27,8 @@ from typing import Sequence
 import numpy as np
 
 from repro.exceptions import GraphError
-from repro.graph.digraph import DiGraph
+from repro.graph.digraph import DiGraph, ReversedView
+from repro.graph.virtual import OverlayRows
 
 __all__ = ["CSRGraph", "to_csr", "query_overlay", "shared_csr"]
 
@@ -207,13 +208,14 @@ def shared_csr(graph) -> CSRGraph:
     For a :class:`DiGraph` the snapshot is stored on the graph object,
     so every flat-kernel call against the same graph shares one export
     (and therefore one reverse orientation, one list mirror, and one
-    scratch-buffer pool).  A :class:`~repro.graph.digraph.ReversedView`
-    resolves to the cached snapshot of its underlying graph, reversed —
-    both orientations stay cached.  Other row-exposing objects fall
-    back to an uncached :func:`to_csr`.
+    scratch-buffer pool).  A ``G_Q`` overlay's snapshot is derived from
+    its base graph's by :func:`query_overlay` — one vectorised insert
+    instead of a Python walk over every row.  A
+    :class:`~repro.graph.digraph.ReversedView` resolves to the cached
+    snapshot of its underlying graph, reversed — both orientations
+    stay cached.  Other row-exposing objects fall back to an uncached
+    :func:`to_csr`.
     """
-    from repro.graph.digraph import ReversedView
-
     if isinstance(graph, ReversedView):
         return shared_csr(graph.underlying).reverse()
     if isinstance(graph, DiGraph):
@@ -221,7 +223,13 @@ def shared_csr(graph) -> CSRGraph:
             raise GraphError("flat kernels need a frozen graph")
         cached = graph.csr_cache
         if cached is None:
-            cached = to_csr(graph)
+            rows = graph.adjacency
+            if isinstance(rows, OverlayRows) and not rows.reverse:
+                cached = query_overlay(
+                    shared_csr(rows.base), rows.destinations, rows.sources
+                )
+            else:
+                cached = to_csr(graph)
             graph.csr_cache = cached
         return cached
     return to_csr(graph)

@@ -181,11 +181,13 @@ class DiGraph:
     # Derived structures
     # ------------------------------------------------------------------
     @property
-    def adjacency(self) -> list[list[tuple[int, float]]]:
-        """Raw adjacency lists (treat as read-only once frozen)."""
+    def adjacency(self) -> Sequence[list[tuple[int, float]]]:
+        """Raw adjacency rows, indexed by node (treat as read-only once
+        frozen).  A list, except on a ``G_Q`` overlay (see
+        :meth:`from_shared_rows`)."""
         return self._adj
 
-    def reverse_adjacency(self) -> list[list[tuple[int, float]]]:
+    def reverse_adjacency(self) -> Sequence[list[tuple[int, float]]]:
         """Reverse adjacency lists: entry ``u`` holds ``(v, w)`` with
         edge ``v -> u`` of weight ``w`` in this graph.
         """
@@ -266,16 +268,18 @@ class DiGraph:
     @classmethod
     def from_shared_rows(
         cls,
-        rows: list[list[tuple[int, float]]],
+        rows: Sequence[list[tuple[int, float]]],
         m: int,
         max_weight: float,
-        reverse_rows: list[list[tuple[int, float]]] | None = None,
+        reverse_rows: Sequence[list[tuple[int, float]]] | None = None,
     ) -> "DiGraph":
         """Build a frozen graph directly from prepared adjacency rows.
 
-        The rows are adopted *without copying*; callers may share row
-        objects with another frozen graph (the virtual-node query
-        transform does this so a query costs O(n), not O(m)).  Rows
+        ``rows`` (and ``reverse_rows``) are adopted *without copying*
+        and may be any integer-indexed sequence of rows, sharing row
+        objects with another frozen graph: the virtual-node query
+        transform passes :class:`~repro.graph.virtual.OverlayRows`, so
+        a query costs ``O(|V_T|)``, not ``O(n)`` or ``O(m)``.  Rows
         must already be deduplicated and sorted — i.e. come from a
         frozen graph or be freshly built to that standard.
         """
@@ -333,7 +337,7 @@ class ReversedView:
         return self._g.max_edge_weight
 
     @property
-    def adjacency(self) -> list[list[tuple[int, float]]]:
+    def adjacency(self) -> Sequence[list[tuple[int, float]]]:
         """Out-edges of the view = in-edges of the underlying graph."""
         return self._g.reverse_adjacency()
 
@@ -341,7 +345,7 @@ class ReversedView:
         """``(v, w)`` pairs of edges leaving ``u`` in the view."""
         return self._g.reverse_adjacency()[u]
 
-    def reverse_adjacency(self) -> list[list[tuple[int, float]]]:
+    def reverse_adjacency(self) -> Sequence[list[tuple[int, float]]]:
         """In-edges of the view = out-edges of the underlying graph."""
         return self._g.adjacency
 

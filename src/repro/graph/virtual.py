@@ -15,13 +15,111 @@ bookkeeping needed to strip virtual nodes off reported paths.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from typing import Sequence
+from numbers import Integral
 
 from repro.exceptions import QueryError
 from repro.graph.digraph import DiGraph
 
-__all__ = ["QueryGraph", "build_query_graph"]
+__all__ = [
+    "OverlayRows",
+    "QueryGraph",
+    "build_query_graph",
+    "check_query_nodes",
+    "is_int",
+]
+
+
+def is_int(value) -> bool:
+    """Whether ``value`` is an integer (``numpy`` integers included,
+    ``bool`` excluded)."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def check_query_nodes(nodes: Sequence, n: int) -> None:
+    """Raise :class:`QueryError` naming the first node of ``nodes``
+    that is not an integer id in ``[0, n)``."""
+    for node in nodes:
+        if type(node) is not int and not is_int(node):  # fast path: plain int
+            raise QueryError(f"query node {node!r} is not an integer")
+        if not 0 <= node < n:
+            raise QueryError(f"query node {node} out of range [0, {n})")
+
+
+class OverlayRows(Sequence):
+    """One orientation of ``G_Q``'s adjacency, overlaid on the base rows.
+
+    Row ``u`` of a real node is the base graph's own row object unless
+    the transform adds an edge there: a destination's forward row
+    (``base_row + [(t, 0.0)]``) and, for GKPJ, a source's reverse row
+    (``base_row + [(s', 0.0)]``, ``s'`` the virtual source).  Only
+    those rows and the virtual nodes' rows are stored, so building an
+    overlay costs ``O(|V_T| + |V_S|)`` and never copies the
+    ``n``-entry row list.
+
+    ``base``, ``destinations`` and ``sources`` (the virtual source's
+    members, empty for KPJ) describe the transform, so
+    :func:`repro.graph.csr.shared_csr` can derive the overlay's CSR
+    from the base graph's export instead of walking the rows.
+    """
+
+    __slots__ = (
+        "base", "destinations", "sources", "reverse", "_base_rows", "_get",
+        "_size",
+    )
+
+    def __init__(
+        self,
+        base: DiGraph,
+        destinations: tuple[int, ...],
+        sources: tuple[int, ...] = (),
+        reverse: bool = False,
+    ) -> None:
+        n = base.n
+        target = n
+        if reverse:
+            base_rows = base.reverse_adjacency()
+            patched = {target: [(v, 0.0) for v in destinations]}
+            if sources:
+                source = n + 1
+                for v in sources:
+                    patched[v] = base_rows[v] + [(source, 0.0)]
+                patched[source] = []
+        else:
+            base_rows = base.adjacency
+            patched = {v: base_rows[v] + [(target, 0.0)] for v in destinations}
+            patched[target] = []  # the virtual target has no out-edges
+            if sources:
+                patched[n + 1] = [(v, 0.0) for v in sources]
+        self.base = base
+        self.destinations = destinations
+        self.sources = sources
+        self.reverse = reverse
+        self._base_rows = base_rows
+        self._get = patched.get
+        self._size = n + (2 if sources else 1)
+
+    def __getitem__(self, u: int) -> list[tuple[int, float]]:
+        row = self._get(u)
+        if row is not None:
+            return row
+        if u < 0:
+            if u < -self._size:
+                raise IndexError(u)
+            return self[u + self._size]
+        return self._base_rows[u]
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __iter__(self) -> Iterator[list[tuple[int, float]]]:
+        get = self._get
+        for u, row in enumerate(self._base_rows):
+            patched = get(u)
+            yield row if patched is None else patched
+        for u in range(len(self._base_rows), self._size):
+            yield get(u)
 
 
 @dataclass(frozen=True)
@@ -83,7 +181,7 @@ def build_query_graph(
     sources: Sequence[int],
     destinations: Sequence[int],
 ) -> QueryGraph:
-    """Materialise ``G_Q`` for a query.
+    """Build ``G_Q`` for a query as an overlay on ``base``'s rows.
 
     Parameters
     ----------
@@ -100,7 +198,8 @@ def build_query_graph(
     Raises
     ------
     QueryError
-        On empty endpoint sets or out-of-range node ids.
+        On empty endpoint sets, or node ids that are not integers in
+        ``[0, base.n)``.
     """
     if not base.frozen:
         raise QueryError("query graphs must be built from a frozen graph")
@@ -108,43 +207,28 @@ def build_query_graph(
         raise QueryError("query needs at least one source node")
     if not destinations:
         raise QueryError("query needs at least one destination node")
-    for node in (*sources, *destinations):
-        if not 0 <= node < base.n:
-            raise QueryError(f"query node {node} out of range [0, {base.n})")
+    check_query_nodes((*sources, *destinations), base.n)
 
     dest = tuple(sorted(set(destinations)))
     srcs = tuple(sorted(set(sources)))
-    multi_source = len(srcs) > 1
+    virtual_sources = srcs if len(srcs) > 1 else ()
     n = base.n
-    target = n
 
-    # The transform is an O(n) *overlay*: adjacency rows are shared
-    # with the base graph by reference; only the |V_T| destination rows
-    # (which gain the zero-weight edge to the virtual target) are
-    # copied.  Building a query graph must stay cheap — the paper's
-    # algorithms never touch the whole edge set per query.
-    rows = list(base.adjacency)
-    for v in dest:
-        rows[v] = rows[v] + [(target, 0.0)]
-    rows.append([])  # the virtual target has no outgoing edges
-    reverse_rows = list(base.reverse_adjacency())
-    reverse_rows.append([(v, 0.0) for v in dest])
-    m = base.m + len(dest)
-    if multi_source:
-        source = n + 1
-        rows.append([(v, 0.0) for v in srcs])
-        for v in srcs:
-            reverse_rows[v] = reverse_rows[v] + [(source, 0.0)]
-        reverse_rows.append([])
-        m += len(srcs)
-    else:
-        source = srcs[0]
-    gq = DiGraph.from_shared_rows(rows, m, base.max_edge_weight, reverse_rows)
+    # The transform is an O(|V_T| + |V_S|) *overlay*: every other row is
+    # the base graph's own row object (see OverlayRows).  Building a
+    # query graph must stay cheap — the paper's algorithms never touch
+    # the whole edge set per query.
+    gq = DiGraph.from_shared_rows(
+        OverlayRows(base, dest, virtual_sources),
+        base.m + len(dest) + len(virtual_sources),
+        base.max_edge_weight,
+        OverlayRows(base, dest, virtual_sources, reverse=True),
+    )
     return QueryGraph(
         base=base,
         graph=gq,
-        source=source,
-        target=target,
+        source=n + 1 if virtual_sources else srcs[0],
+        target=n,
         destinations=dest,
         sources=srcs,
     )

@@ -125,10 +125,9 @@ class LazySourceBounds:
             col = self._dist[:, u]
             with np.errstate(invalid="ignore"):  # inf - inf -> nan, masked below
                 diff = col - dmax
-            diff[np.isinf(dmax) & np.isinf(col)] = -INF
-            diff[np.isnan(diff)] = -INF
+            diff[np.isinf(dmax) & np.isinf(col)] = -INF  # every nan is one of these
             bound = float(diff.max())
-            if np.isneginf(bound) or bound < 0.0:
+            if bound < 0.0:
                 bound = 0.0
             self._memo[u] = bound
         return bound
@@ -161,6 +160,10 @@ class LandmarkIndex:
         self.graph = graph
         self.landmarks = tuple(landmarks)
         self._dist = dist  # shape (|L|, n); δ(landmark_i, u)
+        # The (landmark, node) pairs with δ(w, u) = inf, or None when
+        # every landmark reaches every node (strongly connected graphs).
+        unreachable = np.isinf(dist)
+        self._unreachable = unreachable if unreachable.any() else None
 
     # ------------------------------------------------------------------
     # Construction
@@ -224,20 +227,23 @@ class LandmarkIndex:
 
         One ``O(|L| |V_T|)`` reduction computes each landmark's
         distance to the virtual target (``min_{v in V_T} δ(w, v)``),
-        then a vectorised ``O(|L| n)`` pass produces the whole bound
-        vector.  This is the per-query initialisation the paper
-        describes at the start of Section 4.2's remarks.
+        then one subtraction and one max-reduction over the ``|L| x n``
+        matrix produce the whole bound vector.  This is the per-query
+        initialisation the paper describes at the start of Section
+        4.2's remarks.
         """
         if not targets:
             raise LandmarkError("target set must be non-empty")
         dmin = self._dist[:, list(targets)].min(axis=1)  # δ(w, t) per landmark
         with np.errstate(invalid="ignore"):  # inf - inf -> nan, masked below
             diff = dmin[:, None] - self._dist
-        # A landmark that cannot reach u gives no information on δ(u, ·).
-        diff[np.isinf(self._dist)] = -INF
-        diff[np.isnan(diff)] = -INF
+        if self._unreachable is not None:
+            # A landmark that cannot reach u gives no information on
+            # δ(u, ·).  This also covers every nan, since inf - inf
+            # needs δ(w, u) = inf.
+            diff[self._unreachable] = -INF
         bounds = diff.max(axis=0)
-        bounds[np.isneginf(bounds)] = 0.0
+        # -inf (no landmark informs u) and negative bounds become 0.
         np.maximum(bounds, 0.0, out=bounds)
         return TargetBounds(bounds)
 
@@ -276,10 +282,10 @@ class LandmarkIndex:
         dmax = self._dist[:, list(sources)].max(axis=1)
         with np.errstate(invalid="ignore"):  # inf - inf -> nan, masked below
             diff = self._dist - dmax[:, None]
-        diff[np.isinf(dmax)[:, None] & np.isinf(self._dist)] = -INF
-        diff[np.isnan(diff)] = -INF
+        if self._unreachable is not None:
+            # Every nan is an inf - inf pair, i.e. one of these.
+            diff[np.isinf(dmax)[:, None] & self._unreachable] = -INF
         bounds = diff.max(axis=0)
-        bounds[np.isneginf(bounds)] = 0.0
         np.maximum(bounds, 0.0, out=bounds)
         return TargetBounds(bounds)
 

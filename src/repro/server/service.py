@@ -70,12 +70,13 @@ from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait as connection_wait
-from numbers import Integral, Real
+from numbers import Real
 from time import perf_counter, sleep as _sleep
 from typing import Mapping, Sequence
 
 from repro.core.stats import SearchStats
 from repro.exceptions import QueryError
+from repro.graph.virtual import is_int
 from repro.obs.metrics import LOADTEST_LATENCY_BUCKETS_MS, MetricsRegistry
 from repro.obs.tracing import SpanTracer
 from repro.server.epoch import service_epoch
@@ -107,10 +108,6 @@ class BatchQuery:
     alpha: float = 1.1
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, Integral) and not isinstance(value, bool)
-
-
 def _check_types(query: BatchQuery) -> BatchQuery:
     """Reject a wrongly typed field with a ``QueryError`` naming it.
 
@@ -118,15 +115,15 @@ def _check_types(query: BatchQuery) -> BatchQuery:
     (a JSON string where a number belongs, a list as a category) fail
     at admission instead of as a ``TypeError`` inside a worker.
     """
-    if not _is_int(query.source):
+    if not is_int(query.source):
         problem = "source must be an integer"
     elif query.category is not None and not isinstance(query.category, str):
         problem = "category must be a string"
     elif query.destinations is not None and not all(
-        map(_is_int, query.destinations)
+        map(is_int, query.destinations)
     ):
         problem = "destinations must be integers"
-    elif not _is_int(query.k):
+    elif not is_int(query.k):
         problem = "k must be an integer"
     elif not isinstance(query.algorithm, str):
         problem = "algorithm must be a string"

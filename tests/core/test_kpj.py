@@ -1,5 +1,8 @@
 """Unit tests for the KPJSolver facade and algorithm registry."""
 
+import re
+
+import numpy as np
 import pytest
 
 from repro.core.kpj import ALGORITHMS, DEFAULT_ALGORITHM, KPJSolver
@@ -86,6 +89,38 @@ class TestValidation:
         bare = KPJSolver(paper_graph, landmarks=None)
         with pytest.raises(QueryError, match="CategoryIndex"):
             bare.top_k(0, category="H")
+
+    @pytest.mark.parametrize("node", [5.0, 5.5, True, "5"])
+    def test_non_integer_destination_rejected(self, solver, node):
+        message = re.escape(f"query node {node!r} is not an integer")
+        with pytest.raises(QueryError, match=message):
+            solver.top_k(1, destinations=[node], k=1)
+        with pytest.raises(QueryError, match=message):
+            solver.prepare(destinations=[3, node])
+
+    @pytest.mark.parametrize("node", [1.0, True, "1"])
+    def test_non_integer_source_rejected(self, solver, node):
+        message = re.escape(f"query node {node!r} is not an integer")
+        with pytest.raises(QueryError, match=message):
+            solver.top_k(node, category="H", k=1)
+        with pytest.raises(QueryError, match=message):
+            solver.join(sources=[0, node], category="H", k=1)
+        with pytest.raises(QueryError, match=message):
+            solver.prepare(category="H").top_k(node, k=1)
+
+    def test_numpy_integer_ids_accepted(self, solver, paper_built, paper_categories):
+        v1 = paper_built.node_id("v1")
+        hotels = paper_categories.nodes_of("H")
+        expected = solver.top_k(v1, destinations=hotels, k=3)
+        got = solver.top_k(
+            np.int64(v1), destinations=[np.int64(v) for v in hotels], k=3
+        )
+        assert got.paths == expected.paths
+        sources = [v1, paper_built.node_id("v2")]
+        joined = solver.join(
+            sources=[np.int64(v) for v in sources], destinations=np.asarray(hotels), k=3
+        )
+        assert joined.paths == solver.join(sources=sources, destinations=hotels, k=3).paths
 
 
 class TestConstruction:

@@ -5,12 +5,15 @@ import random
 import pytest
 
 from repro.baselines.brute_force import brute_force_topk, enumerate_simple_paths
+from repro.core.kpj import KPJSolver
 from repro.core.spt_incremental import IncrementalSPT, iter_bound_spti
-from repro.core.stats import SearchStats
+from repro.core.stats import WORK_PARITY_FIELDS, SearchStats
+from repro.graph.categories import CategoryIndex
 from repro.graph.digraph import DiGraph
 from repro.graph.virtual import build_query_graph
 from repro.landmarks.index import ZERO_BOUNDS, LandmarkIndex
 from repro.pathing.dijkstra import single_source_distances
+from repro.pathing.kernels import KERNELS
 from tests.conftest import random_graph
 
 INF = float("inf")
@@ -192,3 +195,36 @@ class TestIterBoundSPTI:
         hotels = [v("v4"), v("v6"), v("v7")]
         results = run(paper_graph, v("v1"), hotels, 4, alpha=alpha)
         assert [length for _, length in results] == [5.0, 6.0, 7.0, 7.0]
+
+
+class TestVirtualEdgeOrder:
+    """Alg. 7 relaxes a destination's zero-weight edge to ``t`` after
+    its base row — where ``G_Q`` appends it — on both kernels."""
+
+    @pytest.mark.parametrize("landmarks", [None, 2])
+    def test_virtual_edge_ties_with_zero_weight_edge_between_destinations(
+        self, landmarks
+    ):
+        # Settling destination 1 (distance 1.0) reaches destination 2
+        # over the zero-weight base edge 1 -> 2 and the virtual target
+        # over 1 -> t at the same distance; 4 -> 2 is a second
+        # zero-weight edge into a destination.
+        edges = [
+            (0, 1, 1.0), (0, 2, 2.0), (1, 2, 0.0), (1, 3, 2.0), (2, 3, 1.0),
+            (3, 4, 1.0), (4, 1, 0.5), (4, 2, 0.0),
+        ]
+        g = DiGraph.from_edges(5, edges)
+        categories = CategoryIndex({"T": [1, 2]})
+        expected = [p.length for p in brute_force_topk(g, 0, (1, 2), 6)]
+        answers = {}
+        for kernel in KERNELS:
+            solver = KPJSolver(g, categories, landmarks=landmarks, kernel=kernel)
+            result = solver.top_k(0, category="T", k=6, algorithm="iter-bound-spti")
+            assert list(result.lengths) == pytest.approx(expected)
+            answers[kernel] = (
+                [(p.length, p.nodes) for p in result.paths],
+                {f: getattr(result.stats, f) for f in WORK_PARITY_FIELDS},
+            )
+        assert answers["dict"] == answers["flat"]
+        paths, _ = answers["dict"]
+        assert paths[:2] == [(1.0, (0, 1)), (1.0, (0, 1, 2))]
