@@ -1,32 +1,23 @@
-"""Flat-core IterBound engine benchmark (BENCH_iterbound.json).
+"""IterBound engine benchmark (BENCH_iterbound.json).
 
 Not a paper figure — this times the *query path* of every registry
-algorithm on COL under both search substrates and writes a
-machine-readable per-query latency report to
-``benchmarks/results/BENCH_iterbound.json``:
+algorithm on COL and writes a machine-readable per-query latency
+report to ``benchmarks/results/BENCH_iterbound.json``:
 
-* every algorithm in :data:`repro.core.kpj.ALGORITHMS`, ``dict``
-  kernel vs ``flat`` kernel, per-query p50/p95 over the timed
-  sources;
-* the headline ``IterBound-SPT_I`` comparison over the **full** T2
-  workload (all five groups): the flat-core engine
-  (:func:`repro.core.flat_engine.flat_spti_search` — per-query
-  :class:`FlatQueryContext`, array-backed incremental SPT, batched
-  Alg. 8 division) against the *pre-flat-core baseline* — the PR-1
-  configuration that ran the dict driver over the flat leaf kernels
-  and materialised the eager Eq. (2) source-bound vector per query.
+* every algorithm in :data:`repro.core.kpj.ALGORITHMS`, per-query
+  p50/p95 over the timed sources (the ``flat`` column: the one search
+  substrate);
+* the headline ``IterBound-SPT_I`` numbers over the **full** T2
+  workload (all five groups), per group and aggregate.
 
-Every timed configuration is asserted to return identical results
-before its numbers are recorded: exact ``(length, nodes)`` sequences
-for all algorithms except ``da-spt``, whose SPT-ordered deviation
-search is only specified up to the length multiset (scipy and dict
-SPT builds break distance ties differently).
+Every algorithm must return the same length multiset as every other
+for each timed query before its numbers are recorded.
 
 Timing protocol: one untimed warm-up pass per configuration (fills
-the CSR/overlay/landmark caches — the engine's whole point is that
-these are per-snapshot, not per-query), then best-of-``R`` reps per
-query (``REPRO_BENCH_REPS``, default 3) to suppress scheduler noise;
-p50/p95 are taken across the per-query best times.
+the landmark and prepared-category caches and the scratch pools),
+then best-of-``R`` reps per query (``REPRO_BENCH_REPS``, default 3)
+to suppress scheduler noise; p50/p95 are taken across the per-query
+best times.
 """
 
 from __future__ import annotations
@@ -40,11 +31,7 @@ from pathlib import Path
 import pytest
 
 from repro.bench.harness import solver_for, workload_for
-from repro.core.kpj import ALGORITHMS, KPJSolver
-from repro.core.spt_incremental import iter_bound_spti
-from repro.core.stats import SearchStats
-from repro.graph.virtual import build_query_graph
-from repro.pathing.kernels import use_kernel
+from repro.core.kpj import ALGORITHMS
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -87,24 +74,16 @@ def _best_of(fn, reps: int = REPS) -> tuple[float, object]:
     return best, result
 
 
-def _path_key(paths) -> list[tuple[float, tuple[int, ...]]]:
-    return [(p.length, p.nodes) for p in paths]
-
-
 def _length_key(paths) -> list[float]:
     return sorted(round(p.length, 9) for p in paths)
 
 
 def test_iterbound_engine_report():
-    """Per-query p50/p95 of every registry algorithm, dict vs flat,
-    plus the flat-core vs pre-flat-core ``SPT_I`` headline; asserts
-    result identity everywhere and writes ``BENCH_iterbound.json``.
+    """Per-query p50/p95 of every registry algorithm plus the
+    ``SPT_I`` headline; asserts the algorithms agree on every answer
+    and writes ``BENCH_iterbound.json``.
     """
-    network, dict_solver, workload = _setup()
-    index = dict_solver.landmark_index
-    flat_solver = KPJSolver(
-        network.graph, network.categories, landmarks=index, kernel="flat"
-    )
+    network, solver, workload = _setup()
     destinations = workload.destinations
 
     report: dict = {
@@ -125,119 +104,56 @@ def test_iterbound_engine_report():
         "algorithms": {},
     }
 
+    def timed(sources, algorithm) -> tuple[list[float], list]:
+        for source in sources:  # warm-up: caches + allocator
+            solver.top_k(source, destinations=destinations, k=K, algorithm=algorithm)
+        times, answers = [], []
+        for source in sources:
+            dt, result = _best_of(
+                lambda s=source: solver.top_k(
+                    s, destinations=destinations, k=K, algorithm=algorithm
+                )
+            )
+            times.append(dt)
+            answers.append(_length_key(result.paths))
+        return times, answers
+
     # ------------------------------------------------------------------
-    # All-algorithms sweep: dict vs flat, identical answers asserted.
+    # All-algorithms sweep; every algorithm must agree on every answer.
     # ------------------------------------------------------------------
     sweep_sources = [s for g in GROUPS for s in workload.group(g)[:SWEEP_PER_GROUP]]
-    solvers = {"dict": dict_solver, "flat": flat_solver}
+    reference = None
     for algorithm in ALGORITHMS:
-        entry: dict = {}
-        answers: dict[str, list] = {}
-        for kernel, solver in solvers.items():
-            for source in sweep_sources:  # warm-up: caches + allocator
-                solver.top_k(
-                    source, destinations=destinations, k=K, algorithm=algorithm
-                )
-            times = []
-            paths = []
-            for source in sweep_sources:
-                dt, result = _best_of(
-                    lambda s=source: solver.top_k(
-                        s, destinations=destinations, k=K, algorithm=algorithm
-                    )
-                )
-                times.append(dt)
-                paths.append(result.paths)
-            answers[kernel] = paths
-            entry[kernel] = _percentiles(times)
-        for got_dict, got_flat in zip(answers["dict"], answers["flat"]):
-            if algorithm == "da-spt":
-                # SPT-ordered deviation: identical length multiset only
-                # (tie-broken SPT parents differ between substrates).
-                assert _length_key(got_dict) == _length_key(got_flat), algorithm
-            else:
-                assert _path_key(got_dict) == _path_key(got_flat), algorithm
-        entry["speedup_flat_over_dict_p50"] = (
-            entry["dict"]["p50_ms"] / entry["flat"]["p50_ms"]
-        )
-        report["algorithms"][algorithm] = entry
+        times, answers = timed(sweep_sources, algorithm)
+        if reference is None:
+            reference = answers
+        assert answers == reference, algorithm
+        report["algorithms"][algorithm] = {"flat": _percentiles(times)}
 
     # ------------------------------------------------------------------
-    # Headline: IterBound-SPT_I flat-core vs the pre-flat-core flat
-    # baseline, full workload, per-group and aggregate.
+    # Headline: IterBound-SPT_I over the full workload, per group and
+    # aggregate.
     # ------------------------------------------------------------------
-    graph = network.graph
-    target_bounds = index.to_target_bounds(destinations)
-
-    def run_pre(qg):
-        # PR-1 configuration: dict driver over flat leaf kernels, eager
-        # per-query Eq. (2) source-bound vector.
-        source_bounds = index.from_source_bounds(qg.sources)
-        return iter_bound_spti(
-            qg, K, target_bounds, source_bounds, stats=SearchStats(), flat_core=False
-        )
-
-    def run_core(qg):
-        # This PR: flat engine end-to-end, lazy source bounds.
-        source_bounds = index.lazy_source_bounds(qg.sources)
-        return iter_bound_spti(
-            qg, K, target_bounds, source_bounds, stats=SearchStats(), flat_core=True
-        )
-
     headline: dict = {"groups": {}}
-    all_pre: list[float] = []
-    all_core: list[float] = []
-    with use_kernel("flat"):
-        for group in GROUPS:
-            query_graphs = [
-                build_query_graph(graph, (s,), destinations)
-                for s in workload.group(group)
-            ]
-            for qg in query_graphs:  # warm-up
-                run_pre(qg)
-                run_core(qg)
-            pre_times, core_times = [], []
-            for qg in query_graphs:
-                dt_pre, paths_pre = _best_of(lambda q=qg: run_pre(q))
-                dt_core, paths_core = _best_of(lambda q=qg: run_core(q))
-                assert _path_key(paths_pre) == _path_key(paths_core), group
-                pre_times.append(dt_pre)
-                core_times.append(dt_core)
-            all_pre += pre_times
-            all_core += core_times
-            headline["groups"][group] = {
-                "pre_flat_baseline": _percentiles(pre_times),
-                "flat_core": _percentiles(core_times),
-                "speedup_p50": statistics.median(pre_times)
-                / statistics.median(core_times),
-            }
-    headline["pre_flat_baseline"] = _percentiles(all_pre)
-    headline["flat_core"] = _percentiles(all_core)
-    headline["speedup_p50"] = statistics.median(all_pre) / statistics.median(all_core)
-    headline["speedup_total"] = sum(all_pre) / sum(all_core)
-    report["iter_bound_spti_flat_core_vs_pre"] = headline
+    all_times: list[float] = []
+    for group in GROUPS:
+        times, _ = timed(workload.group(group), "iter-bound-spti")
+        all_times += times
+        headline["groups"][group] = _percentiles(times)
+    headline["all"] = _percentiles(all_times)
+    report["iter_bound_spti"] = headline
 
     RESULTS_DIR.mkdir(exist_ok=True)
     out = RESULTS_DIR / "BENCH_iterbound.json"
     out.write_text(json.dumps(report, indent=2) + "\n")
 
-    print(f"\nIterBound-SPT_I flat-core vs pre-flat baseline (COL/T2, k={K}):")
+    print(f"\nIterBound-SPT_I (COL/T2, k={K}):")
     for group, numbers in headline["groups"].items():
-        print(
-            f"  {group}: pre p50 {numbers['pre_flat_baseline']['p50_ms']:.2f} ms"
-            f"  core p50 {numbers['flat_core']['p50_ms']:.2f} ms"
-            f"  = {numbers['speedup_p50']:.2f}x"
-        )
+        print(f"  {group}: p50 {numbers['p50_ms']:.2f} ms  p95 {numbers['p95_ms']:.2f} ms")
     print(
-        f"  ALL: pre p50 {headline['pre_flat_baseline']['p50_ms']:.2f} ms"
-        f"  core p50 {headline['flat_core']['p50_ms']:.2f} ms"
-        f"  = {headline['speedup_p50']:.2f}x (total {headline['speedup_total']:.2f}x)"
+        f"  ALL: p50 {headline['all']['p50_ms']:.2f} ms"
+        f"  p95 {headline['all']['p95_ms']:.2f} ms"
     )
-
-    # The flat core must never regress the flat baseline; the measured
-    # target on an unloaded machine is >= 2x at the aggregate p50 (the
-    # committed JSON records the exact figure).
-    assert headline["speedup_p50"] > 1.0, headline["speedup_p50"]
 
 
 if __name__ == "__main__":  # pragma: no cover - manual convenience

@@ -7,11 +7,11 @@ build (DA-SPT's fixed cost), the two halves of a prepared-cache miss
 (the Eq. (2) bound vector and the ``G_Q`` overlay), and the batch-API
 saving from reusing them.
 
-``test_kernel_comparison_report`` additionally times the ``dict``
-and ``flat`` kernels head-to-head, checks the results agree, and
-writes a machine-readable summary to
-``benchmarks/results/BENCH_kernels.json`` (queries/sec per kernel
-plus the speedup ratio).
+``test_kernel_comparison_report`` additionally times the whole-graph
+SSSP on scipy's C loop (where installed) against the pure-Python loop
+the scipy-free stack runs, checks the distances agree, and writes a
+machine-readable summary to ``benchmarks/results/BENCH_kernels.json``
+(queries/sec per path plus the ratio).
 """
 
 from __future__ import annotations
@@ -138,40 +138,8 @@ def test_prepared_batch_queries(benchmark):
 
 
 # ----------------------------------------------------------------------
-# dict vs flat kernel comparison
+# scipy vs pure-Python whole-graph sweep
 # ----------------------------------------------------------------------
-
-
-def test_flat_dijkstra_full_sssp(benchmark):
-    """The flat-kernel counterpart of ``test_dijkstra_full_sssp``."""
-    network, _, workload = _setup()
-    source = workload.group("Q3")[0]
-    # Prime the CSR export so the benchmark measures the solve alone.
-    single_source_distances(network.graph, source, kernel="flat")
-    benchmark.pedantic(
-        lambda: single_source_distances(network.graph, source, kernel="flat"),
-        rounds=3,
-        iterations=1,
-        warmup_rounds=1,
-    )
-
-
-def test_flat_full_spt_build(benchmark):
-    """The flat-kernel counterpart of ``test_full_spt_build``."""
-    from repro.graph.virtual import build_query_graph
-
-    network, _, workload = _setup()
-    source = workload.group("Q3")[0]
-    qg = build_query_graph(
-        network.graph, (source,), network.categories.nodes_of("T2")
-    )
-    build_spt_to_target(qg.graph, qg.target, kernel="flat")
-    benchmark.pedantic(
-        lambda: build_spt_to_target(qg.graph, qg.target, kernel="flat"),
-        rounds=3,
-        iterations=1,
-        warmup_rounds=1,
-    )
 
 
 def _time_kernel(fn, rounds: int) -> float:
@@ -185,55 +153,43 @@ def _time_kernel(fn, rounds: int) -> float:
     return best
 
 
-def test_kernel_comparison_report():
-    """Time every kernel's SSSP on COL and write BENCH_kernels.json.
+def test_kernel_comparison_report(monkeypatch):
+    """Time the SSSP sweep on COL both ways and write BENCH_kernels.json.
 
-    Also asserts all substrates agree on every distance, so the
-    speedup numbers are for *identical* answers.
+    Also asserts both paths agree on every distance, so the numbers
+    are for *identical* answers.
     """
-    from repro.pathing.kernels import KERNELS
+    from repro.pathing import flat
 
     network, _, workload = _setup()
     sources = workload.group("Q3")[:3]
 
-    dist_dict = single_source_distances(network.graph, sources[0], kernel="dict")
-    for kernel in KERNELS[1:]:
-        dist = single_source_distances(
-            network.graph, sources[0], kernel=kernel
-        )
-        assert np.array_equal(
-            np.asarray(dist_dict), np.asarray(dist)
-        ), f"{kernel} and dict SSSP disagree on COL"
+    def run():
+        return [single_source_distances(network.graph, s) for s in sources]
 
-    report = {"dataset": "COL", "n": network.graph.n, "kernels": {}}
-    for kernel in KERNELS:
-
-        def run(kernel=kernel):
-            for source in sources:
-                single_source_distances(network.graph, source, kernel=kernel)
-
+    report = {
+        "dataset": "COL", "n": network.graph.n, "scipy": flat.HAVE_SCIPY,
+        "kernels": {},
+    }
+    answers = {}
+    for name, scipy in (("flat", flat.HAVE_SCIPY), ("python_loop", False)):
+        monkeypatch.setattr(flat, "HAVE_SCIPY", scipy)
+        answers[name] = run()
         seconds = _time_kernel(run, rounds=3)
-        report["kernels"][kernel] = {
+        report["kernels"][name] = {
             "sssp_seconds_per_query": seconds / len(sources),
             "sssp_queries_per_s": len(sources) / seconds,
         }
-
-    per_query = {
-        kernel: report["kernels"][kernel]["sssp_seconds_per_query"]
-        for kernel in KERNELS
-    }
-    ratio = per_query["dict"] / per_query["flat"]
-    report["flat_speedup_over_dict"] = ratio
+    monkeypatch.undo()
+    for got, expected in zip(answers["flat"], answers["python_loop"]):
+        assert np.array_equal(np.asarray(got), np.asarray(expected))
+    ratio = (
+        report["kernels"]["python_loop"]["sssp_seconds_per_query"]
+        / report["kernels"]["flat"]["sssp_seconds_per_query"]
+    )
+    report["flat_speedup_over_python_loop"] = ratio
 
     RESULTS_DIR.mkdir(exist_ok=True)
     out = RESULTS_DIR / "BENCH_kernels.json"
     out.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"\nflat vs dict SSSP on COL: {ratio:.2f}x  -> {out}")
-
-    from repro.pathing.flat import HAVE_SCIPY
-
-    if HAVE_SCIPY:
-        assert ratio >= 2.0, (
-            f"flat kernel only {ratio:.2f}x over dict on COL SSSP "
-            "(acceptance floor is 2x)"
-        )
+    print(f"\nSSSP on COL, scipy over the Python loop: {ratio:.2f}x  -> {out}")

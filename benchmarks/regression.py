@@ -1,34 +1,30 @@
 """Continuous perf-regression harness (BENCH_trajectory.json).
 
 Runs a **pinned** small workload — COL, category T2, eight fixed
-sources, ``k=64``, eight landmarks, ``iter-bound-spti`` — once per
-kernel (``dict``, ``flat``) with the span tracer attached, and derives per-phase latencies from the recorded spans
-(:func:`repro.obs.tracing.phase_durations`, which sums only the
-``cat == "phase"`` leaves, so container spans never double-count).
-The dict workload is protocol v1, byte-identical to the original
-single-workload harness, so its trajectory continues unbroken; the
-flat workload differs only in the ``kernel`` field, which lets the
-trajectory file record the dict/flat speed story of the same answers
-over time.  (Committed ``native`` entries from an earlier compiled
-tier stay in the file as history; no protocol measures them now.)
-Each invocation either:
+sources, ``k=64``, eight landmarks, ``iter-bound-spti`` — with the
+span tracer attached, and derives per-phase latencies from the
+recorded spans (:func:`repro.obs.tracing.phase_durations`, which sums
+only the ``cat == "phase"`` leaves, so container spans never
+double-count).  The protocol keeps the ``"kernel": "flat"`` label of
+the trajectory it continues: the flat search substrate is the only one
+now, so its committed entries stay the baseline.  (Committed ``dict``
+and ``native`` entries from earlier substrates stay in the file as
+history; no protocol measures them now.)  Each invocation either:
 
-* ``--update`` — appends one trajectory entry per workload (git SHA,
+* ``--update`` — appends one trajectory entry (git SHA,
   UTC date, per-phase p50/p95 across the workload's queries,
   total-query percentiles, the per-phase **work counters** of the §3g
   taxonomy, and a checksum of every returned path) to
   ``benchmarks/results/BENCH_trajectory.json``;
-* ``--check`` (the default) — re-measures each workload and compares
+* ``--check`` (the default) — re-measures the workload and compares
   it against the **latest committed entry with the same protocol**:
   any phase whose baseline p50 is at least ``MIN_PHASE_MS`` and whose
   new p50 exceeds ``THRESHOLD`` (1.25×) the baseline fails the gate,
   as does any change to the paths checksum (a perf harness that
   silently computes different answers is worse than a slow one).
   A workload with no committed baseline yet is reported and skipped.
-  Whatever the mode, all kernels must return the **same** checksum as
-  each other — cross-kernel divergence fails immediately.  Every run
-  additionally writes ``results/work_counter_deltas.md`` — the work
-  counters of each workload against its committed baseline (reported,
+  Every run additionally writes ``results/work_counter_deltas.md`` —
+  the work counters of the workload against its committed baseline (reported,
   never gated: counters are deterministic, so a delta is an
   algorithmic change to review, not noise; ``kpj report`` renders the
   same story from the committed trajectory).  On failure
@@ -91,8 +87,8 @@ MIN_PHASE_MS = 0.5
 REPS = int(os.environ.get("REPRO_REGRESSION_REPS", "5"))
 
 #: The pinned workload (protocol v1, unchanged since the first
-#: trajectory entry).  Changing ANY of these invalidates that
-#: kernel's trajectory — bump the protocol version and start fresh.
+#: trajectory entry).  Changing ANY of these invalidates the
+#: trajectory — bump the protocol version and start fresh.
 PROTOCOL = {
     "version": 1,
     "dataset": "COL",
@@ -101,15 +97,8 @@ PROTOCOL = {
     "k": 64,
     "landmarks": 8,
     "algorithm": "iter-bound-spti",
-    "kernel": "dict",
+    "kernel": "flat",
 }
-
-#: One gated workload per kernel; identical but for the substrate, so
-#: their checksums must agree with each other on every run.
-PROTOCOLS = [
-    PROTOCOL,
-    {**PROTOCOL, "kernel": "flat"},
-]
 
 
 def _git_sha() -> str:
@@ -136,14 +125,13 @@ def run_workload(spec: dict = PROTOCOL) -> tuple[dict, str, list[dict], dict]:
     snapshots, work block)`` — the snapshots back the failure
     artifact; the work block is the workload's summed rep-0 work
     counters grouped per phase (deterministic, so one rep suffices —
-    the work-parity fuzz invariant pins them across kernels).
+    the corpus pins hold them fixed across commits).
     """
     dataset = road_network(spec["dataset"])
     solver = KPJSolver(
         dataset.graph,
         dataset.categories,
         landmarks=spec["landmarks"],
-        kernel=spec["kernel"],
         tracer=SpanTracer(),
     )
     # Warm-up: landmark caches, prepared category, allocator.
@@ -282,21 +270,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     trajectory = load_trajectory()
-    measured: list[tuple[dict, list[dict]]] = []
-    for spec in PROTOCOLS:
-        measured.append(make_entry(spec))
-
-    # Cross-kernel invariant: identical workload -> identical answers,
-    # whatever the substrate.  Checked in every mode.
-    checksums = {
-        e["protocol"]["kernel"]: e["paths_checksum"] for e, _ in measured
-    }
-    if len(set(checksums.values())) != 1:
-        print("CROSS-KERNEL CHECKSUM MISMATCH — the kernels disagree:",
-              file=sys.stderr)
-        for kernel, digest in sorted(checksums.items()):
-            print(f"  {kernel}: {digest[:16]}…", file=sys.stderr)
-        return 1
+    measured: list[tuple[dict, list[dict]]] = [make_entry(PROTOCOL)]
 
     # Work-counter delta artifact, written in every mode: the counters
     # are exact and deterministic, so any drift against the committed
@@ -332,8 +306,8 @@ def main(argv: list[str] | None = None) -> int:
     for entry, traces in measured:
         baseline = baseline_for(trajectory, entry["protocol"])
         if baseline is None:
-            print(f"no baseline for the {entry['protocol']['kernel']!r} "
-                  "workload yet; run with --update to record one (skipped)")
+            print("no baseline for the workload yet; run with --update "
+                  "to record one (skipped)")
             continue
         failures = check(entry, baseline)
         if failures:

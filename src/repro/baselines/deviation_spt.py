@@ -142,7 +142,7 @@ def deviation_spt(
     stats = stats if stats is not None else SearchStats()
     graph = query_graph.graph
     source, target = query_graph.source, query_graph.target
-    spt = build_spt_to_target(graph, target, stats=stats)
+    spt = build_spt_to_target(graph, target)
     stats.spt_nodes = sum(1 for d in spt.dist if d != INF)
 
     def candidate(vertex: PTVertex):

@@ -124,7 +124,6 @@ def _solver_for(spec: WorkloadSpec):
         dataset.graph,
         dataset.categories,
         landmarks=spec.landmarks,
-        kernel=spec.kernel,
     )
     return dataset, solver
 
@@ -449,7 +448,7 @@ def render_entry_summary(entry: Mapping, baseline: Mapping | None = None) -> str
     spec = entry.get("spec") or {}
     lines = [
         f"loadtest {spec.get('name', '?')!r}: {spec.get('dataset', '?')} "
-        f"({spec.get('algorithm', '?')}, {spec.get('kernel', '?')} kernel, "
+        f"({spec.get('algorithm', '?')}, "
         f"{spec.get('workers', '?')} worker(s), seed {spec.get('seed', '?')}, "
         f"target {entry.get('target', 'pool')})",
         f"  arrivals  {entry.get('queries', 0)} "

@@ -299,7 +299,6 @@ class WorkloadSpec:
     skew: CategorySkew = field(default_factory=CategorySkew)
     k: KDistribution = field(default_factory=KDistribution)
     algorithm: str = "iter-bound-spti"
-    kernel: str = "dict"
     landmarks: int = 8
     alpha: float = 1.1
     slo: SLOPolicy = field(default_factory=SLOPolicy)
@@ -317,7 +316,6 @@ class WorkloadSpec:
             "skew": self.skew.as_dict(),
             "k": self.k.as_dict(),
             "algorithm": self.algorithm,
-            "kernel": self.kernel,
             "landmarks": self.landmarks,
             "alpha": self.alpha,
             "slo": self.slo.as_dict(),
@@ -332,7 +330,7 @@ class WorkloadSpec:
 _SPEC_FIELDS = (
     "schema_version", "name", "dataset", "categories", "target_qps",
     "workers", "duration_s", "queries", "seed", "skew", "k", "algorithm",
-    "kernel", "landmarks", "alpha", "slo",
+    "landmarks", "alpha", "slo",
 )
 
 
@@ -342,12 +340,11 @@ def parse_spec(data: Mapping) -> WorkloadSpec:
     Every constraint violation raises a
     :class:`~repro.exceptions.QueryError` naming the field — bad skew
     names, zero/negative QPS, negative durations, unknown keys, and
-    unknown datasets/algorithms/kernels all fail here, before any
+    unknown datasets/algorithms all fail here, before any
     dataset is built or worker forked.
     """
     from repro.core.kpj import ALGORITHMS
     from repro.datasets.registry import available_datasets
-    from repro.pathing.kernels import KERNELS
 
     _require(isinstance(data, Mapping), "workload spec must be a mapping")
     _check_keys(data, _SPEC_FIELDS, "workload spec")
@@ -406,11 +403,6 @@ def parse_spec(data: Mapping) -> WorkloadSpec:
         f"unknown algorithm {algorithm!r}; "
         f"choose one of: {', '.join(sorted(ALGORITHMS))}",
     )
-    kernel = data.get("kernel", "dict")
-    _require(
-        kernel in KERNELS,
-        f"unknown kernel {kernel!r}; choose one of: {', '.join(KERNELS)}",
-    )
     landmarks = _int_field(data.get("landmarks", 8), "landmarks")
     _require(landmarks >= 0, f"landmarks must be >= 0, got {landmarks}")
     alpha = _finite_number(data.get("alpha", 1.1), "alpha")
@@ -428,7 +420,6 @@ def parse_spec(data: Mapping) -> WorkloadSpec:
         skew=skew,
         k=k,
         algorithm=algorithm,
-        kernel=kernel,
         landmarks=landmarks,
         alpha=alpha,
         slo=slo,

@@ -19,11 +19,9 @@ paths; ``batch`` answers a whole workload (optionally on resident
 worker processes) and reports throughput; ``datasets`` lists the
 registry (Table-1 style); ``bench`` reproduces one figure and prints
 its table; ``metrics`` replays a workload file and emits the aggregate
-registry as Prometheus text exposition.  ``--kernel flat`` switches
-any query-answering subcommand to the CSR flat-array search
-substrate, ``--stats`` prints the instrumentation counters (search
-work, kernel dispatches, prepared-cache hits/misses) next to the
-answers, and ``--metrics json|text`` attaches a
+registry as Prometheus text exposition.  ``--stats`` prints the
+instrumentation counters (search work, prepared-cache hits/misses)
+next to the answers, and ``--metrics json|text`` attaches a
 :class:`~repro.obs.metrics.MetricsRegistry` and emits the structured
 run report (phase wall times, counters, gauges, and — for batches —
 p50/p95/p99 query latency).
@@ -73,7 +71,7 @@ exposition, ``GET /status``).
 
 ``fuzz`` runs the differential fuzzing harness (:mod:`repro.fuzz`):
 seeded random instances cross-checked over every registry algorithm ×
-kernel × cached/uncached × sequential/batch against the brute-force
+cached/uncached × sequential/batch against the brute-force
 and Yen oracles (small cases) or metamorphic invariants (large
 cases).  Failures are shrunk and written as replayable repro files;
 ``--replay FILE`` re-runs one, and ``--self-check`` plants known
@@ -90,7 +88,6 @@ from repro.bench import experiments
 from repro.bench.reporting import format_figure
 from repro.core.kpj import ALGORITHMS, DEFAULT_ALGORITHM, KPJSolver
 from repro.datasets.registry import available_datasets, road_network
-from repro.pathing.kernels import KERNELS
 
 __all__ = ["main", "build_parser"]
 
@@ -125,9 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--algorithm", default=DEFAULT_ALGORITHM, choices=sorted(ALGORITHMS)
     )
     query.add_argument("--landmarks", type=int, default=16)
-    query.add_argument(
-        "--kernel", default="dict", choices=KERNELS, help="search substrate"
-    )
     query.add_argument(
         "--stats", action="store_true", help="print instrumentation counters"
     )
@@ -175,9 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="resident worker processes (1 = sequential)",
     )
     batch.add_argument(
-        "--kernel", default="dict", choices=KERNELS, help="search substrate"
-    )
-    batch.add_argument(
         "--stats", action="store_true", help="print aggregate counters"
     )
     batch.add_argument(
@@ -216,9 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     explain.add_argument("--landmarks", type=int, default=16)
     explain.add_argument("--limit", type=int, default=40, help="max events shown")
     explain.add_argument(
-        "--kernel", default="dict", choices=KERNELS, help="search substrate"
-    )
-    explain.add_argument(
         "--algorithm",
         default="iter-bound",
         choices=("iter-bound", "iter-bound-spti"),
@@ -232,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     fuzz = sub.add_parser(
         "fuzz",
-        help="differential fuzzing: every algorithm × kernel vs the oracles",
+        help="differential fuzzing: every algorithm vs the oracles",
     )
     fuzz.add_argument("--seed", type=int, default=0, help="campaign seed")
     fuzz.add_argument(
@@ -244,13 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         help="stop generating new cases after this much wall clock",
-    )
-    fuzz.add_argument(
-        "--kernel",
-        choices=KERNELS,
-        action="append",
-        dest="kernels",
-        help="substrate to cross-check (repeatable; default: all)",
     )
     fuzz.add_argument(
         "--shrink",
@@ -281,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     metrics.add_argument(
         "--workload",
         required=True,
-        help="JSON file: {dataset, landmarks?, kernel?, workers?, queries: [...]}",
+        help="JSON file: {dataset, landmarks?, workers?, queries: [...]}",
     )
     metrics.add_argument(
         "--prefix", default="kpj", help="metric name prefix (default: kpj)"
@@ -304,9 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--algorithm", default=DEFAULT_ALGORITHM, choices=sorted(ALGORITHMS)
     )
     trace.add_argument("--landmarks", type=int, default=16)
-    trace.add_argument(
-        "--kernel", default="dict", choices=KERNELS, help="search substrate"
-    )
     trace.add_argument(
         "--out",
         default="trace.json",
@@ -400,9 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8321)
     serve.add_argument(
         "--workers", type=int, default=2, help="resident worker processes"
-    )
-    serve.add_argument(
-        "--kernel", default="dict", choices=KERNELS, help="search substrate"
     )
     serve.add_argument("--landmarks", type=int, default=16)
     serve.add_argument(
@@ -572,7 +547,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
         dataset.graph,
         dataset.categories,
         landmarks=args.landmarks,
-        kernel=args.kernel,
         metrics=reg,
         tracer=tracer,
         query_log=qlog,
@@ -616,8 +590,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         return 0
     print(
         f"top-{args.k} paths from node {args.source} to category "
-        f"{args.category!r} on {args.dataset} ({args.algorithm}, "
-        f"{args.kernel} kernel):"
+        f"{args.category!r} on {args.dataset} ({args.algorithm}):"
     )
     for rank, path in enumerate(result.paths, start=1):
         nodes = " -> ".join(str(v) for v in path.nodes)
@@ -650,7 +623,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         dataset.graph,
         dataset.categories,
         landmarks=args.landmarks,
-        kernel=args.kernel,
         tracer=tracer,
     )
     result = solver.top_k(
@@ -665,7 +637,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         return 2
     print(
         f"{result.k_found} paths in {result.elapsed_ms:.1f}ms "
-        f"({args.algorithm}, {args.kernel} kernel); "
+        f"({args.algorithm}); "
         f"{len(doc['traceEvents'])} spans -> {args.out}"
     )
     if args.folded:
@@ -722,7 +694,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         dataset.graph,
         dataset.categories,
         landmarks=args.landmarks,
-        kernel=args.kernel,
         metrics=reg,
         query_log=qlog,
         memory=mem,
@@ -781,7 +752,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
                     "dataset": args.dataset,
                     "category": args.category,
                     "workers": args.workers,
-                    "kernel": args.kernel,
                     "elapsed_s": elapsed,
                     "queries_per_s": len(results) / elapsed if elapsed else 0.0,
                     **({"stats": total.as_dict()} if total is not None else {}),
@@ -796,8 +766,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         return 0
     print(
         f"{len(results)} queries to category {args.category!r} on "
-        f"{args.dataset} ({args.algorithm}, {args.kernel} kernel, "
-        f"workers={args.workers}):"
+        f"{args.dataset} ({args.algorithm}, workers={args.workers}):"
     )
     for query, result in zip(queries, results):
         best = f"{result.paths[0].length:.4f}" if result.paths else "-"
@@ -829,7 +798,6 @@ def _batch_report(args, results, elapsed: float, reg) -> dict:
         "dataset": args.dataset,
         "category": args.category,
         "algorithm": args.algorithm,
-        "kernel": args.kernel,
         "workers": args.workers,
         "queries": len(results),
         "elapsed_s": elapsed,
@@ -902,7 +870,6 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     from repro.core.trace import SearchTrace
     from repro.graph.virtual import build_query_graph
     from repro.landmarks.index import ZERO_BOUNDS
-    from repro.pathing.kernels import use_kernel
 
     dataset = road_network(args.dataset)
     if args.source < 0 or args.source >= dataset.n:
@@ -912,7 +879,6 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         dataset.graph,
         dataset.categories,
         landmarks=args.landmarks,
-        kernel=args.kernel,
     )
     destinations = dataset.categories.nodes_of(args.category)
     qg = build_query_graph(dataset.graph, (args.source,), destinations)
@@ -921,16 +887,15 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         lm.to_target_bounds(qg.destinations) if lm is not None else ZERO_BOUNDS
     )
     trace = SearchTrace()
-    with use_kernel(args.kernel):
-        if args.algorithm == "iter-bound-spti":
-            source_bounds = (
-                lm.lazy_source_bounds(qg.sources) if lm is not None else ZERO_BOUNDS
-            )
-            paths = iter_bound_spti(qg, args.k, bounds, source_bounds, trace=trace)
-        else:
-            paths = iter_bound(qg, args.k, bounds, trace=trace)
+    if args.algorithm == "iter-bound-spti":
+        source_bounds = (
+            lm.lazy_source_bounds(qg.sources) if lm is not None else ZERO_BOUNDS
+        )
+        paths = iter_bound_spti(qg, args.k, bounds, source_bounds, trace=trace)
+    else:
+        paths = iter_bound(qg, args.k, bounds, trace=trace)
     print(
-        f"{args.algorithm} ({args.kernel} kernel) on {args.dataset}: "
+        f"{args.algorithm} on {args.dataset}: "
         f"node {args.source} -> category "
         f"{args.category!r} (|V_T|={len(destinations)}), k={args.k}\n"
     )
@@ -949,12 +914,11 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     from repro.exceptions import QueryError
     from repro.fuzz import replay_file, run_fuzz, self_check
 
-    kernels = tuple(args.kernels) if args.kernels else tuple(KERNELS)
     if args.replay:
         worst = 0
         for path in args.replay:
             try:
-                failures = replay_file(path, kernels=kernels)
+                failures = replay_file(path)
             except QueryError as exc:
                 print(f"{path}: {exc}", file=sys.stderr)
                 return 2
@@ -967,7 +931,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
                 print(f"{path}: ok")
         return worst
     if args.self_check:
-        outcomes = self_check(seed=args.seed, kernels=kernels)
+        outcomes = self_check(seed=args.seed)
         width = max(len(name) for name in outcomes)
         all_good = True
         for name, good in sorted(outcomes.items()):
@@ -987,7 +951,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         seed=args.seed,
         cases=args.cases,
         time_budget=args.time_budget,
-        kernels=kernels,
         shrink=args.shrink,
         corpus_dir=args.corpus_dir,
         progress=print,
@@ -1028,7 +991,6 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         dataset.graph,
         dataset.categories,
         landmarks=spec.get("landmarks", 16),
-        kernel=spec.get("kernel", "dict"),
         metrics=reg,  # captures landmark_build
     )
     # Detach: run_batch installs a per-batch registry and delivers the
@@ -1199,7 +1161,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             dataset.graph,
             dataset.categories,
             landmarks=args.landmarks,
-            kernel=args.kernel,
             prepared_cache_size=args.prepared_cache,
         )
         prewarm = (
@@ -1219,8 +1180,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return 2
     print(
         f"starting service: dataset {args.dataset}, {args.workers} "
-        f"resident worker(s), {args.kernel} kernel, "
-        f"{args.landmarks} landmarks",
+        f"resident worker(s), {args.landmarks} landmarks",
         flush=True,
     )
     try:

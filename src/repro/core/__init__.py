@@ -5,7 +5,7 @@ from repro.core.gkpj import gkpj
 from repro.core.iter_bound import iter_bound, iter_bound_search
 from repro.core.kpj import ALGORITHMS, DEFAULT_ALGORITHM, KPJSolver, QueryContext
 from repro.core.result import Path, QueryResult
-from repro.core.spt_incremental import IncrementalSPT, iter_bound_spti
+from repro.core.spt_incremental import iter_bound_spti
 from repro.core.spt_partial import SPTPHeuristic, iter_bound_sptp
 from repro.core.stats import SearchStats
 from repro.core.subspace import Subspace, compute_lower_bound, divide
@@ -21,7 +21,6 @@ __all__ = [
     "QueryContext",
     "Path",
     "QueryResult",
-    "IncrementalSPT",
     "iter_bound_spti",
     "SPTPHeuristic",
     "iter_bound_sptp",

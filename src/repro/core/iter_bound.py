@@ -33,8 +33,7 @@ from repro.core.subspace import Subspace, compute_lower_bound, divide
 from repro.graph.digraph import DiGraph
 from repro.graph.virtual import QueryGraph
 from repro.obs.log import current_query_id
-from repro.pathing.astar import astar_path, bounded_astar_path
-from repro.pathing.kernels import active_kernel
+from repro.pathing.astar import astar_path
 
 __all__ = ["iter_bound_search", "iter_bound"]
 
@@ -55,7 +54,6 @@ def iter_bound_search(
     trace=None,
     test_lb: Callable[[Subspace, float, dict], tuple[tuple[int, ...], float] | None]
     | None = None,
-    use_flat_engine: bool | None = None,
     comp_lb_children: Callable | None = None,
     initial_dists: list[float] | None = None,
     metrics=None,
@@ -93,15 +91,10 @@ def iter_bound_search(
         ``test_lb(subspace, tau, info)`` and expected to honour the
         same contract as :func:`~repro.pathing.astar.bounded_astar_path`
         (``(tail, length)`` within ``tau`` or ``None`` with
-        ``info["pruned"]`` set).  The ``SPT_I`` flat driver supplies a
-        closure over its query context here.
-    use_flat_engine:
-        Tri-state fast-path switch used when ``test_lb`` is not given:
-        ``True`` builds a :class:`~repro.core.flat_engine.FlatQueryContext`
-        over ``graph`` and runs every test on the flat kernel;
-        ``False`` forces the dict closure; ``None`` (default) follows
-        the ambient kernel selection (``"flat"`` takes the flat-engine
-        fast path).
+        ``info["pruned"]`` set).  Defaults to the closure of a
+        :class:`~repro.core.flat_engine.FlatQueryContext` over
+        ``graph`` and ``heuristic``; the ``SPT_I`` driver supplies one
+        over its incremental tree here.
     comp_lb_children:
         Optional batched division: called as
         ``comp_lb_children(subspace, path, tail_dists)`` and expected
@@ -145,30 +138,13 @@ def iter_bound_search(
         def comp_lb(subspace: Subspace) -> float:
             return compute_lower_bound(adjacency, subspace, heuristic)
 
-    own_ctx: FlatQueryContext | None = None
+    search_h = heuristic
     if test_lb is None:
-        if use_flat_engine is None:
-            use_flat_engine = active_kernel() != "dict"
-        if use_flat_engine:
-            # Flat-core fast path: resolve the CSR snapshot, densify
-            # the heuristic, and pool the blocked mask once per query
-            # instead of once per TestLB.
-            own_ctx = FlatQueryContext(graph, heuristic)
-            test_lb = own_ctx.make_test_lb(goal, stats)
-        else:
-            def test_lb(subspace: Subspace, tau: float, info: dict):
-                return bounded_astar_path(
-                    graph,
-                    subspace.head,
-                    goal,
-                    heuristic,
-                    bound=tau,
-                    blocked=subspace.blocked_set,
-                    banned_first_hops=subspace.banned,
-                    initial_distance=subspace.prefix_weight,
-                    stats=stats,
-                    info=info,
-                )
+        # Resolve the heuristic into its dense form once per query
+        # instead of once per TestLB.
+        ctx = FlatQueryContext(graph, heuristic)
+        test_lb = ctx.make_test_lb(goal, stats)
+        search_h = ctx.h
 
     timed = metrics is not None
     traced = tracer is not None
@@ -186,7 +162,7 @@ def iter_bound_search(
         stats.shortest_path_computations += 1
         if clocked:
             t0 = perf_counter()
-        initial = astar_path(graph, root, goal, heuristic, stats=stats)
+        initial = astar_path(graph, root, goal, search_h, stats=stats)
         if clocked:
             t1 = perf_counter()
             if timed:
@@ -373,8 +349,6 @@ def iter_bound_search(
                 tracer.end(it_span, verdict="test-miss")
             heappush(queue, (tau, next(tie), subspace, None))
     finally:
-        if own_ctx is not None:
-            own_ctx.close()
         stats.subspaces_created += n_created
         stats.lower_bound_computations += n_lb_computations
         stats.subspaces_pruned += n_pruned

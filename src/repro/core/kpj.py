@@ -11,18 +11,17 @@ Two serving-oriented layers sit on top of the per-query path:
 
 * a bounded **prepared-category cache** — the destination-set
   artefacts that do not depend on the query source (the ``G_Q``
-  overlay, its CSR export, the Eq. (2) target-bound vector, and the
-  backward SPT seed) are memoised per ``(destination set,
-  landmark configuration)`` and reused across queries, with hit/miss
-  counters surfaced in :class:`~repro.core.stats.SearchStats`;
+  overlay, the Eq. (2) target-bound vector, and the backward SPT
+  seed) are memoised per ``(destination set, landmark
+  configuration)`` and reused across queries, with hit/miss counters
+  surfaced in :class:`~repro.core.stats.SearchStats`;
 * a **batch API** — :meth:`KPJSolver.solve_batch` answers a list of
   queries, optionally on resident worker processes
   (:mod:`repro.server.service`), returning results in submission order.
 
-The ``kernel`` knob selects the search substrate for every algorithm:
-``"dict"`` (pure-CPython dicts and tuple adjacency, the default) or
-``"flat"`` (CSR flat-array kernels, scipy-accelerated where
-available); see :mod:`repro.pathing.kernels`.
+Every algorithm runs on one search substrate: the graph's rows read
+directly and per-search state in pooled flat arrays (see
+:mod:`repro.pathing.flat` and :mod:`repro.core.flat_engine`).
 
 Algorithm registry names (paper names in parentheses):
 
@@ -42,6 +41,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from contextlib import nullcontext
 from dataclasses import dataclass
+from numbers import Real
 from time import perf_counter
 from typing import Callable, Sequence
 
@@ -56,13 +56,12 @@ from repro.core.stats import SearchStats
 from repro.exceptions import QueryError
 from repro.graph.categories import CategoryIndex
 from repro.graph.digraph import DiGraph
-from repro.graph.virtual import QueryGraph, build_query_graph, check_query_nodes
+from repro.graph.virtual import QueryGraph, build_query_graph, check_query_nodes, is_int
 from repro.landmarks.index import ZERO_BOUNDS, LandmarkIndex, TargetBounds
 from repro.obs.log import QueryLogger, current_query_id, new_query_id
-from repro.obs.memory import MemoryTelemetry, graph_pool_bytes
+from repro.obs.memory import MemoryTelemetry, scratch_pool_bytes
 from repro.obs.metrics import SEARCH_PHASES, MetricsRegistry, maybe_phase
 from repro.obs.tracing import SpanTracer, maybe_span
-from repro.pathing.kernels import KERNELS, use_kernel
 
 __all__ = [
     "KPJSolver",
@@ -171,18 +170,13 @@ class KPJSolver:
     landmark_strategy, seed:
         Forwarded to :meth:`LandmarkIndex.build` when ``landmarks``
         is an ``int``.
-    kernel:
-        Search substrate every query runs on: ``"dict"`` (default) or
-        ``"flat"`` (CSR flat-array kernels).  Results are identical;
-        only the speed profile changes.
     prepared_cache_size:
         Number of prepared destination sets kept in the LRU
         cross-query cache (``0`` disables caching).  Each entry holds
-        the Eq. (2) bound vector (``O(n)`` floats) and, lazily, the
-        ``G_Q`` overlay (``O(|V_T|)``: the destination rows and the
+        the Eq. (2) bound vector (one float64 per node) and, lazily,
+        the ``G_Q`` overlay (``O(|V_T|)``: the destination rows and the
         virtual target's in-row, every other row shared with the base
-        graph) and, once a flat kernel or the service asks for it, the
-        overlay's ``O(m)`` CSR export.
+        graph).
     metrics:
         Optional :class:`~repro.obs.metrics.MetricsRegistry`.  When
         set, every query records phase wall times, counters, and
@@ -202,7 +196,7 @@ class KPJSolver:
         keeps every hot site at a single ``is None`` check.
     query_log:
         Optional :class:`~repro.obs.log.QueryLogger`.  When set, every
-        query emits one JSON event (query id, algorithm/kernel,
+        query emits one JSON event (query id, algorithm,
         latency, non-zero work counters), and queries over the
         logger's ``slow_ms`` threshold additionally dump their full
         trace + metrics snapshots to a file — see DESIGN.md §3g.
@@ -230,7 +224,6 @@ class KPJSolver:
         landmarks: LandmarkIndex | int | None = 16,
         landmark_strategy: str = "farthest",
         seed: int = 0,
-        kernel: str = "dict",
         prepared_cache_size: int = 32,
         metrics: MetricsRegistry | None = None,
         tracer: SpanTracer | None = None,
@@ -239,17 +232,12 @@ class KPJSolver:
     ) -> None:
         if not graph.frozen:
             graph.freeze()
-        if kernel not in KERNELS:
-            raise QueryError(
-                f"unknown kernel {kernel!r}; choose one of: {', '.join(KERNELS)}"
-            )
         if prepared_cache_size < 0:
             raise QueryError(
                 f"prepared_cache_size must be >= 0, got {prepared_cache_size}"
             )
         self.graph = graph
         self.categories = categories
-        self.kernel = kernel
         self.prepared_cache_size = prepared_cache_size
         self.metrics = metrics
         self.tracer = tracer
@@ -260,11 +248,17 @@ class KPJSolver:
         self._cache_misses = 0
         if isinstance(landmarks, int):
             self.landmark_index: LandmarkIndex | None = LandmarkIndex.build(
-                graph, landmarks, strategy=landmark_strategy, seed=seed, kernel=kernel,
+                graph, landmarks, strategy=landmark_strategy, seed=seed,
                 metrics=metrics,
             )
         else:
             self.landmark_index = landmarks
+
+    @property
+    def kernel(self) -> str:
+        """The search substrate's name, always ``"flat"`` — reported on
+        ``/status`` and in benchmark records."""
+        return "flat"
 
     # ------------------------------------------------------------------
     # Public queries
@@ -367,10 +361,9 @@ class KPJSolver:
         """Pre-resolve a destination set for a batch of queries.
 
         The returned handle shares the solver's prepared-category
-        cache: the Eq. (2) target-bound vector, the ``G_Q`` overlay
-        (and its CSR export under the flat kernel), and the backward
-        SPT seed are computed once per ``(destination set, landmark
-        configuration)`` and reused by every ``top_k`` / ``join``
+        cache: the Eq. (2) target-bound vector, the ``G_Q`` overlay,
+        and the backward SPT seed are computed once per ``(destination
+        set, landmark configuration)`` and reused by every ``top_k`` / ``join``
         issued against the handle *or* directly against the solver —
         the paper's "computed once for each query" step, hoisted
         across the workload.
@@ -457,7 +450,7 @@ class KPJSolver:
             metrics.inc("prepared_cache_misses")
             metrics.set_gauge("prepared_cache_entries", len(cache))
             # Dominant cost per entry: the Eq. (2) bound vector, one
-            # float per node (the overlay/CSR are lazy and shared).
+            # float per node (the overlay is lazy and O(|V_T|)).
             metrics.set_gauge("prepared_cache_bytes", len(cache) * self.graph.n * 8)
         return prepared
 
@@ -473,8 +466,13 @@ class KPJSolver:
         target_bounds: Callable[[int], float] | None = None,
     ) -> QueryResult:
         t_start = perf_counter()
-        if k <= 0:
-            raise QueryError(f"k must be positive, got {k}")
+        # Fast paths first: plain int / float skip the ABC checks.
+        if type(k) is not int and not is_int(k) or k <= 0:
+            raise QueryError(f"k must be a positive integer, got {k!r}")
+        if type(alpha) is not float and (
+            isinstance(alpha, bool) or not isinstance(alpha, Real)
+        ) or not alpha > 1.0:
+            raise QueryError(f"alpha must be a real number > 1, got {alpha!r}")
         try:
             run = ALGORITHMS[algorithm]
         except KeyError:
@@ -499,8 +497,8 @@ class KPJSolver:
         if self.tracer is not None and self.tracer.sample():
             qtr = SpanTracer(capacity=self.tracer.capacity)
         root_span = (
-            qtr.begin("query", cat="query", algorithm=algorithm,
-                      kernel=self.kernel, k=k, query_id=query_id)
+            qtr.begin("query", cat="query", algorithm=algorithm, k=k,
+                      query_id=query_id)
             if qtr is not None
             else None
         )
@@ -577,11 +575,13 @@ class KPJSolver:
             tracer=qtr,
         )
         t_search = perf_counter()
-        with use_kernel(self.kernel), self._mem_phase("search", qreg), \
+        with self._mem_phase("search", qreg), \
                 maybe_span(qtr, "search", cat="search"):
             raw = run(qg, k, ctx)
+            # Stripping the virtual endpoints finishes the search's
+            # answer, so it counts toward search_other below.
+            paths = [Path(length=p.length, nodes=qg.strip(p.nodes)) for p in raw]
         search_s = perf_counter() - t_search
-        paths = [Path(length=p.length, nodes=qg.strip(p.nodes)) for p in raw]
         elapsed_ms = (perf_counter() - t_start) * 1000.0
         snapshot = None
         if qreg is not None:
@@ -593,17 +593,10 @@ class KPJSolver:
             )
             qreg.inc("queries")
             qreg.observe("query_latency_ms", elapsed_ms)
-            # Per-kernel dispatch counts (``kpj query --metrics``):
-            # which substrate the query's searches actually ran on.
-            for kern in KERNELS:
-                calls = getattr(stats, f"{kern}_kernel_calls")
-                if calls:
-                    qreg.inc(f"kernel_dispatch_{kern}", calls)
             if self.memory is not None:
                 # Byte gauges: idle scratch buffers pooled on the base
-                # graph's CSR snapshot and on the G_Q overlay's.
-                overlay = prepared._gq_graph if prepared is not None else None
-                for key, value in graph_pool_bytes(self.graph, overlay).items():
+                # graph (searches on every G_Q overlay share them).
+                for key, value in scratch_pool_bytes(self.graph).items():
                     qreg.set_gauge(key, value)
                 self.memory.record_gauges(qreg)
             snapshot = qreg.as_dict()
@@ -626,7 +619,6 @@ class KPJSolver:
             self.query_log.log_query(
                 result,
                 query_id=query_id,
-                kernel=self.kernel,
                 sources=sources,
                 category=category,
                 destinations=len(prepared.destinations),
@@ -643,8 +635,8 @@ class PreparedCategory:
     calls without re-deriving the Eq. (2) bounds, the ``G_Q`` overlay,
     or the backward SPT.  Everything beyond the bound vector is built
     lazily on first use: the overlay costs ``O(|V_T|)`` (it shares the
-    base graph's rows), so an entry stays at ``O(n)`` floats until a
-    query needs the ``O(m)`` CSR export or the backward SPT.
+    base graph's rows), so an entry stays at one float64 per node
+    until a query asks for the backward SPT.
     """
 
     def __init__(
@@ -683,23 +675,6 @@ class PreparedCategory:
             sources=(source,),
         )
 
-    def csr_overlay(self):
-        """CSR export of the ``G_Q`` overlay, cached on the overlay.
-
-        This is what the flat kernels run on.  It is derived from the
-        base graph's export by one vectorised insert
-        (:func:`~repro.graph.csr.query_overlay`); materialising it here
-        (rather than per query) is the cross-query saving.
-        """
-        from repro.graph.csr import shared_csr
-
-        if self._gq_graph is None:
-            # Any in-range source materialises the source-independent rows.
-            self._gq_graph = build_query_graph(
-                self._solver.graph, (self.destinations[0],), self.destinations
-            ).graph
-        return shared_csr(self._gq_graph)
-
     def backward_spt(self):
         """Full backward SPT toward the virtual target, cached.
 
@@ -712,11 +687,9 @@ class PreparedCategory:
         from repro.pathing.spt import build_spt_to_target
 
         if self._backward_spt is None:
-            overlay = self.csr_overlay()  # ensures the overlay graph exists
-            del overlay
-            self._backward_spt = build_spt_to_target(
-                self._gq_graph, self._solver.graph.n, kernel=self._solver.kernel
-            )
+            # Any in-range source materialises the source-independent rows.
+            qg = self.query_graph_for(self.destinations[0])
+            self._backward_spt = build_spt_to_target(qg.graph, qg.target)
         return self._backward_spt
 
     def exact_target_bounds(self) -> TargetBounds:

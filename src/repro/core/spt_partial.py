@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from typing import Callable
 
+import numpy as np
+
 from repro.core.iter_bound import iter_bound_search
 from repro.core.result import Path
 from repro.core.stats import SearchStats
@@ -45,23 +47,27 @@ class SPTPHeuristic:
             return exact
         return self._fallback(v)
 
-    def dense(self, size: int) -> list[float]:
-        """Flat-engine mirror: fallback vector with the tree overlaid.
+    def dense(self, size: int) -> memoryview:
+        """Flat-engine form: the fallback vector with the tree overlaid.
 
-        Entry ``v`` equals ``self(v)`` bit-for-bit, so the flat-core
-        driver can index instead of calling.  Not cached — the tree is
-        per-query and the copy is one ``O(n)`` pass.
+        Entry ``v`` equals ``self(v)`` for every ``v < size``, so the
+        search engine can index instead of calling.  Not cached — the
+        tree is per-query and the copy is one ``O(n)`` float64 pass.
         """
-        base = getattr(self._fallback, "dense", None)
-        if base is not None:
-            mirror = list(base(size))
+        densify = getattr(self._fallback, "dense", None)
+        fallback = densify(size) if densify is not None else self._fallback
+        if fallback is None:  # the zero bound
+            mirror = np.zeros(size)
+        elif callable(fallback):
+            mirror = np.fromiter(map(fallback, range(size)), float, size)
         else:
-            fallback = self._fallback
-            mirror = [fallback(v) for v in range(size)]
-        for v, exact in self._tree_dist.items():
-            if v < size:
-                mirror[v] = exact
-        return mirror
+            mirror = np.array(fallback[:size])
+        tree = self._tree_dist
+        if tree:
+            mirror[np.fromiter(tree.keys(), np.int64, len(tree))] = np.fromiter(
+                tree.values(), float, len(tree)
+            )
+        return memoryview(mirror)
 
 
 def iter_bound_sptp(

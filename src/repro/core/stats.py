@@ -14,14 +14,11 @@ from dataclasses import dataclass, fields
 
 __all__ = ["SearchStats", "WORK_PARITY_FIELDS"]
 
-#: Counters expected to agree **exactly** across the dict and flat
-#: kernels for any one query (the fuzz harness asserts this on the
-#: pinned corpus).  Excluded by design: the per-substrate
-#: ``*_kernel_calls`` dispatch counters (they record *which* kernel
-#: ran).  ``nodes_settled`` is additionally excluded for ``da-spt``
-#: only: its full-SPT build counts settles on the dict substrate but
-#: not on the scipy array path (see
-#: :func:`repro.pathing.spt.build_spt_to_target`).
+#: The work counters of one query, pinned per corpus case and registry
+#: algorithm across commits (``fuzz/corpus_pins.json``) and required to
+#: be identical with and without an observer attached.  Whole-graph
+#: sweeps (landmark SSSP, DA-SPT's full SPT) record none of them, so
+#: the values do not depend on whether scipy is installed.
 WORK_PARITY_FIELDS: tuple[str, ...] = (
     "shortest_path_computations",
     "lower_bound_computations",
@@ -61,21 +58,17 @@ class SearchStats:
         found the subspace's shortest path within the current bound, a
         *retire* proved the subspace exhausted (or past the length
         limit), and a *miss* merely re-queued it at a larger ``τ``.
-        Counted once per tested subspace, so they are kernel-parity
-        counters.
+        Counted once per tested subspace.
     nodes_settled / edges_relaxed:
         Priority-queue pops with exact distances / successful edge
-        relaxations, across every kernel of the query.
+        relaxations, across every search of the query.
     heap_pushes / heap_pops:
         Priority-queue traffic of the *query-scoped* search kernels:
-        the constrained bounded-A*/Dijkstra bodies (dict and flat
-        alike) and the incremental ``SPT_I`` trees.  Includes
-        lazy-deletion pops of stale entries.  Whole-graph
-        preprocessing sweeps (landmark selection, full backward SPTs,
-        scipy SSSP) and driver-level queues (the subspace
-        priority queue, deviation candidate heaps) are *not* counted —
-        they are either kernel-asymmetric by construction or not heap
-        kernels at all.
+        the constrained bounded-A*/Dijkstra body and the incremental
+        ``SPT_I`` tree.  Includes lazy-deletion pops of stale entries.
+        Whole-graph sweeps (landmark selection and SSSP, full backward
+        SPTs) and driver-level queues (the subspace priority queue,
+        deviation candidate heaps) are *not* counted.
     spt_nodes:
         Final size of the SPT index built for the query (full SPT for
         DA-SPT, ``SPT_P`` or ``SPT_I`` for the indexed variants).
@@ -83,10 +76,6 @@ class SearchStats:
         Subspaces produced by division / subspaces discarded without a
         shortest-path computation (empty or still unresolved when the
         k-th path was confirmed).
-    dict_kernel_calls / flat_kernel_calls:
-        Kernel dispatches per substrate — how many constrained
-        searches / SPT builds ran on the dict arrangement or the flat
-        CSR arrays (see :mod:`repro.pathing.kernels`).
     prepared_cache_hits / prepared_cache_misses:
         Whether this query's destination set was served from the
         solver's prepared-category cache (bounds + ``G_Q`` overlay
@@ -107,8 +96,6 @@ class SearchStats:
     spt_nodes: int = 0
     subspaces_created: int = 0
     subspaces_pruned: int = 0
-    dict_kernel_calls: int = 0
-    flat_kernel_calls: int = 0
     prepared_cache_hits: int = 0
     prepared_cache_misses: int = 0
 
@@ -126,8 +113,7 @@ class SearchStats:
         """Only the counters that recorded anything, field order kept.
 
         Reporting surfaces (``kpj ... --stats``) print this instead of
-        the full snapshot so a dict-kernel query does not list
-        ``flat_kernel_calls 0`` and vice versa.
+        the full snapshot, so a query lists only the work it did.
         """
         return {name: value for name, value in self.as_dict().items() if value}
 

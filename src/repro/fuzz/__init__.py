@@ -1,15 +1,15 @@
 """Differential fuzzing: generators, oracle stack, invariants, shrinker.
 
-The perf substrate of PRs 1–4 (flat CSR kernels, prepared-category
-cache, batch pool) multiplied the number of code paths that must all
-compute the paper's exact answers.  This package is the correctness
+The performance layers (the flat search substrate, the
+prepared-category cache, resident batch workers) multiply the number of
+code paths that must all compute the paper's exact answers.  This package is the correctness
 backstop: a seeded, deterministic fuzzing harness that
 
 * **generates** random weighted digraphs with category labelings plus
   targeted shapes (DAGs, near-cliques, zero-weight edges, parallel
   edges, disconnected components) and random KPJ/KSP/GKPJ queries
   (:mod:`repro.fuzz.generators`);
-* **cross-checks** every registry algorithm × both kernels ×
+* **cross-checks** every registry algorithm ×
   cached/uncached × sequential/batch against the brute-force and Yen
   oracles on small instances (:mod:`repro.fuzz.oracles`);
 * **checks metamorphic invariants** that need no oracle on larger

@@ -1,8 +1,10 @@
 """The committed seed corpus: named edge-case instances.
 
 ``fuzz/corpus/`` holds one JSON file per instance; CI replays every
-file against all registry algorithms on both kernels on every run
-(``tests/fuzz/test_corpus.py``).  The corpus is the distilled history
+file against all registry algorithms on every run
+(``tests/fuzz/test_corpus.py``), and ``fuzz/corpus_pins.json`` pins
+each algorithm's paths and work counters on it across commits
+(``tests/fuzz/test_corpus_pins.py``).  The corpus is the distilled history
 of shapes that are easy to get wrong — each entry is the kind of
 minimal instance the shrinker would produce for its bug class, kept
 permanently so a regression is caught by a 1-second test instead of a

@@ -21,7 +21,7 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 from repro.core.result import Path
 from repro.exceptions import QueryError
@@ -29,7 +29,6 @@ from repro.fuzz.generators import FuzzCase, generate_case
 from repro.fuzz.invariants import check_invariants
 from repro.fuzz.oracles import check_against_oracles
 from repro.fuzz.shrink import shrink_case
-from repro.pathing.kernels import KERNELS
 
 __all__ = [
     "FuzzFailure",
@@ -171,7 +170,6 @@ class FuzzReport:
 # ----------------------------------------------------------------------
 def check_case(
     case: FuzzCase,
-    kernels: Sequence[str] = KERNELS,
     mutation: Callable[[list[Path], FuzzCase], list[Path]] | None = None,
     algorithm_hint: str = "iter-bound-spti",
 ) -> tuple[str, list[str]]:
@@ -180,14 +178,9 @@ def check_case(
     Returns ``(mode, failure_messages)``; size decides the mode (the
     oracle is exhaustive, so only small cases can afford it).
     """
-    for kernel in kernels:
-        if kernel not in KERNELS:
-            raise QueryError(
-                f"unknown kernel {kernel!r}; choose one of: {', '.join(KERNELS)}"
-            )
     if case.n <= ORACLE_MAX_NODES:
-        return "oracle", check_against_oracles(case, kernels, mutation)
-    return "invariant", check_invariants(case, kernels, algorithm_hint)
+        return "oracle", check_against_oracles(case, mutation)
+    return "invariant", check_invariants(case, algorithm_hint)
 
 
 def _case_for_index(seed: int, index: int) -> FuzzCase:
@@ -204,7 +197,6 @@ def run_fuzz(
     seed: int = 0,
     cases: int = 200,
     time_budget: float | None = None,
-    kernels: Sequence[str] = KERNELS,
     shrink: bool = True,
     corpus_dir: str | None = None,
     mutation: str | None = None,
@@ -220,8 +212,6 @@ def run_fuzz(
     time_budget:
         Optional wall-clock cap in seconds; the loop stops early (the
         report says how many cases actually ran).
-    kernels:
-        Search substrates to cross-check (default: both).
     shrink:
         Minimise failing cases before reporting them.
     corpus_dir:
@@ -253,7 +243,7 @@ def run_fuzz(
             break
         case = _case_for_index(seed, index)
         algorithm = rotation[index % len(rotation)]
-        mode, messages = check_case(case, kernels, mutate, algorithm)
+        mode, messages = check_case(case, mutate, algorithm)
         report.cases_run += 1
         if mode == "oracle":
             report.oracle_cases += 1
@@ -269,13 +259,13 @@ def run_fuzz(
         original = case
         if shrink:
             def still_fails(candidate: FuzzCase) -> bool:
-                return bool(check_case(candidate, kernels, mutate, algorithm)[1])
+                return bool(check_case(candidate, mutate, algorithm)[1])
 
             case = shrink_case(case, still_fails)
-            _, messages = check_case(case, kernels, mutate, algorithm)
+            _, messages = check_case(case, mutate, algorithm)
             if not messages:  # over-shrunk (flaky check); keep the original
                 case, messages = original, check_case(
-                    original, kernels, mutate, algorithm
+                    original, mutate, algorithm
                 )[1]
         failure = FuzzFailure(
             case=case, original=original, mode=mode, messages=tuple(messages)
@@ -296,9 +286,7 @@ def run_fuzz(
     return report
 
 
-def replay_file(
-    path: str, kernels: Sequence[str] = KERNELS
-) -> list[str]:
+def replay_file(path: str) -> list[str]:
     """Re-run the check for a repro or corpus file; return failures.
 
     Accepts both harness repro documents (``{"case": {...}, ...}``)
@@ -312,14 +300,13 @@ def replay_file(
     except (OSError, json.JSONDecodeError) as exc:
         raise QueryError(f"cannot read repro file {path!r}: {exc}") from None
     case = FuzzCase.from_dict(data["case"] if "case" in data else data)
-    _, messages = check_case(case, kernels)
+    _, messages = check_case(case)
     return messages
 
 
 def self_check(
     seed: int = 0,
     cases_per_mutation: int = 30,
-    kernels: Sequence[str] = ("dict",),
 ) -> dict[str, bool]:
     """Prove the harness catches each planted bug class.
 
@@ -335,7 +322,6 @@ def self_check(
         report = run_fuzz(
             seed=seed,
             cases=cases_per_mutation,
-            kernels=kernels,
             shrink=True,
             mutation=name,
             max_failures=1,
@@ -343,14 +329,10 @@ def self_check(
         detected = not report.ok
         if detected:
             failure = report.failures[0]
-            shrunk_messages = check_case(
-                failure.case, kernels, MUTATIONS[name]
-            )[1]
+            shrunk_messages = check_case(failure.case, MUTATIONS[name])[1]
             detected = bool(shrunk_messages)
         outcomes[name] = detected
-    clean = run_fuzz(
-        seed=seed, cases=cases_per_mutation, kernels=kernels, shrink=False
-    )
+    clean = run_fuzz(seed=seed, cases=cases_per_mutation, shrink=False)
     outcomes["clean"] = clean.ok
     return outcomes
 

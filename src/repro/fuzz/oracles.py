@@ -11,9 +11,11 @@ explicitly materialised ``G_Q`` transform graph, provides a second,
 code-independent oracle for the same lengths.
 
 :func:`check_against_oracles` runs one case through the full config
-matrix — every registry algorithm × requested kernels × cached /
-uncached prepared-category cache × sequential / ``solve_batch`` — and
-returns human-readable failure messages (empty list = all agree).
+matrix — every registry algorithm × cached / uncached
+prepared-category cache × sequential / ``solve_batch`` — and returns
+human-readable failure messages (empty list = all agree).  Yen and the
+enumerator share no code with the search substrate they check: both
+read the graph's rows with their own loops.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from repro.baselines.brute_force import enumerate_simple_paths
 from repro.core.kpj import ALGORITHMS, KPJSolver
 from repro.core.result import Path, QueryResult
 from repro.fuzz.generators import FuzzCase, sequence_hash
-from repro.pathing.kernels import KERNELS
 from repro.server.service import BatchQuery
 from repro.validation import validate_result
 
@@ -42,7 +43,6 @@ class RunConfig:
     """One cell of the differential config matrix."""
 
     algorithm: str
-    kernel: str
     cached: bool
     batch: bool = False
 
@@ -50,13 +50,12 @@ class RunConfig:
         """Short label used in failure messages and repro files."""
         cache = "cached" if self.cached else "uncached"
         mode = "batch" if self.batch else "seq"
-        return f"{self.algorithm}/{self.kernel}/{cache}/{mode}"
+        return f"{self.algorithm}/{cache}/{mode}"
 
     def to_dict(self) -> dict:
         """JSON-ready representation for repro files."""
         return {
             "algorithm": self.algorithm,
-            "kernel": self.kernel,
             "cached": self.cached,
             "batch": self.batch,
         }
@@ -96,14 +95,13 @@ def oracle_expectation(case: FuzzCase) -> OracleExpectation:
     return OracleExpectation(lengths=lengths, admissible=admissible)
 
 
-def build_solver(case: FuzzCase, kernel: str, cached: bool) -> KPJSolver:
-    """A solver wired for one (kernel, cache) cell of the matrix."""
+def build_solver(case: FuzzCase, cached: bool) -> KPJSolver:
+    """A solver wired for one cache cell of the matrix."""
     return KPJSolver(
         case.graph(),
         categories=case.category_index(),
         landmarks=min(2, case.n),
         seed=0,
-        kernel=kernel,
         prepared_cache_size=8 if cached else 0,
     )
 
@@ -201,15 +199,14 @@ def _yen_lengths(case: FuzzCase) -> tuple[float, ...]:
 
 def check_against_oracles(
     case: FuzzCase,
-    kernels: Sequence[str] = KERNELS,
     mutation: Mutation | None = None,
 ) -> list[str]:
     """Run the full differential matrix for one small case.
 
     Returns failure messages; an empty list means every registry
-    algorithm, on every kernel, cached and uncached, sequentially and
-    through ``solve_batch``, agreed exactly with the brute-force
-    enumeration (and Yen agreed on the lengths).
+    algorithm, cached and uncached, sequentially and through
+    ``solve_batch``, agreed exactly with the brute-force enumeration
+    (and Yen agreed on the lengths).
     """
     failures: list[str] = []
     expectation = oracle_expectation(case)
@@ -223,43 +220,42 @@ def check_against_oracles(
             f"{expectation.lengths}"
         )
     algorithms = sorted(ALGORITHMS)
-    for kernel in kernels:
-        for cached in (True, False):
-            solver = build_solver(case, kernel, cached)
-            sequential: dict[str, tuple] = {}
-            for algorithm in algorithms:
-                result = run_query(solver, case, algorithm)
-                paths = list(result.paths)
-                if mutation is not None:
-                    paths = mutation(paths, case)
-                config = RunConfig(algorithm, kernel, cached)
-                failures.extend(_check_answer(case, expectation, config, paths))
-                sequential[algorithm] = sequence_hash(paths)
-            if case.kind == "gkpj":
-                continue  # BatchQuery carries a single source
-            queries = [
-                BatchQuery(
-                    source=case.sources[0],
-                    category=case.category,
-                    destinations=(
-                        None if case.category is not None else case.destinations
-                    ),
-                    k=case.k,
-                    algorithm=algorithm,
-                    alpha=case.alpha,
+    for cached in (True, False):
+        solver = build_solver(case, cached)
+        sequential: dict[str, tuple] = {}
+        for algorithm in algorithms:
+            result = run_query(solver, case, algorithm)
+            paths = list(result.paths)
+            if mutation is not None:
+                paths = mutation(paths, case)
+            config = RunConfig(algorithm, cached)
+            failures.extend(_check_answer(case, expectation, config, paths))
+            sequential[algorithm] = sequence_hash(paths)
+        if case.kind == "gkpj":
+            continue  # BatchQuery carries a single source
+        queries = [
+            BatchQuery(
+                source=case.sources[0],
+                category=case.category,
+                destinations=(
+                    None if case.category is not None else case.destinations
+                ),
+                k=case.k,
+                algorithm=algorithm,
+                alpha=case.alpha,
+            )
+            for algorithm in algorithms
+        ]
+        results = solver.solve_batch(queries)
+        for algorithm, result in zip(algorithms, results):
+            paths = list(result.paths)
+            if mutation is not None:
+                paths = mutation(paths, case)
+            config = RunConfig(algorithm, cached, batch=True)
+            failures.extend(_check_answer(case, expectation, config, paths))
+            if sequence_hash(paths) != sequential[algorithm]:
+                failures.append(
+                    f"{config.describe()}: batch answer differs from the "
+                    "sequential answer of the same config"
                 )
-                for algorithm in algorithms
-            ]
-            results = solver.solve_batch(queries)
-            for algorithm, result in zip(algorithms, results):
-                paths = list(result.paths)
-                if mutation is not None:
-                    paths = mutation(paths, case)
-                config = RunConfig(algorithm, kernel, cached, batch=True)
-                failures.extend(_check_answer(case, expectation, config, paths))
-                if sequence_hash(paths) != sequential[algorithm]:
-                    failures.append(
-                        f"{config.describe()}: batch answer differs from the "
-                        "sequential answer of the same config"
-                    )
     return failures

@@ -39,8 +39,8 @@ def shrink_case(
 ) -> FuzzCase:
     """Minimise ``case`` while ``still_fails`` keeps returning True.
 
-    ``still_fails`` must be the exact failing check (same kernels,
-    same planted mutation, same config matrix) — the shrinker treats
+    ``still_fails`` must be the exact failing check (same planted
+    mutation, same config matrix) — the shrinker treats
     it as a black box.  ``max_checks`` bounds the number of predicate
     invocations; when the budget runs out the best case found so far
     is returned.

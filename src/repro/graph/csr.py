@@ -1,36 +1,28 @@
 """Compressed-sparse-row (CSR) export of a :class:`DiGraph`.
 
-The core dict-kernel search algorithms iterate adjacency as Python
-tuples (fastest in pure CPython), but the flat kernels of
-:mod:`repro.pathing.flat` — and analytics such as connectivity checks,
-degree statistics, and vectorised all-pairs sampling — run over numpy
-CSR arrays.  :class:`CSRGraph` is an immutable snapshot with the
-classic three-array layout (``indptr``, ``indices``, ``weights``).
-
-Beyond the plain snapshot this module provides the pieces the flat
-search substrate needs without ever materialising a new
-:class:`DiGraph`:
+The search algorithms read the :class:`DiGraph` rows directly; the CSR
+arrays serve what runs over whole graphs in bulk: scipy's C Dijkstra
+(:mod:`repro.pathing.flat`), connectivity checks, degree statistics,
+and the shared-memory export of :mod:`repro.server.shared`.
+:class:`CSRGraph` is an immutable snapshot with the classic
+three-array layout (``indptr``, ``indices``, ``weights``).
 
 * :meth:`CSRGraph.reverse` — the reverse-orientation CSR (cached), for
-  backward searches and shortest-path-tree builds;
-* :func:`query_overlay` — the virtual-node ``G_Q`` transform of
-  Section 3/6 expressed directly as CSR arrays;
-* :func:`shared_csr` — a per-graph snapshot cache, so repeated flat
-  kernel calls against the same frozen graph pay the export once.
+  searches toward a target;
+* :func:`shared_csr` — a per-graph snapshot cache, so repeated scipy
+  runs against the same frozen graph pay the export once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from repro.exceptions import GraphError
 from repro.graph.digraph import DiGraph, ReversedView
-from repro.graph.virtual import OverlayRows
 
-__all__ = ["CSRGraph", "to_csr", "query_overlay", "shared_csr"]
+__all__ = ["CSRGraph", "to_csr", "shared_csr"]
 
 
 @dataclass(frozen=True)
@@ -51,25 +43,14 @@ class CSRGraph:
     indptr: np.ndarray
     indices: np.ndarray
     weights: np.ndarray
-    # Lazy caches (reverse orientation, python-list mirrors, scratch
-    # buffers).  They are derived data, deliberately excluded from
-    # equality/repr, and filled in via object.__setattr__ because the
-    # dataclass is frozen.
+    # Lazy caches (reverse orientation, scipy matrix, typed arrays).
+    # They are derived data, deliberately excluded from equality/repr,
+    # and filled in via object.__setattr__ because the dataclass is
+    # frozen.
     _reverse: "CSRGraph | None" = field(
         default=None, repr=False, compare=False
     )
-    _lists: tuple | None = field(default=None, repr=False, compare=False)
     _spmat: object = field(default=None, repr=False, compare=False)
-    _scratch_pool: list = field(
-        default_factory=list, repr=False, compare=False
-    )
-    # Pools for the flat iterative-bounding engine: generation-stamped
-    # node masks (subspace blocked sets) and all-inf float arrays (the
-    # incremental-SPT heuristic vector).  Like the scratch pool they
-    # are shared by every search against this snapshot.
-    _mask_pool: list = field(default_factory=list, repr=False, compare=False)
-    _inf_pool: list = field(default_factory=list, repr=False, compare=False)
-    _rows: list | None = field(default=None, repr=False, compare=False)
     # The dtype-checked contiguous array triple (see typed_arrays).
     _typed: tuple | None = field(default=None, repr=False, compare=False)
 
@@ -106,9 +87,9 @@ class CSRGraph:
     def reverse(self) -> "CSRGraph":
         """The reverse-orientation CSR (every edge flipped), cached.
 
-        Backward searches (SPT builds toward a target, reverse
-        ``IterBound-SPT_I``) run forward over this.  The reverse of the
-        reverse is the original object.
+        Whole-graph searches toward a target (the full SPT of DA-SPT,
+        query stratification) run forward over this.  The reverse of
+        the reverse is the original object.
         """
         if self._reverse is None:
             n = self.n
@@ -123,44 +104,6 @@ class CSRGraph:
             object.__setattr__(rev, "_reverse", self)
             object.__setattr__(self, "_reverse", rev)
         return self._reverse
-
-    def adjacency_lists(self) -> tuple[list[int], list[int], list[float]]:
-        """Python-list mirrors ``(indptr, indices, weights)``, cached.
-
-        CPython indexes plain lists noticeably faster than numpy
-        arrays element-wise; the python-loop flat kernels iterate
-        these, sharing one conversion per snapshot.
-        """
-        if self._lists is None:
-            object.__setattr__(
-                self,
-                "_lists",
-                (
-                    self.indptr.tolist(),
-                    self.indices.tolist(),
-                    self.weights.tolist(),
-                ),
-            )
-        return self._lists
-
-    def row_lists(self) -> list[list[tuple[int, float]]]:
-        """Per-node ``[(v, w), ...]`` rows in CSR edge order, cached.
-
-        Iterating a row of tuples (one ``FOR_ITER`` + unpack per edge)
-        is about twice as fast in CPython as the ``indptr`` index
-        arithmetic over the flat mirrors, so the hottest relaxation
-        loops (the flat A* kernel and the incremental-SPT settle loop)
-        run over these.  Edge order — and therefore every tie-break —
-        is identical to the flat arrays.
-        """
-        if self._rows is None:
-            indptr, heads, wts = self.adjacency_lists()
-            rows = [
-                list(zip(heads[indptr[u] : indptr[u + 1]], wts[indptr[u] : indptr[u + 1]]))
-                for u in range(self.n)
-            ]
-            object.__setattr__(self, "_rows", rows)
-        return self._rows
 
     def typed_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """C-contiguous ``(indptr, indices, weights)`` with fixed dtypes.
@@ -206,11 +149,8 @@ def shared_csr(graph) -> CSRGraph:
     """The cached CSR snapshot of a frozen graph.
 
     For a :class:`DiGraph` the snapshot is stored on the graph object,
-    so every flat-kernel call against the same graph shares one export
-    (and therefore one reverse orientation, one list mirror, and one
-    scratch-buffer pool).  A ``G_Q`` overlay's snapshot is derived from
-    its base graph's by :func:`query_overlay` — one vectorised insert
-    instead of a Python walk over every row.  A
+    so every scipy run against the same graph shares one export (and
+    therefore one reverse orientation and one scipy matrix).  A
     :class:`~repro.graph.digraph.ReversedView` resolves to the cached
     snapshot of its underlying graph, reversed — both orientations
     stay cached.  Other row-exposing objects fall back to an uncached
@@ -220,63 +160,10 @@ def shared_csr(graph) -> CSRGraph:
         return shared_csr(graph.underlying).reverse()
     if isinstance(graph, DiGraph):
         if not graph.frozen:
-            raise GraphError("flat kernels need a frozen graph")
+            raise GraphError("a CSR snapshot needs a frozen graph")
         cached = graph.csr_cache
         if cached is None:
-            rows = graph.adjacency
-            if isinstance(rows, OverlayRows) and not rows.reverse:
-                cached = query_overlay(
-                    shared_csr(rows.base), rows.destinations, rows.sources
-                )
-            else:
-                cached = to_csr(graph)
+            cached = to_csr(graph)
             graph.csr_cache = cached
         return cached
     return to_csr(graph)
-
-
-def query_overlay(
-    base: CSRGraph,
-    destinations: Sequence[int],
-    sources: Sequence[int] = (),
-) -> CSRGraph:
-    """The virtual-node ``G_Q`` transform as a CSR snapshot.
-
-    Appends a virtual target node ``n`` with a zero-weight edge
-    ``v -> n`` for every destination ``v``; when more than one source
-    is given (GKPJ), additionally appends a virtual source ``n + 1``
-    with zero-weight edges to every source.  Mirrors
-    :func:`repro.graph.virtual.build_query_graph` without building a
-    :class:`DiGraph` — the arrays are rebuilt with one vectorised
-    insert, ``O(m + |V_T|)``.
-
-    Node ids match the DiGraph overlay: the virtual target is ``n``,
-    the virtual source (if any) is ``n + 1``.
-    """
-    n = base.n
-    dest = np.asarray(sorted(set(int(v) for v in destinations)), dtype=np.int64)
-    if dest.size == 0:
-        raise GraphError("query overlay needs at least one destination")
-    if dest.min() < 0 or dest.max() >= n:
-        raise GraphError(f"destination out of range [0, {n})")
-    target = n
-    # Insert the edge v -> target at the end of each destination row.
-    insert_at = base.indptr[dest + 1]
-    indices = np.insert(base.indices, insert_at, target)
-    weights = np.insert(base.weights, insert_at, 0.0)
-    added = np.zeros(n + 1, dtype=np.int64)
-    added[1:] = np.cumsum(np.bincount(dest, minlength=n))
-    indptr = base.indptr + added
-    srcs = tuple(sorted(set(int(s) for s in sources)))
-    if len(srcs) > 1:
-        if srcs[0] < 0 or srcs[-1] >= n:
-            raise GraphError(f"source out of range [0, {n})")
-        # Virtual target row (empty) then virtual source row.
-        indptr = np.concatenate(
-            [indptr, [indptr[-1], indptr[-1] + len(srcs)]]
-        )
-        indices = np.concatenate([indices, np.asarray(srcs, dtype=np.int64)])
-        weights = np.concatenate([weights, np.zeros(len(srcs))])
-    else:
-        indptr = np.concatenate([indptr, [indptr[-1]]])
-    return CSRGraph(indptr=indptr, indices=indices, weights=weights)

@@ -4,7 +4,7 @@ The metrics registry aggregates *across* queries and the span tracer
 explains *one sampled* query; this module is the per-query ledger in
 between: every query the solver answers emits exactly one JSON object
 on its own line (``jsonl``), carrying a stable **query id**, the
-algorithm/kernel pair, latency, and the non-zero work counters.  The
+algorithm, latency, and the non-zero work counters.  The
 id is generated in :meth:`~repro.core.kpj.KPJSolver._solve`, stamped
 on the :class:`~repro.core.result.QueryResult`, attached to the query
 span, and readable from :data:`current_query_id` anywhere below the
@@ -152,7 +152,6 @@ class QueryLogger:
         result: "QueryResult",
         *,
         query_id: str,
-        kernel: str | None = None,
         sources: Iterable[int] | None = None,
         category: str | int | None = None,
         destinations: int | None = None,
@@ -175,8 +174,6 @@ class QueryLogger:
             "paths": result.k_found,
             "stats": result.stats.nonzero(),
         }
-        if kernel is not None:
-            event["kernel"] = kernel
         if k is not None:
             event["k"] = k
         if sources is not None:

@@ -7,8 +7,8 @@ that work *cost in memory*, in three independent tiers:
   ``getrusage`` (always available, ~µs to read);
 * pool/cache byte accounting — :func:`scratch_pool_bytes` sizes the
   pooled :class:`~repro.pathing.flat.FlatScratch` buffers parked on a
-  CSR snapshot (each reports itself via ``nbytes()``), complementing
-  the solver's ``prepared_cache_bytes`` gauge;
+  graph (each reports itself via ``nbytes()``), complementing the
+  solver's ``prepared_cache_bytes`` gauge;
 * :class:`MemoryTelemetry` — **opt-in** per-phase ``tracemalloc``
   attribution.  Tracemalloc instruments every allocation in the
   process (typically 2-4x slower), so it is never started implicitly:
@@ -37,7 +37,6 @@ __all__ = [
     "MemoryTelemetry",
     "peak_rss_bytes",
     "scratch_pool_bytes",
-    "graph_pool_bytes",
 ]
 
 
@@ -58,39 +57,16 @@ def peak_rss_bytes() -> int:
     return int(peak) * 1024
 
 
-def scratch_pool_bytes(csr) -> dict[str, int]:
-    """Bytes parked in one CSR snapshot's scratch pools.
+def scratch_pool_bytes(graph) -> dict[str, int]:
+    """Bytes parked in the scratch pool searches on ``graph`` draw from.
 
-    Sums ``nbytes()`` over the pooled flat scratch sets (idle buffers
-    awaiting reuse — buffers currently checked out by a running search
-    are owned by that search, not the pool).
+    Sums ``nbytes()`` over the pooled flat scratch sets of the base
+    graph (idle buffers awaiting reuse — buffers currently checked out
+    by a running search are owned by that search, not the pool).  A
+    ``G_Q`` overlay or reversed view reports its base graph's pool.
     """
-    return {
-        "flat_scratch_pool_bytes": sum(
-            s.nbytes() for s in getattr(csr, "_scratch_pool", ())
-        ),
-    }
-
-
-def graph_pool_bytes(*graphs) -> dict[str, int]:
-    """Aggregate :func:`scratch_pool_bytes` over several graphs.
-
-    Accepts :class:`~repro.graph.digraph.DiGraph`-likes (their cached
-    CSR snapshot is used, if one was materialised) and ``None`` /
-    graphs without a snapshot, which contribute nothing — so callers
-    can pass the base graph and the lazily-built ``G_Q`` overlay
-    unconditionally.
-    """
-    totals = {"flat_scratch_pool_bytes": 0}
-    for graph in graphs:
-        if graph is None:
-            continue
-        csr = getattr(graph, "csr_cache", None)
-        if csr is None:
-            continue
-        for key, value in scratch_pool_bytes(csr).items():
-            totals[key] += value
-    return totals
+    pool = graph.search_pools.get("scratch", ())
+    return {"flat_scratch_pool_bytes": sum(s.nbytes() for s in pool)}
 
 
 class MemoryTelemetry:

@@ -55,7 +55,7 @@ __all__ = [
 ]
 
 #: Latency buckets (milliseconds) for per-query histograms — roughly
-#: logarithmic from sub-millisecond dict-kernel queries on the small
+#: logarithmic from sub-millisecond queries on the small
 #: registry graphs up to multi-second cold landmark builds.
 DEFAULT_LATENCY_BUCKETS_MS: tuple[float, ...] = (
     0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0,

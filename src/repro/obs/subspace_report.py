@@ -21,8 +21,8 @@ Both adapters normalise into one event stream and share a single
 the same reconstruction.  Span-built reports additionally know the
 division fan-out and the end-of-search queue leftovers, which makes
 their totals equal the :class:`~repro.core.stats.SearchStats`
-subspace counters exactly (asserted by the tracing tests under both
-kernels); SearchTrace-built reports leave those totals ``None``.
+subspace counters exactly (asserted by the tracing tests);
+SearchTrace-built reports leave those totals ``None``.
 """
 
 from __future__ import annotations

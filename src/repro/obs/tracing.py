@@ -31,7 +31,7 @@ Span taxonomy (see DESIGN.md §3d for the full contract):
 ==============  =========  ==================================================
 name            cat        attributes
 ==============  =========  ==================================================
-``query``       query      ``algorithm``, ``kernel``, ``k``, ``paths``
+``query``       query      ``algorithm``, ``k``, ``query_id``, ``paths``
 ``prepare``     phase      ``cache`` (``"hit"``/``"miss"``)
 ``search``      search     —
 ``iter_bound``  search     ``bound_kind``, ``leftover``, ``results``

@@ -243,10 +243,7 @@ def _worker_main(conn, index: int) -> None:
                     counters[tag] = counters.get(tag, 0) + 1
             elif op == "prepare":
                 _, category, destinations = msg
-                prepared = solver.prepare(
-                    category=category, destinations=destinations
-                )
-                prepared.csr_overlay()
+                solver.prepare(category=category, destinations=destinations)
                 out = solver.cache_info()
             elif op == "sleep":
                 # Fault-injection/test helper: hold the worker busy.
@@ -480,9 +477,9 @@ class QueryService:
         from repro.graph.csr import shared_csr
 
         # Export the in-process CSR into shared segments and point the
-        # graph's cache at the shared views so every structure built
-        # from here on (overlays, landmark residency, worker forks)
-        # references shared pages.  The pre-service cache is restored
+        # graph's cache at the shared views so every whole-graph sweep
+        # from here on (scipy SSSP, worker forks) references shared
+        # pages.  The pre-service cache is restored
         # at teardown so the solver leaves the service as it entered.
         saved = solver.graph.csr_cache
         self._shared = SharedCSR.export(shared_csr(solver.graph))
@@ -499,10 +496,7 @@ class QueryService:
                     (item, None) if isinstance(item, str) else item
                 )
                 try:
-                    prepared = solver.prepare(
-                        category=category, destinations=destinations
-                    )
-                    prepared.csr_overlay()
+                    solver.prepare(category=category, destinations=destinations)
                 except QueryError:
                     continue
                 self._prewarmed.add(self._prepare_key(category, destinations))

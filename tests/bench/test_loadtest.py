@@ -30,7 +30,6 @@ def tiny_spec(**overrides):
         "queries": 12,
         "workers": 1,
         "seed": 3,
-        "kernel": "dict",
         "landmarks": 2,
         "k": {"kind": "fixed", "value": 2},
     }

@@ -84,43 +84,22 @@ class TestGateLogic:
 
 class TestTrajectoryArtifact:
     def test_committed_trajectory_is_valid(self):
-        """The repo ships a baseline entry for every gated workload."""
+        """The repo ships a baseline entry for the gated workload."""
         trajectory = regression.load_trajectory()
         assert trajectory, "benchmarks/results/BENCH_trajectory.json missing"
-        for spec in regression.PROTOCOLS:
-            last = regression.baseline_for(trajectory, spec)
-            assert last is not None, f"no baseline for {spec['kernel']!r}"
-            assert len(last["paths_checksum"]) == 64  # sha256 hex
-            assert "total" in last["phases"]
-            for numbers in last["phases"].values():
-                assert numbers["p50_ms"] > 0
-                assert numbers["p95_ms"] >= numbers["p50_ms"]
-
-    def test_committed_kernels_agree_on_answers(self):
-        """The latest dict/flat baselines share one checksum."""
-        trajectory = regression.load_trajectory()
-        digests = {
-            regression.baseline_for(trajectory, spec)["paths_checksum"]
-            for spec in regression.PROTOCOLS
-        }
-        assert len(digests) == 1
-
-    def test_workloads_differ_only_in_kernel(self):
-        """The protocol list pins one workload per kernel, nothing else."""
-        kernels = [spec["kernel"] for spec in regression.PROTOCOLS]
-        assert kernels == ["dict", "flat"]
-        for spec in regression.PROTOCOLS:
-            stripped = {k: v for k, v in spec.items() if k != "kernel"}
-            base = {
-                k: v for k, v in regression.PROTOCOL.items() if k != "kernel"
-            }
-            assert stripped == base
+        last = regression.baseline_for(trajectory, regression.PROTOCOL)
+        assert last is not None, "no baseline for the pinned protocol"
+        assert len(last["paths_checksum"]) == 64  # sha256 hex
+        assert "total" in last["phases"]
+        for numbers in last["phases"].values():
+            assert numbers["p50_ms"] > 0
+            assert numbers["p95_ms"] >= numbers["p50_ms"]
 
     def test_baseline_for_matches_exact_protocol(self):
         trajectory = [
             entry({"total": 1.0}),
             {**entry({"total": 2.0}),
-             "protocol": {**regression.PROTOCOL, "kernel": "flat"}},
+             "protocol": {**regression.PROTOCOL, "kernel": "dict"}},
         ]
         hit = regression.baseline_for(trajectory, regression.PROTOCOL)
         assert hit is trajectory[0]

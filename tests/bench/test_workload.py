@@ -45,7 +45,6 @@ class TestSpecValidation:
         assert spec.skew.kind == "uniform"
         assert spec.k.kind == "fixed" and spec.k.value == 8
         assert spec.algorithm == "iter-bound-spti"
-        assert spec.kernel == "dict"
         assert spec.slo.max_error_rate == 0.0
 
     def test_as_dict_round_trips_through_parse(self):
@@ -89,8 +88,9 @@ class TestSpecValidation:
             parse_spec(spec_data(dataset="XX"))
 
     def test_unknown_kernel_and_algorithm(self):
-        with pytest.raises(QueryError, match="unknown kernel"):
-            parse_spec(spec_data(kernel="gpu"))
+        # There is one search substrate: a kernel field is an unknown key.
+        with pytest.raises(QueryError, match="kernel"):
+            parse_spec(spec_data(kernel="flat"))
         with pytest.raises(QueryError, match="unknown algorithm"):
             parse_spec(spec_data(algorithm="dfs"))
 

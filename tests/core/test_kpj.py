@@ -123,6 +123,50 @@ class TestValidation:
         assert joined.paths == solver.join(sources=sources, destinations=hotels, k=3).paths
 
 
+@pytest.fixture(scope="module")
+def sj_solver():
+    from repro.datasets.registry import road_network
+
+    dataset = road_network("SJ")
+    return KPJSolver(dataset.graph, dataset.categories, landmarks=4)
+
+
+class TestQueryParameters:
+    """``k`` and ``alpha`` are checked at the solver's front door: a
+    ``QueryError`` naming the field, for every algorithm and entry
+    point — not a truncated answer or a bare ``TypeError``/``ValueError``
+    from deep inside a search."""
+
+    @pytest.mark.parametrize(
+        "k", [2.5, True, "3", None, 0, -1, np.float64(3.0)], ids=repr
+    )
+    def test_bad_k_rejected_naming_the_field(self, sj_solver, k):
+        message = re.escape(f"k must be a positive integer, got {k!r}")
+        with pytest.raises(QueryError, match=message):
+            sj_solver.top_k(5, category="T2", k=k)
+        with pytest.raises(QueryError, match=message):
+            sj_solver.join(sources=[5, 6], category="T2", k=k)
+        with pytest.raises(QueryError, match=message):
+            sj_solver.prepare(category="T2").top_k(5, k=k)
+
+    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+    @pytest.mark.parametrize(
+        "alpha", [1.0, float("nan"), 0.5, True, "1.1", None], ids=repr
+    )
+    def test_bad_alpha_rejected_for_every_algorithm(self, sj_solver, algorithm, alpha):
+        message = re.escape(f"alpha must be a real number > 1, got {alpha!r}")
+        with pytest.raises(QueryError, match=message):
+            sj_solver.top_k(5, category="T2", k=2, algorithm=algorithm, alpha=alpha)
+
+    def test_numpy_k_and_alpha_accepted(self, sj_solver):
+        expected = sj_solver.top_k(5, category="T2", k=3, alpha=1.5)
+        got = sj_solver.top_k(
+            5, category="T2", k=np.int64(3), alpha=np.float64(1.5)
+        )
+        assert got.paths == expected.paths
+        assert len(got.paths) == 3
+
+
 class TestConstruction:
     def test_landmarks_int_builds_index(self, paper_graph, paper_categories):
         solver = KPJSolver(paper_graph, paper_categories, landmarks=3)

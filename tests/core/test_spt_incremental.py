@@ -5,15 +5,15 @@ import random
 import pytest
 
 from repro.baselines.brute_force import brute_force_topk, enumerate_simple_paths
+from repro.core.flat_engine import FlatIncrementalSPT
 from repro.core.kpj import KPJSolver
-from repro.core.spt_incremental import IncrementalSPT, iter_bound_spti
-from repro.core.stats import WORK_PARITY_FIELDS, SearchStats
+from repro.core.spt_incremental import iter_bound_spti
+from repro.core.stats import SearchStats
 from repro.graph.categories import CategoryIndex
 from repro.graph.digraph import DiGraph
 from repro.graph.virtual import build_query_graph
 from repro.landmarks.index import ZERO_BOUNDS, LandmarkIndex
 from repro.pathing.dijkstra import single_source_distances
-from repro.pathing.kernels import KERNELS
 from tests.conftest import random_graph
 
 INF = float("inf")
@@ -41,7 +41,7 @@ class TestIncrementalSPT:
 
     def test_build_initial_finds_shortest_path(self):
         g, qg = self.make()
-        tree = IncrementalSPT(qg, ZERO_BOUNDS)
+        tree = FlatIncrementalSPT(qg, ZERO_BOUNDS)
         initial = tree.build_initial(qg.target)
         dist = single_source_distances(qg.graph, qg.source)
         assert initial is not None
@@ -51,18 +51,20 @@ class TestIncrementalSPT:
 
     def test_settled_distances_are_exact(self):
         g, qg = self.make(seed=122)
-        tree = IncrementalSPT(qg, ZERO_BOUNDS)
+        tree = FlatIncrementalSPT(qg, ZERO_BOUNDS)
         tree.build_initial(qg.target)
         tree.grow(10.0)
         dist = single_source_distances(qg.graph, qg.source)
-        for v, d in tree.settled.items():
-            assert d == pytest.approx(dist[v])
+        settled = [v for v in range(qg.graph.n) if v in tree]
+        assert len(settled) == len(tree) > 0
+        for v in settled:
+            assert tree.distance(v) == pytest.approx(dist[v])
 
     def test_prop_5_2_grow_covers_short_paths(self):
         """After grow(tau), every node of every path of length <= tau
         from the source to the target is settled (Prop. 5.2)."""
         g, qg = self.make(seed=123)
-        tree = IncrementalSPT(qg, ZERO_BOUNDS)
+        tree = FlatIncrementalSPT(qg, ZERO_BOUNDS)
         initial = tree.build_initial(qg.target)
         assert initial is not None
         tau = initial[1] * 1.5
@@ -73,7 +75,7 @@ class TestIncrementalSPT:
 
     def test_grow_is_monotone(self):
         g, qg = self.make(seed=124)
-        tree = IncrementalSPT(qg, ZERO_BOUNDS)
+        tree = FlatIncrementalSPT(qg, ZERO_BOUNDS)
         tree.build_initial(qg.target)
         before = len(tree)
         tree.grow(5.0)
@@ -83,16 +85,17 @@ class TestIncrementalSPT:
 
     def test_settled_destinations_tracked(self):
         g, qg = self.make(seed=125)
-        tree = IncrementalSPT(qg, ZERO_BOUNDS)
+        tree = FlatIncrementalSPT(qg, ZERO_BOUNDS)
         tree.build_initial(qg.target)
         tree.grow(1e9)
         dist = single_source_distances(qg.graph, qg.source)
         expected = {v for v in qg.destinations if dist[v] < INF}
-        assert tree.settled_destinations == expected
+        assert set(tree.dest_arrays()[0].tolist()) == expected
+        assert tree.num_settled_destinations == len(expected)
 
     def test_distance_lookup(self):
         g, qg = self.make(seed=126)
-        tree = IncrementalSPT(qg, ZERO_BOUNDS)
+        tree = FlatIncrementalSPT(qg, ZERO_BOUNDS)
         tree.build_initial(qg.target)
         assert tree.distance(qg.source) == 0.0
         assert tree.distance(-1) is None
@@ -100,7 +103,7 @@ class TestIncrementalSPT:
     def test_unreachable_target(self):
         g = DiGraph.from_edges(3, [(0, 1, 1.0)])
         qg = build_query_graph(g, (0,), (2,))
-        tree = IncrementalSPT(qg, ZERO_BOUNDS)
+        tree = FlatIncrementalSPT(qg, ZERO_BOUNDS)
         assert tree.build_initial(qg.target) is None
 
 
@@ -199,7 +202,7 @@ class TestIterBoundSPTI:
 
 class TestVirtualEdgeOrder:
     """Alg. 7 relaxes a destination's zero-weight edge to ``t`` after
-    its base row — where ``G_Q`` appends it — on both kernels."""
+    its base row — where ``G_Q``'s overlay row appends it."""
 
     @pytest.mark.parametrize("landmarks", [None, 2])
     def test_virtual_edge_ties_with_zero_weight_edge_between_destinations(
@@ -216,15 +219,18 @@ class TestVirtualEdgeOrder:
         g = DiGraph.from_edges(5, edges)
         categories = CategoryIndex({"T": [1, 2]})
         expected = [p.length for p in brute_force_topk(g, 0, (1, 2), 6)]
-        answers = {}
-        for kernel in KERNELS:
-            solver = KPJSolver(g, categories, landmarks=landmarks, kernel=kernel)
-            result = solver.top_k(0, category="T", k=6, algorithm="iter-bound-spti")
-            assert list(result.lengths) == pytest.approx(expected)
-            answers[kernel] = (
-                [(p.length, p.nodes) for p in result.paths],
-                {f: getattr(result.stats, f) for f in WORK_PARITY_FIELDS},
-            )
-        assert answers["dict"] == answers["flat"]
-        paths, _ = answers["dict"]
-        assert paths[:2] == [(1.0, (0, 1)), (1.0, (0, 1, 2))]
+        solver = KPJSolver(g, categories, landmarks=landmarks)
+        result = solver.top_k(0, category="T", k=6, algorithm="iter-bound-spti")
+        assert list(result.lengths) == pytest.approx(expected)
+        paths = [(p.length, p.nodes) for p in result.paths]
+        assert paths == [
+            (1.0, (0, 1)), (1.0, (0, 1, 2)), (2.0, (0, 2)),
+            (4.0, (0, 1, 3, 4, 2)), (4.5, (0, 2, 3, 4, 1)),
+        ]
+        # The work the dict and flat engines both did at the last
+        # commit that had two engines.
+        work = result.stats
+        assert (
+            work.nodes_settled, work.edges_relaxed, work.heap_pushes,
+            work.heap_pops, work.lb_tests,
+        ) == (63, 31, 65, 65, 33)

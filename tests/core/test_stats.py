@@ -42,20 +42,15 @@ class TestSearchStats:
             "spt_nodes",
             "subspaces_created",
             "subspaces_pruned",
-            "dict_kernel_calls",
-            "flat_kernel_calls",
             "prepared_cache_hits",
             "prepared_cache_misses",
         }
 
     def test_parity_fields_are_real_fields(self):
         names = {f.name for f in fields(SearchStats)}
-        assert set(WORK_PARITY_FIELDS) <= names
-        # The exclusions are exactly the dispatch counters.
-        assert names - set(WORK_PARITY_FIELDS) == {
-            "dict_kernel_calls",
-            "flat_kernel_calls",
-        }
+        # Every counter is a work counter: none depends on which code
+        # path ran, so all of them are pinned.
+        assert set(WORK_PARITY_FIELDS) == names
 
     def test_mutation(self):
         stats = SearchStats()

@@ -1,9 +1,9 @@
 """The committed seed corpus replays clean on every CI run.
 
 Every ``fuzz/corpus/*.json`` file goes through the full differential
-matrix — all registry algorithms × every kernel (dict, flat)
-× cached/uncached × sequential/batch vs. the brute-force and Yen
-oracles — plus the observer-parity invariant (metrics and tracer
+matrix — all registry algorithms × cached/uncached × sequential/batch
+vs. the brute-force and Yen oracles — plus the observer-parity
+invariant (metrics and tracer
 attached change neither paths nor work counters), and the corpus
 itself is pinned byte-for-byte to its in-code definition so the files
 and :mod:`repro.fuzz.corpus` can never drift apart.

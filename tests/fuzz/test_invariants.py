@@ -6,22 +6,21 @@ from repro.fuzz import generate_case
 from repro.fuzz.invariants import check_invariants
 from repro.fuzz.generators import simplified
 from repro.fuzz.oracles import check_against_oracles, oracle_expectation
-from repro.pathing.kernels import KERNELS
 
 
 class TestInvariants:
     @pytest.mark.parametrize("seed", range(4))
     def test_large_case_invariants_hold(self, seed):
         case = generate_case(seed, min_nodes=20, max_nodes=30)
-        failures = check_invariants(case, kernels=KERNELS)
+        failures = check_invariants(case)
         assert not failures, "\n".join(failures)
 
     def test_invariants_also_hold_on_small_cases(self):
         # The invariant suite must agree with the oracle suite on
         # instances small enough to run both.
         case = generate_case(10)
-        assert not check_invariants(case, kernels=("dict",))
-        assert not check_against_oracles(case, kernels=("dict",))
+        assert not check_invariants(case)
+        assert not check_against_oracles(case)
 
     def test_broken_relation_is_flagged(self, monkeypatch):
         # Sabotage the independent Yen oracle: the G_Q-transform
@@ -29,9 +28,9 @@ class TestInvariants:
         import repro.fuzz.invariants as inv
 
         case = generate_case(3, shape="grid", min_nodes=20, max_nodes=25)
-        assert not inv.check_invariants(case, kernels=("dict",))
+        assert not inv.check_invariants(case)
         monkeypatch.setattr(inv, "_yen_lengths", lambda c: (123.0,))
-        failures = inv.check_invariants(case, kernels=("dict",))
+        failures = inv.check_invariants(case)
         assert any("gq_transform" in f for f in failures)
 
 

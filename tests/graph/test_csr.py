@@ -109,34 +109,3 @@ class TestSharedCSR:
         assert np.array_equal(a.indptr, b.indptr)
         assert np.array_equal(a.indices, b.indices)
         assert np.array_equal(a.weights, b.weights)
-
-
-class TestQueryOverlay:
-    def _check(self, g, destinations, sources=()):
-        from repro.graph.csr import query_overlay, shared_csr
-        from repro.graph.virtual import build_query_graph
-
-        srcs = tuple(sources) if len(sources) > 1 else (0,)
-        qg = build_query_graph(g, srcs if len(sources) > 1 else (0,), destinations)
-        expected = to_csr(qg.graph)
-        got = query_overlay(shared_csr(g), sorted(set(destinations)), sources=sources)
-        assert np.array_equal(got.indptr, expected.indptr)
-        assert np.array_equal(got.indices, expected.indices)
-        assert np.array_equal(got.weights, expected.weights)
-
-    def test_single_source_overlay_matches_digraph_transform(self):
-        self._check(make_graph(), [1, 3])
-
-    def test_multi_source_overlay_matches(self):
-        self._check(make_graph(), [3], sources=(0, 1, 2))
-
-    def test_overlay_on_random_graphs(self):
-        import random
-
-        from tests.conftest import random_graph
-
-        rng = random.Random(7)
-        for _ in range(10):
-            g = random_graph(rng)
-            dests = sorted({rng.randrange(g.n) for _ in range(3)})
-            self._check(g, dests)

@@ -80,7 +80,6 @@ class TestQueryLogger:
         event = log.log_query(
             result,
             query_id="q-abc-000007",
-            kernel="dict",
             sources=(3,),
             category="T2",
             destinations=9,

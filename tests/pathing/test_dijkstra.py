@@ -6,11 +6,10 @@ import pytest
 
 from repro.core.stats import SearchStats
 from repro.graph.digraph import DiGraph
-from repro.pathing.kernels import KERNELS
+from repro.pathing import flat
 from repro.pathing.dijkstra import (
     constrained_shortest_path,
     multi_source_distances,
-    shortest_path,
     single_source_distances,
 )
 from tests.conftest import random_graph
@@ -54,16 +53,16 @@ class TestMultiSource:
 
 class TestShortestPath:
     def test_returns_path_and_length(self, diamond_graph):
-        path, length = shortest_path(diamond_graph, 0, 3)
+        path, length = constrained_shortest_path(diamond_graph, 0, 3)
         assert path == (0, 1, 3)
         assert length == 2.0
 
     def test_source_equals_target(self, diamond_graph):
-        assert shortest_path(diamond_graph, 2, 2) == ((2,), 0.0)
+        assert constrained_shortest_path(diamond_graph, 2, 2) == ((2,), 0.0)
 
     def test_unreachable_returns_none(self):
         g = DiGraph.from_edges(3, [(0, 1, 1.0)])
-        assert shortest_path(g, 0, 2) is None
+        assert constrained_shortest_path(g, 0, 2) is None
 
     def test_matches_distance_array_on_random_graphs(self):
         rng = random.Random(3)
@@ -72,7 +71,7 @@ class TestShortestPath:
             src = rng.randrange(g.n)
             dist = single_source_distances(g, src)
             for target in range(g.n):
-                found = shortest_path(g, src, target)
+                found = constrained_shortest_path(g, src, target)
                 if dist[target] == INF:
                     assert found is None
                 else:
@@ -130,11 +129,14 @@ class TestCutoffBoundary:
         assert dist[2] == 2.0  # exactly at the boundary -> kept
         assert dist[3] == INF  # strictly beyond -> pruned
 
-    def test_inclusive_on_both_kernels(self, line_graph):
-        for kernel in KERNELS:
-            dist = single_source_distances(line_graph, 0, cutoff=3.0, kernel=kernel)
-            assert dist[3] == 3.0, kernel
-            assert dist[4] == INF, kernel
+    def test_inclusive_on_both_kernels(self, line_graph, monkeypatch):
+        # The whole-graph kernels: scipy's C loop (where installed) and
+        # the Python loop of the scipy-free stack.
+        for scipy in (flat.HAVE_SCIPY, False):
+            monkeypatch.setattr(flat, "HAVE_SCIPY", scipy)
+            dist = single_source_distances(line_graph.freeze(), 0, cutoff=3.0)
+            assert dist[3] == 3.0, scipy
+            assert dist[4] == INF, scipy
 
     def test_multi_source_cutoff_inclusive(self, line_graph):
         dist = multi_source_distances(line_graph, (0,), cutoff=1.0)
@@ -154,9 +156,3 @@ class TestBlockedEndpoints:
 
         with pytest.raises(QueryError, match="target"):
             constrained_shortest_path(diamond_graph, 0, 3, blocked={3})
-
-    def test_blocked_endpoint_raises_on_flat_kernel_too(self, diamond_graph):
-        from repro.exceptions import QueryError
-
-        with pytest.raises(QueryError):
-            constrained_shortest_path(diamond_graph, 0, 3, blocked={0}, kernel="flat")

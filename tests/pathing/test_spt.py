@@ -6,6 +6,7 @@ import pytest
 
 from repro.graph.digraph import DiGraph
 from repro.graph.virtual import build_query_graph
+from repro.pathing import flat
 from repro.pathing.dijkstra import single_source_distances
 from repro.pathing.spt import build_partial_spt, build_spt_to_target
 from tests.conftest import random_graph
@@ -61,7 +62,8 @@ class TestFullSPT:
 
 
 class TestCanonicalTree:
-    """The SPT *tree* — not just the distances — is kernel-independent."""
+    """The SPT *tree* — not just the distances — is the same whether
+    scipy or the Python loop computed the distances."""
 
     def _tie_graph(self, seed: int) -> DiGraph:
         # Small weight range with zeros allowed: maximises equal-length
@@ -79,14 +81,18 @@ class TestCanonicalTree:
             g.add_edge(u, v, float(rng.randint(0, 2)))
         return g.freeze()
 
-    def test_identical_across_kernels_under_ties(self):
+    def test_identical_across_kernels_under_ties(self, monkeypatch):
+        # The whole-graph kernels: scipy's C loop (where installed) and
+        # the Python loop of the scipy-free stack.
         for seed in range(51, 71):
             g = self._tie_graph(seed)
             target = g.n - 1
-            dict_tree = build_spt_to_target(g, target, kernel="dict")
-            flat_tree = build_spt_to_target(g, target, kernel="flat")
-            assert list(flat_tree.dist) == list(dict_tree.dist), seed
-            assert flat_tree.next_hop == dict_tree.next_hop, seed
+            scipy_tree = build_spt_to_target(g, target)
+            monkeypatch.setattr(flat, "HAVE_SCIPY", False)
+            py_tree = build_spt_to_target(g, target)
+            monkeypatch.undo()
+            assert scipy_tree.dist == py_tree.dist, seed
+            assert scipy_tree.next_hop == py_tree.next_hop, seed
 
     def test_hops_are_tight(self):
         g = self._tie_graph(99)
@@ -100,7 +106,7 @@ class TestCanonicalTree:
             assert u >= 0
             assert spt.dist[v] == g.edge_weight(v, u) + spt.dist[u]
 
-    def test_zero_weight_cycle_paths_terminate(self):
+    def test_zero_weight_cycle_paths_terminate(self, monkeypatch):
         # 0 <-> 1 at weight zero, both one zero hop from the target:
         # a naive per-node argmin over tight edges could point 0 and 1
         # at each other and loop forever in path_from.
@@ -113,8 +119,9 @@ class TestCanonicalTree:
                 (1, 2, 0.0),
             ],
         )
-        for kernel in ("dict", "flat"):
-            spt = build_spt_to_target(g, 2, kernel=kernel)
+        for scipy in (flat.HAVE_SCIPY, False):
+            monkeypatch.setattr(flat, "HAVE_SCIPY", scipy)
+            spt = build_spt_to_target(g, 2)
             for v in range(3):
                 path = spt.path_from(v)
                 assert path is not None and path[-1] == 2
@@ -139,9 +146,9 @@ class TestPartialSPT:
     def test_source_path_is_shortest(self):
         g, qg = self.make_query(seed=32)
         tree = build_partial_spt(qg.graph, qg.source, (qg.target,), zero)
-        from repro.pathing.dijkstra import shortest_path
+        from repro.pathing.dijkstra import constrained_shortest_path
 
-        exact = shortest_path(qg.graph, qg.source, qg.target)
+        exact = constrained_shortest_path(qg.graph, qg.source, qg.target)
         if exact is None:
             assert tree.source_path is None
         else:

@@ -1,11 +1,12 @@
-"""Property-based parity: kernels and caching never change answers.
+"""Property-based checks: the search substrate and caching never
+change answers.
 
-Two invariants ride on the performance stack:
-
-* **flat vs dict** — every registry algorithm returns the same top-k
-  path-length multiset whichever substrate it runs on;
+* **brute force** — every registry algorithm returns exactly the top-k
+  length multiset that exhaustive enumeration finds;
 * **cached vs uncached** — a solver whose prepared-category cache is
-  warm (or disabled) returns exactly what a cold solver returns.
+  warm (or disabled) returns exactly what a cold solver returns;
+* **validity** — returned paths are real, simple, correctly priced and
+  sorted.
 """
 
 import math
@@ -14,10 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.brute_force import brute_force_topk
 from repro.core.kpj import ALGORITHMS, KPJSolver
 from repro.graph.categories import CategoryIndex
 from repro.graph.digraph import DiGraph
-from repro.pathing.kernels import KERNELS
 
 
 @st.composite
@@ -55,43 +56,15 @@ def _length_multiset(result):
 
 @settings(max_examples=25, deadline=None)
 @given(case=graph_and_query())
-def test_flat_matches_dict_on_every_algorithm(case):
+def test_every_algorithm_matches_brute_force(case):
     g, source, destinations, k = case
-    cats = CategoryIndex({"T": destinations})
-    solver_dict = KPJSolver(g, cats, landmarks=min(3, g.n), kernel="dict")
-    solver_flat = KPJSolver(g, cats, landmarks=min(3, g.n), kernel="flat")
+    expected = sorted(
+        round(p.length, 9) for p in brute_force_topk(g, source, destinations, k)
+    )
+    solver = KPJSolver(g, CategoryIndex({"T": destinations}), landmarks=min(3, g.n))
     for algorithm in sorted(ALGORITHMS):
-        a = solver_dict.top_k(source, category="T", k=k, algorithm=algorithm)
-        b = solver_flat.top_k(source, category="T", k=k, algorithm=algorithm)
-        assert _length_multiset(a) == _length_multiset(b), algorithm
-
-
-@settings(max_examples=25, deadline=None)
-@given(case=graph_and_query())
-def test_flat_returns_identical_paths_per_algorithm(case):
-    """The strong form of the parity invariant: for every registry
-    algorithm the flat substrate returns the *exact same paths* — node
-    sequences and bit-for-bit lengths — as the dict substrate, not just
-    the same length multiset.
-
-    The one exception is ``da-spt``: its deviation order follows the
-    SPT parent structure, and the scipy-built SPT breaks equal-distance
-    ties differently from the dict build, so only the length multiset
-    is specified.
-    """
-    g, source, destinations, k = case
-    cats = CategoryIndex({"T": destinations})
-    solver_dict = KPJSolver(g, cats, landmarks=min(3, g.n), kernel="dict")
-    solver_flat = KPJSolver(g, cats, landmarks=min(3, g.n), kernel="flat")
-    for algorithm in sorted(ALGORITHMS):
-        a = solver_dict.top_k(source, category="T", k=k, algorithm=algorithm)
-        b = solver_flat.top_k(source, category="T", k=k, algorithm=algorithm)
-        if algorithm == "da-spt":
-            assert _length_multiset(a) == _length_multiset(b), algorithm
-            continue
-        assert [(p.length, p.nodes) for p in a.paths] == [
-            (p.length, p.nodes) for p in b.paths
-        ], algorithm
+        result = solver.top_k(source, category="T", k=k, algorithm=algorithm)
+        assert _length_multiset(result) == expected, algorithm
 
 
 @settings(max_examples=25, deadline=None)
@@ -113,16 +86,11 @@ def test_cached_matches_uncached_on_every_algorithm(case):
 
 
 @settings(max_examples=15, deadline=None)
-@given(
-    case=graph_and_query(),
-    kernel=st.sampled_from(KERNELS),
-)
-def test_paths_are_valid_under_both_kernels(case, kernel):
-    """Contract check: whatever the kernel, returned paths are real."""
+@given(case=graph_and_query())
+def test_paths_are_valid(case):
+    """Contract check: returned paths are real."""
     g, source, destinations, k = case
-    solver = KPJSolver(
-        g, CategoryIndex({"T": destinations}), landmarks=None, kernel=kernel
-    )
+    solver = KPJSolver(g, CategoryIndex({"T": destinations}), landmarks=None)
     result = solver.top_k(source, category="T", k=k)
     dest_set = set(destinations)
     previous = -math.inf
@@ -140,6 +108,6 @@ def test_paths_are_valid_under_both_kernels(case, kernel):
 @pytest.mark.slow
 @settings(max_examples=200, deadline=None)
 @given(case=graph_and_query())
-def test_flat_matches_dict_exhaustive(case):
-    """The slow sweep of the flat/dict invariant (``pytest -m slow``)."""
-    test_flat_matches_dict_on_every_algorithm.hypothesis.inner_test(case)
+def test_every_algorithm_matches_brute_force_exhaustive(case):
+    """The slow sweep of the brute-force check (``pytest -m slow``)."""
+    test_every_algorithm_matches_brute_force.hypothesis.inner_test(case)

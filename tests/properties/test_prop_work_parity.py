@@ -1,13 +1,14 @@
-"""Cross-kernel work-counter parity over the pinned fuzz corpus.
+"""Work-counter parity with and without scipy over the pinned corpus.
 
-The dict and flat kernels claim to execute the *same* algorithm, and
-the uniform work counters make that claim falsifiable:
+Whole-graph sweeps (landmark SSSP, DA-SPT's full SPT) run on scipy's C
+Dijkstra where scipy imports and on a Python loop where it does not —
+the two CI stacks.  Neither records per-node counters, so
 :data:`repro.core.stats.WORK_PARITY_FIELDS` (relaxations, heap
-pushes/pops, settled nodes, TestLB verdict tallies, …) must agree
-**exactly** — not approximately — across both substrates for any one
-query.  Every committed corpus case runs through
-:func:`repro.fuzz.invariants.work_parity_failures` with the algorithm
-rotated per case (the harness convention).
+pushes/pops, settled nodes, TestLB verdict tallies, …) and the paths
+must agree **exactly** between the two for any one query.  Every
+committed corpus case runs both ways with the algorithm rotated per
+case (the harness convention); ``tests/fuzz/test_corpus_pins.py``
+pins the values themselves.
 """
 
 from __future__ import annotations
@@ -15,8 +16,11 @@ from __future__ import annotations
 import pytest
 
 from repro.core.kpj import ALGORITHMS
+from repro.core.stats import WORK_PARITY_FIELDS
 from repro.fuzz import seed_corpus_cases
-from repro.fuzz.invariants import work_parity_failures
+from repro.fuzz.generators import sequence_hash
+from repro.fuzz.oracles import build_solver, run_query
+from repro.pathing import flat
 
 _CASES = list(seed_corpus_cases())
 _ALGOS = sorted(ALGORITHMS)
@@ -26,35 +30,60 @@ def _algorithm_for(index: int) -> str:
     return _ALGOS[index % len(_ALGOS)]
 
 
+def work_parity_failures(case, algorithm, monkeypatch) -> list[str]:
+    """Solve ``case`` with scipy (where installed) and on the Python
+    loop; one message per diverging counter or differing answer."""
+    answers = []
+    for scipy in (flat.HAVE_SCIPY, False):
+        monkeypatch.setattr(flat, "HAVE_SCIPY", scipy)
+        result = run_query(build_solver(case, cached=True), case, algorithm)
+        answers.append(
+            (
+                sequence_hash(result.paths),
+                {f: getattr(result.stats, f) for f in WORK_PARITY_FIELDS},
+            )
+        )
+    monkeypatch.undo()
+    (paths_a, work_a), (paths_b, work_b) = answers
+    failures = [
+        f"{algorithm}: {name} diverges — scipy={work_a[name]} python={work_b[name]}"
+        for name in WORK_PARITY_FIELDS
+        if work_a[name] != work_b[name]
+    ]
+    if paths_a != paths_b:
+        failures.append(f"{algorithm}: paths differ with and without scipy")
+    return failures
+
+
 @pytest.mark.parametrize(
     "index,name", [(i, name) for i, (name, _) in enumerate(_CASES)]
 )
-def test_corpus_case_work_parity(index, name):
+def test_corpus_case_work_parity(index, name, monkeypatch):
     case = _CASES[index][1]
-    failures = work_parity_failures(case, _algorithm_for(index))
+    failures = work_parity_failures(case, _algorithm_for(index), monkeypatch)
     assert not failures, failures
 
 
 @pytest.mark.parametrize("algorithm", _ALGOS)
-def test_all_algorithms_work_parity_on_one_case(algorithm):
+def test_all_algorithms_work_parity_on_one_case(algorithm, monkeypatch):
     """Every registry entry holds parity on at least one dense case."""
     by_name = dict(_CASES)
     case = by_name.get("near-clique-5", _CASES[0][1])
-    failures = work_parity_failures(case, algorithm)
+    failures = work_parity_failures(case, algorithm, monkeypatch)
     assert not failures, failures
 
 
-def test_da_spt_parity_on_zero_weight_ties():
+def test_da_spt_parity_on_zero_weight_ties(monkeypatch):
     """Fuzz-found regression (seed 0, case 87, shrunk to 11 nodes).
 
     On near-clique graphs with zero-weight edges the backward SPT has
-    many equally-shortest trees; the scipy build and the dict build
-    used to pick different ones, so DA-SPT's Pascoal simplicity check
-    passed on one kernel and fell through to the counted Gao A* on
-    another (``shortest_path_computations`` dict=1 vs flat=0,
-    ``edges_relaxed`` 5 vs 0).  Canonicalised
-    successor pointers (:func:`repro.pathing.spt.canonical_next_hops`)
-    make the tree — and therefore the counters — kernel-independent.
+    many equally-shortest trees; scipy's C loop and a Python loop pick
+    different ones, so DA-SPT's Pascoal simplicity check used to pass
+    on one build and fall through to the counted Gao A* on the other
+    (``shortest_path_computations`` 1 vs 0, ``edges_relaxed`` 5 vs 0).
+    Canonicalised successor pointers
+    (:func:`repro.pathing.spt.canonical_next_hops`) make the tree —
+    and therefore the counters — independent of which loop ran.
     """
     from repro.fuzz.generators import FuzzCase
 
@@ -84,32 +113,5 @@ def test_da_spt_parity_on_zero_weight_ties():
             "shape": "near_clique",
         }
     )
-    failures = work_parity_failures(case, "da-spt")
+    failures = work_parity_failures(case, "da-spt", monkeypatch)
     assert not failures, failures
-
-
-def test_parity_failures_report_kernel_and_counter():
-    """A fabricated divergence names the counter and both kernels."""
-    from repro.core.stats import SearchStats
-    from repro.fuzz import invariants
-
-    calls = []
-
-    def fake_run_query(solver, case, algorithm):
-        calls.append(None)
-        stats = SearchStats(heap_pushes=len(calls))
-
-        class R:
-            pass
-
-        r = R()
-        r.stats = stats
-        return r
-
-    original = invariants.run_query
-    invariants.run_query = fake_run_query
-    try:
-        failures = invariants.work_parity_failures(_CASES[0][1], _ALGOS[0])
-    finally:
-        invariants.run_query = original
-    assert any("heap_pushes" in f and "dict=1" in f for f in failures)

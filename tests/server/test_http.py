@@ -254,6 +254,28 @@ class TestMalformedInput:
         assert field in body["error"]
         _assert_still_serving(base)
 
+    @pytest.mark.parametrize(
+        "payload,field",
+        [
+            ({"source": 5, "category": "T2", "k": 3, "alpha": 1.0}, "alpha"),
+            ({"source": 5, "category": "T2", "k": 3, "alpha": 0.5}, "alpha"),
+            ({"source": 5, "category": "T2", "k": 0}, "k"),
+            ({"source": 5, "category": "T2", "k": -2}, "k"),
+        ],
+        ids=["alpha-one", "alpha-below-one", "k-zero", "k-negative"],
+    )
+    def test_out_of_range_value_is_400(self, endpoint, payload, field):
+        # Well-typed but out of range: the solver's front door rejects
+        # it with a QueryError naming the field (alpha=1.0 used to
+        # reach the search driver and drop the connection).
+        base, _ = endpoint
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _post(base + "/query", payload)
+        assert excinfo.value.code == 400
+        body = json.loads(excinfo.value.read())
+        assert body["error"].startswith(f"{field} must be")
+        _assert_still_serving(base)
+
     @pytest.mark.parametrize("value", ["-5", "abc"])
     def test_bad_content_length_is_400(self, endpoint, value):
         base, _ = endpoint

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.cli import build_parser, main
-from repro.pathing.kernels import KERNELS
 
 
 class TestParser:
@@ -144,44 +143,21 @@ class TestCommands:
         assert code == 2
 
 
-class TestKernelAndStatsFlags:
-    def test_query_flat_kernel_with_stats(self, capsys):
+class TestStatsFlag:
+    def test_query_with_stats(self, capsys):
         code = main(
             [
                 "query", "--dataset", "SJ", "--source", "10",
                 "--category", "T2", "--k", "2", "--landmarks", "4",
-                "--kernel", "flat", "--stats",
+                "--stats",
             ]
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "flat kernel" in out
+        assert "(iter-bound-spti):" in out
         assert "stats:" in out
-        assert "flat_kernel_calls" in out
+        assert "nodes_settled" in out
         assert "prepared_cache_misses" in out
-
-    def test_query_kernels_agree(self, capsys):
-        outputs = []
-        for kernel in KERNELS:
-            assert main(
-                [
-                    "query", "--dataset", "SJ", "--source", "10",
-                    "--category", "T2", "--k", "3", "--landmarks", "4",
-                    "--kernel", kernel, "--json",
-                ]
-            ) == 0
-            import json
-
-            payload = json.loads(capsys.readouterr().out)
-            outputs.append([p["length"] for p in payload["paths"]])
-        assert outputs[0] == outputs[1]
-
-    def test_invalid_kernel_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["query", "--dataset", "SJ", "--source", "1",
-                 "--category", "T2", "--kernel", "gpu"]
-            )
 
 
 class TestBatchCommand:
@@ -202,7 +178,7 @@ class TestBatchCommand:
             [
                 "batch", "--dataset", "SJ", "--category", "T2",
                 "--random-sources", "6", "--seed", "1", "--workers", "2",
-                "--kernel", "flat", "--stats", "--landmarks", "4",
+                "--stats", "--landmarks", "4",
             ]
         )
         assert code == 0
@@ -323,13 +299,13 @@ class TestMetricsFlags:
             [
                 "query", "--dataset", "SJ", "--source", "10",
                 "--category", "T2", "--k", "2", "--landmarks", "4",
-                "--kernel", "flat", "--stats",
+                "--stats",
             ]
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "flat_kernel_calls" in out
-        assert "dict_kernel_calls" not in out  # zero under the flat kernel
+        assert "prepared_cache_misses" in out
+        assert "prepared_cache_hits" not in out  # zero on a cold query
 
 
 class TestFuzzCommand:
@@ -339,26 +315,20 @@ class TestFuzzCommand:
         assert args.seed == 0
         assert args.cases == 200
         assert args.shrink is True
-        assert args.kernels is None
         assert args.corpus_dir == "fuzz/corpus"
 
     def test_parser_flags(self):
         args = build_parser().parse_args(
             ["fuzz", "--seed", "7", "--cases", "50", "--time-budget", "1.5",
-             "--kernel", "dict", "--kernel", "flat", "--no-shrink"]
+             "--no-shrink"]
         )
         assert args.seed == 7
         assert args.time_budget == 1.5
-        assert args.kernels == ["dict", "flat"]
         assert args.shrink is False
-
-    def test_invalid_kernel_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["fuzz", "--kernel", "gpu"])
 
     def test_small_run_is_clean(self, capsys, tmp_path):
         code = main(
-            ["fuzz", "--seed", "0", "--cases", "15", "--kernel", "dict",
+            ["fuzz", "--seed", "0", "--cases", "15",
              "--corpus-dir", str(tmp_path)]
         )
         assert code == 0
@@ -371,7 +341,7 @@ class TestFuzzCommand:
 
         corpus = pathlib.Path(__file__).parent.parent / "fuzz" / "corpus"
         path = str(sorted(corpus.glob("*.json"))[0])
-        assert main(["fuzz", "--replay", path, "--kernel", "dict"]) == 0
+        assert main(["fuzz", "--replay", path]) == 0
         assert "ok" in capsys.readouterr().out
 
     def test_replay_missing_file(self, capsys):
@@ -413,7 +383,7 @@ class TestMetricsCommand:
     def test_exposition_with_workers_includes_warmup(self, capsys, tmp_path):
         from repro.obs.metrics import parse_prom
 
-        path = self.workload(tmp_path, workers=2, kernel="flat")
+        path = self.workload(tmp_path, workers=2)
         assert main(["metrics", "--workload", path]) == 0
         samples = parse_prom(capsys.readouterr().out)
         assert ("kpj_phase_seconds_total", (("phase", "warmup"),)) in samples
@@ -467,7 +437,7 @@ class TestObservabilityFlags:
         log = tmp_path / "q.jsonl"
         assert main(self.QUERY + ["--log", str(log)]) == 0
         (event,) = parse_query_log(log.read_text())
-        assert event["kernel"] == "dict"
+        assert "kernel" not in event
         assert event["k"] == 3
         assert event["paths"] == 3
         assert "slow" not in event
@@ -584,7 +554,6 @@ def _write_tiny_spec(tmp_path, **overrides):
         "queries": 8,
         "workers": 1,
         "seed": 5,
-        "kernel": "dict",
         "landmarks": 2,
         "k": {"kind": "fixed", "value": 2},
         "slo": {"p99_ms": 30000.0, "min_qps": 1.0},
