@@ -6,7 +6,7 @@ latencies, a paths checksum, and — since the work-attribution layer —
 the per-phase **work counters** (relaxations, heap traffic, TestLB
 verdicts) that explain *why* a latency moved.  This module renders
 that file for humans: ``kpj report`` prints the markdown trajectory
-(latency history per kernel, the latest entry's phase table, and the
+(latency history per protocol, the latest entry's phase table, and the
 work-counter deltas against the previous entry), and the harness
 reuses :func:`render_work_deltas` for the delta table the CI perf-gate
 job uploads as an artifact.
@@ -17,7 +17,7 @@ shortest-path computations, ``test_lb`` owns the bounded-search work
 (settles, relaxations, heap traffic, verdict tallies, batch
 occupancy), ``spt_grow`` the tree size, ``division`` the subspace
 bookkeeping, ``prepare`` the cache traffic.  Counters are exact and
-deterministic (the work-parity invariant pins them across kernels), so
+deterministic (``fuzz/corpus_pins.json`` pins them across commits), so
 any delta here is an algorithmic change, not noise — which is why the
 gate *reports* them but latency alone decides pass/fail.
 """
@@ -108,7 +108,9 @@ def render_work_deltas(entry: Mapping, baseline: Mapping | None) -> str:
     """
     work = entry.get("work") or {}
     base_work = (baseline or {}).get("work") or {}
-    kernel = (entry.get("protocol") or {}).get("kernel", "?")
+    # Entries recorded since the dict kernel was deleted carry no
+    # kernel label: they ran on the one (flat) substrate.
+    kernel = (entry.get("protocol") or {}).get("kernel", "flat")
     lines = [
         f"### Work counters — `{kernel}` kernel",
         "",
@@ -220,7 +222,7 @@ def render_loadtest_report(entries: Sequence[Mapping]) -> str:
         previous = group[-2] if len(group) > 1 else None
         out.append(
             f"## {spec.get('name', '?')} — {spec.get('dataset', '?')}, "
-            f"`{spec.get('kernel', '?')}` kernel, "
+            f"`{spec.get('kernel', 'flat')}` kernel, "
             f"{spec.get('workers', '?')} worker(s), "
             f"{spec.get('target_qps', '?')} qps target "
             f"(skew {(spec.get('skew') or {}).get('kind', '?')}, "
@@ -267,7 +269,7 @@ def render_loadtest_report(entries: Sequence[Mapping]) -> str:
         out.append(
             render_work_deltas(
                 {"work": latest.get("work"),
-                 "protocol": {"kernel": spec.get("kernel", "?")}},
+                 "protocol": {"kernel": spec.get("kernel", "flat")}},
                 {"work": (previous or {}).get("work")} if previous else None,
             )
         )

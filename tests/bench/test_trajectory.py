@@ -41,7 +41,7 @@ def entry(work=None, protocol=None, **overrides) -> dict:
 
 class TestTaxonomy:
     def test_covers_every_parity_counter(self):
-        # §3g contract: every cross-kernel-pinned counter has a home
+        # §3g contract: every pinned work counter has a home
         # phase in the trajectory's work block.
         taxonomy = {f for fields in WORK_PHASE_FIELDS.values() for f in fields}
         assert set(WORK_PARITY_FIELDS) <= taxonomy
