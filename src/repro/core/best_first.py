@@ -20,6 +20,7 @@ from heapq import heappop, heappush
 from itertools import count
 from typing import Callable
 
+from repro.core.flat_engine import dense_heuristic
 from repro.core.result import Path
 from repro.core.stats import SearchStats
 from repro.core.subspace import Subspace, compute_lower_bound, divide
@@ -61,6 +62,8 @@ def best_first(
     """
     graph = query_graph.graph
     adjacency = graph.adjacency
+    # CompSP indexes the dense bound vector; CompLB calls the bound.
+    search_h = dense_heuristic(heuristic, graph.n)
     source, target = query_graph.source, query_graph.target
     stats = stats if stats is not None else SearchStats()
 
@@ -93,8 +96,9 @@ def best_first(
             graph,
             subspace.head,
             target,
-            heuristic,
-            blocked=subspace.blocked_set,
+            search_h,
+            # The whole prefix: the kernel re-opens its source (the head).
+            blocked=subspace.prefix,
             banned_first_hops=subspace.banned,
             initial_distance=subspace.prefix_weight,
             stats=stats,

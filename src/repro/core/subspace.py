@@ -34,7 +34,7 @@ INF = float("inf")
 class Subspace:
     """An immutable subspace ``<prefix, banned>`` with cached prefix weight."""
 
-    __slots__ = ("prefix", "banned", "prefix_weight", "_blocked_set")
+    __slots__ = ("prefix", "banned", "prefix_weight")
 
     def __init__(
         self, prefix: tuple[int, ...], banned: frozenset[int], prefix_weight: float
@@ -42,7 +42,6 @@ class Subspace:
         self.prefix = prefix
         self.banned = banned
         self.prefix_weight = prefix_weight
-        self._blocked_set: frozenset[int] | None = None
 
     @property
     def head(self) -> int:
@@ -53,20 +52,6 @@ class Subspace:
     def blocked(self) -> tuple[int, ...]:
         """Nodes a path of this subspace may not revisit (prefix minus ``u``)."""
         return self.prefix[:-1]
-
-    @property
-    def blocked_set(self) -> frozenset[int]:
-        """:attr:`blocked` as a frozenset, materialised once.
-
-        A subspace is re-tested every time the iteratively bounding
-        driver enlarges ``τ``; caching the set form means the search
-        kernels stop rebuilding ``set(prefix[:-1])`` on every re-test.
-        """
-        cached = self._blocked_set
-        if cached is None:
-            cached = frozenset(self.prefix[:-1])
-            self._blocked_set = cached
-        return cached
 
     @classmethod
     def entire(cls, root: int) -> "Subspace":
