@@ -43,6 +43,12 @@ PAPER_EDGES = [
 
 HOTELS = ("v4", "v6", "v7")
 
+#: The search substrate every query runs on, by the name
+#: ``KPJSolver.kernel`` and ``/status`` report.  Checks of a property
+#: the substrate must hold are parametrized over it, so their ids name
+#: the substrate they exercised.
+KERNELS = ("flat",)
+
 
 @pytest.fixture(scope="session")
 def paper_built():
