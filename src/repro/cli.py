@@ -32,9 +32,14 @@ span timeline as Chrome trace-event JSON (load in ``chrome://tracing``
 or Perfetto); ``query --trace`` prints the span tree and the
 per-depth :class:`~repro.obs.subspace_report.SubspaceTreeReport`
 inline; ``metrics --workload W --trace-out DIR`` additionally writes
-one Chrome trace file per query of the workload; ``explain --tree``
-prints the same subspace-tree reconstruction from the ``SearchTrace``
-narration.
+one Chrome trace file per query of the workload; ``explain`` answers
+one query with a span tracer attached, like ``trace``, and narrates
+the τ schedule from its ``iterate`` spans (``--tree`` adds the same
+subspace-tree reconstruction).
+
+Any :class:`~repro.exceptions.ReproError` a command raises — an
+unknown category, ``--k 0``, a bad workload spec — exits 2 with its
+message as one line on stderr.
 
 Work-attribution surfaces (DESIGN.md §3g): ``--log FILE`` on
 ``query``/``batch`` appends one JSON event per query (stable query id,
@@ -88,6 +93,7 @@ from repro.bench import experiments
 from repro.bench.reporting import format_figure
 from repro.core.kpj import ALGORITHMS, DEFAULT_ALGORITHM, KPJSolver
 from repro.datasets.registry import available_datasets, road_network
+from repro.exceptions import QueryError, ReproError
 
 __all__ = ["main", "build_parser"]
 
@@ -522,11 +528,16 @@ def _print_memory(reg) -> None:
         print(f"  {name:<{width}}  {int(value)}")
 
 
-def _cmd_query(args: argparse.Namespace) -> int:
+def _dataset_for(args: argparse.Namespace):
+    """The ``--dataset`` network, after checking ``--source`` is a node."""
     dataset = road_network(args.dataset)
     if args.source < 0 or args.source >= dataset.n:
-        print(f"source must be in [0, {dataset.n})", file=sys.stderr)
-        return 2
+        raise QueryError(f"source must be in [0, {dataset.n})")
+    return dataset
+
+
+def _cmd_query(args: argparse.Namespace) -> int:
+    dataset = _dataset_for(args)
     try:
         qlog, mem = _obs_wiring(args)
     except ValueError as exc:
@@ -609,25 +620,27 @@ def _cmd_query(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_trace(args: argparse.Namespace) -> int:
-    import json
+def _traced_query(args: argparse.Namespace, dataset):
+    """Answer the command's query with a span tracer attached."""
+    from repro.obs.tracing import SpanTracer
 
-    from repro.obs.tracing import SpanTracer, chrome_trace
-
-    dataset = road_network(args.dataset)
-    if args.source < 0 or args.source >= dataset.n:
-        print(f"source must be in [0, {dataset.n})", file=sys.stderr)
-        return 2
-    tracer = SpanTracer()
     solver = KPJSolver(
         dataset.graph,
         dataset.categories,
         landmarks=args.landmarks,
-        tracer=tracer,
+        tracer=SpanTracer(),
     )
-    result = solver.top_k(
+    return solver.top_k(
         args.source, category=args.category, k=args.k, algorithm=args.algorithm
     )
+
+
+def _cmd_trace(args: argparse.Namespace) -> int:
+    import json
+
+    from repro.obs.tracing import chrome_trace
+
+    result = _traced_query(args, _dataset_for(args))
     doc = chrome_trace(result.trace)
     try:
         with open(args.out, "w") as fh:
@@ -830,10 +843,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    dataset = road_network(args.dataset)
-    if args.source < 0 or args.source >= dataset.n:
-        print(f"source must be in [0, {dataset.n})", file=sys.stderr)
-        return 2
+    dataset = _dataset_for(args)
     solver = KPJSolver(dataset.graph, dataset.categories, landmarks=args.landmarks)
     header = f"{'algorithm':<22} {'time':>10} {'SP comps':>9} {'settled':>9}"
     print(header)
@@ -865,53 +875,27 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
-    from repro.core.iter_bound import iter_bound
-    from repro.core.spt_incremental import iter_bound_spti
-    from repro.core.trace import SearchTrace
-    from repro.graph.virtual import build_query_graph
-    from repro.landmarks.index import ZERO_BOUNDS
+    from repro.obs.subspace_report import SubspaceTreeReport
+    from repro.obs.tracing import render_narrative
 
-    dataset = road_network(args.dataset)
-    if args.source < 0 or args.source >= dataset.n:
-        print(f"source must be in [0, {dataset.n})", file=sys.stderr)
-        return 2
-    solver = KPJSolver(
-        dataset.graph,
-        dataset.categories,
-        landmarks=args.landmarks,
-    )
+    dataset = _dataset_for(args)
+    result = _traced_query(args, dataset)
     destinations = dataset.categories.nodes_of(args.category)
-    qg = build_query_graph(dataset.graph, (args.source,), destinations)
-    lm = solver.landmark_index
-    bounds = (
-        lm.to_target_bounds(qg.destinations) if lm is not None else ZERO_BOUNDS
-    )
-    trace = SearchTrace()
-    if args.algorithm == "iter-bound-spti":
-        source_bounds = (
-            lm.lazy_source_bounds(qg.sources) if lm is not None else ZERO_BOUNDS
-        )
-        paths = iter_bound_spti(qg, args.k, bounds, source_bounds, trace=trace)
-    else:
-        paths = iter_bound(qg, args.k, bounds, trace=trace)
     print(
         f"{args.algorithm} on {args.dataset}: "
         f"node {args.source} -> category "
         f"{args.category!r} (|V_T|={len(destinations)}), k={args.k}\n"
     )
-    print(trace.render(limit=args.limit))
+    print(render_narrative(result.trace, limit=args.limit))
     if args.tree:
-        from repro.obs.subspace_report import SubspaceTreeReport
-
         print()
-        print(SubspaceTreeReport.from_search_trace(trace).render())
-    print(f"\nfound {len(paths)} paths; lengths: "
-          + ", ".join(f"{p.length:.4g}" for p in paths))
+        print(SubspaceTreeReport.from_spans(result.trace).render())
+    print(f"\nfound {len(result.paths)} paths; lengths: "
+          + ", ".join(f"{p.length:.4g}" for p in result.paths))
     return 0
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
-    from repro.exceptions import QueryError
     from repro.fuzz import replay_file, run_fuzz, self_check
 
     if args.replay:
@@ -1090,7 +1074,6 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
         replay_workload,
     )
     from repro.bench.workload import load_spec
-    from repro.exceptions import QueryError
 
     try:
         spec = load_spec(args.spec)
@@ -1100,27 +1083,19 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
     baseline_path = args.baseline if args.baseline is not None else args.out
     baseline = None
     trajectory: list = []
-    try:
-        if args.out is not None:
-            trajectory = load_entries(args.out)
-        if baseline_path is not None:
-            entries = (
-                trajectory
-                if baseline_path == args.out
-                else load_entries(baseline_path)
-            )
-            baseline = baseline_for(entries, spec.as_dict())
-    except QueryError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    try:
-        entry = replay_workload(
-            spec, progress=lambda msg: print(f"# {msg}", file=sys.stderr),
-            url=args.url,
+    if args.out is not None:
+        trajectory = load_entries(args.out)
+    if baseline_path is not None:
+        entries = (
+            trajectory
+            if baseline_path == args.out
+            else load_entries(baseline_path)
         )
-    except QueryError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+        baseline = baseline_for(entries, spec.as_dict())
+    entry = replay_workload(
+        spec, progress=lambda msg: print(f"# {msg}", file=sys.stderr),
+        url=args.url,
+    )
     if args.out is not None:
         trajectory.append(entry)
         try:
@@ -1149,35 +1124,28 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.core.kpj import KPJSolver
-    from repro.datasets.registry import road_network
-    from repro.exceptions import QueryError
     from repro.server.http import run_server
     from repro.server.service import QueryService
 
-    try:
-        dataset = road_network(args.dataset)
-        solver = KPJSolver(
-            dataset.graph,
-            dataset.categories,
-            landmarks=args.landmarks,
-            prepared_cache_size=args.prepared_cache,
-        )
-        prewarm = (
-            tuple(c.strip() for c in args.prewarm.split(",") if c.strip())
-            if args.prewarm
-            else ()
-        )
-        service = QueryService(
-            solver,
-            workers=args.workers,
-            max_pending=args.max_pending,
-            default_timeout_s=args.timeout_s,
-            prewarm=prewarm,
-        )
-    except QueryError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    dataset = road_network(args.dataset)
+    solver = KPJSolver(
+        dataset.graph,
+        dataset.categories,
+        landmarks=args.landmarks,
+        prepared_cache_size=args.prepared_cache,
+    )
+    prewarm = (
+        tuple(c.strip() for c in args.prewarm.split(",") if c.strip())
+        if args.prewarm
+        else ()
+    )
+    service = QueryService(
+        solver,
+        workers=args.workers,
+        max_pending=args.max_pending,
+        default_timeout_s=args.timeout_s,
+        prewarm=prewarm,
+    )
     print(
         f"starting service: dataset {args.dataset}, {args.workers} "
         f"resident worker(s), {args.landmarks} landmarks",
@@ -1190,9 +1158,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             port=args.port,
             announce=lambda msg: print(msg, flush=True),
         )
-    except QueryError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
     except OSError as exc:
         print(f"cannot bind {args.host}:{args.port}: {exc}", file=sys.stderr)
         return 2
@@ -1202,34 +1167,35 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+_COMMANDS = {
+    "query": _cmd_query,
+    "batch": _cmd_batch,
+    "datasets": _cmd_datasets,
+    "bench": _cmd_bench,
+    "compare": _cmd_compare,
+    "explain": _cmd_explain,
+    "fuzz": _cmd_fuzz,
+    "metrics": _cmd_metrics,
+    "trace": _cmd_trace,
+    "report": _cmd_report,
+    "loadtest": _cmd_loadtest,
+    "serve": _cmd_serve,
+}
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    A :class:`~repro.exceptions.ReproError` out of any command is a bad
+    request, not a crash: its message goes to stderr and the exit code
+    is 2.
+    """
     args = build_parser().parse_args(argv)
-    if args.command == "query":
-        return _cmd_query(args)
-    if args.command == "batch":
-        return _cmd_batch(args)
-    if args.command == "datasets":
-        return _cmd_datasets(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
-    if args.command == "compare":
-        return _cmd_compare(args)
-    if args.command == "explain":
-        return _cmd_explain(args)
-    if args.command == "fuzz":
-        return _cmd_fuzz(args)
-    if args.command == "metrics":
-        return _cmd_metrics(args)
-    if args.command == "trace":
-        return _cmd_trace(args)
-    if args.command == "report":
-        return _cmd_report(args)
-    if args.command == "loadtest":
-        return _cmd_loadtest(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    return 2  # pragma: no cover - argparse enforces the choices
+    try:
+        return _COMMANDS[args.command](args)
+    except ReproError as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -32,12 +32,14 @@ from repro.core.stats import SearchStats
 from repro.core.subspace import Subspace, compute_lower_bound, divide
 from repro.graph.digraph import DiGraph
 from repro.graph.virtual import QueryGraph
-from repro.obs.log import current_query_id
 from repro.pathing.astar import astar_path
 
 __all__ = ["iter_bound_search", "iter_bound"]
 
 INF = float("inf")
+
+#: ``test_lb`` verdict of a failed test -> its ``iterate`` span verdict.
+_ITERATE_VERDICTS = {"miss": "test-miss", "retire": "retire"}
 
 
 def iter_bound_search(
@@ -51,7 +53,6 @@ def iter_bound_search(
     initial: tuple[tuple[int, ...], float] | None = None,
     comp_lb: Callable[[Subspace], float] | None = None,
     before_test: Callable[[float], None] | None = None,
-    trace=None,
     test_lb: Callable[[Subspace, float, dict], tuple[tuple[int, ...], float] | None]
     | None = None,
     comp_lb_children: Callable | None = None,
@@ -83,9 +84,6 @@ def iter_bound_search(
         Hook invoked with ``τ`` right before each ``TestLB`` — the
         ``SPT_I`` variant grows its tree here (Alg. 7's placement:
         after line 9, before line 10 of Alg. 4).
-    trace:
-        Optional :class:`repro.core.trace.SearchTrace` recording the
-        loop's events (outputs, test hits/misses, retirements).
     test_lb:
         Override for the bounded test itself: called as
         ``test_lb(subspace, tau, info)`` and expected to honour the
@@ -118,13 +116,17 @@ def iter_bound_search(
         Optional :class:`~repro.obs.tracing.SpanTracer`.  The driver
         opens one ``iter_bound`` span over the whole loop (attributes:
         ``bound_kind``, end-of-search queue ``leftover``, ``results``),
-        one ``iterate`` span per outer τ-iteration, and child
-        ``test_lb`` / ``division`` / ``spt_grow`` spans carrying the
-        prefix depth, lower bound, τ, and verdict — enough for
+        one ``iterate`` span per queue pop (the subspace ``prefix``,
+        its depth and lower bound, the verdict, and the path length of
+        an output or a test hit), and child ``test_lb`` / ``division``
+        / ``spt_grow`` spans carrying the prefix depth, lower bound,
+        τ, and verdict — enough for
+        :func:`~repro.obs.tracing.render_narrative` to narrate the τ
+        schedule and for
         :class:`~repro.obs.subspace_report.SubspaceTreeReport` to
-        rebuild the explored subspace tree.  Shares the metrics
-        discipline: timestamps are taken once, disabled cost is one
-        ``None`` check per site.
+        rebuild the explored subspace tree.  Each phase interval is
+        timed once and handed to whichever of ``metrics``/``tracer``
+        is attached; disabled cost is one ``None`` check per site.
     bound_kind:
         Which bound family backs ``heuristic``/``comp_lb``
         (``"landmark"``, ``"global"``, ``"spt_p"``, ``"spt_i"``) —
@@ -152,12 +154,6 @@ def iter_bound_search(
     search_span = None
     if traced:
         search_span = tracer.begin("iter_bound", cat="search", bound_kind=bound_kind)
-        # Join key to the structured query log: the solver stamps its
-        # id in a contextvar so the driver tags its span without a
-        # signature change (see repro.obs.log).
-        query_id = current_query_id.get()
-        if query_id is not None:
-            search_span["attrs"]["query_id"] = query_id
     if initial is None:
         stats.shortest_path_computations += 1
         if clocked:
@@ -216,14 +212,12 @@ def iter_bound_search(
             bound, _, subspace, found = heappop(queue)
             if traced:
                 it_span = tracer.begin(
-                    "iterate", cat="search",
+                    "iterate", cat="search", prefix=subspace.prefix,
                     depth=len(subspace.prefix) - 1, lb=bound,
                 )
             if found is not None:
                 path, dists = found
                 results.append(Path(length=bound, nodes=path))
-                if trace is not None:
-                    trace.record("output", subspace.prefix, bound, length=bound)
                 if clocked:
                     t0 = perf_counter()
                 if comp_lb_children is not None and dists is not None:
@@ -274,7 +268,8 @@ def iter_bound_search(
             if before_test is not None:
                 if clocked:
                     t0 = perf_counter()
-                    before_test(tau)
+                before_test(tau)
+                if clocked:
                     t1 = perf_counter()
                     if timed:
                         t_grow += t1 - t0
@@ -283,8 +278,6 @@ def iter_bound_search(
                         tracer.add(
                             "spt_grow", t0, t1, cat="phase", attrs={"tau": tau}
                         )
-                else:
-                    before_test(tau)
             n_tests += 1
             if clocked:
                 t0 = perf_counter()
@@ -295,20 +288,8 @@ def iter_bound_search(
                     t_test += t1 - t0
             if hit is not None:
                 n_test_hits += 1
+                verdict = "hit"
                 tail, length = hit
-                if trace is not None:
-                    trace.record(
-                        "test-hit", subspace.prefix, bound, tau=tau, length=length
-                    )
-                if traced:
-                    tracer.add(
-                        "test_lb", t0, t1, cat="phase",
-                        attrs={
-                            "depth": len(subspace.prefix) - 1,
-                            "lb": bound, "tau": tau, "verdict": "hit",
-                        },
-                    )
-                    tracer.end(it_span, verdict="test-hit")
                 heappush(
                     queue,
                     (
@@ -318,36 +299,28 @@ def iter_bound_search(
                         (subspace.prefix[:-1] + tail, test_info.get("tail_dists")),
                     ),
                 )
-                continue
-            n_test_failures += 1
-            if not test_info["pruned"] or tau >= tau_limit:
-                n_test_retires += 1
-                if trace is not None:
-                    trace.record("retire", subspace.prefix, bound, tau=tau)
-                if traced:
-                    tracer.add(
-                        "test_lb", t0, t1, cat="phase",
-                        attrs={
-                            "depth": len(subspace.prefix) - 1,
-                            "lb": bound, "tau": tau, "verdict": "retire",
-                        },
-                    )
-                    tracer.end(it_span, verdict="retire")
-                n_pruned += 1  # provably empty — retire it
-                continue
-            n_test_misses += 1
-            if trace is not None:
-                trace.record("test-miss", subspace.prefix, bound, tau=tau)
+            else:
+                n_test_failures += 1
+                if not test_info["pruned"] or tau >= tau_limit:
+                    n_test_retires += 1
+                    n_pruned += 1  # provably empty — retire it
+                    verdict = "retire"
+                else:
+                    n_test_misses += 1
+                    verdict = "miss"
+                    heappush(queue, (tau, next(tie), subspace, None))
             if traced:
                 tracer.add(
                     "test_lb", t0, t1, cat="phase",
                     attrs={
                         "depth": len(subspace.prefix) - 1,
-                        "lb": bound, "tau": tau, "verdict": "miss",
+                        "lb": bound, "tau": tau, "verdict": verdict,
                     },
                 )
-                tracer.end(it_span, verdict="test-miss")
-            heappush(queue, (tau, next(tie), subspace, None))
+                if hit is None:
+                    tracer.end(it_span, verdict=_ITERATE_VERDICTS[verdict])
+                else:
+                    tracer.end(it_span, verdict="test-hit", length=length)
     finally:
         stats.subspaces_created += n_created
         stats.lower_bound_computations += n_lb_computations
@@ -378,7 +351,6 @@ def iter_bound(
     heuristic: Callable[[int], float],
     alpha: float = 1.1,
     stats: SearchStats | None = None,
-    trace=None,
     metrics=None,
     tracer=None,
 ) -> list[Path]:
@@ -397,7 +369,6 @@ def iter_bound(
         heuristic,
         alpha=alpha,
         stats=stats,
-        trace=trace,
         metrics=metrics,
         tracer=tracer,
         bound_kind="global" if isinstance(heuristic, ZeroBounds) else "landmark",

@@ -58,7 +58,7 @@ from repro.graph.categories import CategoryIndex
 from repro.graph.digraph import DiGraph
 from repro.graph.virtual import QueryGraph, build_query_graph, check_query_nodes, is_int
 from repro.landmarks.index import ZERO_BOUNDS, LandmarkIndex, TargetBounds
-from repro.obs.log import QueryLogger, current_query_id, new_query_id
+from repro.obs.log import QueryLogger, new_query_id
 from repro.obs.memory import MemoryTelemetry, scratch_pool_bytes
 from repro.obs.metrics import SEARCH_PHASES, MetricsRegistry, maybe_phase
 from repro.obs.tracing import SpanTracer, maybe_span
@@ -454,6 +454,11 @@ class KPJSolver:
             metrics.set_gauge("prepared_cache_bytes", len(cache) * self.graph.n * 8)
         return prepared
 
+    def _mem_phase(self, name: str, qreg: MetricsRegistry | None):
+        if self.memory is None:
+            return nullcontext()
+        return self.memory.phase(name, qreg)
+
     def _solve(
         self,
         sources: tuple[int, ...],
@@ -481,11 +486,9 @@ class KPJSolver:
                 f"unknown algorithm {algorithm!r}; choose one of: {known}"
             ) from None
         stats = SearchStats()
-        # Stable query id: stamped on the result, the root span, and
-        # every log event; readable below the solver via the
-        # current_query_id contextvar (fork-safe — see repro.obs.log).
+        # Stable query id: stamped on the result, the root span (every
+        # other span of the query descends from it), and the log event.
         query_id = new_query_id()
-        qid_token = current_query_id.set(query_id)
         # Fresh per-query registry: its snapshot rides back on the
         # result (picklable across the process boundary) and is
         # merged into the solver-lifetime registry afterwards.
@@ -502,37 +505,6 @@ class KPJSolver:
             if qtr is not None
             else None
         )
-        try:
-            return self._solve_inner(
-                sources, category, destinations, k, algorithm, alpha, prepared,
-                target_bounds, t_start, stats, query_id, qreg, qtr, root_span,
-            )
-        finally:
-            current_query_id.reset(qid_token)
-
-    def _mem_phase(self, name: str, qreg: MetricsRegistry | None):
-        if self.memory is None:
-            return nullcontext()
-        return self.memory.phase(name, qreg)
-
-    def _solve_inner(
-        self,
-        sources: tuple[int, ...],
-        category: str | None,
-        destinations: Sequence[int] | None,
-        k: int,
-        algorithm: str,
-        alpha: float,
-        prepared: "PreparedCategory | None",
-        target_bounds: Callable[[int], float] | None,
-        t_start: float,
-        stats: SearchStats,
-        query_id: str,
-        qreg: MetricsRegistry | None,
-        qtr: SpanTracer | None,
-        root_span: dict | None,
-    ) -> QueryResult:
-        run = ALGORITHMS[algorithm]
         with maybe_phase(qreg, "prepare"), \
                 self._mem_phase("prepare", qreg), \
                 maybe_span(qtr, "prepare", cat="phase") as prep_span:

@@ -27,6 +27,7 @@ engine's (:mod:`repro.core.flat_engine`).
 
 from __future__ import annotations
 
+from time import perf_counter
 from typing import Callable
 
 from repro.core.flat_engine import (
@@ -50,7 +51,6 @@ def iter_bound_spti(
     source_bounds: Callable[[int], float],
     alpha: float = 1.1,
     stats: SearchStats | None = None,
-    trace=None,
     metrics=None,
     tracer=None,
 ) -> list[Path]:
@@ -66,10 +66,6 @@ def iter_bound_spti(
         (Section 6).
     source_bounds:
         ``lb(s, v)`` — Alg. 8's fallback for nodes outside the tree.
-    trace:
-        Optional :class:`~repro.core.trace.SearchTrace` recording the
-        driver's ``output``/``test-hit``/``test-miss``/``retire``
-        events, so ``kpj explain`` can narrate the query.
     metrics:
         Optional :class:`~repro.obs.metrics.MetricsRegistry` receiving
         phase attribution: ``comp_sp`` for the initial tree build,
@@ -90,18 +86,16 @@ def iter_bound_spti(
     ctx = FlatQueryContext(reversed_graph, h=tree.h, metrics=metrics)
     try:
         stats.shortest_path_computations += 1
-        if metrics is not None or tracer is not None:
-            from time import perf_counter
-
+        clocked = metrics is not None or tracer is not None
+        if clocked:
             t0 = perf_counter()
-            initial = tree.build_initial(query_graph.target)
+        initial = tree.build_initial(query_graph.target)
+        if clocked:
             t1 = perf_counter()
             if metrics is not None:
                 metrics.observe_phase("comp_sp", t1 - t0)
             if tracer is not None:
                 tracer.add("comp_sp", t0, t1, cat="phase")
-        else:
-            initial = tree.build_initial(query_graph.target)
         if initial is None:
             return []
         first_path, first_length = initial
@@ -139,7 +133,6 @@ def iter_bound_spti(
                 tree, in_adjacency, comp_lb, source_bounds
             ),
             initial_dists=init_dists,
-            trace=trace,
             metrics=metrics,
             tracer=tracer,
             bound_kind="spt_i",

@@ -13,6 +13,7 @@ better — and from Eq. (2) otherwise.
 
 from __future__ import annotations
 
+from time import perf_counter
 from typing import Callable
 
 import numpy as np
@@ -103,23 +104,23 @@ def iter_bound_sptp(
 
     Returns paths in ``G_Q`` coordinates.
     """
-    from time import perf_counter
-
     stats = stats if stats is not None else SearchStats()
     graph = query_graph.graph
     # Seeding the backward A* at the virtual target is equivalent to
     # seeding every destination at distance zero (the reverse adjacency
     # of t is exactly V_T with zero weights).
     stats.shortest_path_computations += 1
-    if metrics is not None or tracer is not None:
+    clocked = metrics is not None or tracer is not None
+    if clocked:
         t0 = perf_counter()
-        tree = build_partial_spt(
-            graph,
-            query_graph.source,
-            (query_graph.target,),
-            source_bounds,
-            stats=stats,
-        )
+    tree = build_partial_spt(
+        graph,
+        query_graph.source,
+        (query_graph.target,),
+        source_bounds,
+        stats=stats,
+    )
+    if clocked:
         t1 = perf_counter()
         if metrics is not None:
             metrics.observe_phase("comp_sp", t1 - t0)
@@ -129,14 +130,6 @@ def iter_bound_sptp(
                 "comp_sp", t0, t1, cat="phase",
                 attrs={"tree_nodes": len(tree)},
             )
-    else:
-        tree = build_partial_spt(
-            graph,
-            query_graph.source,
-            (query_graph.target,),
-            source_bounds,
-            stats=stats,
-        )
     stats.spt_nodes = len(tree)
     if tree.source_path is None:
         return []

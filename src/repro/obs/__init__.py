@@ -1,20 +1,22 @@
 """repro.obs — query-lifecycle observability.
 
-A lightweight, dependency-free metrics layer: phase timers, counters,
-gauges, fixed-bucket histograms, Prometheus text exposition, and the
-strict parser the CI smoke job runs against it — plus the span tracer
+Two channels record a search.  The aggregate one is a lightweight,
+dependency-free metrics layer: phase timers, counters, gauges,
+fixed-bucket histograms, Prometheus text exposition, and the strict
+parser the CI smoke job runs against it; every service worker runs
+with it attached.  The per-event one is the opt-in span tracer
 (:mod:`repro.obs.tracing`: per-query timelines, Chrome trace-event
-export, tree dumps), structured per-query JSON logging with slow-query
-dumps (:mod:`repro.obs.log`), opt-in memory telemetry
-(:mod:`repro.obs.memory`), and the subspace-tree introspection built
-on the tracer (:mod:`repro.obs.subspace_report`).  Disabled-path
+export, tree dumps, the ``kpj explain`` narrative), with the
+subspace-tree introspection built on it
+(:mod:`repro.obs.subspace_report`).  Around them sit structured
+per-query JSON logging with slow-query dumps (:mod:`repro.obs.log`)
+and opt-in memory telemetry (:mod:`repro.obs.memory`).  Disabled-path
 overhead is one ``None`` check per site — see DESIGN.md §3c/§3d/§3g.
 """
 
 from repro.obs.log import (
     QueryLogger,
     SlowQuery,
-    current_query_id,
     load_slow_query,
     new_query_id,
     parse_query_log,
@@ -35,6 +37,7 @@ from repro.obs.tracing import (
     folded_stacks,
     maybe_span,
     phase_durations,
+    render_narrative,
     render_tree,
     validate_chrome_trace,
 )
@@ -51,13 +54,13 @@ __all__ = [
     "chrome_trace",
     "validate_chrome_trace",
     "render_tree",
+    "render_narrative",
     "folded_stacks",
     "phase_durations",
     "SubspaceTreeReport",
     "DepthRow",
     "QueryLogger",
     "SlowQuery",
-    "current_query_id",
     "new_query_id",
     "parse_query_log",
     "load_slow_query",

@@ -6,10 +6,9 @@ between: every query the solver answers emits exactly one JSON object
 on its own line (``jsonl``), carrying a stable **query id**, the
 algorithm, latency, and the non-zero work counters.  The
 id is generated in :meth:`~repro.core.kpj.KPJSolver._solve`, stamped
-on the :class:`~repro.core.result.QueryResult`, attached to the query
-span, and readable from :data:`current_query_id` anywhere below the
-solver (the iteratively bounding driver tags its root span with it) —
-so a log line, a trace tree, and a batch report all name the same
+on the :class:`~repro.core.result.QueryResult`, and attached to the
+root ``query`` span, which every other span of the query descends from
+— so a log line, a trace tree, and a batch report all name the same
 query the same way.
 
 Query ids are fork-safe by construction: ``q-<pid hex>-<seq>`` — a
@@ -39,7 +38,6 @@ import itertools
 import json
 import os
 import time
-from contextvars import ContextVar
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Iterable, Mapping
@@ -52,7 +50,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "QueryLogger",
     "SlowQuery",
-    "current_query_id",
     "new_query_id",
     "parse_query_log",
     "load_slow_query",
@@ -61,13 +58,6 @@ __all__ = [
 
 #: Schema version stamped on every event (bump on breaking change).
 LOG_VERSION = 1
-
-#: The id of the query currently being solved, or ``None`` outside a
-#: query.  Set by the solver around each ``_solve`` call; read by any
-#: layer that wants to tag its output without a signature change.
-current_query_id: ContextVar[str | None] = ContextVar(
-    "repro_current_query_id", default=None
-)
 
 _SEQ = itertools.count(1)
 

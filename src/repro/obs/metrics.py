@@ -29,10 +29,14 @@ and :meth:`MetricsRegistry.render_prom` emits Prometheus text
 exposition with **no dependency** — :func:`parse_prom` is the matching
 strict parser the CI smoke job uses.
 
-The disabled path costs one ``None`` check per site, the same
-discipline as :class:`~repro.core.trace.SearchTrace`: nothing in this
-module is imported on a query's hot path unless a registry was
-explicitly attached.
+Phase timers are the aggregate channel: every service worker runs
+with a registry attached, because a query pays a handful of clock
+reads and one flush for it.  The per-event record of a search — each
+queue pop, ``TestLB`` verdict and division — is the span stream of
+:mod:`repro.obs.tracing`, which costs far more and stays opt-in.  The
+disabled path costs one ``None`` check per site, the same discipline
+as the span tracer: nothing in this module is imported on a query's
+hot path unless a registry was explicitly attached.
 """
 
 from __future__ import annotations

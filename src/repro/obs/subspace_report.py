@@ -6,37 +6,22 @@ pruned by a cheap lower bound instead of paying a shortest-path
 computation each.  :class:`SubspaceTreeReport` reconstructs that tree
 for one query — how many subspaces were tested, expanded, or pruned
 at each prefix depth, and which bound family did the pruning — from
-either of the two narrations the engines emit:
-
-* :meth:`SubspaceTreeReport.from_spans` — the
-  :mod:`repro.obs.tracing` span snapshot riding on a traced
-  :class:`~repro.core.result.QueryResult` (``test_lb``/``division``
-  spans carry depth, bound, τ, verdict, children/pruned counts);
-* :meth:`SubspaceTreeReport.from_search_trace` — the
-  :class:`~repro.core.trace.SearchTrace` event list ``kpj explain``
-  already records.
-
-Both adapters normalise into one event stream and share a single
-``_build`` path, so ``kpj explain --tree`` and ``kpj trace`` print
-the same reconstruction.  Span-built reports additionally know the
-division fan-out and the end-of-search queue leftovers, which makes
-their totals equal the :class:`~repro.core.stats.SearchStats`
-subspace counters exactly (asserted by the tracing tests);
-SearchTrace-built reports leave those totals ``None``.
+the :mod:`repro.obs.tracing` span snapshot riding on a traced
+:class:`~repro.core.result.QueryResult` (``test_lb``/``division``
+spans carry depth, bound, τ, verdict, children/pruned counts), so
+``kpj explain --tree``, ``kpj trace --tree`` and ``kpj query --trace``
+print the same reconstruction.  The division fan-out and the
+end-of-search queue leftovers make its totals equal the
+:class:`~repro.core.stats.SearchStats` subspace counters exactly
+(asserted by the tracing tests).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping
 
 __all__ = ["DepthRow", "SubspaceTreeReport"]
-
-#: test_lb verdicts, in the order Alg. 4 distinguishes them.
-_VERDICTS = ("hit", "miss", "retire")
-
-#: SearchTrace event kind -> normalised verdict.
-_TRACE_KINDS = {"test-hit": "hit", "test-miss": "miss", "retire": "retire"}
 
 
 @dataclass
@@ -49,7 +34,7 @@ class DepthRow:
     verdict; ``expanded`` counts subspaces whose path was output and
     divided; ``children``/``born_pruned`` count division offspring and
     the offspring discarded immediately because ``CompLB`` proved them
-    empty (span-built reports only).
+    empty.
     """
 
     depth: int
@@ -68,13 +53,13 @@ class SubspaceTreeReport:
 
     rows: dict[int, DepthRow] = field(default_factory=dict)
     #: Which bound family drove the pruning (``"landmark"``,
-    #: ``"global"``, ``"spt_p"``, ``"spt_i"``); ``None`` when the
-    #: narration did not record it.
+    #: ``"global"``, ``"spt_p"``, ``"spt_i"``); ``None`` when no
+    #: ``iter_bound`` span recorded it.
     bound_kind: str | None = None
     #: Subspaces still queued (bound-only) when the k-th path was
-    #: confirmed; ``None`` when unknown (SearchTrace-built reports).
+    #: confirmed; ``None`` when no finished ``iter_bound`` span says.
     leftover: int | None = None
-    #: Whether division fan-out was recorded (span-built reports).
+    #: Whether any ``division`` span recorded fan-out.
     has_divisions: bool = False
     #: True when the source ring buffer never evicted — totals are
     #: exact, not lower bounds.
@@ -92,67 +77,37 @@ class SubspaceTreeReport:
         if hasattr(trace, "as_dict") and not isinstance(trace, Mapping):
             trace = trace.as_dict()  # accept a live SpanTracer too
         report.complete = not trace.get("evicted", 0)
-        events: list[tuple] = []
         for span in trace.get("spans", ()):
             name = span.get("name")
             attrs = span.get("attrs") or {}
             if name == "test_lb":
-                events.append(("test", int(attrs.get("depth", 0)),
-                               str(attrs.get("verdict", "miss"))))
-            elif name == "division":
-                report.has_divisions = True
-                events.append(("division", int(attrs.get("depth", 0)),
-                               int(attrs.get("children", 0)),
-                               int(attrs.get("pruned", 0))))
-            elif name == "iter_bound":
-                if "leftover" in attrs:
-                    report.leftover = int(attrs["leftover"])
-                if attrs.get("bound_kind") is not None:
-                    report.bound_kind = str(attrs["bound_kind"])
-        report._build(events)
-        return report
-
-    @classmethod
-    def from_search_trace(cls, trace) -> "SubspaceTreeReport":
-        """Build from a :class:`~repro.core.trace.SearchTrace`.
-
-        Depth is derived from the recorded prefix; division fan-out
-        and queue leftovers are not part of the ``SearchTrace``
-        narration, so :attr:`subspaces_created` /
-        :attr:`subspaces_pruned` stay ``None``.
-        """
-        report = cls()
-        events: list[tuple] = []
-        for event in trace.events:
-            depth = max(len(event.prefix) - 1, 0)
-            if event.kind == "output":
-                events.append(("division", depth, 0, 0))
-            elif event.kind in _TRACE_KINDS:
-                events.append(("test", depth, _TRACE_KINDS[event.kind]))
-        report._build(events)
-        return report
-
-    def _build(self, events: Iterable[tuple]) -> None:
-        """The one shared reconstruction path for both narrations."""
-        rows = self.rows
-        for event in events:
-            kind, depth = event[0], event[1]
-            row = rows.get(depth)
-            if row is None:
-                row = rows[depth] = DepthRow(depth)
-            if kind == "test":
+                row = report._row(int(attrs.get("depth", 0)))
                 row.tested += 1
-                verdict = event[2]
+                verdict = attrs.get("verdict")
                 if verdict == "hit":
                     row.hits += 1
                 elif verdict == "retire":
                     row.retired += 1
                 else:
                     row.misses += 1
-            else:  # division (== one output expanded)
+            elif name == "division":  # one output expanded
+                report.has_divisions = True
+                row = report._row(int(attrs.get("depth", 0)))
                 row.expanded += 1
-                row.children += event[2]
-                row.born_pruned += event[3]
+                row.children += int(attrs.get("children", 0))
+                row.born_pruned += int(attrs.get("pruned", 0))
+            elif name == "iter_bound":
+                if "leftover" in attrs:
+                    report.leftover = int(attrs["leftover"])
+                if attrs.get("bound_kind") is not None:
+                    report.bound_kind = str(attrs["bound_kind"])
+        return report
+
+    def _row(self, depth: int) -> DepthRow:
+        row = self.rows.get(depth)
+        if row is None:
+            row = self.rows[depth] = DepthRow(depth)
+        return row
 
     # ------------------------------------------------------------------
     # Totals (the SearchStats-matching view)
@@ -176,7 +131,7 @@ class SubspaceTreeReport:
     def subspaces_created(self) -> int | None:
         """Root + division offspring (== ``SearchStats.subspaces_created``).
 
-        ``None`` when the narration lacks division fan-out.
+        ``None`` when no division fan-out was recorded.
         """
         if not self.has_divisions:
             return None

@@ -6,23 +6,28 @@ slow*: which subspaces were divided, which ``TestLB`` calls missed the
 threshold, how the ``τ = α·τ`` schedule interacted with tree growth.
 A :class:`SpanTracer` records **spans** — named intervals with
 monotonic timestamps, parent/child nesting, and per-span attributes —
-into a bounded ring buffer, and exports them in two forms:
+into a bounded ring buffer, and renders them three ways:
 
 * :func:`chrome_trace` — Chrome trace-event JSON (the ``"X"``
   complete-event flavour) loadable in ``chrome://tracing`` or
   Perfetto, with one ``pid`` lane per worker process;
 * :func:`render_tree` — a human-readable indented tree
-  (``kpj trace`` / ``kpj query --trace``).
+  (``kpj trace`` / ``kpj query --trace``);
+* :func:`render_narrative` — the τ-schedule narrative of one
+  iteratively bounding query, one line per queue pop
+  (``kpj explain``).
 
-Discipline is identical to :class:`~repro.core.trace.SearchTrace` and
-the metrics registry: tracing is strictly opt-in and the disabled path
-costs one ``None`` check per site — nothing here is imported or
-allocated on a hot path unless a tracer was explicitly attached (a
-unit test asserts the no-allocation property).  Tracers are *per
-scope*: the solver keeps one for its lifetime, every sampled query
-records into a fresh per-query tracer whose :meth:`SpanTracer.as_dict`
-snapshot rides back on the :class:`~repro.core.result.QueryResult`
-(a plain dict, so it crosses the worker process boundary), and
+Spans are the package's one per-event record of a search; the
+metrics registry's phase timers are the cheap aggregate channel every
+service worker runs.  Spans stay opt-in because recording them costs
+far more than the timers (DESIGN.md §3d), and the disabled path costs
+one ``None`` check per site — nothing here is imported or allocated on
+a hot path unless a tracer was explicitly attached (a unit test
+asserts the no-allocation property).  Tracers are *per scope*: the
+solver keeps one for its lifetime, every sampled query records into a
+fresh per-query tracer whose :meth:`SpanTracer.as_dict` snapshot rides
+back on the :class:`~repro.core.result.QueryResult` (a plain dict, so
+it crosses the worker process boundary), and
 :func:`~repro.server.service.run_batch` re-roots the worker snapshots
 under its batch span via :meth:`SpanTracer.absorb`.
 
@@ -35,7 +40,8 @@ name            cat        attributes
 ``prepare``     phase      ``cache`` (``"hit"``/``"miss"``)
 ``search``      search     —
 ``iter_bound``  search     ``bound_kind``, ``leftover``, ``results``
-``iterate``     search     ``depth``, ``lb``, ``verdict``
+``iterate``     search     ``prefix``, ``depth``, ``lb``, ``verdict``,
+                           ``length``
 ``comp_sp``     phase      —
 ``spt_grow``    phase      ``tau``
 ``test_lb``     phase      ``depth``, ``lb``, ``tau``, ``verdict``
@@ -60,6 +66,7 @@ __all__ = [
     "chrome_trace",
     "validate_chrome_trace",
     "render_tree",
+    "render_narrative",
     "folded_stacks",
     "phase_durations",
     "DEFAULT_CAPACITY",
@@ -424,6 +431,52 @@ def render_tree(trace: "SpanTracer | Mapping", limit: int | None = None) -> str:
         hidden = len(spans) - len(lines)
         if hidden > 0:
             lines.append(f"... {hidden} more spans")
+    if snapshot.get("evicted"):
+        lines.append(f"({snapshot['evicted']} spans evicted by the ring buffer)")
+    return "\n".join(lines)
+
+
+def render_narrative(
+    trace: "SpanTracer | Mapping", limit: int | None = None
+) -> str:
+    """The τ-schedule narrative of one traced query (``kpj explain``).
+
+    One line per ``iterate`` span, in queue-pop order: the verdict
+    (``output``, ``test-hit``, ``test-miss`` or ``retire``), the
+    subspace prefix, its lower bound, the ``τ`` of its ``test_lb``
+    probe (tests only) and the path length (outputs and hits), then a
+    ``totals:`` line counting every event per verdict.  ``limit`` caps
+    the event lines (a truncation notice follows); the totals always
+    cover the whole search.
+    """
+    snapshot = _snapshot(trace)
+    spans = snapshot.get("spans", ())
+    taus = {s["parent"]: s["attrs"]["tau"] for s in spans if s["name"] == "test_lb"}
+    pops = sorted((s for s in spans if s["name"] == "iterate"), key=lambda s: s["id"])
+    counts: dict[str, int] = {}
+    lines: list[str] = []
+    for span in pops:
+        attrs = span["attrs"]
+        kind = attrs["verdict"]
+        counts[kind] = counts.get(kind, 0) + 1
+        if limit is not None and len(lines) >= limit:
+            continue
+        # A JSON round trip (slow dumps) turns the prefix into a list.
+        parts = [
+            f"[{kind:9s}] prefix={tuple(attrs['prefix'])}",
+            f"lb={attrs['lb']:.4g}",
+        ]
+        tau = taus.get(span["id"])
+        if tau is not None:
+            parts.append(f"tau={tau:.4g}")
+        if attrs.get("length") is not None:
+            parts.append(f"length={attrs['length']:.4g}")
+        lines.append("  ".join(parts))
+    if limit is not None and len(pops) > limit:
+        lines.append(f"... {len(pops) - limit} more events")
+    lines.append(
+        "totals: " + ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
+    )
     if snapshot.get("evicted"):
         lines.append(f"({snapshot['evicted']} spans evicted by the ring buffer)")
     return "\n".join(lines)

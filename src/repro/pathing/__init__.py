@@ -1,4 +1,4 @@
-"""Shortest-path kernels: heaps, Dijkstra, A*, shortest-path trees.
+"""Shortest-path kernels: Dijkstra, A*, shortest-path trees.
 
 One substrate backs every entry point: searches read the
 :class:`~repro.graph.digraph.DiGraph` rows (``G_Q`` overlays included)
@@ -14,7 +14,6 @@ from repro.pathing.dijkstra import (
     single_source_distances,
 )
 from repro.pathing.flat import FlatScratch
-from repro.pathing.heap import AddressableHeap, LazyHeap
 from repro.pathing.spt import (
     PartialSPT,
     ShortestPathTree,
@@ -29,8 +28,6 @@ __all__ = [
     "constrained_shortest_path",
     "multi_source_distances",
     "single_source_distances",
-    "AddressableHeap",
-    "LazyHeap",
     "PartialSPT",
     "ShortestPathTree",
     "build_partial_spt",

@@ -13,7 +13,6 @@ from repro.datasets.registry import road_network
 from repro.obs.log import (
     LOG_VERSION,
     QueryLogger,
-    current_query_id,
     load_slow_query,
     new_query_id,
     parse_query_log,
@@ -39,9 +38,6 @@ class TestQueryIds:
         assert a.startswith(f"q-{pid}-")
         assert a != b
         assert a < b  # zero-padded sequence sorts by issue order
-
-    def test_contextvar_defaults_to_none(self):
-        assert current_query_id.get() is None
 
 
 class TestQueryLogger:
@@ -188,21 +184,17 @@ class TestSolverIntegration:
         assert a.query_id != b.query_id
         assert a.to_dict()["query_id"] == a.query_id
 
-    def test_contextvar_reset_after_query(self, sj):
-        solver = make_solver(sj)
-        solver.top_k(3, category="T2", k=3)
-        assert current_query_id.get() is None
-
     def test_spans_tagged_with_query_id(self, sj):
         solver = make_solver(sj, tracer=SpanTracer())
         result = solver.top_k(3, category="T2", k=3)
-        tagged = {
-            s["name"]
-            for s in result.trace["spans"]
-            if s["attrs"].get("query_id") == result.query_id
-        }
-        assert "query" in tagged
-        assert "iter_bound" in tagged  # threaded through the contextvar
+        spans = {s["id"]: s for s in result.trace["spans"]}
+        (root,) = [s for s in spans.values() if s["parent"] is None]
+        assert root["name"] == "query"
+        assert root["attrs"]["query_id"] == result.query_id
+        for span in spans.values():
+            while span["parent"] is not None:  # every span descends from it
+                span = spans[span["parent"]]
+            assert span is root
 
     def test_one_event_per_query_in_order(self, sj, tmp_path):
         path = tmp_path / "q.jsonl"

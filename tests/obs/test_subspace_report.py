@@ -1,15 +1,11 @@
-"""SubspaceTreeReport: reconstruction from spans and SearchTrace."""
+"""SubspaceTreeReport: reconstruction from span snapshots."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.iter_bound import iter_bound
 from repro.core.kpj import KPJSolver
-from repro.core.trace import SearchTrace
 from repro.datasets.registry import road_network
-from repro.graph.virtual import build_query_graph
-from repro.landmarks.index import ZERO_BOUNDS
 from repro.obs.subspace_report import DepthRow, SubspaceTreeReport
 from repro.obs.tracing import SpanTracer
 from tests.conftest import KERNELS
@@ -66,48 +62,21 @@ class TestFromSpans:
         report = SubspaceTreeReport.from_spans({"spans": [], "evicted": 3})
         assert not report.complete
 
+    def test_render_without_divisions_omits_fanout_columns(self):
+        report = SubspaceTreeReport.from_spans(
+            {"spans": [span("test_lb", {"depth": 0, "verdict": "miss"})]}
+        )
+        assert report.subspaces_created is None
+        text = report.render()
+        assert "children" not in text
+        assert "tested" in text
+
     def test_accepts_live_tracer(self):
         tracer = SpanTracer()
         tracer.add("test_lb", 0.0, 0.1, cat="phase",
                    attrs={"depth": 0, "verdict": "hit"})
         report = SubspaceTreeReport.from_spans(tracer)
         assert report.lb_tests == 1
-
-
-class TestFromSearchTrace:
-    def test_matches_span_reconstruction(self, sj):
-        """explain --tree and the tracer share one reconstruction."""
-        destinations = sj.categories.nodes_of("T2")
-        qg = build_query_graph(sj.graph, (3,), destinations)
-
-        trace = SearchTrace()
-        tracer = SpanTracer()
-        paths = iter_bound(qg, 6, ZERO_BOUNDS, trace=trace, tracer=tracer)
-        assert paths
-
-        from_trace = SubspaceTreeReport.from_search_trace(trace)
-        from_spans = SubspaceTreeReport.from_spans(tracer)
-        # per-depth verdict tallies agree between the two narrations
-        assert set(from_trace.rows) == set(from_spans.rows)
-        for depth, row in from_trace.rows.items():
-            other = from_spans.rows[depth]
-            assert (row.tested, row.hits, row.misses, row.retired,
-                    row.expanded) == (
-                other.tested, other.hits, other.misses, other.retired,
-                other.expanded), depth
-        # SearchTrace narration has no fan-out: totals stay None
-        assert from_trace.subspaces_created is None
-        assert from_trace.subspaces_pruned is None
-        assert from_spans.subspaces_created is not None
-
-    def test_render_without_divisions_omits_fanout_columns(self, sj):
-        destinations = sj.categories.nodes_of("T2")
-        qg = build_query_graph(sj.graph, (3,), destinations)
-        trace = SearchTrace()
-        iter_bound(qg, 3, ZERO_BOUNDS, trace=trace)
-        text = SubspaceTreeReport.from_search_trace(trace).render()
-        assert "children" not in text
-        assert "tested" in text
 
 
 class TestSolverParity:

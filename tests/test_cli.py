@@ -308,6 +308,53 @@ class TestMetricsFlags:
         assert "prepared_cache_hits" not in out  # zero on a cold query
 
 
+#: One bad-category invocation per query-answering command.
+BAD_CATEGORY = {
+    "query": ["--source", "3"],
+    "batch": ["--sources", "3,5"],
+    "compare": ["--source", "3"],
+    "trace": ["--source", "3"],
+    "explain": ["--source", "3"],
+}
+
+
+class TestReproErrorMapping:
+    """A library error is a bad request: exit 2 and one stderr line."""
+
+    @pytest.mark.parametrize("command", sorted(BAD_CATEGORY))
+    def test_unknown_category_exits_two(self, capsys, tmp_path, command):
+        argv = [
+            command, "--dataset", "SJ", "--category", "T9",
+            "--landmarks", "4", *BAD_CATEGORY[command],
+        ]
+        if command == "trace":
+            argv += ["--out", str(tmp_path / "t.json")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["unknown category 'T9'"]
+
+    def test_serve_rejects_zero_workers(self, capsys):
+        argv = ["serve", "--dataset", "SJ", "--workers", "0", "--landmarks", "4"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["service needs at least one worker, got 0"]
+
+    def test_process_exit_has_no_traceback(self):
+        import subprocess
+        import sys
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "query", "--dataset", "SJ",
+             "--source", "3", "--category", "T9", "--landmarks", "4"],
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines() == ["unknown category 'T9'"]
+
+
 class TestFuzzCommand:
     def test_parser_defaults(self):
         args = build_parser().parse_args(["fuzz"])
@@ -623,6 +670,14 @@ class TestLoadtestCommand:
         spec = _write_tiny_spec(tmp_path, target_qps=0)
         assert main(["loadtest", "--spec", str(spec)]) == 2
         assert "bad workload spec" in capsys.readouterr().err
+
+    def test_malformed_trajectory_exits_two(self, capsys, tmp_path):
+        spec = _write_tiny_spec(tmp_path)
+        out = tmp_path / "BENCH_loadtest.json"
+        out.write_text("{not json")
+        assert main(["loadtest", "--spec", str(spec), "--out", str(out)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("malformed trajectory")
 
     def test_report_renders_loadtest_trajectory(self, capsys, tmp_path):
         spec = _write_tiny_spec(tmp_path)
