@@ -22,8 +22,11 @@ generators, and goes by exception type, never by the error text:
 admission shedding (:class:`~repro.server.service.ServiceOverloaded`)
 → ``429``, a lapsed deadline (``DeadlineExceeded``) → ``504``, worker
 death mid-query (``WorkerDied``) → ``500``, any other ``QueryError``
-(bad category, malformed body, a wrongly typed field, a negative or
-non-integer ``Content-Length``) → ``400``.
+(bad category, malformed body, a wrongly typed field) → ``400``.
+Malformed framing — a request line without a method and a path, a
+head line over :data:`LINE_LIMIT` bytes, a negative, non-integer or
+over-long ``Content-Length`` — is answered ``400`` too, with the
+problem named, and the server keeps serving.
 """
 
 from __future__ import annotations
@@ -41,6 +44,9 @@ from repro.server.service import (
 )
 
 __all__ = ["run_server", "serve_forever"]
+
+#: Longest request-head line read (asyncio's default stream limit).
+LINE_LIMIT = 2**16
 
 
 def _response(status: int, body: bytes, content_type: str) -> bytes:
@@ -93,33 +99,69 @@ def _error_status(exc: QueryError) -> int:
     return 400
 
 
-async def _handle(service: QueryService, reader, writer) -> None:
+async def _read_line(reader) -> bytes | None:
+    """One line of the request head; ``None`` for a line over
+    :data:`LINE_LIMIT` bytes, whose bytes up to here are discarded."""
     try:
-        request_line = await reader.readline()
+        return await reader.readline()
+    except ValueError:  # readline's form of asyncio.LimitOverrunError
+        return None
+
+
+async def _read_head(reader):
+    """Read the request line and headers through the blank line.
+
+    Returns ``(method, path, content_length, problem)``, or ``None``
+    when the peer closed before sending anything.  ``problem`` names
+    the first framing error; the rest of the head is still consumed,
+    so that the 400 reply is not lost to a reset of a connection
+    closed with unread input.
+    """
+    request_line = await _read_line(reader)
+    if request_line == b"":
+        return None
+    method = path = problem = None
+    if request_line is None:
+        problem = f"request line longer than {LINE_LIMIT} bytes"
+    else:
         parts = request_line.decode("ascii", "replace").split()
         if len(parts) < 2:
-            return
-        method, path = parts[0], parts[1]
-        content_length = 0
-        bad_length = None
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("ascii", "replace").partition(":")
-            if name.strip().lower() == "content-length":
-                value = value.strip()
-                # isdigit() rejects signs, blanks and non-integers alike.
-                if value.isdigit():
-                    content_length = int(value)
-                else:
-                    bad_length = value
-        if bad_length is not None:
-            writer.write(
-                _json_response(
-                    400, {"error": f"malformed Content-Length header: {bad_length!r}"}
-                )
+            problem = (
+                f"malformed request line {request_line[:80]!r}: "
+                f"expected '<method> <path> HTTP/1.1'"
             )
+        else:
+            method, path = parts[0], parts[1]
+    content_length = 0
+    while True:
+        line = await _read_line(reader)
+        if line is None:
+            problem = problem or f"header line longer than {LINE_LIMIT} bytes"
+            continue
+        if line in (b"\r\n", b"\n", b""):
+            break
+        name, _, value = line.decode("ascii", "replace").partition(":")
+        if name.strip().lower() == "content-length":
+            value = value.strip()
+            # isdigit() rejects signs, blanks and non-integers alike;
+            # the length cap keeps int() clear of its digit limit.
+            if value.isdigit() and len(value) <= 18:
+                content_length = int(value)
+            else:
+                problem = problem or (
+                    f"malformed Content-Length header: {value[:80]!r}"
+                )
+    return method, path, content_length, problem
+
+
+async def _handle(service: QueryService, reader, writer) -> None:
+    try:
+        head = await _read_head(reader)
+        if head is None:
+            return
+        method, path, content_length, problem = head
+        if problem is not None:
+            writer.write(_json_response(400, {"error": problem}))
             await writer.drain()
             return
         body = (
@@ -180,7 +222,7 @@ async def serve_forever(
     await service.start_async()
     try:
         server = await asyncio.start_server(
-            lambda r, w: _handle(service, r, w), host, port
+            lambda r, w: _handle(service, r, w), host, port, limit=LINE_LIMIT
         )
     except BaseException:
         await service.astop()

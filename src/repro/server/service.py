@@ -17,6 +17,14 @@ replay each run on a service started for the call.
 
 Front-end structure (asyncio, one driver task per worker):
 
+* **dispatch** — the service's event loop owns the worker pipes: each
+  worker's pipe and process sentinel are readers on it, registered
+  when its ``ready`` handshake is awaited, at start and on respawn.
+  A driver sends with ``conn.send`` on the loop thread and awaits the
+  worker's reply future, which the pipe reader resolves.  No request
+  leaves the loop thread, so the service runs no thread of its own
+  under ``start_async`` (``kpj serve``) and one, ``kpj-service-loop``,
+  under ``start`` (batches, the in-process load test);
 * **admission** — a bounded pending set; a submission that would
   exceed ``max_pending`` is shed immediately with
   :class:`ServiceOverloaded` (counter ``service_rejected_overload``)
@@ -36,7 +44,8 @@ Front-end structure (asyncio, one driver task per worker):
   ``service_prepares_coalesced``).  A key prewarmed in every worker
   spreads over all of them;
 * **fault recovery** — a worker that dies mid-query fails that query
-  with :class:`WorkerDied` (counter ``service_worker_deaths``) and is
+  (or, if it died idle, the next op sent to it) with
+  :class:`WorkerDied` (counter ``service_worker_deaths``) and is
   respawned by re-forking the parent, which still maps the same
   shared segments — the replacement inherits the graph state without
   re-exporting anything.
@@ -67,9 +76,8 @@ import os
 import threading
 import zlib
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from multiprocessing.connection import wait as connection_wait
+from multiprocessing.connection import Connection
 from numbers import Real
 from time import perf_counter, sleep as _sleep
 from typing import Mapping, Sequence
@@ -177,7 +185,7 @@ class WorkerDied(QueryError):
 
 
 #: Solver and shared-CSR handle inherited by forked workers.  Set only
-#: around :meth:`QueryService._spawn`; ``None`` otherwise.
+#: around :meth:`QueryService._fork`; ``None`` otherwise.
 _SERVICE_SOLVER = None
 _SERVICE_SHARED = None
 
@@ -281,47 +289,107 @@ class _WorkerDied(Exception):
 
 @dataclass
 class _Resident:
-    """Parent-side handle for one resident worker process."""
+    """Parent-side handle for one resident worker process.
+
+    After :meth:`watch`, the worker's pipe and its process sentinel are
+    readers on the service's event loop, and every method but
+    :meth:`retire` runs on that loop's thread.  The worker answers one
+    op at a time, so at most one reply is awaited: its future is
+    ``_reply``.  The pipe reader resolves it with the unpickled reply;
+    the sentinel firing with nothing left to read — or an EOF or a
+    broken pipe — fails it with :class:`_WorkerDied` and drops the
+    readers (``_loop`` is ``None``): the resident stays dead until the
+    service respawns its index.
+    """
 
     index: int
     process: multiprocessing.Process
-    conn: object
+    conn: Connection
     #: Prepare keys this worker holds warm (LRU order, parent's view).
     warm: OrderedDict = field(default_factory=OrderedDict)
-    #: Serialises pipe roundtrips — the driver already sends one
-    #: request at a time, but :meth:`QueryService.ping` may call from
-    #: another thread and must not interleave messages.
-    lock: threading.Lock = field(default_factory=threading.Lock)
+    _loop: asyncio.AbstractEventLoop | None = field(default=None, repr=False)
+    _reply: asyncio.Future | None = field(default=None, repr=False)
 
-    def call(self, message):
-        """Blocking request/response roundtrip (runs in an executor
-        thread).  Watches the process sentinel alongside the pipe so a
-        SIGKILL'd worker surfaces as :class:`_WorkerDied` instead of a
-        hang."""
-        with self.lock:
-            return self._call(message)
+    def watch(self, loop: asyncio.AbstractEventLoop) -> None:
+        """Register the pipe and the sentinel as readers on ``loop``."""
+        self._loop = loop
+        loop.add_reader(self.conn.fileno(), self._on_pipe)
+        loop.add_reader(self.process.sentinel, self._on_exit)
 
-    def _call(self, message):
+    def unwatch(self) -> None:
+        """Drop the readers (a no-op once the loop is closed)."""
+        if self._loop is not None and not self._loop.is_closed():
+            self._loop.remove_reader(self.conn.fileno())
+            self._loop.remove_reader(self.process.sentinel)
+        self._loop = None
+
+    async def roundtrip(self, message=None):
+        """Send ``message`` and await the worker's ``(tag, payload)``
+        reply; with no message, await its next one (the ``ready``
+        handshake)."""
+        if message is not None and self._loop is not None:
+            try:
+                self.conn.send(message)
+            except OSError:  # BrokenPipeError: the peer is gone
+                self._die()
+        # Raised outside the handler: a chained send error would keep
+        # the pickler's buffer exported until a gc pass, which then
+        # reports a BufferError.
+        if self._loop is None:
+            raise _WorkerDied(self.process.pid)
+        self._reply = self._loop.create_future()
+        return await self._reply
+
+    def _on_pipe(self) -> None:
         try:
-            self.conn.send(message)
-            while True:
-                ready = connection_wait([self.conn, self.process.sentinel])
-                if self.conn in ready:
-                    try:
-                        return self.conn.recv()
-                    except (EOFError, OSError):
-                        raise _WorkerDied(self.process.pid) from None
-                if self.process.sentinel in ready and not self.conn.poll():
-                    raise _WorkerDied(self.process.pid)
-        except (BrokenPipeError, OSError):
-            raise _WorkerDied(self.process.pid) from None
+            outcome = self.conn.recv()
+        except (EOFError, OSError):
+            self._die()
+            return
+        except Exception as exc:  # a reply that does not unpickle
+            outcome = exc
+        self._settle(outcome)
+
+    def _on_exit(self) -> None:
+        if self.conn.poll():  # a last reply, or the EOF, is unread
+            self._on_pipe()
+        else:
+            self._die()
+
+    def _settle(self, outcome) -> None:
+        reply, self._reply = self._reply, None
+        if reply is None or reply.done():
+            return
+        if isinstance(outcome, BaseException):
+            reply.set_exception(outcome)
+        else:
+            reply.set_result(outcome)
+
+    def _die(self) -> None:
+        self.unwatch()
+        self._settle(_WorkerDied(self.process.pid))
+
+    def retire(self) -> None:
+        """Ask the worker to exit, terminate it if it does not, and
+        close the pipe.  Idempotent; the caller owns the loop (or it is
+        closed)."""
+        self.unwatch()
+        try:
+            self.conn.send(("shutdown",))
+        except OSError:  # BrokenPipeError, or already closed
+            pass
+        self.process.join(timeout=5)
+        if self.process.is_alive():  # pragma: no cover - stuck worker
+            self.process.terminate()
+            self.process.join(timeout=5)
+        self.conn.close()
 
 
 @dataclass
 class _Request:
     """One admitted unit of work queued for a driver."""
 
-    op: str  # "query" | "sleep"
+    op: str  # "query" | "sleep" | "ping"
     query: BatchQuery | None
     key: tuple | None
     deadline: float | None
@@ -336,8 +404,8 @@ class QueryService:
     Two lifecycles:
 
     * ``start()`` / ``shutdown()`` — the service owns a background
-      event-loop thread; ``submit``/``query``/``solve`` are plain
-      synchronous calls usable from any thread (this is what
+      event-loop thread; ``submit``/``query``/``solve``/``ping`` are
+      plain synchronous calls usable from any thread (this is what
       :func:`run_batch` and the load-test replay use);
     * ``await start_async()`` / ``await astop()`` — the service joins
       the caller's running loop; ``await asubmit(...)`` serves
@@ -395,7 +463,6 @@ class QueryService:
         self._load = [0] * self.workers
         self._loop: asyncio.AbstractEventLoop | None = None
         self._thread: threading.Thread | None = None
-        self._executor: ThreadPoolExecutor | None = None
         self._own_metrics = False
         self._pending = 0
         self._started = False
@@ -410,16 +477,17 @@ class QueryService:
         every worker has completed its ready handshake."""
         self._check_startable()
         try:
-            self._prepare_start()
+            started = self._prepare_start()
             self._loop = asyncio.new_event_loop()
             self._thread = threading.Thread(
                 target=self._loop.run_forever, name="kpj-service-loop",
                 daemon=True,
             )
             self._thread.start()
+            # Each handshake is bounded inside ``_start_drivers``.
             asyncio.run_coroutine_threadsafe(
-                self._start_drivers(), self._loop
-            ).result(timeout=60)
+                self._start_drivers(started), self._loop
+            ).result()
         except BaseException:
             self._stop_loop()
             self._teardown()
@@ -431,12 +499,12 @@ class QueryService:
         """Like :meth:`start`, joining the caller's running loop."""
         self._check_startable()
         try:
-            self._prepare_start()
+            started = self._prepare_start()
             self._loop = asyncio.get_running_loop()
-            await self._start_drivers()
+            await self._start_drivers(started)
         except BaseException:
-            self._loop = None
             self._teardown()
+            self._loop = None
             raise
         self._started = True
         return self
@@ -445,7 +513,8 @@ class QueryService:
         if self._started or self._closed:
             raise QueryError("service already started")
 
-    def _prepare_start(self) -> None:
+    def _prepare_start(self) -> float:
+        """Export, prewarm and fork every worker; returns when it began."""
         try:
             ctx = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-fork platforms
@@ -454,18 +523,11 @@ class QueryService:
                 "use run_batch(workers=1) on this platform"
             ) from None
         service_epoch()  # pin the timing origin before anything enqueues
-        t0 = perf_counter()
+        started = perf_counter()
         self._warmup()
-        self._executor = ThreadPoolExecutor(
-            max_workers=self.workers + 2, thread_name_prefix="kpj-service"
-        )
         for index in range(self.workers):
-            self._residents.append(self._spawn(ctx, index))
-        # One-time cost — shared-memory export, prewarm, forks — lands
-        # under the ``warmup`` phase, so "paid once at startup" is
-        # visible in the exposition.
-        self.metrics.observe_phase("warmup", perf_counter() - t0)
-        self._started_at = perf_counter()
+            self._residents.append(self._fork(ctx, index))
+        return started
 
     def _warmup(self) -> None:
         solver = self.solver
@@ -505,7 +567,8 @@ class QueryService:
         prewarm_metrics.phases.pop("prepare", None)
         self.metrics.merge(prewarm_metrics)
 
-    def _spawn(self, ctx, index: int) -> _Resident:
+    def _fork(self, ctx, index: int) -> _Resident:
+        """Fork worker ``index``; its handshake is :meth:`_attach`'s."""
         global _SERVICE_SOLVER, _SERVICE_SHARED
         parent_conn, child_conn = ctx.Pipe()
         _SERVICE_SOLVER = self.solver
@@ -525,19 +588,32 @@ class QueryService:
             _SERVICE_SOLVER = None
             _SERVICE_SHARED = None
             child_conn.close()
-        try:
-            tag = parent_conn.recv()[0] if parent_conn.poll(60) else None
-        except (EOFError, OSError):  # the child died before its handshake
-            tag = None
-        if tag != "ready":
-            process.terminate()
-            process.join(timeout=5)
-            parent_conn.close()
-            raise QueryError(f"resident worker {index} failed to start")
         warm = OrderedDict((key, None) for key in sorted(self._prewarmed))
         return _Resident(index=index, process=process, conn=parent_conn, warm=warm)
 
-    async def _start_drivers(self) -> None:
+    async def _attach(self, resident: _Resident) -> None:
+        """Watch ``resident`` on the loop and await its ``ready``
+        handshake (60 s bound); a worker that fails it is retired."""
+        resident.watch(self._loop)
+        try:
+            tag = (await asyncio.wait_for(resident.roundtrip(), 60))[0]
+        except (_WorkerDied, asyncio.TimeoutError):
+            tag = None
+        except BaseException:
+            resident.retire()
+            raise
+        if tag != "ready":
+            resident.retire()
+            raise QueryError(f"resident worker {resident.index} failed to start")
+
+    async def _start_drivers(self, started: float) -> None:
+        for resident in self._residents:
+            await self._attach(resident)
+        # One-time cost — shared-memory export, prewarm, forks and
+        # handshakes — lands under the ``warmup`` phase, so "paid once
+        # at startup" is visible in the exposition.
+        self.metrics.observe_phase("warmup", perf_counter() - started)
+        self._started_at = perf_counter()
         self._queues = [asyncio.Queue() for _ in range(self.workers)]
         self._drivers = [
             asyncio.ensure_future(self._drive(index))
@@ -587,22 +663,8 @@ class QueryService:
     def _teardown(self) -> None:
         self._closed = True
         for resident in self._residents:
-            try:
-                resident.conn.send(("shutdown",))
-            except (BrokenPipeError, OSError):
-                pass
-            resident.process.join(timeout=5)
-            if resident.process.is_alive():  # pragma: no cover - stuck worker
-                resident.process.terminate()
-                resident.process.join(timeout=5)
-            try:
-                resident.conn.close()
-            except OSError:
-                pass
+            resident.retire()
         self._residents = []
-        if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
-            self._executor = None
         if self._shared is not None:
             self._shared.unlink()
             self.solver.graph.csr_cache = self._saved_csr
@@ -755,9 +817,8 @@ class QueryService:
                     f"{(request.deadline - request.enqueued) * 1e3:.1f} ms "
                     f"budget"
                 )
-        if request.op == "sleep":
-            await self._roundtrip(resident, ("sleep", request.payload))
-            return None
+        if request.op != "query":  # "sleep" / "ping": a control op
+            return await self._roundtrip(resident, (request.op, request.payload))
         query = request.query
         if request.key in resident.warm:
             resident.warm.move_to_end(request.key)
@@ -798,16 +859,11 @@ class QueryService:
         return result
 
     async def _roundtrip(self, resident: _Resident, message):
-        loop = asyncio.get_running_loop()
         try:
-            tag, payload = await loop.run_in_executor(
-                self._executor, resident.call, message
-            )
+            tag, payload = await resident.roundtrip(message)
         except _WorkerDied as died:
             self.metrics.inc("service_worker_deaths")
-            await loop.run_in_executor(
-                self._executor, self._respawn, resident.index
-            )
+            await self._respawn(resident.index)
             raise WorkerDied(
                 f"resident worker {resident.index} (pid {died.pid}) died "
                 f"mid-query; respawned"
@@ -818,17 +874,13 @@ class QueryService:
             raise payload
         return payload
 
-    def _respawn(self, index: int) -> None:
+    async def _respawn(self, index: int) -> None:
         """Replace a dead worker; the fresh fork maps the same shared
         segments (the parent never dropped them)."""
-        old = self._residents[index]
-        try:
-            old.conn.close()
-        except OSError:
-            pass
-        old.process.join(timeout=5)
-        ctx = multiprocessing.get_context("fork")
-        self._residents[index] = self._spawn(ctx, index)
+        self._residents[index].retire()
+        resident = self._fork(multiprocessing.get_context("fork"), index)
+        await self._attach(resident)
+        self._residents[index] = resident
 
     # ------------------------------------------------------------------
     # Introspection
@@ -843,12 +895,11 @@ class QueryService:
         return [r.process.pid for r in self._residents]
 
     def ping(self, worker: int = 0) -> dict:
-        """Worker introspection roundtrip (pid, segment names, cache)."""
-        resident = self._residents[worker]
-        tag, payload = resident.call(("ping",))
-        if tag == "err":
-            raise payload
-        return payload
+        """Worker introspection roundtrip (pid, segment names, cache),
+        queued on ``worker``'s driver like any other op."""
+        return self._submit_threadsafe(
+            BatchQuery(source=0), "ping", None, route=worker
+        ).result()
 
     def shared_segments(self) -> tuple[str, ...]:
         """Names of the shared-memory segments backing the CSR."""

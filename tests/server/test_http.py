@@ -3,8 +3,9 @@
 A real service behind a real socket (ephemeral port via the ``ready``
 callback), exercised with stdlib urllib and raw sockets only: health,
 query, metrics exposition, status, the error-code mapping, and
-malformed input (wrong field types, bad ``Content-Length``) answered
-with a 400 instead of a dropped connection.
+malformed input (wrong field types, bad ``Content-Length``, over-long
+or incomplete request lines and headers) answered with a 400 instead
+of a dropped connection.
 """
 
 import asyncio
@@ -154,7 +155,8 @@ class TestErrorMapping:
         try:
             _post(base + "/query", payload)
         except urllib.error.HTTPError as exc:
-            return exc.code, json.loads(exc.read())
+            with exc:
+                return exc.code, json.loads(exc.read())
         pytest.fail("expected an HTTP error")
 
     def test_bad_query_is_400(self, endpoint):
@@ -207,12 +209,14 @@ class TestErrorMapping:
         base, _ = endpoint
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _get(base + "/nope")
+        excinfo.value.close()
         assert excinfo.value.code == 404
 
     def test_wrong_method_is_405(self, endpoint):
         base, _ = endpoint
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _get(base + "/query")  # GET on a POST-only route
+        excinfo.value.close()
         assert excinfo.value.code == 405
 
 
@@ -249,8 +253,9 @@ class TestMalformedInput:
         base, _ = endpoint
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _post(base + "/query", payload)
-        assert excinfo.value.code == 400
-        body = json.loads(excinfo.value.read())
+        with excinfo.value:
+            assert excinfo.value.code == 400
+            body = json.loads(excinfo.value.read())
         assert field in body["error"]
         _assert_still_serving(base)
 
@@ -271,12 +276,15 @@ class TestMalformedInput:
         base, _ = endpoint
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _post(base + "/query", payload)
-        assert excinfo.value.code == 400
-        body = json.loads(excinfo.value.read())
+        with excinfo.value:
+            assert excinfo.value.code == 400
+            body = json.loads(excinfo.value.read())
         assert body["error"].startswith(f"{field} must be")
         _assert_still_serving(base)
 
-    @pytest.mark.parametrize("value", ["-5", "abc"])
+    @pytest.mark.parametrize(
+        "value", ["-5", "abc", pytest.param("9" * 5000, id="5000-digits")]
+    )
     def test_bad_content_length_is_400(self, endpoint, value):
         base, _ = endpoint
         status, body = _raw(
@@ -288,6 +296,33 @@ class TestMalformedInput:
         )
         assert status == 400
         assert "Content-Length" in json.loads(body)["error"]
+        _assert_still_serving(base)
+
+    @pytest.mark.parametrize(
+        "head,problem",
+        [
+            (
+                b"GET /" + b"a" * 100_000 + b" HTTP/1.1\r\n\r\n",
+                "request line longer than 65536 bytes",
+            ),
+            (
+                b"GET /healthz HTTP/1.1\r\nX-Big: " + b"a" * 100_000
+                + b"\r\nHost: localhost\r\n\r\n",
+                "header line longer than 65536 bytes",
+            ),
+            (b"GET\r\n\r\n", "malformed request line"),
+            (b"/healthz\r\nHost: localhost\r\n\r\n", "malformed request line"),
+        ],
+        ids=["long-request-line", "long-header", "bare-method", "bare-path"],
+    )
+    def test_bad_framing_is_400(self, endpoint, head, problem):
+        # An over-long line must not escape the handler as readline's
+        # ValueError (no reply, a traceback on stderr), and a request
+        # line without a method and a path still gets a reply.
+        base, _ = endpoint
+        status, body = _raw(base, head)
+        assert status == 400
+        assert problem in json.loads(body)["error"]
         _assert_still_serving(base)
 
 

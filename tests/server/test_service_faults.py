@@ -12,7 +12,13 @@ API change, not an accident:
   ``service_rejected_overload``;
 * shutdown -> zero shared-memory segments left behind;
 * a fork that fails during start -> the start undoes itself, and a
-  multi-worker batch leaves the solver as it found it.
+  multi-worker batch leaves the solver as it found it;
+* many submitting threads, a foreign-thread ping and a worker killed
+  under load -> every answer is the sequential one or ``WorkerDied``,
+  none is lost, and the loop thread is the service's only thread.
+
+Run it under ``python -X dev`` too: asyncio's debug mode then raises
+if a loop method is ever called from a thread other than the loop's.
 """
 
 import asyncio
@@ -20,6 +26,8 @@ import errno
 import os
 import pickle
 import signal
+import sys
+import threading
 import time
 from multiprocessing.context import ForkProcess
 from time import perf_counter
@@ -35,6 +43,7 @@ from repro.server.service import (
     BatchQuery,
     DeadlineExceeded,
     QueryService,
+    WorkerDied,
     _serve_query,
 )
 from repro.server import shared as shared_mod
@@ -217,6 +226,86 @@ class TestShutdownHygiene:
         with pytest.raises(QueryError, match="died mid-query"):
             inflight.result(timeout=30)
         svc.shutdown()
+        assert not set(segments) & set(active_segments())
+
+
+class TestStress:
+    THREADS = 4
+    PER_THREAD = 50
+    TIMEOUT_S = 120
+
+    def test_threads_ping_and_a_kill_lose_nothing(self, sj):
+        # Three workers (more than a 2-core CI runner has cores), fed
+        # from four threads with a short switch interval, while a
+        # foreign thread pings and one worker is SIGKILLed.
+        _, solver = sj
+        categories = ("T1", "T2", "T3")
+        batches = [
+            [
+                _query(source=(t * 131 + i * 17) % 500,
+                       category=categories[(t + i) % 3], k=2 + (i % 4))
+                for i in range(self.PER_THREAD)
+            ]
+            for t in range(self.THREADS)
+        ]
+        expected = {
+            q: [(p.nodes, p.length) for p in solver.top_k(
+                q.source, category=q.category, k=q.k).paths]
+            for batch in batches for q in batch
+        }
+        svc = QueryService(
+            solver, workers=3, max_pending=512, prewarm=categories
+        )
+        svc.start()
+        segments = svc.shared_segments()
+        futures: list = [[] for _ in range(self.THREADS)]
+        pinged: dict = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            def submit(t):
+                for q in batches[t]:
+                    futures[t].append((q, svc.submit(q)))
+
+            def ping():
+                pinged.update(svc.ping(2))
+
+            threads = [
+                threading.Thread(target=submit, args=(t,), name=f"submit-{t}")
+                for t in range(self.THREADS)
+            ] + [threading.Thread(target=ping, name="pinger")]
+            for thread in threads:
+                thread.start()
+            deadline = time.monotonic() + self.TIMEOUT_S
+            while sum(map(len, futures)) < 40 and time.monotonic() < deadline:
+                time.sleep(0.001)
+            os.kill(svc.worker_pids()[1], signal.SIGKILL)
+            for thread in threads:
+                thread.join(timeout=self.TIMEOUT_S)
+                assert not thread.is_alive(), thread.name
+            served = failed = 0
+            for q, future in (pair for per in futures for pair in per):
+                try:
+                    result = future.result(timeout=self.TIMEOUT_S)
+                except WorkerDied:
+                    failed += 1
+                    continue
+                assert [(p.nodes, p.length) for p in result.paths] == expected[q]
+                served += 1
+            names = [t.name for t in threading.enumerate()]
+            counters = dict(svc.metrics.counters)
+        finally:
+            sys.setswitchinterval(interval)
+            svc.shutdown()
+        submitted = self.THREADS * self.PER_THREAD
+        assert served + failed == submitted
+        assert counters["service_queries"] + failed == submitted
+        assert counters.get("service_worker_deaths", 0) == failed <= 1
+        assert pinged["worker"] == 2 and pinged["csr_readonly"] is True
+        assert [n for n in names if n.startswith("kpj-service")] == [
+            "kpj-service-loop"
+        ]
+        assert not [n for n in names if "ThreadPoolExecutor" in n]
         assert not set(segments) & set(active_segments())
 
 
