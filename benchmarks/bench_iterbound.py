@@ -1,8 +1,9 @@
 """IterBound engine benchmark (BENCH_iterbound.json).
 
 Not a paper figure — this times the *query path* of every registry
-algorithm on COL and writes a machine-readable per-query latency
-report to ``benchmarks/results/BENCH_iterbound.json``:
+algorithm on COL and appends a per-query latency entry, stamped by
+:func:`repro.bench.trajectory.stamp` (sha, dirty flag, date, Python,
+host), to ``benchmarks/results/BENCH_iterbound.json``:
 
 * every algorithm in :data:`repro.core.kpj.ALGORITHMS`, per-query
   p50/p95 over the timed sources (the ``flat`` column: the one search
@@ -22,7 +23,6 @@ best times.
 
 from __future__ import annotations
 
-import json
 import os
 import statistics
 import time
@@ -31,6 +31,7 @@ from pathlib import Path
 import pytest
 
 from repro.bench.harness import solver_for, workload_for
+from repro.bench.trajectory import append, stamp
 from repro.core.kpj import ALGORITHMS
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -81,12 +82,13 @@ def _length_key(paths) -> list[float]:
 def test_iterbound_engine_report():
     """Per-query p50/p95 of every registry algorithm plus the
     ``SPT_I`` headline; asserts the algorithms agree on every answer
-    and writes ``BENCH_iterbound.json``.
+    and appends the entry to ``BENCH_iterbound.json``.
     """
     network, solver, workload = _setup()
     destinations = workload.destinations
 
     report: dict = {
+        **stamp(),
         "dataset": "COL",
         "n": network.graph.n,
         "m": network.graph.m,
@@ -143,9 +145,7 @@ def test_iterbound_engine_report():
     headline["all"] = _percentiles(all_times)
     report["iter_bound_spti"] = headline
 
-    RESULTS_DIR.mkdir(exist_ok=True)
-    out = RESULTS_DIR / "BENCH_iterbound.json"
-    out.write_text(json.dumps(report, indent=2) + "\n")
+    append(RESULTS_DIR / "BENCH_iterbound.json", report)
 
     print(f"\nIterBound-SPT_I (COL/T2, k={K}):")
     for group, numbers in headline["groups"].items():

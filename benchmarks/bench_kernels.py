@@ -9,20 +9,21 @@ saving from reusing them.
 
 ``test_kernel_comparison_report`` additionally times the whole-graph
 SSSP on scipy's C loop (where installed) against the pure-Python loop
-the scipy-free stack runs, checks the distances agree, and writes a
-machine-readable summary to ``benchmarks/results/BENCH_kernels.json``
+the scipy-free stack runs, checks the distances agree, and appends a
+stamped entry (:func:`repro.bench.trajectory.stamp`: sha, dirty flag,
+date, Python, host) to ``benchmarks/results/BENCH_kernels.json``
 (queries/sec per path plus the ratio).
 """
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 
 import numpy as np
 
 from repro.bench.harness import solver_for, workload_for
+from repro.bench.trajectory import append, stamp
 from repro.pathing.astar import astar_path, bounded_astar_path
 from repro.pathing.dijkstra import single_source_distances
 from repro.pathing.spt import build_spt_to_target
@@ -154,7 +155,7 @@ def _time_kernel(fn, rounds: int) -> float:
 
 
 def test_kernel_comparison_report(monkeypatch):
-    """Time the SSSP sweep on COL both ways and write BENCH_kernels.json.
+    """Time the SSSP sweep on COL both ways; append to BENCH_kernels.json.
 
     Also asserts both paths agree on every distance, so the numbers
     are for *identical* answers.
@@ -168,6 +169,7 @@ def test_kernel_comparison_report(monkeypatch):
         return [single_source_distances(network.graph, s) for s in sources]
 
     report = {
+        **stamp(),
         "dataset": "COL", "n": network.graph.n, "scipy": flat.HAVE_SCIPY,
         "kernels": {},
     }
@@ -189,7 +191,6 @@ def test_kernel_comparison_report(monkeypatch):
     )
     report["flat_speedup_over_python_loop"] = ratio
 
-    RESULTS_DIR.mkdir(exist_ok=True)
     out = RESULTS_DIR / "BENCH_kernels.json"
-    out.write_text(json.dumps(report, indent=2) + "\n")
+    append(out, report)
     print(f"\nSSSP on COL, scipy over the Python loop: {ratio:.2f}x  -> {out}")

@@ -11,13 +11,16 @@ now, so its committed entries stay the baseline.  (Committed ``dict``
 and ``native`` entries from earlier substrates stay in the file as
 history; no protocol measures them now.)  Each invocation either:
 
-* ``--update`` — appends one trajectory entry (git SHA,
-  UTC date, per-phase p50/p95 across the workload's queries,
+* ``--update`` — appends one trajectory entry (the
+  :func:`repro.bench.trajectory.stamp` fields — git SHA, dirty flag,
+  UTC date, Python, host — per-phase p50/p95 across the workload's queries,
   total-query percentiles, the per-phase **work counters** of the §3g
   taxonomy, and a checksum of every returned path) to
   ``benchmarks/results/BENCH_trajectory.json``;
 * ``--check`` (the default) — re-measures the workload and compares
-  it against the **latest committed entry with the same protocol**:
+  it against the **latest committed entry with the same protocol**
+  (:func:`repro.bench.trajectory.latest`; the gate output names the
+  baseline's host when it is not this one):
   any phase whose baseline p50 is at least ``MIN_PHASE_MS`` and whose
   new p50 exceeds ``THRESHOLD`` (1.25×) the baseline fails the gate,
   as does any change to the paths checksum (a perf harness that
@@ -52,16 +55,19 @@ import hashlib
 import json
 import os
 import statistics
-import subprocess
 import sys
-from datetime import datetime, timezone
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.bench.trajectory import (  # noqa: E402
     accumulate_work,
+    append,
+    host_note,
+    latest,
+    load,
     render_work_deltas,
+    stamp,
 )
 from repro.core.kpj import KPJSolver  # noqa: E402
 from repro.datasets.registry import road_network  # noqa: E402
@@ -99,17 +105,6 @@ PROTOCOL = {
     "algorithm": "iter-bound-spti",
     "kernel": "flat",
 }
-
-
-def _git_sha() -> str:
-    try:
-        return subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            capture_output=True, text=True, check=True,
-            cwd=Path(__file__).parent,
-        ).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
 
 
 def _percentiles(values_ms: list[float]) -> dict[str, float]:
@@ -177,9 +172,7 @@ def run_workload(spec: dict = PROTOCOL) -> tuple[dict, str, list[dict], dict]:
 def make_entry(spec: dict = PROTOCOL) -> tuple[dict, list[dict]]:
     phases, checksum, traces, work = run_workload(spec)
     entry = {
-        "sha": _git_sha(),
-        "date": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
-        "python": ".".join(str(v) for v in sys.version_info[:3]),
+        **stamp(),
         "protocol": spec,
         "reps": REPS,
         "phases": phases,
@@ -187,20 +180,6 @@ def make_entry(spec: dict = PROTOCOL) -> tuple[dict, list[dict]]:
         "paths_checksum": checksum,
     }
     return entry, traces
-
-
-def load_trajectory() -> list[dict]:
-    if not TRAJECTORY.exists():
-        return []
-    return json.loads(TRAJECTORY.read_text())
-
-
-def baseline_for(trajectory: list[dict], spec: dict) -> dict | None:
-    """The latest committed entry measured under exactly ``spec``."""
-    for entry in reversed(trajectory):
-        if entry.get("protocol") == spec:
-            return entry
-    return None
 
 
 def check(entry: dict, baseline: dict) -> list[str]:
@@ -269,7 +248,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    trajectory = load_trajectory()
+    trajectory = load(TRAJECTORY)
     measured: list[tuple[dict, list[dict]]] = [make_entry(PROTOCOL)]
 
     # Work-counter delta artifact, written in every mode: the counters
@@ -278,7 +257,7 @@ def main(argv: list[str] | None = None) -> int:
     # latency gate passes.  Reported, never gated.
     RESULTS_DIR.mkdir(exist_ok=True)
     sections = [
-        render_work_deltas(entry, baseline_for(trajectory, entry["protocol"]))
+        render_work_deltas(entry, latest(trajectory, protocol=entry["protocol"]))
         for entry, _ in measured
     ]
     WORK_DELTAS.write_text(
@@ -288,12 +267,9 @@ def main(argv: list[str] | None = None) -> int:
     print(f"work-counter delta table -> {WORK_DELTAS}")
 
     if args.update:
-        RESULTS_DIR.mkdir(exist_ok=True)
         for entry, _ in measured:
-            previous = baseline_for(trajectory, entry["protocol"])
-            trajectory.append(entry)
-            _print_entry(entry, previous)
-        TRAJECTORY.write_text(json.dumps(trajectory, indent=2) + "\n")
+            _print_entry(entry, latest(trajectory, protocol=entry["protocol"]))
+            append(TRAJECTORY, entry)
         sha = measured[0][0]["sha"][:12]
         print(f"recorded {len(measured)} entries ({sha}) -> {TRAJECTORY}")
         return 0
@@ -304,7 +280,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     exit_code = 0
     for entry, traces in measured:
-        baseline = baseline_for(trajectory, entry["protocol"])
+        baseline = latest(trajectory, protocol=entry["protocol"])
         if baseline is None:
             print("no baseline for the workload yet; run with --update "
                   "to record one (skipped)")
@@ -326,9 +302,12 @@ def main(argv: list[str] | None = None) -> int:
                 traces = retry_traces
                 failures = check(entry, baseline)
         _print_entry(entry, baseline)
+        note = host_note(entry, baseline)
         if failures:
             print(f"\nPERF GATE FAILED vs {baseline['sha'][:12]} "
                   f"({baseline['date']}):", file=sys.stderr)
+            if note is not None:
+                print(f"  {note}", file=sys.stderr)
             for failure in failures:
                 print(f"  - {failure}", file=sys.stderr)
             RESULTS_DIR.mkdir(exist_ok=True)
@@ -343,6 +322,8 @@ def main(argv: list[str] | None = None) -> int:
         else:
             print(f"perf gate OK vs {baseline['sha'][:12]} "
                   f"({baseline['date']})")
+            if note is not None:
+                print(f"  {note}")
     return exit_code
 
 

@@ -9,9 +9,7 @@ from repro.bench.harness import (
     workload_for,
 )
 from repro.bench.loadtest import (
-    baseline_for,
     evaluate_gate,
-    load_entries,
     render_entry_summary,
     replay_workload,
 )
@@ -44,8 +42,6 @@ __all__ = [
     "schedule_digest",
     "replay_workload",
     "evaluate_gate",
-    "baseline_for",
-    "load_entries",
     "render_entry_summary",
     "render_loadtest_report",
 ]

@@ -24,9 +24,11 @@ The same pacing loop drives both ways of reaching the service:
 Every query comes back with its metrics snapshot and epoch-rebased
 timing carrying its ``queue_wait_s``, so queue wait and service time
 are attributed separately without any new timers on the query path.
-Entries record ``target: service``; :func:`baseline_for` only matches
-such entries, so the committed entries of the deleted fork-per-batch
-pool (no ``target`` field, or ``"pool"``) never gate a replay.
+Entries record ``target: service``; the baseline lookup
+(:func:`repro.bench.trajectory.latest` on the exact spec plus
+``target="service"``) only matches such entries, so the committed
+entries of the deleted fork-per-batch pool (no ``target`` field, or
+``"pool"``) never gate a replay.
 
 Collection rides the existing observability layers: per-query latency
 from ``QueryResult.elapsed_ms``, per-phase wall clock from the merged
@@ -38,10 +40,11 @@ summarised into log-spaced histograms
 p50/p95/p99/p99.9 stay in finite buckets even when queueing pushes
 the tail far beyond any single query's service time.
 
-The result is one schema-versioned ``BENCH_loadtest.json`` entry;
-:func:`evaluate_gate` enforces the spec's declared SLO (absolute p99
-and throughput floors, error budget) plus a regression bound against
-the pinned baseline entry with the identical spec.  Queries that
+The result is one schema-versioned ``BENCH_loadtest.json`` entry,
+stamped by :func:`repro.bench.trajectory.stamp`; :func:`evaluate_gate`
+enforces the spec's declared SLO (absolute p99 and throughput floors,
+error budget) plus a regression bound against the pinned baseline
+entry with the identical spec.  Queries that
 raise are **counted, not fatal** — a serving benchmark reports its
 error rate and lets the gate's error budget decide.
 """
@@ -50,15 +53,16 @@ from __future__ import annotations
 
 import json
 import math
-import subprocess
-import sys
-from datetime import datetime, timezone
-from pathlib import Path
 from time import perf_counter, sleep
 from typing import Mapping, Sequence
 
-from repro.bench.trajectory import accumulate_work
-from repro.bench.workload import WorkloadSpec, generate_schedule, schedule_digest
+from repro.bench.trajectory import accumulate_work, stamp
+from repro.bench.workload import (
+    Arrival,
+    WorkloadSpec,
+    generate_schedule,
+    schedule_digest,
+)
 from repro.exceptions import QueryError
 from repro.obs.metrics import (
     LOADTEST_LATENCY_BUCKETS_MS,
@@ -68,30 +72,21 @@ from repro.obs.metrics import (
 
 __all__ = [
     "LOADTEST_SCHEMA_VERSION",
+    "spec_solver",
+    "spec_queries",
     "replay_workload",
     "evaluate_gate",
-    "baseline_for",
-    "load_entries",
     "render_entry_summary",
 ]
 
 #: Version stamped into every ``BENCH_loadtest.json`` entry; bump on
-#: any change to the entry's fields or their meaning.
-LOADTEST_SCHEMA_VERSION = 1
+#: any change to the entry's fields or their meaning.  Version 2 adds
+#: the ``dirty`` flag and the ``host`` block of
+#: :func:`repro.bench.trajectory.stamp`.
+LOADTEST_SCHEMA_VERSION = 2
 
 #: The tail quantiles every latency block reports.
 _QUANTILES = (("p50", 0.50), ("p95", 0.95), ("p99", 0.99), ("p999", 0.999))
-
-
-def _git_sha() -> str:
-    try:
-        return subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            capture_output=True, text=True, check=True,
-            cwd=Path(__file__).parent,
-        ).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
 
 
 def _summarise(hist: Histogram) -> dict:
@@ -106,7 +101,14 @@ def _summarise(hist: Histogram) -> dict:
     return out
 
 
-def _solver_for(spec: WorkloadSpec):
+def spec_solver(spec: WorkloadSpec, metrics: MetricsRegistry | None = None):
+    """``(dataset, solver)`` for ``spec``: its dataset, ``spec.landmarks``.
+
+    Raises :class:`~repro.exceptions.QueryError` when the dataset lacks
+    one of the spec's categories, before any landmark is built.
+    ``metrics`` is attached at construction, so it records the
+    ``landmark_build`` phase.
+    """
     from repro.core.kpj import KPJSolver
     from repro.datasets.registry import road_network
 
@@ -124,8 +126,23 @@ def _solver_for(spec: WorkloadSpec):
         dataset.graph,
         dataset.categories,
         landmarks=spec.landmarks,
+        metrics=metrics,
     )
     return dataset, solver
+
+
+def spec_queries(spec: WorkloadSpec, schedule: Sequence[Arrival]) -> list:
+    """The schedule's arrivals as :class:`~repro.server.service.BatchQuery`
+    objects, each with the spec's algorithm and alpha."""
+    from repro.server.service import BatchQuery
+
+    return [
+        BatchQuery(
+            source=a.source, category=a.category, k=a.k,
+            algorithm=spec.algorithm, alpha=spec.alpha,
+        )
+        for a in schedule
+    ]
 
 
 def _pace(schedule, queries, submit) -> tuple[list, float]:
@@ -262,15 +279,13 @@ def replay_workload(
     are counted into the entry's ``errors`` block instead of aborting
     — the SLO gate's error budget decides whether they fail the run.
     """
-    from repro.server.service import BatchQuery
-
     if url is not None:
         from repro.datasets.registry import road_network
 
         solver = None
         schedule = generate_schedule(spec, road_network(spec.dataset).n)
     else:
-        dataset, solver = _solver_for(spec)
+        dataset, solver = spec_solver(spec)
         schedule = generate_schedule(spec, dataset.n)
     if progress is not None:
         progress(
@@ -278,13 +293,7 @@ def replay_workload(
             f"{spec.target_qps:g} qps over {spec.workers} worker(s) "
             f"[{url if url is not None else 'in-process service'}]"
         )
-    queries = [
-        BatchQuery(
-            source=a.source, category=a.category, k=a.k,
-            algorithm=spec.algorithm, alpha=spec.alpha,
-        )
-        for a in schedule
-    ]
+    queries = spec_queries(spec, schedule)
     agg = MetricsRegistry()
     if url is not None:
         raws, makespan = _replay_http(spec, url, schedule, queries, agg)
@@ -316,9 +325,7 @@ def replay_workload(
     report = agg.report()
     entry = {
         "schema_version": LOADTEST_SCHEMA_VERSION,
-        "sha": _git_sha(),
-        "date": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
-        "python": ".".join(str(v) for v in sys.version_info[:3]),
+        **stamp(),
         "spec": spec.as_dict(),
         "target": "service",
         "schedule_sha": schedule_digest(schedule),
@@ -340,36 +347,6 @@ def replay_workload(
     if url is not None:
         entry["url"] = url
     return entry
-
-
-def baseline_for(entries: Sequence[Mapping], spec_dict: Mapping) -> dict | None:
-    """The latest service entry recorded under exactly ``spec_dict``.
-
-    Entries of the deleted fork-per-batch pool carry no ``target``
-    field (or ``"pool"``) and are skipped: they measured another
-    serving path.
-    """
-    for entry in reversed(list(entries)):
-        if entry.get("spec") == spec_dict and entry.get("target") == "service":
-            return dict(entry)
-    return None
-
-
-def load_entries(path: str) -> list[dict]:
-    """Read a ``BENCH_loadtest.json`` trajectory (missing file → ``[]``)."""
-    p = Path(path)
-    if not p.exists():
-        return []
-    text = p.read_text()
-    if not text.strip():
-        return []
-    try:
-        entries = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise QueryError(f"malformed trajectory {path!r}: {exc}") from None
-    if not isinstance(entries, list):
-        raise QueryError(f"trajectory {path!r} is not a list of entries")
-    return entries
 
 
 def evaluate_gate(

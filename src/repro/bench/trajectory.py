@@ -1,15 +1,15 @@
-"""Trajectory rendering — BENCH_trajectory.json as a markdown report.
+"""Benchmark records: every ``benchmarks/results/BENCH_*.json`` file.
 
-The perf-regression harness (``benchmarks/regression.py``) appends one
-entry per pinned workload per ``--update`` run: per-phase p50/p95
-latencies, a paths checksum, and — since the work-attribution layer —
-the per-phase **work counters** (relaxations, heap traffic, TestLB
-verdicts) that explain *why* a latency moved.  This module renders
-that file for humans: ``kpj report`` prints the markdown trajectory
-(latency history per protocol, the latest entry's phase table, and the
-work-counter deltas against the previous entry), and the harness
-reuses :func:`render_work_deltas` for the delta table the CI perf-gate
-job uploads as an artifact.
+Each file — ``BENCH_trajectory`` (``benchmarks/regression.py``),
+``BENCH_loadtest`` (``kpj loadtest``), ``BENCH_kernels`` and
+``BENCH_iterbound`` (the substrate and engine benchmarks) — is a JSON
+list that only grows.  :func:`stamp` gives a new entry its provenance,
+:func:`load` and :func:`append` read and write a file, and
+:func:`latest` picks a baseline: both gates' matching rules are calls
+of it.  The rest renders the files for ``kpj report`` (latency history
+per protocol, the latest entry's phases, and the work-counter deltas of
+:func:`render_work_deltas`, also the perf gate's CI artifact), marking
+entries measured on a dirty tree.
 
 Work counters are whole-query totals grouped under the phase that
 primarily drives them (the §3g taxonomy): ``comp_sp`` owns the
@@ -25,15 +25,159 @@ gate *reports* them but latency alone decides pass/fail.
 from __future__ import annotations
 
 import json
-from typing import Mapping, Sequence
+import os
+import platform
+import subprocess
+from datetime import datetime, timezone
+from pathlib import Path
+from typing import Any, Mapping, Sequence
+
+from repro.exceptions import QueryError
 
 __all__ = [
+    "stamp",
+    "load",
+    "append",
+    "latest",
+    "host_note",
     "WORK_PHASE_FIELDS",
     "work_snapshot",
     "render_trajectory_report",
     "render_work_deltas",
     "render_loadtest_report",
 ]
+
+#: Where :func:`stamp` asks git about the measured tree: the checkout
+#: this package was imported from.
+_GIT_DIR = Path(__file__).resolve().parent
+
+
+def _git(*args: str) -> str | None:
+    try:
+        return subprocess.run(
+            ["git", *args], capture_output=True, text=True, check=True,
+            cwd=_GIT_DIR,
+        ).stdout
+    except (OSError, subprocess.CalledProcessError):
+        return None
+
+
+def _cpu_model() -> str:
+    try:
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or platform.machine() or "unknown"
+
+
+def stamp() -> dict:
+    """Provenance for a new entry: ``sha``, ``dirty``, ``date``,
+    ``python`` and ``host`` (usable CPUs, CPU model, scipy version).
+
+    ``dirty`` is true when ``git status --porcelain`` lists a path
+    outside ``benchmarks/results/``: the entry measured uncommitted
+    code, not the commit named.  Outside a checkout ``sha`` is
+    ``"unknown"`` and ``dirty`` is ``None``.
+    """
+    head = _git("rev-parse", "HEAD")
+    status = _git(
+        "status", "--porcelain", "--", ":/", ":(top,exclude)benchmarks/results"
+    )
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - non-Linux
+        cpus = os.cpu_count() or 0
+    try:
+        import scipy
+    except ImportError:
+        scipy = None
+    return {
+        "sha": head.strip() if head else "unknown",
+        "dirty": bool(status.strip()) if status is not None else None,
+        "date": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
+        "python": platform.python_version(),
+        "host": {
+            "cpus": cpus,
+            "cpu": _cpu_model(),
+            "scipy": scipy.__version__ if scipy is not None else None,
+        },
+    }
+
+
+def load(path: str | os.PathLike) -> list[dict]:
+    """A benchmark file's entries; none when it is missing or blank.
+
+    Malformed JSON, or a document that is not a list, raises
+    :class:`~repro.exceptions.QueryError` naming the file.
+    """
+    p = Path(path)
+    if not p.exists():
+        return []
+    text = p.read_text()
+    if not text.strip():
+        return []
+    try:
+        entries = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise QueryError(f"malformed trajectory {str(path)!r}: {exc}") from None
+    if not isinstance(entries, list):
+        raise QueryError(f"trajectory {str(path)!r} is not a list of entries")
+    return entries
+
+
+def append(path: str | os.PathLike, entry: Mapping) -> list[dict]:
+    """Add ``entry`` to the file at ``path`` (rewritten whole as an
+    indent-2 JSON list) and return all its entries."""
+    entries = load(path)
+    entries.append(dict(entry))
+    Path(path).write_text(json.dumps(entries, indent=2) + "\n")
+    return entries
+
+
+def latest(entries: Sequence[Mapping], **fields: Any) -> dict | None:
+    """The newest entry whose every named field equals the given value.
+
+    ``latest(entries, protocol=PROTOCOL)`` is the perf gate's baseline;
+    ``latest(entries, spec=spec.as_dict(), target="service")`` is the
+    SLO gate's.  ``None`` when no entry matches.
+    """
+    for entry in reversed(entries):
+        if all(entry.get(name) == value for name, value in fields.items()):
+            return entry
+    return None
+
+
+def _host_label(host: Mapping | None) -> str:
+    if not host:
+        return "unknown"
+    scipy = host.get("scipy")
+    return (
+        f"{host.get('cpus', '?')} CPUs, {host.get('cpu', '?')}, "
+        f"{'scipy ' + scipy if scipy else 'no scipy'}"
+    )
+
+
+def host_note(entry: Mapping, baseline: Mapping) -> str | None:
+    """One line naming the baseline's host when it is not this entry's.
+
+    Entries recorded before hosts were stamped show as ``unknown``.
+    ``None`` when both were measured on the same host.
+    """
+    if entry.get("host") == baseline.get("host"):
+        return None
+    return (
+        f"baseline host: {_host_label(baseline.get('host'))} "
+        f"(this run: {_host_label(entry.get('host'))})"
+    )
+
+
+def _sha_cell(entry: Mapping) -> str:
+    sha = str(entry.get("sha", "?"))[:12]
+    return f"{sha} (dirty)" if entry.get("dirty") else sha
+
 
 #: §3g taxonomy: which SearchStats counters ride under which phase in
 #: a trajectory entry's ``work`` block.  Keep in sync with
@@ -167,7 +311,7 @@ def render_trajectory_report(trajectory: Sequence[Mapping]) -> str:
         for entry in entries:
             total = (entry.get("phases") or {}).get("total") or {}
             out.append(
-                f"| {entry.get('date', '?')} | {str(entry.get('sha', '?'))[:12]} "
+                f"| {entry.get('date', '?')} | {_sha_cell(entry)} "
                 f"| {total.get('p50_ms', float('nan')):.3f} "
                 f"| {total.get('p95_ms', float('nan')):.3f} |"
             )
@@ -236,7 +380,7 @@ def render_loadtest_report(entries: Sequence[Mapping]) -> str:
         for entry in group:
             lat = entry.get("latency_ms") or {}
             out.append(
-                f"| {entry.get('date', '?')} | {str(entry.get('sha', '?'))[:12]} "
+                f"| {entry.get('date', '?')} | {_sha_cell(entry)} "
                 f"| {entry.get('achieved_qps', 0.0):.2f} "
                 f"| {_lt(lat, 'p50')} | {_lt(lat, 'p99')} | {_lt(lat, 'p999')} "
                 f"| {(entry.get('errors') or {}).get('count', 0)} |"

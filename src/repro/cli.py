@@ -6,7 +6,7 @@ Subcommands::
     kpj batch    --dataset CAL --category Lake --sources 1,2,3 --workers 4
     kpj datasets
     kpj bench    --figure fig7 [--queries 3]
-    kpj metrics  --workload workload.json [--trace-out traces/]
+    kpj metrics  --spec benchmarks/specs/loadtest_smoke.json [--trace-out traces/]
     kpj trace    --dataset CAL --source 12 --category Lake --out t.json
     kpj report   [--trajectory benchmarks/results/BENCH_trajectory.json]
     kpj report   --loadtest [benchmarks/results/BENCH_loadtest.json]
@@ -18,8 +18,11 @@ Subcommands::
 paths; ``batch`` answers a whole workload (optionally on resident
 worker processes) and reports throughput; ``datasets`` lists the
 registry (Table-1 style); ``bench`` reproduces one figure and prints
-its table; ``metrics`` replays a workload file and emits the aggregate
-registry as Prometheus text exposition.  ``--stats`` prints the
+its table; ``metrics`` answers a workload spec's seeded queries as one
+batch (the same validated :class:`~repro.bench.workload.WorkloadSpec`
+that ``loadtest`` replays open-loop; arrival times, target QPS and the
+SLO are ignored) and emits the aggregate registry as Prometheus text
+exposition.  ``--stats`` prints the
 instrumentation counters (search work, prepared-cache hits/misses)
 next to the answers, and ``--metrics json|text`` attaches a
 :class:`~repro.obs.metrics.MetricsRegistry` and emits the structured
@@ -31,7 +34,7 @@ with a :class:`~repro.obs.tracing.SpanTracer` attached and writes the
 span timeline as Chrome trace-event JSON (load in ``chrome://tracing``
 or Perfetto); ``query --trace`` prints the span tree and the
 per-depth :class:`~repro.obs.subspace_report.SubspaceTreeReport`
-inline; ``metrics --workload W --trace-out DIR`` additionally writes
+inline; ``metrics --spec W --trace-out DIR`` additionally writes
 one Chrome trace file per query of the workload; ``explain`` answers
 one query with a span tracer attached, like ``trace``, and narrates
 the τ schedule from its ``iterate`` spans (``--tree`` adds the same
@@ -63,8 +66,11 @@ tail latency split into queue wait vs service time, achieved-vs-target
 QPS, occupancy, error counts, per-phase timers and work counters —
 then evaluates the spec's SLO gate (absolute p99/throughput floors
 plus a regression bound against the pinned baseline entry), exiting
-non-zero on any violation.  ``report --loadtest`` renders that
-trajectory as markdown.
+non-zero on any violation.  ``--out`` appends the entry before the gate
+runs.  Every benchmark record is stamped, read, appended and matched to
+its baseline by :mod:`repro.bench.trajectory`; ``report`` and
+``report --loadtest`` render those files as markdown, marking entries
+measured on a dirty tree.
 
 Serving (DESIGN.md §3i): ``serve`` runs the persistent query service
 — resident worker processes spawned once over shared-memory CSR
@@ -263,12 +269,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     metrics = sub.add_parser(
-        "metrics", help="replay a workload file and print Prometheus exposition"
+        "metrics",
+        help="answer a workload spec's queries and print Prometheus exposition",
     )
     metrics.add_argument(
-        "--workload",
+        "--spec",
         required=True,
-        help="JSON file: {dataset, landmarks?, workers?, queries: [...]}",
+        metavar="FILE",
+        help="workload spec (.json or .toml; see benchmarks/specs/)",
     )
     metrics.add_argument(
         "--prefix", default="kpj", help="metric name prefix (default: kpj)"
@@ -946,44 +954,33 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 def _cmd_metrics(args: argparse.Namespace) -> int:
     import json
 
+    from repro.bench.loadtest import spec_queries, spec_solver
+    from repro.bench.workload import generate_schedule, load_spec
     from repro.core.stats import SearchStats
     from repro.obs.metrics import MetricsRegistry
 
     try:
-        with open(args.workload) as fh:
-            spec = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"cannot read workload {args.workload!r}: {exc}", file=sys.stderr)
+        spec = load_spec(args.spec)
+    except QueryError as exc:
+        print(f"bad workload spec: {exc}", file=sys.stderr)
         return 2
-    name = spec.get("dataset")
-    if name not in available_datasets():
-        known = ", ".join(available_datasets())
-        print(f"workload dataset must be one of: {known}", file=sys.stderr)
-        return 2
-    queries = spec.get("queries")
-    if not queries:
-        print("workload has no queries", file=sys.stderr)
-        return 2
-    dataset = road_network(name)
     reg = MetricsRegistry()
     tracer = None
     if args.trace_out is not None:
         from repro.obs.tracing import SpanTracer
 
         tracer = SpanTracer()
-    solver = KPJSolver(
-        dataset.graph,
-        dataset.categories,
-        landmarks=spec.get("landmarks", 16),
-        metrics=reg,  # captures landmark_build
-    )
+    # The registry attached at construction captures landmark_build.
+    dataset, solver = spec_solver(spec, metrics=reg)
     # Detach: run_batch installs a per-batch registry and delivers the
     # aggregate through ``metrics=`` (avoids double-counting).
     solver.metrics = None
     stats = SearchStats()
+    # Arrival times, target_qps and the SLO belong to the open-loop
+    # replay (`kpj loadtest`); here the schedule is one batch.
     results = solver.solve_batch(
-        queries,
-        workers=int(spec.get("workers", 1)),
+        spec_queries(spec, generate_schedule(spec, dataset.n)),
+        workers=spec.workers,
         stats=stats,
         metrics=reg,
         tracer=tracer,
@@ -1015,10 +1012,10 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    import json
     import os
 
     from repro.bench.trajectory import (
+        load,
         render_loadtest_report,
         render_trajectory_report,
     )
@@ -1031,21 +1028,13 @@ def _cmd_report(args: argparse.Namespace) -> int:
         print(f"no {kind} at {path!r} — nothing to report", file=sys.stderr)
         return 2
     try:
-        text = open(path).read()
+        trajectory = load(path)
     except OSError as exc:
         print(f"cannot read {kind} {path!r}: {exc}", file=sys.stderr)
         return 2
-    if not text.strip():
+    if not trajectory:
         print(f"{kind} {path!r} is empty — no entries to report")
         return 0
-    try:
-        trajectory = json.loads(text)
-    except json.JSONDecodeError as exc:
-        print(f"cannot read {kind} {path!r}: {exc}", file=sys.stderr)
-        return 2
-    if not isinstance(trajectory, list):
-        print(f"{kind} {path!r} is not a list of entries", file=sys.stderr)
-        return 2
     if args.loadtest is not None:
         doc = render_loadtest_report(trajectory)
     else:
@@ -1067,12 +1056,11 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
     import json
 
     from repro.bench.loadtest import (
-        baseline_for,
         evaluate_gate,
-        load_entries,
         render_entry_summary,
         replay_workload,
     )
+    from repro.bench.trajectory import append, host_note, latest, load
     from repro.bench.workload import load_spec
 
     try:
@@ -1080,28 +1068,21 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
     except QueryError as exc:
         print(f"bad workload spec: {exc}", file=sys.stderr)
         return 2
+    if args.out is not None:
+        load(args.out)  # a malformed --out fails before the replay
     baseline_path = args.baseline if args.baseline is not None else args.out
     baseline = None
-    trajectory: list = []
-    if args.out is not None:
-        trajectory = load_entries(args.out)
     if baseline_path is not None:
-        entries = (
-            trajectory
-            if baseline_path == args.out
-            else load_entries(baseline_path)
+        baseline = latest(
+            load(baseline_path), spec=spec.as_dict(), target="service"
         )
-        baseline = baseline_for(entries, spec.as_dict())
     entry = replay_workload(
         spec, progress=lambda msg: print(f"# {msg}", file=sys.stderr),
         url=args.url,
     )
     if args.out is not None:
-        trajectory.append(entry)
         try:
-            with open(args.out, "w") as fh:
-                json.dump(trajectory, fh, indent=2)
-                fh.write("\n")
+            append(args.out, entry)
         except OSError as exc:
             print(f"cannot write {args.out!r}: {exc}", file=sys.stderr)
             return 2
@@ -1113,14 +1094,23 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
     if not args.gate:
         return 0
     failures = evaluate_gate(entry, spec, baseline)
+    out = sys.stderr if args.json or failures else sys.stdout
     if failures:
-        print("SLO GATE FAILED:", file=sys.stderr)
+        print("SLO GATE FAILED:", file=out)
         for failure in failures:
-            print(f"  - {failure}", file=sys.stderr)
-        return 1
-    against = " vs baseline" if baseline is not None else ""
-    print(f"slo gate OK{against}", file=sys.stderr if args.json else sys.stdout)
-    return 0
+            print(f"  - {failure}", file=out)
+    elif baseline is None:
+        print("slo gate OK", file=out)
+    else:
+        print(
+            f"slo gate OK vs baseline {str(baseline.get('sha', '?'))[:12]} "
+            f"({baseline.get('date', '?')})",
+            file=out,
+        )
+    note = host_note(entry, baseline) if baseline is not None else None
+    if note is not None:
+        print(f"  {note}", file=out)
+    return 1 if failures else 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:

@@ -11,10 +11,10 @@ Two serving-oriented layers sit on top of the per-query path:
 
 * a bounded **prepared-category cache** — the destination-set
   artefacts that do not depend on the query source (the ``G_Q``
-  overlay, the Eq. (2) target-bound vector, and the backward SPT
-  seed) are memoised per ``(destination set, landmark
-  configuration)`` and reused across queries, with hit/miss counters
-  surfaced in :class:`~repro.core.stats.SearchStats`;
+  overlay and the Eq. (2) target-bound vector) are memoised per
+  ``(destination set, landmark configuration)`` and reused across
+  queries, with hit/miss counters surfaced in
+  :class:`~repro.core.stats.SearchStats`;
 * a **batch API** — :meth:`KPJSolver.solve_batch` answers a list of
   queries, optionally on resident worker processes
   (:mod:`repro.server.service`), returning results in submission order.
@@ -57,7 +57,7 @@ from repro.exceptions import QueryError
 from repro.graph.categories import CategoryIndex
 from repro.graph.digraph import DiGraph
 from repro.graph.virtual import QueryGraph, build_query_graph, check_query_nodes, is_int
-from repro.landmarks.index import ZERO_BOUNDS, LandmarkIndex, TargetBounds
+from repro.landmarks.index import ZERO_BOUNDS, LandmarkIndex
 from repro.obs.log import QueryLogger, new_query_id
 from repro.obs.memory import MemoryTelemetry, scratch_pool_bytes
 from repro.obs.metrics import SEARCH_PHASES, MetricsRegistry, maybe_phase
@@ -361,9 +361,9 @@ class KPJSolver:
         """Pre-resolve a destination set for a batch of queries.
 
         The returned handle shares the solver's prepared-category
-        cache: the Eq. (2) target-bound vector, the ``G_Q`` overlay,
-        and the backward SPT seed are computed once per ``(destination
-        set, landmark configuration)`` and reused by every ``top_k`` / ``join``
+        cache: the Eq. (2) target-bound vector and the ``G_Q`` overlay
+        are computed once per ``(destination set, landmark
+        configuration)`` and reused by every ``top_k`` / ``join``
         issued against the handle *or* directly against the solver —
         the paper's "computed once for each query" step, hoisted
         across the workload.
@@ -468,7 +468,6 @@ class KPJSolver:
         algorithm: str,
         alpha: float,
         prepared: "PreparedCategory | None" = None,
-        target_bounds: Callable[[int], float] | None = None,
     ) -> QueryResult:
         t_start = perf_counter()
         # Fast paths first: plain int / float skip the ABC checks.
@@ -523,8 +522,6 @@ class KPJSolver:
                 qg = prepared.query_graph_for(sources[0])
             else:
                 qg = build_query_graph(self.graph, sources, prepared.destinations)
-            if target_bounds is None:
-                target_bounds = prepared.target_bounds
             if self.landmark_index is not None:
                 # Lazy: columns of the landmark matrix are reduced on first
                 # use per node.  Algorithms that never consult the source
@@ -539,7 +536,7 @@ class KPJSolver:
                     "hit" if stats.prepared_cache_hits > cache_hits_before else "miss"
                 )
         ctx = QueryContext(
-            target_bounds=target_bounds,
+            target_bounds=prepared.target_bounds,
             source_bounds=source_bounds,
             alpha=alpha,
             stats=stats,
@@ -604,11 +601,10 @@ class PreparedCategory:
 
     Produced by :meth:`KPJSolver.prepare` (or internally by the
     solver's LRU cache); issue any number of ``top_k`` / ``join``
-    calls without re-deriving the Eq. (2) bounds, the ``G_Q`` overlay,
-    or the backward SPT.  Everything beyond the bound vector is built
-    lazily on first use: the overlay costs ``O(|V_T|)`` (it shares the
-    base graph's rows), so an entry stays at one float64 per node
-    until a query asks for the backward SPT.
+    calls without re-deriving the Eq. (2) bounds or the ``G_Q``
+    overlay.  The overlay is built lazily on first use and costs
+    ``O(|V_T|)`` (it shares the base graph's rows), so an entry stays
+    at one float64 per node.
     """
 
     def __init__(
@@ -621,7 +617,6 @@ class PreparedCategory:
         self.destinations = destinations
         self.target_bounds = target_bounds
         self._gq_graph: DiGraph | None = None
-        self._backward_spt = None
 
     # -- cached artefacts ------------------------------------------------
     def query_graph_for(self, source: int) -> QueryGraph:
@@ -647,35 +642,6 @@ class PreparedCategory:
             sources=(source,),
         )
 
-    def backward_spt(self):
-        """Full backward SPT toward the virtual target, cached.
-
-        ``dist[v]`` is the *exact* distance from ``v`` to the nearest
-        destination — the tightest possible target bound (it dominates
-        the Eq. (2) landmark estimate, Prop. 5.1) and the seed from
-        which partial-SPT variants can be answered without a fresh
-        backward search.
-        """
-        from repro.pathing.spt import build_spt_to_target
-
-        if self._backward_spt is None:
-            # Any in-range source materialises the source-independent rows.
-            qg = self.query_graph_for(self.destinations[0])
-            self._backward_spt = build_spt_to_target(qg.graph, qg.target)
-        return self._backward_spt
-
-    def exact_target_bounds(self) -> TargetBounds:
-        """A :class:`TargetBounds` built from :meth:`backward_spt`.
-
-        Exact distances are valid, consistent A* heuristics on
-        ``G_Q``, so they can replace the landmark vector wherever it
-        is accepted — results are identical, exploration is minimal.
-        """
-        import numpy as np
-
-        spt = self.backward_spt()
-        return TargetBounds(np.asarray(spt.dist[: self._solver.graph.n]))
-
     # -- queries ---------------------------------------------------------
     def top_k(
         self,
@@ -683,15 +649,8 @@ class PreparedCategory:
         k: int = 10,
         algorithm: str = DEFAULT_ALGORITHM,
         alpha: float = 1.1,
-        exact_bounds: bool = False,
     ) -> QueryResult:
-        """KPJ query against the prepared destination set.
-
-        ``exact_bounds=True`` swaps the Eq. (2) landmark vector for
-        the cached backward-SPT distances (see
-        :meth:`exact_target_bounds`).
-        """
-        bounds = self.exact_target_bounds() if exact_bounds else None
+        """KPJ query against the prepared destination set."""
         return self._solver._solve(
             (source,),
             None,
@@ -700,7 +659,6 @@ class PreparedCategory:
             algorithm,
             alpha,
             prepared=self,
-            target_bounds=bounds,
         )
 
     def join(

@@ -108,6 +108,9 @@ LOADTEST_LATENCY_BUCKETS_MS: tuple[float, ...] = log_buckets(0.05, 120_000.0, 5)
 #: the recorded phases tile the query's elapsed time.
 SEARCH_PHASES: tuple[str, ...] = ("comp_sp", "spt_grow", "test_lb", "division")
 
+#: SearchStats counters the solver also counts in its registry.
+_REGISTRY_COUNTED_STATS = frozenset(("prepared_cache_hits", "prepared_cache_misses"))
+
 
 class Histogram:
     """A fixed-bucket histogram with Prometheus ``le`` semantics.
@@ -305,9 +308,12 @@ class MetricsRegistry:
 
         Used by the exposition surfaces (``kpj metrics``) so one
         document carries the work counters next to the phase timers.
+        Prepared-cache hits and misses are skipped: the solver (and a
+        service's prewarm) counts each one in its registry as it
+        happens, so folding the stats' copy would count it twice.
         """
         for name, value in stats.as_dict().items():
-            if value:
+            if value and name not in _REGISTRY_COUNTED_STATS:
                 self.inc(name, value)
         return self
 

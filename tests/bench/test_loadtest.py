@@ -5,15 +5,11 @@ stays fast; the gate tests run against synthetic entries so every
 failure branch is exercised without timing flakiness.
 """
 
-import json
-
 import pytest
 
 from repro.bench.loadtest import (
     LOADTEST_SCHEMA_VERSION,
-    baseline_for,
     evaluate_gate,
-    load_entries,
     render_entry_summary,
     replay_workload,
 )
@@ -61,6 +57,13 @@ class TestReplayEntry:
         # Latency decomposes into queue wait + service: the combined
         # tail can never undercut the service tail.
         assert e["latency_ms"]["p99"] >= e["service_ms"]["p99"]
+
+    def test_entry_is_stamped(self, tiny_entry):
+        assert len(tiny_entry["sha"]) == 40
+        assert isinstance(tiny_entry["dirty"], bool)
+        assert tiny_entry["date"].endswith("Z")
+        assert tiny_entry["python"].count(".") == 2
+        assert set(tiny_entry["host"]) == {"cpus", "cpu", "scipy"}
 
     def test_work_counters_recorded(self, tiny_entry):
         assert tiny_entry["work"], "replay must accumulate SearchStats work"
@@ -160,43 +163,10 @@ class TestGate:
         assert any("different spec" in f for f in failures)
 
 
-class TestTrajectoryIO:
-    def test_missing_file_is_empty(self, tmp_path):
-        assert load_entries(str(tmp_path / "absent.json")) == []
-
-    def test_blank_file_is_empty(self, tmp_path):
-        path = tmp_path / "blank.json"
-        path.write_text("  \n")
-        assert load_entries(str(path)) == []
-
-    def test_malformed_and_non_list_rejected(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{oops")
-        with pytest.raises(QueryError, match="malformed"):
-            load_entries(str(bad))
-        bad.write_text('{"not": "a list"}')
-        with pytest.raises(QueryError, match="not a list"):
-            load_entries(str(bad))
-
-    def test_baseline_for_picks_latest_exact_match(self, tmp_path):
-        spec = tiny_spec()
-        other = tiny_spec(seed=42)
-        entries = [
-            synthetic_entry(spec, p99=10.0),
-            synthetic_entry(other, p99=20.0),
-            synthetic_entry(spec, p99=30.0),
-        ]
-        path = tmp_path / "t.json"
-        path.write_text(json.dumps(entries))
-        pool = load_entries(str(path))
-        base = baseline_for(pool, spec.as_dict())
-        assert base is not None and base["latency_ms"]["p99"] == 30.0
-        assert baseline_for(pool, tiny_spec(seed=7).as_dict()) is None
-
-
 class TestServiceTarget:
     """Replays run on the resident-worker service; entries of the
-    deleted fork-per-batch pool never serve as a baseline."""
+    deleted fork-per-batch pool never serve as a baseline (the lookup
+    itself is tested in test_trajectory.py)."""
 
     def test_warmup_paid_once_at_startup(self, tiny_entry):
         # The acceptance criterion for the service tier: per-query
@@ -207,16 +177,6 @@ class TestServiceTarget:
 
     def test_per_query_phases_counted_once(self, tiny_entry):
         assert tiny_entry["phases"]["comp_sp"]["calls"] == tiny_entry["completed"]
-
-    def test_baseline_lookup_is_target_scoped(self):
-        spec = tiny_spec()
-        service_base = synthetic_entry(spec, p99=20.0)
-        pool_base = dict(synthetic_entry(spec, p99=10.0), target="pool")
-        legacy = synthetic_entry(spec, p99=5.0)
-        del legacy["target"]  # recorded before targets existed
-        found = baseline_for([service_base, pool_base, legacy], spec.as_dict())
-        assert found is not None and found["latency_ms"]["p99"] == 20.0
-        assert baseline_for([pool_base, legacy], spec.as_dict()) is None
 
     def test_gate_flags_cross_target_baseline(self):
         spec = tiny_spec(slo={"regression_factor": 2.0})

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.bench.trajectory import latest, load
+
 _SPEC = importlib.util.spec_from_file_location(
     "regression",
     Path(__file__).resolve().parents[2] / "benchmarks" / "regression.py",
@@ -85,9 +87,9 @@ class TestGateLogic:
 class TestTrajectoryArtifact:
     def test_committed_trajectory_is_valid(self):
         """The repo ships a baseline entry for the gated workload."""
-        trajectory = regression.load_trajectory()
+        trajectory = load(regression.TRAJECTORY)
         assert trajectory, "benchmarks/results/BENCH_trajectory.json missing"
-        last = regression.baseline_for(trajectory, regression.PROTOCOL)
+        last = latest(trajectory, protocol=regression.PROTOCOL)
         assert last is not None, "no baseline for the pinned protocol"
         assert len(last["paths_checksum"]) == 64  # sha256 hex
         assert "total" in last["phases"]
@@ -95,14 +97,11 @@ class TestTrajectoryArtifact:
             assert numbers["p50_ms"] > 0
             assert numbers["p95_ms"] >= numbers["p50_ms"]
 
-    def test_baseline_for_matches_exact_protocol(self):
-        trajectory = [
-            entry({"total": 1.0}),
-            {**entry({"total": 2.0}),
-             "protocol": {**regression.PROTOCOL, "kernel": "dict"}},
-        ]
-        hit = regression.baseline_for(trajectory, regression.PROTOCOL)
-        assert hit is trajectory[0]
-        assert regression.baseline_for(
-            trajectory, {**regression.PROTOCOL, "version": 2}
-        ) is None
+    def test_new_entry_is_stamped(self, monkeypatch):
+        monkeypatch.setattr(
+            regression, "run_workload", lambda spec: ({}, "abc", [], {})
+        )
+        made, _ = regression.make_entry()
+        for field in ("sha", "dirty", "date", "python", "host"):
+            assert field in made, field
+        assert made["protocol"] == regression.PROTOCOL

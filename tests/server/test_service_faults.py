@@ -333,20 +333,26 @@ def _solver_state(solver) -> tuple:
     )
 
 
+def _own_segments() -> set:
+    """This process's live segments (``SharedCSR.export`` names them
+    ``kpj_<pid hex>_…``); another process's service is not a leak."""
+    return set(active_segments(f"kpj_{os.getpid():x}"))
+
+
 def _assert_restored(solver, state, segments) -> None:
     """Same csr_cache, metrics and tracer; no segment left in /dev/shm
     and no export left mapped in this process."""
     now = _solver_state(solver)
     assert all(a is b for a, b in zip(now[:3], state[:3]))
     assert now[3] == state[3]
-    assert set(active_segments()) <= segments
+    assert _own_segments() <= segments
 
 
 class TestStartFailure:
     @pytest.mark.parametrize("lifecycle", ["start", "start_async"])
     def test_failed_fork_undoes_the_start(self, sj, monkeypatch, lifecycle):
         _, solver = sj
-        state, segments = _solver_state(solver), set(active_segments())
+        state, segments = _solver_state(solver), _own_segments()
         attempted = _fail_second_fork(monkeypatch)
         svc = QueryService(solver, workers=2, prewarm=("T1",))
         with pytest.raises(OSError, match="temporarily unavailable"):
@@ -376,20 +382,20 @@ class TestBatchHygiene:
 
     def test_batch_that_succeeds(self, sj):
         _, solver = sj
-        state, segments = _solver_state(solver), set(active_segments())
+        state, segments = _solver_state(solver), _own_segments()
         assert len(self._batch(solver)) == 2
         _assert_restored(solver, state, segments)
 
     def test_batch_that_raises(self, sj):
         _, solver = sj
-        state, segments = _solver_state(solver), set(active_segments())
+        state, segments = _solver_state(solver), _own_segments()
         with pytest.raises(QueryError, match="NOPE"):
             self._batch(solver, category="NOPE")
         _assert_restored(solver, state, segments)
 
     def test_batch_whose_service_fails_to_start(self, sj, monkeypatch):
         _, solver = sj
-        state, segments = _solver_state(solver), set(active_segments())
+        state, segments = _solver_state(solver), _own_segments()
         _fail_second_fork(monkeypatch)
         with pytest.raises(OSError, match="temporarily unavailable"):
             self._batch(solver)

@@ -402,13 +402,13 @@ class TestMetricsCommand:
         import json
 
         spec = {
+            "name": "metrics-tiny",
             "dataset": "SJ",
+            "categories": ["T2", "T1"],
+            "target_qps": 10.0,
+            "queries": 3,
             "landmarks": 4,
-            "queries": [
-                {"source": 1, "category": "T2", "k": 3},
-                {"source": 5, "category": "T2", "k": 3},
-                {"source": 9, "category": "T1", "k": 2},
-            ],
+            "k": {"kind": "fixed", "value": 3},
         }
         spec.update(overrides)
         path = tmp_path / "workload.json"
@@ -418,7 +418,7 @@ class TestMetricsCommand:
     def test_exposition_parses_cleanly(self, capsys, tmp_path):
         from repro.obs.metrics import parse_prom
 
-        code = main(["metrics", "--workload", self.workload(tmp_path)])
+        code = main(["metrics", "--spec", self.workload(tmp_path)])
         assert code == 0
         samples = parse_prom(capsys.readouterr().out)
         assert samples[("kpj_queries_total", ())] == 3
@@ -431,32 +431,85 @@ class TestMetricsCommand:
         from repro.obs.metrics import parse_prom
 
         path = self.workload(tmp_path, workers=2)
-        assert main(["metrics", "--workload", path]) == 0
+        assert main(["metrics", "--spec", path]) == 0
         samples = parse_prom(capsys.readouterr().out)
         assert ("kpj_phase_seconds_total", (("phase", "warmup"),)) in samples
         assert samples[("kpj_queries_total", ())] == 3
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_counters_equal_the_summed_search_stats(
+        self, capsys, tmp_path, workers
+    ):
+        """Each SearchStats counter, prepared-cache hits and misses
+        included, appears once in the exposition."""
+        from repro.bench.loadtest import spec_queries, spec_solver
+        from repro.bench.workload import generate_schedule, load_spec
+        from repro.core.stats import SearchStats
+        from repro.obs.metrics import parse_prom
+
+        path = self.workload(tmp_path, workers=workers)
+        assert main(["metrics", "--spec", path]) == 0
+        samples = parse_prom(capsys.readouterr().out)
+        spec = load_spec(path)
+        dataset, solver = spec_solver(spec)
+        total = SearchStats()
+        solver.solve_batch(
+            spec_queries(spec, generate_schedule(spec, dataset.n)),
+            workers=workers,
+            stats=total,
+        )
+        assert total.prepared_cache_misses >= 1
+        for name, value in total.as_dict().items():
+            assert samples.get((f"kpj_{name}_total", ()), 0) == value, name
 
     def test_prefix_flag(self, capsys, tmp_path):
         from repro.obs.metrics import parse_prom
 
         path = self.workload(tmp_path)
-        assert main(["metrics", "--workload", path, "--prefix", "repro"]) == 0
+        assert main(["metrics", "--spec", path, "--prefix", "repro"]) == 0
         samples = parse_prom(capsys.readouterr().out)
         assert ("repro_queries_total", ()) in samples
 
     def test_missing_workload_file(self, capsys):
-        assert main(["metrics", "--workload", "/no/such/file.json"]) == 2
+        assert main(["metrics", "--spec", "/no/such/file.json"]) == 2
         assert "cannot read" in capsys.readouterr().err
 
     def test_bad_dataset_rejected(self, capsys, tmp_path):
         path = self.workload(tmp_path, dataset="NOPE")
-        assert main(["metrics", "--workload", path]) == 2
+        assert main(["metrics", "--spec", path]) == 2
         assert "dataset" in capsys.readouterr().err
 
     def test_empty_queries_rejected(self, capsys, tmp_path):
-        path = self.workload(tmp_path, queries=[])
-        assert main(["metrics", "--workload", path]) == 2
-        assert "no queries" in capsys.readouterr().err
+        path = self.workload(tmp_path, queries=0)
+        assert main(["metrics", "--spec", path]) == 2
+        assert "queries must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            ["SJ"],
+            {"queries": "5"},
+            {"workers": "two"},
+            {"kernel": "dict"},
+        ],
+        ids=["top-level-list", "queries-string", "workers-string", "kernel-key"],
+    )
+    def test_invalid_spec_exits_two_with_one_line(
+        self, capsys, tmp_path, document
+    ):
+        import json
+
+        if isinstance(document, dict):
+            path = self.workload(tmp_path, **document)
+        else:
+            path = tmp_path / "workload.json"
+            path.write_text(json.dumps(document))
+        assert main(["metrics", "--spec", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("bad workload spec: ")
+        assert "Traceback" not in captured.err
 
 
 class TestObservabilityFlags:

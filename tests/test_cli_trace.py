@@ -109,12 +109,13 @@ class TestMetricsTraceOut:
         workload.write_text(
             json.dumps(
                 {
+                    "name": "trace-out",
                     "dataset": "SJ",
+                    "categories": ["T2"],
+                    "target_qps": 10.0,
+                    "queries": 2,
                     "landmarks": 4,
-                    "queries": [
-                        {"source": 1, "category": "T2", "k": 3},
-                        {"source": 5, "category": "T2", "k": 3},
-                    ],
+                    "k": {"kind": "fixed", "value": 3},
                 }
             )
         )
@@ -122,7 +123,7 @@ class TestMetricsTraceOut:
         code = main(
             [
                 "metrics",
-                "--workload", str(workload),
+                "--spec", str(workload),
                 "--trace-out", str(trace_dir),
             ]
         )
