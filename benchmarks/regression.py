@@ -80,9 +80,9 @@ from repro.obs.tracing import (  # noqa: E402
 RESULTS_DIR = Path(__file__).parent / "results"
 TRAJECTORY = RESULTS_DIR / "BENCH_trajectory.json"
 FAILURE_TRACE = RESULTS_DIR / "regression_failure.trace.json"
-#: Work-counter delta tables vs baseline, one section per workload —
-#: written on every run; the CI perf-gate job uploads it as an
-#: artifact so counter drift is reviewable even when latency passes.
+#: Work-counter delta table vs baseline — written on every run; the
+#: CI perf-gate job uploads it as an artifact so counter drift is
+#: reviewable even when latency passes.
 WORK_DELTAS = RESULTS_DIR / "work_counter_deltas.md"
 
 #: p50 growth beyond this factor fails the gate.
@@ -249,82 +249,71 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     trajectory = load(TRAJECTORY)
-    measured: list[tuple[dict, list[dict]]] = [make_entry(PROTOCOL)]
+    entry, traces = make_entry()
+    baseline = latest(trajectory, protocol=PROTOCOL)
 
     # Work-counter delta artifact, written in every mode: the counters
     # are exact and deterministic, so any drift against the committed
     # baseline is an algorithmic change worth reviewing even when the
     # latency gate passes.  Reported, never gated.
     RESULTS_DIR.mkdir(exist_ok=True)
-    sections = [
-        render_work_deltas(entry, latest(trajectory, protocol=entry["protocol"]))
-        for entry, _ in measured
-    ]
     WORK_DELTAS.write_text(
         "# Work-counter deltas vs committed baseline\n\n"
-        + "\n\n".join(sections) + "\n"
+        + render_work_deltas(entry, baseline) + "\n"
     )
     print(f"work-counter delta table -> {WORK_DELTAS}")
 
     if args.update:
-        for entry, _ in measured:
-            _print_entry(entry, latest(trajectory, protocol=entry["protocol"]))
-            append(TRAJECTORY, entry)
-        sha = measured[0][0]["sha"][:12]
-        print(f"recorded {len(measured)} entries ({sha}) -> {TRAJECTORY}")
+        _print_entry(entry, baseline)
+        append(TRAJECTORY, entry)
+        print(f"recorded 1 entry ({entry['sha'][:12]}) -> {TRAJECTORY}")
         return 0
 
     if not trajectory:
         print(f"no trajectory at {TRAJECTORY}; run with --update first",
               file=sys.stderr)
         return 2
-    exit_code = 0
-    for entry, traces in measured:
-        baseline = latest(trajectory, protocol=entry["protocol"])
-        if baseline is None:
-            print("no baseline for the workload yet; run with --update "
-                  "to record one (skipped)")
-            continue
-        failures = check(entry, baseline)
-        if failures:
-            # Second chance: a loaded runner inflates every phase at
-            # once.  Re-measure and keep the per-phase minimum.
-            print("gate would fail; re-measuring once to rule out "
-                  "runner load", file=sys.stderr)
-            retry, retry_traces = make_entry(entry["protocol"])
-            for name, now in retry["phases"].items():
-                old = entry["phases"].get(name)
-                if old is None or now["p50_ms"] < old["p50_ms"]:
-                    entry["phases"][name] = now
-            if entry["paths_checksum"] != retry["paths_checksum"]:
-                failures = ["paths checksum unstable across two passes"]
-            else:
-                traces = retry_traces
-                failures = check(entry, baseline)
-        _print_entry(entry, baseline)
-        note = host_note(entry, baseline)
-        if failures:
-            print(f"\nPERF GATE FAILED vs {baseline['sha'][:12]} "
-                  f"({baseline['date']}):", file=sys.stderr)
-            if note is not None:
-                print(f"  {note}", file=sys.stderr)
-            for failure in failures:
-                print(f"  - {failure}", file=sys.stderr)
-            RESULTS_DIR.mkdir(exist_ok=True)
-            # One Chrome document with every query's last-rep timeline.
-            merged = SpanTracer()
-            for trace in traces:
-                merged.absorb(trace)
-            FAILURE_TRACE.write_text(json.dumps(chrome_trace(merged)) + "\n")
-            print(f"  span timeline written to {FAILURE_TRACE}",
-                  file=sys.stderr)
-            exit_code = 1
+    if baseline is None:
+        print("no baseline for the workload yet; run with --update "
+              "to record one (skipped)")
+        return 0
+    failures = check(entry, baseline)
+    if failures:
+        # Second chance: a loaded runner inflates every phase at
+        # once.  Re-measure and keep the per-phase minimum.
+        print("gate would fail; re-measuring once to rule out "
+              "runner load", file=sys.stderr)
+        retry, retry_traces = make_entry()
+        for name, now in retry["phases"].items():
+            old = entry["phases"].get(name)
+            if old is None or now["p50_ms"] < old["p50_ms"]:
+                entry["phases"][name] = now
+        if entry["paths_checksum"] != retry["paths_checksum"]:
+            failures = ["paths checksum unstable across two passes"]
         else:
-            print(f"perf gate OK vs {baseline['sha'][:12]} "
-                  f"({baseline['date']})")
-            if note is not None:
-                print(f"  {note}")
-    return exit_code
+            traces = retry_traces
+            failures = check(entry, baseline)
+    _print_entry(entry, baseline)
+    note = host_note(entry, baseline)
+    if not failures:
+        print(f"perf gate OK vs {baseline['sha'][:12]} "
+              f"({baseline['date']})")
+        if note is not None:
+            print(f"  {note}")
+        return 0
+    print(f"\nPERF GATE FAILED vs {baseline['sha'][:12]} "
+          f"({baseline['date']}):", file=sys.stderr)
+    if note is not None:
+        print(f"  {note}", file=sys.stderr)
+    for failure in failures:
+        print(f"  - {failure}", file=sys.stderr)
+    # One Chrome document with every query's last-rep timeline.
+    merged = SpanTracer()
+    for trace in traces:
+        merged.absorb(trace)
+    FAILURE_TRACE.write_text(json.dumps(chrome_trace(merged)) + "\n")
+    print(f"  span timeline written to {FAILURE_TRACE}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -3,46 +3,46 @@
 Subcommands::
 
     kpj query    --dataset CAL --source 12 --category Lake --k 10
-    kpj batch    --dataset CAL --category Lake --sources 1,2,3 --workers 4
+    kpj batch    --spec benchmarks/specs/loadtest_smoke.json [--json]
     kpj datasets
     kpj bench    --figure fig7 [--queries 3]
-    kpj metrics  --spec benchmarks/specs/loadtest_smoke.json [--trace-out traces/]
-    kpj trace    --dataset CAL --source 12 --category Lake --out t.json
     kpj report   [--trajectory benchmarks/results/BENCH_trajectory.json]
     kpj report   --loadtest [benchmarks/results/BENCH_loadtest.json]
     kpj loadtest --spec benchmarks/specs/loadtest_smoke.json [--out F]
     kpj serve    --dataset CAL --workers 4 --port 8321 [--prewarm Lake]
     kpj fuzz     --seed 0 --cases 1000 [--shrink] [--self-check]
 
-``query`` answers one KPJ query on a named dataset and prints the
-paths; ``batch`` answers a whole workload (optionally on resident
-worker processes) and reports throughput; ``datasets`` lists the
-registry (Table-1 style); ``bench`` reproduces one figure and prints
-its table; ``metrics`` answers a workload spec's seeded queries as one
-batch (the same validated :class:`~repro.bench.workload.WorkloadSpec`
-that ``loadtest`` replays open-loop; arrival times, target QPS and the
-SLO are ignored) and emits the aggregate registry as Prometheus text
-exposition.  ``--stats`` prints the
-instrumentation counters (search work, prepared-cache hits/misses)
-next to the answers, and ``--metrics json|text`` attaches a
-:class:`~repro.obs.metrics.MetricsRegistry` and emits the structured
-run report (phase wall times, counters, gauges, and — for batches —
-p50/p95/p99 query latency).
+Each input has one command.  ``query`` answers one hand-named query on
+a named dataset and prints the paths; ``batch`` answers a workload
+spec's seeded queries as one batch on ``spec.workers`` (the same
+validated :class:`~repro.bench.workload.WorkloadSpec` that
+``loadtest`` replays open-loop; arrival times, target QPS and the SLO
+are ignored) and reports throughput; ``datasets`` lists the registry
+(Table-1 style); ``bench`` reproduces one figure and prints its table.
+``--stats`` prints the instrumentation counters (search work,
+prepared-cache hits/misses) next to the answers, and ``--metrics
+json|text`` attaches a :class:`~repro.obs.metrics.MetricsRegistry` and
+emits the structured run report (phase wall times, counters, gauges,
+and — for batches — p50/p95/p99 query latency); ``batch --metrics
+prom`` prints the same registry as Prometheus text exposition, alone
+on stdout.  A batch's registry carries its summed search counters, so
+all three formats report the same counters.
 
-Tracing surfaces (see DESIGN.md §3d): ``trace`` answers one query
-with a :class:`~repro.obs.tracing.SpanTracer` attached and writes the
-span timeline as Chrome trace-event JSON (load in ``chrome://tracing``
-or Perfetto); ``query --trace`` prints the span tree and the
-per-depth :class:`~repro.obs.subspace_report.SubspaceTreeReport`
-inline; ``metrics --spec W --trace-out DIR`` additionally writes
-one Chrome trace file per query of the workload; ``explain`` answers
-one query with a span tracer attached, like ``trace``, and narrates
-the τ schedule from its ``iterate`` spans (``--tree`` adds the same
-subspace-tree reconstruction).
+Tracing surfaces (see DESIGN.md §3d): ``query --trace`` prints the
+span tree and the per-depth
+:class:`~repro.obs.subspace_report.SubspaceTreeReport` inline;
+``query --trace-out FILE`` writes the span timeline as Chrome
+trace-event JSON (load in ``chrome://tracing`` or Perfetto) and
+``--folded FILE`` writes it in folded-stack flamegraph format;
+``batch --spec W --trace-out DIR`` writes one Chrome trace file per
+query of the workload; ``explain`` answers one query with a span
+tracer attached and narrates the τ schedule from its ``iterate``
+spans (``--tree`` adds the same subspace-tree reconstruction).  Notes
+about written files go to stderr, so stdout stays one document.
 
 Any :class:`~repro.exceptions.ReproError` a command raises — an
-unknown category, ``--k 0``, a bad workload spec — exits 2 with its
-message as one line on stderr.
+unknown category, ``--k 0``, a bad workload spec, a file that cannot
+be written — exits 2 with its message as one line on stderr.
 
 Work-attribution surfaces (DESIGN.md §3g): ``--log FILE`` on
 ``query``/``batch`` appends one JSON event per query (stable query id,
@@ -51,8 +51,7 @@ any threshold-crossing query's full trace + metrics to a file next to
 the log; ``--profile FILE`` wraps the run in :mod:`cProfile` and
 writes pstats data; ``--memory`` starts tracemalloc and records
 per-phase allocation attribution plus process/pool byte gauges;
-``trace --folded FILE`` writes the span timeline in folded-stack
-flamegraph format; ``report`` renders the committed perf trajectory
+``report`` renders the committed perf trajectory
 (``benchmarks/results/BENCH_trajectory.json``) — latency history plus
 work-counter deltas — as markdown.
 
@@ -93,6 +92,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from typing import Sequence
 
 from repro.bench import experiments
@@ -151,35 +151,24 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="record spans and print the span tree + subspace report",
     )
+    query.add_argument(
+        "--trace-out",
+        default=None,
+        metavar="FILE",
+        help="write the spans as Chrome trace-event JSON to FILE",
+    )
+    query.add_argument(
+        "--folded",
+        default=None,
+        metavar="FILE",
+        help="write the spans in folded-stack flamegraph format to FILE",
+    )
     _add_obs_flags(query)
 
     batch = sub.add_parser(
-        "batch", help="answer a query workload, optionally in parallel"
+        "batch", help="answer a workload spec's queries as one batch"
     )
-    batch.add_argument("--dataset", required=True, choices=available_datasets())
-    batch.add_argument("--category", required=True)
-    src_group = batch.add_mutually_exclusive_group(required=True)
-    src_group.add_argument(
-        "--sources", help="comma-separated source node ids"
-    )
-    src_group.add_argument(
-        "--random-sources",
-        type=int,
-        metavar="N",
-        help="sample N random source nodes instead of listing them",
-    )
-    batch.add_argument("--seed", type=int, default=0, help="sampling seed")
-    batch.add_argument("--k", type=int, default=10)
-    batch.add_argument(
-        "--algorithm", default=DEFAULT_ALGORITHM, choices=sorted(ALGORITHMS)
-    )
-    batch.add_argument("--landmarks", type=int, default=16)
-    batch.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="resident worker processes (1 = sequential)",
-    )
+    _add_spec_flag(batch)
     batch.add_argument(
         "--stats", action="store_true", help="print aggregate counters"
     )
@@ -188,9 +177,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     batch.add_argument(
         "--metrics",
-        choices=("json", "text"),
+        choices=("json", "text", "prom"),
         default=None,
-        help="emit the aggregate metrics report with latency percentiles",
+        help="emit the aggregate metrics report with latency percentiles "
+        "(prom: Prometheus text exposition, alone on stdout)",
+    )
+    batch.add_argument(
+        "--trace-out",
+        default=None,
+        metavar="DIR",
+        help="also write one Chrome trace-event file per query into DIR",
     )
     _add_obs_flags(batch)
 
@@ -268,54 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="re-run a repro/corpus file instead of fuzzing (repeatable)",
     )
 
-    metrics = sub.add_parser(
-        "metrics",
-        help="answer a workload spec's queries and print Prometheus exposition",
-    )
-    metrics.add_argument(
-        "--spec",
-        required=True,
-        metavar="FILE",
-        help="workload spec (.json or .toml; see benchmarks/specs/)",
-    )
-    metrics.add_argument(
-        "--prefix", default="kpj", help="metric name prefix (default: kpj)"
-    )
-    metrics.add_argument(
-        "--trace-out",
-        default=None,
-        metavar="DIR",
-        help="also write one Chrome trace-event file per query into DIR",
-    )
-
-    trace = sub.add_parser(
-        "trace", help="trace one query and write Chrome trace-event JSON"
-    )
-    trace.add_argument("--dataset", required=True, choices=available_datasets())
-    trace.add_argument("--source", type=int, required=True)
-    trace.add_argument("--category", required=True)
-    trace.add_argument("--k", type=int, default=10)
-    trace.add_argument(
-        "--algorithm", default=DEFAULT_ALGORITHM, choices=sorted(ALGORITHMS)
-    )
-    trace.add_argument("--landmarks", type=int, default=16)
-    trace.add_argument(
-        "--out",
-        default="trace.json",
-        help="Chrome trace-event output file (default: trace.json)",
-    )
-    trace.add_argument(
-        "--tree",
-        action="store_true",
-        help="also print the span tree and subspace report",
-    )
-    trace.add_argument(
-        "--folded",
-        default=None,
-        metavar="FILE",
-        help="also write the spans in folded-stack flamegraph format",
-    )
-
     report = sub.add_parser(
         "report", help="render the perf trajectory + work deltas as markdown"
     )
@@ -345,12 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="replay a declarative open-loop workload spec against a "
         "serving tier",
     )
-    loadtest.add_argument(
-        "--spec",
-        required=True,
-        metavar="FILE",
-        help="workload spec (.json or .toml; see benchmarks/specs/)",
-    )
+    _add_spec_flag(loadtest)
     loadtest.add_argument(
         "--out",
         default=None,
@@ -425,6 +368,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _add_spec_flag(sub_parser: argparse.ArgumentParser) -> None:
+    """The ``--spec`` workload file read by ``batch`` and ``loadtest``."""
+    sub_parser.add_argument(
+        "--spec",
+        required=True,
+        metavar="FILE",
+        help="workload spec (.json or .toml; see benchmarks/specs/)",
+    )
+
+
 def _add_obs_flags(sub_parser: argparse.ArgumentParser) -> None:
     """The work-attribution flags shared by ``query`` and ``batch``."""
     sub_parser.add_argument(
@@ -466,42 +419,41 @@ def _print_stats(stats) -> None:
         print(f"  {name:<{width}}  {value}")
 
 
-def _print_trace_report(trace: dict) -> None:
-    """The span tree and subspace report shared by query/trace."""
-    from repro.obs.subspace_report import SubspaceTreeReport
-    from repro.obs.tracing import render_tree
-
-    print("spans:")
-    print(render_tree(trace))
-    report = SubspaceTreeReport.from_spans(trace)
-    if report.rows:
-        print(report.render())
-
-
-def _obs_wiring(args: argparse.Namespace):
-    """Query logger + memory telemetry from the shared obs flags.
-
-    Returns ``(query_log, memory)`` (either may be ``None``); raises
-    :class:`ValueError` on an invalid flag combination — callers print
-    the message and exit 2.
-    """
+@contextmanager
+def _observed(args: argparse.Namespace):
+    """Query logger, memory telemetry and metrics registry from the
+    shared flags: yields ``(query_log, memory, registry)``, each
+    ``None`` when no flag asks for it; on exit the telemetry stops and
+    the log closes, whether the block returns or raises."""
     if args.slow_ms is not None and args.log is None:
-        raise ValueError("--slow-ms requires --log")
-    qlog = None
+        raise QueryError("--slow-ms requires --log")
+    qlog = mem = reg = None
     if args.log:
         from repro.obs.log import QueryLogger
 
         qlog = QueryLogger(path=args.log, slow_ms=args.slow_ms)
-    mem = None
     if args.memory:
         from repro.obs.memory import MemoryTelemetry
 
         mem = MemoryTelemetry().start()
-    return qlog, mem
+    if args.metrics or args.memory or args.slow_ms is not None:
+        from repro.obs.metrics import MetricsRegistry
+
+        reg = MetricsRegistry()
+    try:
+        yield qlog, mem, reg
+    finally:
+        if mem is not None:
+            mem.stop()
+        if qlog is not None:
+            qlog.close()
 
 
-def _profiled(path: str, fn, *args, **kwargs):
-    """Run ``fn`` under :mod:`cProfile`, writing pstats data to ``path``."""
+def _profiled(path: str | None, fn, *args, **kwargs):
+    """Run ``fn``, under :mod:`cProfile` writing pstats data to ``path``
+    when one is given."""
+    if path is None:
+        return fn(*args, **kwargs)
     import cProfile
 
     profiler = cProfile.Profile()
@@ -513,6 +465,15 @@ def _profiled(path: str, fn, *args, **kwargs):
             f"# profile -> {path} (inspect: python -m pstats {path})",
             file=sys.stderr,
         )
+
+
+def _write(path: str, text: str) -> None:
+    """Write ``text`` to ``path``; an I/O failure exits 2, one line."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ReproError(f"cannot write {path!r}: {exc}") from None
 
 
 def _print_memory(reg) -> None:
@@ -545,57 +506,42 @@ def _dataset_for(args: argparse.Namespace):
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    dataset = _dataset_for(args)
-    try:
-        qlog, mem = _obs_wiring(args)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    reg = None
-    if args.metrics or args.memory or args.slow_ms is not None:
-        from repro.obs.metrics import MetricsRegistry
+    import json
 
-        reg = MetricsRegistry()
+    dataset = _dataset_for(args)
     tracer = None
-    if args.trace or args.slow_ms is not None:
+    if args.trace or args.trace_out or args.folded or args.slow_ms is not None:
         # Slow dumps embed the trace, so slow-logging implies tracing.
         from repro.obs.tracing import SpanTracer
 
         tracer = SpanTracer()
-    solver = KPJSolver(
-        dataset.graph,
-        dataset.categories,
-        landmarks=args.landmarks,
-        metrics=reg,
-        tracer=tracer,
-        query_log=qlog,
-        memory=mem,
-    )
-    try:
-        if args.profile:
-            result = _profiled(
-                args.profile,
-                solver.top_k,
-                args.source,
-                category=args.category,
-                k=args.k,
-                algorithm=args.algorithm,
-            )
-        else:
-            result = solver.top_k(
-                args.source,
-                category=args.category,
-                k=args.k,
-                algorithm=args.algorithm,
-            )
-    finally:
-        if mem is not None:
-            mem.stop()
-        if qlog is not None:
-            qlog.close()
-    if args.metrics == "json":
-        import json
+    with _observed(args) as (qlog, mem, reg):
+        solver = KPJSolver(
+            dataset.graph,
+            dataset.categories,
+            landmarks=args.landmarks,
+            metrics=reg,
+            tracer=tracer,
+            query_log=qlog,
+            memory=mem,
+        )
+        result = _profiled(
+            args.profile, solver.top_k, args.source,
+            category=args.category, k=args.k, algorithm=args.algorithm,
+        )
+    if args.trace_out:
+        from repro.obs.tracing import chrome_trace
 
+        doc = chrome_trace(result.trace)
+        _write(args.trace_out, json.dumps(doc))
+        print(f"# {len(doc['traceEvents'])} spans -> {args.trace_out}",
+              file=sys.stderr)
+    if args.folded:
+        from repro.obs.tracing import folded_stacks
+
+        _write(args.folded, folded_stacks(result.trace) + "\n")
+        print(f"# folded stacks -> {args.folded}", file=sys.stderr)
+    if args.metrics == "json":
         print(
             json.dumps(
                 {"result": result.to_dict(), "metrics": reg.report()}, indent=2
@@ -603,8 +549,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
         )
         return 0
     if args.json:
-        import json
-
         print(json.dumps(result.to_dict(), indent=2))
         return 0
     print(
@@ -624,208 +568,136 @@ def _cmd_query(args: argparse.Namespace) -> int:
     if args.memory and args.metrics is None:
         _print_memory(reg)
     if args.trace and result.trace is not None:
-        _print_trace_report(result.trace)
+        from repro.obs.subspace_report import SubspaceTreeReport
+        from repro.obs.tracing import render_tree
+
+        print("spans:")
+        print(render_tree(result.trace))
+        report = SubspaceTreeReport.from_spans(result.trace)
+        if report.rows:
+            print(report.render())
     return 0
 
 
-def _traced_query(args: argparse.Namespace, dataset):
-    """Answer the command's query with a span tracer attached."""
-    from repro.obs.tracing import SpanTracer
+def _load_spec(path: str):
+    """The validated workload spec at ``path``; a bad one exits 2."""
+    from repro.bench.workload import load_spec
 
-    solver = KPJSolver(
-        dataset.graph,
-        dataset.categories,
-        landmarks=args.landmarks,
-        tracer=SpanTracer(),
-    )
-    return solver.top_k(
-        args.source, category=args.category, k=args.k, algorithm=args.algorithm
-    )
-
-
-def _cmd_trace(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.obs.tracing import chrome_trace
-
-    result = _traced_query(args, _dataset_for(args))
-    doc = chrome_trace(result.trace)
     try:
-        with open(args.out, "w") as fh:
-            json.dump(doc, fh)
-    except OSError as exc:
-        print(f"cannot write {args.out!r}: {exc}", file=sys.stderr)
-        return 2
-    print(
-        f"{result.k_found} paths in {result.elapsed_ms:.1f}ms "
-        f"({args.algorithm}); "
-        f"{len(doc['traceEvents'])} spans -> {args.out}"
-    )
-    if args.folded:
-        from repro.obs.tracing import folded_stacks
-
-        try:
-            with open(args.folded, "w") as fh:
-                fh.write(folded_stacks(result.trace) + "\n")
-        except OSError as exc:
-            print(f"cannot write {args.folded!r}: {exc}", file=sys.stderr)
-            return 2
-        print(f"folded stacks -> {args.folded}")
-    if args.tree:
-        _print_trace_report(result.trace)
-    return 0
+        return load_spec(path)
+    except QueryError as exc:
+        raise QueryError(f"bad workload spec: {exc}") from None
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
+    import json
     import time
 
+    from repro.bench.loadtest import spec_queries, spec_solver
+    from repro.bench.workload import generate_schedule
     from repro.core.stats import SearchStats
-    from repro.server.service import BatchQuery
 
-    dataset = road_network(args.dataset)
-    if args.sources is not None:
-        try:
-            sources = [int(s) for s in args.sources.split(",") if s.strip()]
-        except ValueError:
-            print("--sources must be comma-separated integers", file=sys.stderr)
-            return 2
-    else:
-        import random
+    spec = _load_spec(args.spec)
+    tracer = None
+    if args.trace_out is not None:
+        from repro.obs.tracing import SpanTracer
 
-        rng = random.Random(args.seed)
-        sources = [rng.randrange(dataset.n) for _ in range(args.random_sources)]
-    if not sources:
-        print("batch needs at least one source", file=sys.stderr)
-        return 2
-    for source in sources:
-        if source < 0 or source >= dataset.n:
-            print(f"source {source} must be in [0, {dataset.n})", file=sys.stderr)
-            return 2
-    try:
-        qlog, mem = _obs_wiring(args)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    reg = None
-    if args.metrics or args.memory or args.slow_ms is not None:
-        from repro.obs.metrics import MetricsRegistry
-
-        reg = MetricsRegistry()
-    solver = KPJSolver(
-        dataset.graph,
-        dataset.categories,
-        landmarks=args.landmarks,
-        metrics=reg,
-        query_log=qlog,
-        memory=mem,
-    )
-    if reg is not None:
-        # The registry captured landmark_build during construction;
-        # detach it so run_batch installs its own per-batch registry
-        # (the aggregate arrives via the ``metrics=`` merge — leaving
-        # it attached would double-count sequential batches).  The
-        # query logger and memory telemetry stay attached: resident
+        tracer = SpanTracer()
+    with _observed(args) as (qlog, mem, reg):
+        # The registry attached at construction captures landmark_build.
+        dataset, solver = spec_solver(spec, metrics=reg)
+        # Detach it again: run_batch installs its own per-batch
+        # registry and delivers the aggregate through ``metrics=``
+        # (leaving it attached would double-count sequential batches).
+        # The query logger and memory telemetry stay attached: resident
         # workers inherit them through the fork, each appending whole
         # lines to the same log file (O_APPEND keeps lines intact).
         solver.metrics = None
-    queries = [
-        BatchQuery(
-            source=source,
-            category=args.category,
-            k=args.k,
-            algorithm=args.algorithm,
+        solver.query_log = qlog
+        solver.memory = mem
+        # Arrival times, target_qps and the SLO belong to the open-loop
+        # replay (`kpj loadtest`); here the schedule is one batch.
+        queries = spec_queries(spec, generate_schedule(spec, dataset.n))
+        stats = SearchStats()
+        start = time.perf_counter()
+        results = _profiled(
+            args.profile, solver.solve_batch, queries,
+            workers=spec.workers, stats=stats, metrics=reg, tracer=tracer,
         )
-        for source in sources
-    ]
-    total = SearchStats() if args.stats else None
-    start = time.perf_counter()
-    try:
-        if args.profile:
-            results = _profiled(
-                args.profile,
-                solver.solve_batch,
-                queries,
-                workers=args.workers,
-                stats=total,
-                metrics=reg,
-            )
-        else:
-            results = solver.solve_batch(
-                queries, workers=args.workers, stats=total, metrics=reg
-            )
-    finally:
-        if mem is not None:
-            mem.stop()
-        if qlog is not None:
-            qlog.close()
-    elapsed = time.perf_counter() - start
-    if args.metrics == "json":
-        import json
+        elapsed = time.perf_counter() - start
+    throughput = len(results) / elapsed if elapsed else 0.0
+    if reg is not None:
+        reg.merge_stats(stats)
+    if args.trace_out is not None:
+        import os
 
-        print(json.dumps(_batch_report(args, results, elapsed, reg), indent=2))
+        from repro.obs.tracing import chrome_trace
+
+        try:
+            os.makedirs(args.trace_out, exist_ok=True)
+        except OSError as exc:
+            raise ReproError(f"cannot write {args.trace_out!r}: {exc}") from None
+        traced = [
+            (i, r.trace) for i, r in enumerate(results) if r.trace is not None
+        ]
+        for i, trace in traced:
+            _write(
+                os.path.join(args.trace_out, f"query-{i:03d}.trace.json"),
+                json.dumps(chrome_trace(trace)),
+            )
+        print(f"# wrote {len(traced)} trace files to {args.trace_out}",
+              file=sys.stderr)
+    if args.metrics == "prom":
+        sys.stdout.write(reg.render_prom())
+        return 0
+    if args.metrics == "json":
+        latency = reg.histograms.get("query_latency_ms")
+
+        def _q(q: float):
+            return latency.quantile(q) if latency and latency.total else None
+
+        report = {
+            "spec": spec.as_dict(),
+            "queries": len(results),
+            "elapsed_s": elapsed,
+            "queries_per_s": throughput,
+            "latency_ms": {"p50": _q(0.50), "p95": _q(0.95), "p99": _q(0.99)},
+            "metrics": reg.report(),
+        }
+        print(json.dumps(report, indent=2))
         return 0
     if args.json:
-        import json
-
-        print(
-            json.dumps(
-                {
-                    "dataset": args.dataset,
-                    "category": args.category,
-                    "workers": args.workers,
-                    "elapsed_s": elapsed,
-                    "queries_per_s": len(results) / elapsed if elapsed else 0.0,
-                    **({"stats": total.as_dict()} if total is not None else {}),
-                    "results": [
-                        {"source": q.source, **r.to_dict()}
-                        for q, r in zip(queries, results)
-                    ],
-                },
-                indent=2,
-            )
-        )
+        doc = {
+            "spec": spec.as_dict(),
+            "elapsed_s": elapsed,
+            "queries_per_s": throughput,
+            **({"stats": stats.as_dict()} if args.stats else {}),
+            "results": [
+                {"source": q.source, "category": q.category, "k": q.k,
+                 **r.to_dict()}
+                for q, r in zip(queries, results)
+            ],
+        }
+        print(json.dumps(doc, indent=2))
         return 0
     print(
-        f"{len(results)} queries to category {args.category!r} on "
-        f"{args.dataset} ({args.algorithm}, workers={args.workers}):"
+        f"{len(results)} queries of spec {spec.name!r} on {spec.dataset} "
+        f"({spec.algorithm}, workers={spec.workers}):"
     )
     for query, result in zip(queries, results):
         best = f"{result.paths[0].length:.4f}" if result.paths else "-"
         print(
-            f"  source {query.source:>6}: {result.k_found:>3} paths, "
-            f"best {best}"
+            f"  source {query.source:>6} to {query.category!r} k={query.k}: "
+            f"{result.k_found:>3} paths, best {best}"
         )
-    throughput = len(results) / elapsed if elapsed else 0.0
     print(f"elapsed {elapsed * 1000.0:.1f}ms  ({throughput:.1f} queries/s)")
-    if total is not None:
-        _print_stats(total)
+    if args.stats:
+        _print_stats(stats)
     if args.metrics == "text":
         print(reg.render_text())
     if args.memory and args.metrics is None:
         _print_memory(reg)
     return 0
-
-
-def _batch_report(args, results, elapsed: float, reg) -> dict:
-    """The ``batch --metrics json`` document (one pipeable JSON object)."""
-    latency = reg.histograms.get("query_latency_ms")
-
-    def _q(q: float):
-        if latency is None or latency.total == 0:
-            return None
-        return latency.quantile(q)
-
-    return {
-        "dataset": args.dataset,
-        "category": args.category,
-        "algorithm": args.algorithm,
-        "workers": args.workers,
-        "queries": len(results),
-        "elapsed_s": elapsed,
-        "queries_per_s": len(results) / elapsed if elapsed else 0.0,
-        "latency_ms": {"p50": _q(0.50), "p95": _q(0.95), "p99": _q(0.99)},
-        "metrics": reg.report(),
-    }
 
 
 def _cmd_datasets(_: argparse.Namespace) -> int:
@@ -884,10 +756,18 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_explain(args: argparse.Namespace) -> int:
     from repro.obs.subspace_report import SubspaceTreeReport
-    from repro.obs.tracing import render_narrative
+    from repro.obs.tracing import SpanTracer, render_narrative
 
     dataset = _dataset_for(args)
-    result = _traced_query(args, dataset)
+    solver = KPJSolver(
+        dataset.graph,
+        dataset.categories,
+        landmarks=args.landmarks,
+        tracer=SpanTracer(),
+    )
+    result = solver.top_k(
+        args.source, category=args.category, k=args.k, algorithm=args.algorithm
+    )
     destinations = dataset.categories.nodes_of(args.category)
     print(
         f"{args.algorithm} on {args.dataset}: "
@@ -951,66 +831,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_metrics(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.bench.loadtest import spec_queries, spec_solver
-    from repro.bench.workload import generate_schedule, load_spec
-    from repro.core.stats import SearchStats
-    from repro.obs.metrics import MetricsRegistry
-
-    try:
-        spec = load_spec(args.spec)
-    except QueryError as exc:
-        print(f"bad workload spec: {exc}", file=sys.stderr)
-        return 2
-    reg = MetricsRegistry()
-    tracer = None
-    if args.trace_out is not None:
-        from repro.obs.tracing import SpanTracer
-
-        tracer = SpanTracer()
-    # The registry attached at construction captures landmark_build.
-    dataset, solver = spec_solver(spec, metrics=reg)
-    # Detach: run_batch installs a per-batch registry and delivers the
-    # aggregate through ``metrics=`` (avoids double-counting).
-    solver.metrics = None
-    stats = SearchStats()
-    # Arrival times, target_qps and the SLO belong to the open-loop
-    # replay (`kpj loadtest`); here the schedule is one batch.
-    results = solver.solve_batch(
-        spec_queries(spec, generate_schedule(spec, dataset.n)),
-        workers=spec.workers,
-        stats=stats,
-        metrics=reg,
-        tracer=tracer,
-    )
-    reg.merge_stats(stats)
-    if args.trace_out is not None:
-        import os
-
-        from repro.obs.tracing import chrome_trace
-
-        try:
-            os.makedirs(args.trace_out, exist_ok=True)
-            written = 0
-            for i, result in enumerate(results):
-                if result.trace is None:
-                    continue
-                path = os.path.join(args.trace_out, f"query-{i:03d}.trace.json")
-                with open(path, "w") as fh:
-                    json.dump(chrome_trace(result.trace), fh)
-                written += 1
-        except OSError as exc:
-            print(f"cannot write traces to {args.trace_out!r}: {exc}",
-                  file=sys.stderr)
-            return 2
-        print(f"# wrote {written} trace files to {args.trace_out}",
-              file=sys.stderr)
-    sys.stdout.write(reg.render_prom(prefix=args.prefix))
-    return 0
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
     import os
 
@@ -1040,12 +860,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     else:
         doc = render_trajectory_report(trajectory)
     if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(doc)
-        except OSError as exc:
-            print(f"cannot write {args.out!r}: {exc}", file=sys.stderr)
-            return 2
+        _write(args.out, doc)
         print(f"report -> {args.out}")
     else:
         print(doc, end="")
@@ -1061,13 +876,8 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
         replay_workload,
     )
     from repro.bench.trajectory import append, host_note, latest, load
-    from repro.bench.workload import load_spec
 
-    try:
-        spec = load_spec(args.spec)
-    except QueryError as exc:
-        print(f"bad workload spec: {exc}", file=sys.stderr)
-        return 2
+    spec = _load_spec(args.spec)
     if args.out is not None:
         load(args.out)  # a malformed --out fails before the replay
     baseline_path = args.baseline if args.baseline is not None else args.out
@@ -1118,16 +928,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.server.service import QueryService
 
     dataset = road_network(args.dataset)
+    prewarm = tuple(
+        c.strip() for c in (args.prewarm or "").split(",") if c.strip()
+    )
+    for category in prewarm:
+        # The service skips a prewarm item it cannot prepare; a name
+        # given on the command line must resolve (unknown -> exit 2).
+        dataset.categories.nodes_of(category)
     solver = KPJSolver(
         dataset.graph,
         dataset.categories,
         landmarks=args.landmarks,
         prepared_cache_size=args.prepared_cache,
-    )
-    prewarm = (
-        tuple(c.strip() for c in args.prewarm.split(",") if c.strip())
-        if args.prewarm
-        else ()
     )
     service = QueryService(
         solver,
@@ -1165,8 +977,6 @@ _COMMANDS = {
     "compare": _cmd_compare,
     "explain": _cmd_explain,
     "fuzz": _cmd_fuzz,
-    "metrics": _cmd_metrics,
-    "trace": _cmd_trace,
     "report": _cmd_report,
     "loadtest": _cmd_loadtest,
     "serve": _cmd_serve,

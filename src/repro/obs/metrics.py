@@ -306,8 +306,8 @@ class MetricsRegistry:
     def merge_stats(self, stats) -> "MetricsRegistry":
         """Fold a :class:`~repro.core.stats.SearchStats` into the counters.
 
-        Used by the exposition surfaces (``kpj metrics``) so one
-        document carries the work counters next to the phase timers.
+        Used by ``kpj batch`` so its run report and exposition carry
+        the work counters next to the phase timers.
         Prepared-cache hits and misses are skipped: the solver (and a
         service's prewarm) counts each one in its registry as it
         happens, so folding the stats' copy would count it twice.

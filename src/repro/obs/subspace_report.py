@@ -9,8 +9,8 @@ at each prefix depth, and which bound family did the pruning — from
 the :mod:`repro.obs.tracing` span snapshot riding on a traced
 :class:`~repro.core.result.QueryResult` (``test_lb``/``division``
 spans carry depth, bound, τ, verdict, children/pruned counts), so
-``kpj explain --tree``, ``kpj trace --tree`` and ``kpj query --trace``
-print the same reconstruction.  The division fan-out and the
+``kpj explain --tree`` and ``kpj query --trace`` print the same
+reconstruction.  The division fan-out and the
 end-of-search queue leftovers make its totals equal the
 :class:`~repro.core.stats.SearchStats` subspace counters exactly
 (asserted by the tracing tests).

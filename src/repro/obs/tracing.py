@@ -12,7 +12,7 @@ into a bounded ring buffer, and renders them three ways:
   complete-event flavour) loadable in ``chrome://tracing`` or
   Perfetto, with one ``pid`` lane per worker process;
 * :func:`render_tree` — a human-readable indented tree
-  (``kpj trace`` / ``kpj query --trace``);
+  (``kpj query --trace``);
 * :func:`render_narrative` — the τ-schedule narrative of one
   iteratively bounding query, one line per queue pop
   (``kpj explain``).

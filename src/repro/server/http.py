@@ -6,8 +6,8 @@ tiny and JSON-first:
 
 * ``GET /healthz`` — liveness: worker count, pending depth;
 * ``GET /metrics`` — Prometheus text exposition of the service
-  registry (the same strict format ``kpj metrics`` emits, so
-  :func:`repro.obs.metrics.parse_prom` round-trips it);
+  registry (the same strict format ``kpj batch --metrics prom``
+  emits, so :func:`repro.obs.metrics.parse_prom` round-trips it);
 * ``GET /status`` — JSON service description: pids, shared segments,
   uptime, the full metrics report, aggregate §3g work counters;
 * ``POST /query`` — one KPJ/KSP query; the body mirrors

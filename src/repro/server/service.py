@@ -160,6 +160,19 @@ def _coerce(query) -> BatchQuery:
     )
 
 
+def _check_timeout(name: str, timeout_s) -> None:
+    """A deadline budget is ``None`` or a non-negative number: a
+    negative one would fail every query, a NaN one would disable it."""
+    if timeout_s is not None and (
+        not isinstance(timeout_s, Real)
+        or isinstance(timeout_s, bool)
+        or not timeout_s >= 0
+    ):
+        raise QueryError(
+            f"{name} must be a non-negative number, got {timeout_s!r}"
+        )
+
+
 def _execute(solver, query: BatchQuery):
     """Answer one batch query against a solver."""
     return solver.top_k(
@@ -425,7 +438,8 @@ class QueryService:
         queries are shed with a ``QueryError``.
     default_timeout_s:
         Deadline applied to queries submitted without an explicit
-        ``timeout_s``; ``None`` means no deadline.
+        ``timeout_s``; ``None`` means no deadline.  Checked here like a
+        request's own ``timeout_s``: a non-negative number or ``None``.
     prewarm:
         Category names (or ``(category, destinations)`` pairs) whose
         prepared state is built in the parent before forking, so every
@@ -440,18 +454,18 @@ class QueryService:
         max_pending: int = 64,
         default_timeout_s: float | None = None,
         prewarm: Sequence = (),
-        metrics: MetricsRegistry | None = None,
     ) -> None:
         if workers < 1:
             raise QueryError(f"service needs at least one worker, got {workers}")
         if max_pending < 1:
             raise QueryError(f"max_pending must be >= 1, got {max_pending}")
+        _check_timeout("default_timeout_s", default_timeout_s)
         self.solver = solver
         self.workers = int(workers)
         self.max_pending = int(max_pending)
         self.default_timeout_s = default_timeout_s
         self.prewarm = tuple(prewarm)
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self.stats = SearchStats()
         self._shared: SharedCSR | None = None
         self._saved_csr = None
@@ -729,14 +743,7 @@ class QueryService:
         """Admission control; loop-thread only.  Raises on overflow."""
         if self._closed or not self._started:
             raise QueryError("service is not running (call start() first)")
-        if timeout_s is not None and (
-            not isinstance(timeout_s, Real)
-            or isinstance(timeout_s, bool)
-            or not timeout_s >= 0
-        ):
-            raise QueryError(
-                f"timeout_s must be a non-negative number, got {timeout_s!r}"
-            )
+        _check_timeout("timeout_s", timeout_s)
         if self._pending >= self.max_pending:
             self.metrics.inc("service_rejected_overload")
             raise ServiceOverloaded(

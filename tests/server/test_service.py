@@ -55,6 +55,12 @@ class TestLifecycle:
             QueryService(solver, workers=0)
         with pytest.raises(QueryError, match="max_pending"):
             QueryService(solver, max_pending=0)
+        # The deadline a query falls back to passes the same check as
+        # its own ``timeout_s``: -1 would fail every query, NaN would
+        # turn deadlines off, a string would raise TypeError mid-query.
+        for bad in (-1, float("nan"), "x"):
+            with pytest.raises(QueryError, match="default_timeout_s"):
+                QueryService(solver, default_timeout_s=bad)
 
     def test_double_start_rejected(self, service):
         with pytest.raises(QueryError, match="already started"):
@@ -148,9 +154,9 @@ class TestTiming:
 class TestTelemetry:
     def test_service_counters_and_histograms(self, sj_solver):
         dataset, solver = sj_solver
-        metrics = MetricsRegistry()
-        with QueryService(solver, workers=1, metrics=metrics) as svc:
+        with QueryService(solver, workers=1) as svc:
             svc.solve(_query_mix(dataset, 4))
+        metrics = svc.metrics
         assert metrics.counters["service_queries"] == 4
         assert metrics.counters["queries"] == 4  # per-query snapshots merged
         assert metrics.histograms["queue_wait_ms"].total == 4

@@ -1,8 +1,38 @@
 """Unit tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
+
+
+def workload(tmp_path, **overrides) -> str:
+    """A tiny SJ workload spec file: 3 queries over T2/T1 at k 3."""
+    spec = {
+        "name": "cli-tiny",
+        "dataset": "SJ",
+        "categories": ["T2", "T1"],
+        "target_qps": 10.0,
+        "queries": 3,
+        "landmarks": 4,
+        "k": {"kind": "fixed", "value": 3},
+    }
+    spec.update(overrides)
+    path = tmp_path / "workload.json"
+    path.write_text(json.dumps(spec))
+    return str(path)
+
+
+def scheduled(path):
+    """The spec at ``path`` and its scheduled queries, in batch order."""
+    from repro.bench.loadtest import spec_queries
+    from repro.bench.workload import generate_schedule, load_spec
+    from repro.datasets.registry import road_network
+
+    spec = load_spec(path)
+    n = road_network(spec.dataset).n
+    return spec, spec_queries(spec, generate_schedule(spec, n))
 
 
 class TestParser:
@@ -161,73 +191,64 @@ class TestStatsFlag:
 
 
 class TestBatchCommand:
-    def test_batch_explicit_sources(self, capsys):
-        code = main(
-            [
-                "batch", "--dataset", "SJ", "--category", "T2",
-                "--sources", "3,10,25", "--k", "2", "--landmarks", "4",
-            ]
-        )
-        assert code == 0
+    def test_batch_spec_prints_summary(self, capsys, tmp_path):
+        assert main(["batch", "--spec", workload(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "3 queries" in out
         assert "queries/s" in out
 
-    def test_batch_random_sources_with_workers_and_stats(self, capsys):
-        code = main(
-            [
-                "batch", "--dataset", "SJ", "--category", "T2",
-                "--random-sources", "6", "--seed", "1", "--workers", "2",
-                "--stats", "--landmarks", "4",
-            ]
-        )
-        assert code == 0
+    def test_batch_random_sources_with_workers_and_stats(
+        self, capsys, tmp_path
+    ):
+        path = workload(tmp_path, queries=6, seed=1, workers=2)
+        assert main(["batch", "--spec", path, "--stats"]) == 0
         out = capsys.readouterr().out
         assert "workers=2" in out
         assert "prepared_cache_hits" in out
 
-    def test_batch_json_payload(self, capsys):
-        import json
-
-        code = main(
-            [
-                "batch", "--dataset", "SJ", "--category", "T2",
-                "--sources", "3,10", "--k", "2", "--landmarks", "4",
-                "--json",
-            ]
+    def test_batch_json_payload(self, capsys, tmp_path):
+        path = workload(
+            tmp_path, categories=["T2"], queries=2,
+            k={"kind": "fixed", "value": 2},
         )
-        assert code == 0
+        assert main(["batch", "--spec", path, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["workers"] == 1
+        spec, queries = scheduled(path)
+        assert payload["spec"] == spec.as_dict()
+        assert payload["spec"]["workers"] == 1
         assert len(payload["results"]) == 2
-        assert payload["results"][0]["source"] == 3
+        assert payload["results"][0]["source"] == queries[0].source
         assert payload["queries_per_s"] > 0
 
-    def test_batch_bad_sources(self, capsys):
-        code = main(
-            [
-                "batch", "--dataset", "SJ", "--category", "T2",
-                "--sources", "3,abc",
-            ]
-        )
-        assert code == 2
-        assert "comma-separated" in capsys.readouterr().err
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_batch_json_paths_equal_top_k(self, capsys, tmp_path, workers):
+        """Each scheduled query gets the paths KPJSolver.top_k returns."""
+        from repro.bench.loadtest import spec_solver
 
-    def test_batch_out_of_range_source(self, capsys):
-        code = main(
-            [
-                "batch", "--dataset", "SJ", "--category", "T2",
-                "--sources", "999999",
-            ]
+        path = workload(
+            tmp_path, queries=4, workers=workers,
+            k={"kind": "choice", "values": [2, 5]},
         )
-        assert code == 2
-        assert "must be in" in capsys.readouterr().err
+        assert main(["batch", "--spec", path, "--json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["results"]
+        spec, queries = scheduled(path)
+        _, solver = spec_solver(spec)
+        assert len(rows) == len(queries) == 4
+        for row, query in zip(rows, queries):
+            expected = solver.top_k(
+                query.source, category=query.category, k=query.k,
+                algorithm=query.algorithm, alpha=query.alpha,
+            )
+            assert (row["source"], row["category"], row["k"]) == (
+                query.source, query.category, query.k,
+            )
+            assert row["paths"] == json.loads(
+                json.dumps([p.to_dict() for p in expected.paths])
+            )
 
     def test_batch_requires_source_spec(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["batch", "--dataset", "SJ", "--category", "T2"]
-            )
+            build_parser().parse_args(["batch"])
 
 class TestMetricsFlags:
     def test_query_metrics_text(self, capsys):
@@ -262,37 +283,44 @@ class TestMetricsFlags:
         assert "prepare" in payload["metrics"]["phases"]
         assert payload["metrics"]["counters"]["queries"] == 1
 
-    def test_batch_metrics_json_has_latency_percentiles(self, capsys):
-        import json
-
-        code = main(
-            [
-                "batch", "--dataset", "SJ", "--category", "T2",
-                "--sources", "1,5,9,13", "--k", "3", "--landmarks", "4",
-                "--metrics", "json",
-            ]
-        )
-        assert code == 0
+    def test_batch_metrics_json_has_latency_percentiles(
+        self, capsys, tmp_path
+    ):
+        path = workload(tmp_path, categories=["T2"], queries=4)
+        assert main(["batch", "--spec", path, "--metrics", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
+        assert payload["spec"] == scheduled(path)[0].as_dict()
         assert payload["queries"] == 4
         lat = payload["latency_ms"]
         assert lat["p50"] <= lat["p95"] <= lat["p99"]
         assert payload["metrics"]["counters"]["queries"] == 4
         assert "landmark_build" in payload["metrics"]["phases"]
 
-    def test_batch_metrics_text_with_workers(self, capsys):
-        code = main(
-            [
-                "batch", "--dataset", "SJ", "--category", "T2",
-                "--sources", "1,5,9,13", "--k", "3", "--landmarks", "4",
-                "--workers", "2", "--metrics", "text",
-            ]
-        )
-        assert code == 0
+    def test_batch_metrics_text_with_workers(self, capsys, tmp_path):
+        path = workload(tmp_path, categories=["T2"], queries=4, workers=2)
+        assert main(["batch", "--spec", path, "--metrics", "text"]) == 0
         out = capsys.readouterr().out
         assert "queries/s" in out
         assert "warmup" in out  # the pre-fork phase shows up
         assert "query_latency_ms" in out
+
+    def test_batch_metrics_json_and_prom_report_the_same_counters(
+        self, capsys, tmp_path
+    ):
+        from repro.obs.metrics import parse_prom
+
+        path = workload(tmp_path)
+        assert main(["batch", "--spec", path, "--metrics", "json"]) == 0
+        counters = json.loads(capsys.readouterr().out)["metrics"]["counters"]
+        assert main(["batch", "--spec", path, "--metrics", "prom"]) == 0
+        samples = parse_prom(capsys.readouterr().out)
+        exposed = {
+            name[len("kpj_"):-len("_total")]: value
+            for (name, labels), value in samples.items()
+            if name.endswith("_total") and not labels
+        }
+        assert counters["nodes_settled"] > 0  # the batch's SearchStats
+        assert exposed == counters
 
     def test_stats_output_skips_zero_counters(self, capsys):
         code = main(
@@ -308,36 +336,55 @@ class TestMetricsFlags:
         assert "prepared_cache_hits" not in out  # zero on a cold query
 
 
-#: One bad-category invocation per query-answering command.
-BAD_CATEGORY = {
-    "query": ["--source", "3"],
-    "batch": ["--sources", "3,5"],
-    "compare": ["--source", "3"],
-    "trace": ["--source", "3"],
-    "explain": ["--source", "3"],
-}
-
-
 class TestReproErrorMapping:
     """A library error is a bad request: exit 2 and one stderr line."""
 
-    @pytest.mark.parametrize("command", sorted(BAD_CATEGORY))
+    @pytest.mark.parametrize("command", ["batch", "compare", "explain", "query"])
     def test_unknown_category_exits_two(self, capsys, tmp_path, command):
-        argv = [
-            command, "--dataset", "SJ", "--category", "T9",
-            "--landmarks", "4", *BAD_CATEGORY[command],
-        ]
-        if command == "trace":
-            argv += ["--out", str(tmp_path / "t.json")]
+        if command == "batch":
+            # The spec names the categories; its dataset is checked first.
+            argv = ["batch", "--spec", workload(tmp_path, categories=["T9"])]
+            expected = "dataset 'SJ' has no category 'T9'"
+        else:
+            argv = [
+                command, "--dataset", "SJ", "--category", "T9",
+                "--landmarks", "4", "--source", "3",
+            ]
+            expected = "unknown category 'T9'"
         assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.splitlines() == ["unknown category 'T9'"]
+        assert capsys.readouterr().err.splitlines() == [expected]
 
     def test_serve_rejects_zero_workers(self, capsys):
         argv = ["serve", "--dataset", "SJ", "--workers", "0", "--landmarks", "4"]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.splitlines() == ["service needs at least one worker, got 0"]
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--timeout-s", "-1"],
+             "default_timeout_s must be a non-negative number, got -1.0"),
+            (["--timeout-s", "nan"],
+             "default_timeout_s must be a non-negative number, got nan"),
+            (["--prewarm", "T9,T1"], "unknown category 'T9'"),
+        ],
+        ids=["timeout-negative", "timeout-nan", "prewarm-unknown"],
+    )
+    def test_serve_rejects_bad_flags_before_serving(
+        self, capsys, monkeypatch, flags, message
+    ):
+        import repro.server.http
+
+        served = []
+        monkeypatch.setattr(
+            repro.server.http, "run_server",
+            lambda service, **_: served.append(service),
+        )
+        argv = ["serve", "--dataset", "SJ", "--landmarks", "4", *flags]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [message]
+        assert served == []
 
     def test_process_exit_has_no_traceback(self):
         import subprocess
@@ -397,28 +444,18 @@ class TestFuzzCommand:
         assert "cannot read" in capsys.readouterr().err
 
 
-class TestMetricsCommand:
-    def workload(self, tmp_path, **overrides):
-        import json
+def prom(path: str) -> list[str]:
+    """``batch --spec PATH --metrics prom``: the spec's exposition."""
+    return ["batch", "--spec", path, "--metrics", "prom"]
 
-        spec = {
-            "name": "metrics-tiny",
-            "dataset": "SJ",
-            "categories": ["T2", "T1"],
-            "target_qps": 10.0,
-            "queries": 3,
-            "landmarks": 4,
-            "k": {"kind": "fixed", "value": 3},
-        }
-        spec.update(overrides)
-        path = tmp_path / "workload.json"
-        path.write_text(json.dumps(spec))
-        return str(path)
+
+class TestMetricsCommand:
+    """``batch --metrics prom``: one spec's batch as Prometheus text."""
 
     def test_exposition_parses_cleanly(self, capsys, tmp_path):
         from repro.obs.metrics import parse_prom
 
-        code = main(["metrics", "--spec", self.workload(tmp_path)])
+        code = main(prom(workload(tmp_path)))
         assert code == 0
         samples = parse_prom(capsys.readouterr().out)
         assert samples[("kpj_queries_total", ())] == 3
@@ -430,8 +467,8 @@ class TestMetricsCommand:
     def test_exposition_with_workers_includes_warmup(self, capsys, tmp_path):
         from repro.obs.metrics import parse_prom
 
-        path = self.workload(tmp_path, workers=2)
-        assert main(["metrics", "--spec", path]) == 0
+        path = workload(tmp_path, workers=2)
+        assert main(prom(path)) == 0
         samples = parse_prom(capsys.readouterr().out)
         assert ("kpj_phase_seconds_total", (("phase", "warmup"),)) in samples
         assert samples[("kpj_queries_total", ())] == 3
@@ -447,8 +484,8 @@ class TestMetricsCommand:
         from repro.core.stats import SearchStats
         from repro.obs.metrics import parse_prom
 
-        path = self.workload(tmp_path, workers=workers)
-        assert main(["metrics", "--spec", path]) == 0
+        path = workload(tmp_path, workers=workers)
+        assert main(prom(path)) == 0
         samples = parse_prom(capsys.readouterr().out)
         spec = load_spec(path)
         dataset, solver = spec_solver(spec)
@@ -462,26 +499,18 @@ class TestMetricsCommand:
         for name, value in total.as_dict().items():
             assert samples.get((f"kpj_{name}_total", ()), 0) == value, name
 
-    def test_prefix_flag(self, capsys, tmp_path):
-        from repro.obs.metrics import parse_prom
-
-        path = self.workload(tmp_path)
-        assert main(["metrics", "--spec", path, "--prefix", "repro"]) == 0
-        samples = parse_prom(capsys.readouterr().out)
-        assert ("repro_queries_total", ()) in samples
-
     def test_missing_workload_file(self, capsys):
-        assert main(["metrics", "--spec", "/no/such/file.json"]) == 2
+        assert main(prom("/no/such/file.json")) == 2
         assert "cannot read" in capsys.readouterr().err
 
     def test_bad_dataset_rejected(self, capsys, tmp_path):
-        path = self.workload(tmp_path, dataset="NOPE")
-        assert main(["metrics", "--spec", path]) == 2
+        path = workload(tmp_path, dataset="NOPE")
+        assert main(prom(path)) == 2
         assert "dataset" in capsys.readouterr().err
 
     def test_empty_queries_rejected(self, capsys, tmp_path):
-        path = self.workload(tmp_path, queries=0)
-        assert main(["metrics", "--spec", path]) == 2
+        path = workload(tmp_path, queries=0)
+        assert main(prom(path)) == 2
         assert "queries must be >= 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
@@ -497,14 +526,12 @@ class TestMetricsCommand:
     def test_invalid_spec_exits_two_with_one_line(
         self, capsys, tmp_path, document
     ):
-        import json
-
         if isinstance(document, dict):
-            path = self.workload(tmp_path, **document)
+            path = workload(tmp_path, **document)
         else:
             path = tmp_path / "workload.json"
             path.write_text(json.dumps(document))
-        assert main(["metrics", "--spec", str(path)]) == 2
+        assert main(prom(str(path))) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         (line,) = captured.err.splitlines()
@@ -513,7 +540,7 @@ class TestMetricsCommand:
 
 
 class TestObservabilityFlags:
-    """--log/--slow-ms/--profile/--memory, trace --folded, kpj report."""
+    """--log/--slow-ms/--profile/--memory and query --folded."""
 
     QUERY = [
         "query", "--dataset", "SJ", "--source", "10", "--category", "T2",
@@ -521,8 +548,7 @@ class TestObservabilityFlags:
     ]
 
     def test_parser_defaults(self):
-        for head in (self.QUERY, ["batch", "--dataset", "SJ", "--category",
-                                  "T2", "--sources", "1"]):
+        for head in (self.QUERY, ["batch", "--spec", "workload.json"]):
             args = build_parser().parse_args(head)
             assert args.log is None and args.slow_ms is None
             assert args.profile is None and args.memory is False
@@ -560,6 +586,14 @@ class TestObservabilityFlags:
         assert "process_peak_rss_bytes" in out
         assert "mem_search_alloc_bytes" in out
 
+    def test_failed_batch_stops_memory_telemetry(self, capsys, tmp_path):
+        import tracemalloc
+
+        tracing = tracemalloc.is_tracing()
+        path = workload(tmp_path, categories=["T9"])
+        assert main(["batch", "--spec", path, "--memory"]) == 2
+        assert tracemalloc.is_tracing() == tracing
+
     def test_profile_writes_loadable_pstats(self, capsys, tmp_path):
         import pstats
 
@@ -573,13 +607,8 @@ class TestObservabilityFlags:
         from repro.obs.log import parse_query_log
 
         log = tmp_path / "b.jsonl"
-        code = main(
-            [
-                "batch", "--dataset", "SJ", "--category", "T2",
-                "--sources", "1,5,9", "--k", "3", "--landmarks", "4",
-                "--workers", "2", "--log", str(log),
-            ]
-        )
+        path = workload(tmp_path, categories=["T2"], workers=2)
+        code = main(["batch", "--spec", path, "--log", str(log)])
         assert code == 0
         events = parse_query_log(log.read_text())
         assert len(events) == 3
@@ -589,14 +618,10 @@ class TestObservabilityFlags:
         out = tmp_path / "t.json"
         folded = tmp_path / "t.folded"
         code = main(
-            [
-                "trace", "--dataset", "SJ", "--source", "10", "--category",
-                "T2", "--k", "3", "--landmarks", "4",
-                "--out", str(out), "--folded", str(folded),
-            ]
+            self.QUERY + ["--trace-out", str(out), "--folded", str(folded)]
         )
         assert code == 0
-        assert "folded stacks ->" in capsys.readouterr().out
+        assert "folded stacks ->" in capsys.readouterr().err
         for line in folded.read_text().splitlines():
             stack, value = line.rsplit(" ", 1)
             assert stack and int(value) >= 1

@@ -1,5 +1,5 @@
-"""CLI tracing surfaces: kpj trace, query --trace, explain --tree,
-metrics --trace-out."""
+"""CLI tracing surfaces: query --trace/--trace-out, explain --tree,
+batch --trace-out."""
 
 from __future__ import annotations
 
@@ -10,17 +10,19 @@ from repro.obs.tracing import validate_chrome_trace
 
 
 class TestTraceCommand:
+    """``query --trace-out FILE``: one query's Chrome trace."""
+
     def test_writes_valid_chrome_trace(self, tmp_path, capsys):
         out = tmp_path / "trace.json"
         code = main(
             [
-                "trace",
+                "query",
                 "--dataset", "SJ",
                 "--source", "3",
                 "--category", "T2",
                 "--k", "5",
                 "--landmarks", "4",
-                "--out", str(out),
+                "--trace-out", str(out),
             ]
         )
         assert code == 0
@@ -29,18 +31,18 @@ class TestTraceCommand:
         assert events > 0
         names = {e["name"] for e in doc["traceEvents"]}
         assert {"query", "search", "iter_bound", "test_lb"} <= names
-        assert f"-> {out}" in capsys.readouterr().out
+        assert f"-> {out}" in capsys.readouterr().err
 
     def test_tree_flag_prints_report(self, tmp_path, capsys):
         code = main(
             [
-                "trace",
+                "query",
                 "--dataset", "SJ",
                 "--source", "3",
                 "--category", "T2",
                 "--landmarks", "4",
-                "--out", str(tmp_path / "t.json"),
-                "--tree",
+                "--trace-out", str(tmp_path / "t.json"),
+                "--trace",
             ]
         )
         assert code == 0
@@ -51,11 +53,11 @@ class TestTraceCommand:
     def test_bad_source_rejected(self, tmp_path, capsys):
         code = main(
             [
-                "trace",
+                "query",
                 "--dataset", "SJ",
                 "--source", "-1",
                 "--category", "T2",
-                "--out", str(tmp_path / "t.json"),
+                "--trace-out", str(tmp_path / "t.json"),
             ]
         )
         assert code == 2
@@ -122,8 +124,9 @@ class TestMetricsTraceOut:
         trace_dir = tmp_path / "traces"
         code = main(
             [
-                "metrics",
+                "batch",
                 "--spec", str(workload),
+                "--metrics", "prom",
                 "--trace-out", str(trace_dir),
             ]
         )
