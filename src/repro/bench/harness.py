@@ -100,31 +100,21 @@ def time_query_batch(
     k: int,
     algorithm: str,
     alpha: float = 1.1,
-    metrics=None,
 ) -> BatchTiming:
     """Run one query per source and aggregate the solver-recorded times.
 
     Per-query wall time comes from ``QueryResult.elapsed_ms`` (the
     solver times itself now) rather than a harness-side stopwatch, so
-    a benchmark measures exactly what serving measures.  Pass a
-    :class:`~repro.obs.metrics.MetricsRegistry` as ``metrics`` to also
-    collect phase attribution for the batch; it is attached to the
-    solver only for the duration (solvers are cached across figures).
+    a benchmark measures exactly what serving measures.
     """
     times: list[float] = []
     stats = SearchStats()
-    saved = solver.metrics
-    if metrics is not None:
-        solver.metrics = metrics
-    try:
-        for source in sources:
-            result = solver.top_k(
-                source, category=category, k=k, algorithm=algorithm, alpha=alpha
-            )
-            times.append(result.elapsed_ms)
-            stats.merge(result.stats)
-    finally:
-        solver.metrics = saved
+    for source in sources:
+        result = solver.top_k(
+            source, category=category, k=k, algorithm=algorithm, alpha=alpha
+        )
+        times.append(result.elapsed_ms)
+        stats.merge(result.stats)
     return BatchTiming(
         mean_ms=statistics.fmean(times),
         median_ms=statistics.median(times),

@@ -91,6 +91,7 @@ mutations to prove the harness catches each bug class.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from contextlib import contextmanager
 from typing import Sequence
@@ -420,14 +421,21 @@ def _print_stats(stats) -> None:
 
 
 @contextmanager
-def _observed(args: argparse.Namespace):
-    """Query logger, memory telemetry and metrics registry from the
-    shared flags: yields ``(query_log, memory, registry)``, each
-    ``None`` when no flag asks for it; on exit the telemetry stops and
-    the log closes, whether the block returns or raises."""
+def _observed(args: argparse.Namespace, trace: bool):
+    """Query logger, memory telemetry, metrics registry and span tracer
+    from the shared flags: yields ``(query_log, memory, registry,
+    tracer)``, each ``None`` when no flag asks for it (``trace`` says
+    whether the command's own flags ask for spans); on exit the
+    telemetry stops and the log closes, whether the block returns or
+    raises."""
     if args.slow_ms is not None and args.log is None:
         raise QueryError("--slow-ms requires --log")
-    qlog = mem = reg = None
+    qlog = mem = reg = tracer = None
+    if trace or args.slow_ms is not None:
+        # Slow dumps embed the trace, so slow-logging implies tracing.
+        from repro.obs.tracing import SpanTracer
+
+        tracer = SpanTracer()
     if args.log:
         from repro.obs.log import QueryLogger
 
@@ -441,7 +449,7 @@ def _observed(args: argparse.Namespace):
 
         reg = MetricsRegistry()
     try:
-        yield qlog, mem, reg
+        yield qlog, mem, reg, tracer
     finally:
         if mem is not None:
             mem.stop()
@@ -509,13 +517,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
     import json
 
     dataset = _dataset_for(args)
-    tracer = None
-    if args.trace or args.trace_out or args.folded or args.slow_ms is not None:
-        # Slow dumps embed the trace, so slow-logging implies tracing.
-        from repro.obs.tracing import SpanTracer
-
-        tracer = SpanTracer()
-    with _observed(args) as (qlog, mem, reg):
+    trace = bool(args.trace or args.trace_out or args.folded)
+    with _observed(args, trace) as (qlog, mem, reg, tracer):
         solver = KPJSolver(
             dataset.graph,
             dataset.categories,
@@ -598,21 +601,13 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     from repro.core.stats import SearchStats
 
     spec = _load_spec(args.spec)
-    tracer = None
-    if args.trace_out is not None:
-        from repro.obs.tracing import SpanTracer
-
-        tracer = SpanTracer()
-    with _observed(args) as (qlog, mem, reg):
-        # The registry attached at construction captures landmark_build.
+    with _observed(args, args.trace_out is not None) as (qlog, mem, reg, tracer):
+        # The observers stay attached: the registry records
+        # landmark_build, then the batch reports into all of them at any
+        # worker count.  Resident workers inherit them through the fork,
+        # appending whole lines to one log file (O_APPEND).
         dataset, solver = spec_solver(spec, metrics=reg)
-        # Detach it again: run_batch installs its own per-batch
-        # registry and delivers the aggregate through ``metrics=``
-        # (leaving it attached would double-count sequential batches).
-        # The query logger and memory telemetry stay attached: resident
-        # workers inherit them through the fork, each appending whole
-        # lines to the same log file (O_APPEND keeps lines intact).
-        solver.metrics = None
+        solver.tracer = tracer
         solver.query_log = qlog
         solver.memory = mem
         # Arrival times, target_qps and the SLO belong to the open-loop
@@ -622,15 +617,13 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         start = time.perf_counter()
         results = _profiled(
             args.profile, solver.solve_batch, queries,
-            workers=spec.workers, stats=stats, metrics=reg, tracer=tracer,
+            workers=spec.workers, stats=stats,
         )
         elapsed = time.perf_counter() - start
     throughput = len(results) / elapsed if elapsed else 0.0
     if reg is not None:
         reg.merge_stats(stats)
     if args.trace_out is not None:
-        import os
-
         from repro.obs.tracing import chrome_trace
 
         try:
@@ -832,8 +825,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    import os
-
     from repro.bench.trajectory import (
         load,
         render_loadtest_report,
@@ -992,10 +983,19 @@ def main(argv: Sequence[str] | None = None) -> int:
     """
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
     except ReproError as exc:
         print(exc, file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader went away (``kpj ... | head``).  Point stdout at
+        # devnull so the interpreter's final flush cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

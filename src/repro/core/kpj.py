@@ -182,9 +182,10 @@ class KPJSolver:
         set, every query records phase wall times, counters, and
         gauges into it (each query runs against a fresh per-query
         registry whose snapshot rides back on
-        ``QueryResult.metrics``, then merges here).  When ``None``
-        (default) the entire layer stays off — one ``is None`` check
-        per site, no allocation.
+        ``QueryResult.metrics``, then merges here).  It is also the
+        one sink of :meth:`solve_batch` at any worker count.  When
+        ``None`` (default) the entire layer stays off — one ``is
+        None`` check per site, no allocation.
     tracer:
         Optional :class:`~repro.obs.tracing.SpanTracer`.  When set,
         sampled queries (the tracer's ``sample_every`` stride) record
@@ -192,8 +193,10 @@ class KPJSolver:
         ``iter_bound`` → per-iteration ``iterate`` with ``test_lb`` /
         ``division`` / ``spt_grow`` leaves — into a fresh per-query
         tracer whose snapshot rides back on ``QueryResult.trace`` and
-        is absorbed here.  Same discipline as ``metrics``: ``None``
-        keeps every hot site at a single ``is None`` check.
+        is absorbed here, under the span open at the time (a
+        :meth:`solve_batch` call's ``batch`` span, at any worker
+        count).  Same discipline as ``metrics``: ``None`` keeps every
+        hot site at a single ``is None`` check.
     query_log:
         Optional :class:`~repro.obs.log.QueryLogger`.  When set, every
         query emits one JSON event (query id, algorithm,
@@ -312,8 +315,6 @@ class KPJSolver:
         queries: Sequence,
         workers: int = 1,
         stats: SearchStats | None = None,
-        metrics: MetricsRegistry | None = None,
-        tracer: SpanTracer | None = None,
     ) -> list[QueryResult]:
         """Answer a list of queries, optionally on resident workers.
 
@@ -334,24 +335,16 @@ class KPJSolver:
         result's per-query stats (across all workers) plus the
         parent-side prepared-cache prewarm that precedes a fork.
 
-        Pass a :class:`~repro.obs.metrics.MetricsRegistry` as
-        ``metrics`` to likewise collect the batch's aggregate phase
-        timers/counters/gauges — per-query snapshots cross the process
-        boundary on each result and are merged on return, with the
-        service start attributed to the ``warmup`` phase.
-
-        Pass a :class:`~repro.obs.tracing.SpanTracer` as ``tracer`` to
-        collect one batch-wide span tree: the whole call becomes a
-        ``batch`` span, and each sampled query's span snapshot (local
-        or shipped back from a worker process, keeping the worker's
-        pid) is re-rooted under it.
+        The batch reports into this solver's ``metrics`` and
+        ``tracer``, at any worker count: per-query snapshots cross the
+        process boundary on each result and are merged before the call
+        returns, a multi-worker batch adds the service's ``warmup``
+        phase and counters, and the whole call becomes one ``batch``
+        span holding every sampled query's span tree.
         """
         from repro.server.service import run_batch
 
-        return run_batch(
-            self, queries, workers=workers, stats=stats, metrics=metrics,
-            tracer=tracer,
-        )
+        return run_batch(self, queries, workers=workers, stats=stats)
 
     def prepare(
         self,

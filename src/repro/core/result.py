@@ -72,8 +72,8 @@ class QueryResult:
         snapshot when the solver has a tracer attached and this query
         was sampled; ``None`` otherwise.  Also a plain dict — resident
         workers ship it back with the result and
-        :func:`~repro.server.service.run_batch` re-roots it under the
-        batch span.
+        :func:`~repro.server.service.run_batch` folds it into the
+        solver's tracer under the batch span.
     query_id:
         Stable id minted by the solver for this query
         (:func:`~repro.obs.log.new_query_id`), the join key between

@@ -398,12 +398,12 @@ class MetricsRegistry:
             width = max(len(n) for n in self.counters)
             lines.append("  counters:")
             for name, value in sorted(self.counters.items()):
-                lines.append(f"    {name:<{width}}  {value:g}")
+                lines.append(f"    {name:<{width}}  {_exact(value)}")
         if self.gauges:
             width = max(len(n) for n in self.gauges)
             lines.append("  gauges:")
             for name, value in sorted(self.gauges.items()):
-                lines.append(f"    {name:<{width}}  {value:g}")
+                lines.append(f"    {name:<{width}}  {_exact(value)}")
         for name, hist in sorted(self.histograms.items()):
             lines.append(
                 f"  {name}: n={hist.total}  p50={hist.quantile(0.5):.3f}"
@@ -416,35 +416,37 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     # Prometheus text exposition
     # ------------------------------------------------------------------
-    def render_prom(self, prefix: str = "kpj") -> str:
+    def render_prom(self) -> str:
         """Prometheus text-format exposition, no client library needed.
 
-        Phases become ``<prefix>_phase_seconds_total`` /
-        ``<prefix>_phase_calls_total`` with a ``phase`` label; counters
-        get a ``_total`` suffix; histograms emit the standard
-        ``_bucket{le=...}`` / ``_sum`` / ``_count`` triple.  Output is
+        Phases become ``kpj_phase_seconds_total`` /
+        ``kpj_phase_calls_total`` with a ``phase`` label; counters get
+        a ``_total`` suffix; histograms emit the standard
+        ``_bucket{le=...}`` / ``_sum`` / ``_count`` triple.  Counter
+        and gauge values are written exactly (see :func:`_exact`), so
+        :func:`parse_prom` reads back the recorded number.  Output is
         deterministically ordered so CI can diff two expositions.
         """
         out: list[str] = []
         if self.phases:
-            out.append(f"# TYPE {prefix}_phase_seconds_total counter")
+            out.append("# TYPE kpj_phase_seconds_total counter")
             for name, (seconds, _) in sorted(self.phases.items()):
                 out.append(
-                    f'{prefix}_phase_seconds_total{{phase="{name}"}} {seconds:.9f}'
+                    f'kpj_phase_seconds_total{{phase="{name}"}} {seconds:.9f}'
                 )
-            out.append(f"# TYPE {prefix}_phase_calls_total counter")
+            out.append("# TYPE kpj_phase_calls_total counter")
             for name, (_, calls) in sorted(self.phases.items()):
-                out.append(f'{prefix}_phase_calls_total{{phase="{name}"}} {calls}')
+                out.append(f'kpj_phase_calls_total{{phase="{name}"}} {calls}')
         for name, value in sorted(self.counters.items()):
-            metric = f"{prefix}_{name}_total"
+            metric = f"kpj_{name}_total"
             out.append(f"# TYPE {metric} counter")
-            out.append(f"{metric} {value:g}")
+            out.append(f"{metric} {_exact(value)}")
         for name, value in sorted(self.gauges.items()):
-            metric = f"{prefix}_{name}"
+            metric = f"kpj_{name}"
             out.append(f"# TYPE {metric} gauge")
-            out.append(f"{metric} {value:g}")
+            out.append(f"{metric} {_exact(value)}")
         for name, hist in sorted(self.histograms.items()):
-            metric = f"{prefix}_{name}"
+            metric = f"kpj_{name}"
             out.append(f"# TYPE {metric} histogram")
             cumulative = 0
             for bound, count in zip(hist.buckets, hist.counts):
@@ -454,6 +456,15 @@ class MetricsRegistry:
             out.append(f"{metric}_sum {hist.sum:.9f}")
             out.append(f"{metric}_count {hist.total}")
         return "\n".join(out) + "\n"
+
+
+def _exact(value) -> str:
+    """A counter or gauge value as text that parses back to itself:
+    integral values as integers (``{:g}`` would round 1234567 to
+    ``1.23457e+06``), any other value by ``repr``."""
+    if isinstance(value, int) or float(value).is_integer():
+        return str(int(value))
+    return repr(float(value))
 
 
 def maybe_phase(registry: MetricsRegistry | None, name: str):

@@ -27,9 +27,10 @@ asserts the no-allocation property).  Tracers are *per scope*: the
 solver keeps one for its lifetime, every sampled query records into a
 fresh per-query tracer whose :meth:`SpanTracer.as_dict` snapshot rides
 back on the :class:`~repro.core.result.QueryResult` (a plain dict, so
-it crosses the worker process boundary), and
-:func:`~repro.server.service.run_batch` re-roots the worker snapshots
-under its batch span via :meth:`SpanTracer.absorb`.
+it crosses the worker process boundary) and is folded into the
+solver's tracer by :meth:`SpanTracer.absorb`, under whatever span is
+open there — a :func:`~repro.server.service.run_batch` call's batch
+span, at any worker count.
 
 Span taxonomy (see DESIGN.md §3d for the full contract):
 
@@ -204,16 +205,18 @@ class SpanTracer:
         self._push(span)
         return span
 
-    def absorb(self, snapshot: Mapping | None, parent: dict | None = None) -> None:
+    def absorb(self, snapshot: Mapping | None) -> None:
         """Fold another tracer's :meth:`as_dict` snapshot in.
 
         Span ids are re-based to stay unique; spans whose parent is
         missing from the snapshot (evicted in the source ring, or
-        genuine roots) are re-parented under ``parent`` — this is how
-        :func:`~repro.server.service.run_batch` roots each worker's query
-        tree under its batch span.  Original ``pid``/timestamps are
-        kept, so a Chrome export shows one lane per worker on the
-        shared monotonic timeline.
+        genuine roots) nest under the innermost still-open span of
+        this tracer, the rule :meth:`begin` and :meth:`add` follow —
+        this is how every query tree of a
+        :func:`~repro.server.service.run_batch` lands under its batch
+        span.  Original ``pid``/timestamps are kept, so a Chrome
+        export shows one lane per worker on the shared monotonic
+        timeline.
         """
         if snapshot is None:
             return
@@ -224,7 +227,7 @@ class SpanTracer:
         offset = self._next_id
         present = {s["id"] for s in spans}
         top = 0
-        new_parent = parent["id"] if parent is not None else None
+        new_parent = self._stack[-1]["id"] if self._stack else None
         for s in spans:
             t = dict(s)
             t["attrs"] = dict(s.get("attrs") or {})

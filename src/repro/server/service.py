@@ -86,7 +86,6 @@ from repro.core.stats import SearchStats
 from repro.exceptions import QueryError
 from repro.graph.virtual import is_int
 from repro.obs.metrics import LOADTEST_LATENCY_BUCKETS_MS, MetricsRegistry
-from repro.obs.tracing import SpanTracer
 from repro.server.epoch import service_epoch
 from repro.server.shared import SharedCSR
 
@@ -912,9 +911,9 @@ class QueryService:
         """Names of the shared-memory segments backing the CSR."""
         return self._shared.segment_names if self._shared is not None else ()
 
-    def render_prom(self, prefix: str = "kpj") -> str:
+    def render_prom(self) -> str:
         """Prometheus exposition of the service registry."""
-        return self.metrics.render_prom(prefix=prefix)
+        return self.metrics.render_prom()
 
     def describe(self) -> dict:
         """JSON-ready service status (the ``/status`` endpoint body)."""
@@ -935,10 +934,7 @@ class QueryService:
         }
 
 
-def run_batch(
-    solver, queries: Sequence, workers: int = 1, stats=None, metrics=None,
-    tracer=None,
-) -> list:
+def run_batch(solver, queries: Sequence, workers: int = 1, stats=None) -> list:
     """Answer ``queries`` with ``solver``, in submission order.
 
     Returns one :class:`~repro.core.result.QueryResult` per query.
@@ -953,20 +949,17 @@ def run_batch(
     ``stats`` (a :class:`~repro.core.stats.SearchStats`) receives the
     merge of every result's per-query counters, plus the parent's
     prepared-cache activity from the prewarm, which belongs to no
-    query.  ``metrics`` (a :class:`~repro.obs.metrics.MetricsRegistry`)
-    receives the merge of every per-query snapshot and a
-    ``queue_wait_ms`` histogram; a multi-worker batch adds the
-    service's one-time ``warmup`` phase, its counters, and per-worker
-    ``worker_<i>_queries`` tags.  If the solver has no registry of its
-    own, one is installed for the call (before any fork) so the
-    snapshots exist.
+    query.
 
-    ``tracer`` (a :class:`~repro.obs.tracing.SpanTracer`) records the
-    call as one ``batch`` span, the service start as a ``warmup`` span
-    under it, and re-roots every sampled query's span snapshot under
-    the batch span with the recording process's ``pid`` intact.  If
-    the solver has no tracer, one with the same sampling stride is
-    installed for the call, before any fork.
+    The batch reports into the solver's own observers, whatever the
+    worker count.  Its ``metrics`` registry receives every per-query
+    snapshot and one ``queue_wait_ms`` sample per query; a
+    multi-worker batch merges the service registry in after shutdown,
+    which adds the one-time ``warmup`` phase, the service counters,
+    per-worker ``worker_<i>_queries`` tags and the prewarm's cache
+    counters.  Its ``tracer`` records the call as one ``batch`` span
+    holding every sampled query's span tree (a worker's keeps that
+    process's ``pid``) and, on the service path, the ``warmup`` span.
 
     Every result carries ``QueryResult.timing``: ``enqueued_at_s`` and
     ``started_at_s`` offsets from
@@ -974,9 +967,9 @@ def run_batch(
     ``queue_wait_s`` (zero on the sequential path).  A query that
     raises fails the batch with its original exception, but only after
     the completed queries' stats/metrics/trace snapshots are merged.
-    The solver's ``metrics``, ``tracer`` and graph ``csr_cache`` are
-    restored whether the batch succeeds, raises, or its service fails
-    to start.
+    The solver's graph ``csr_cache`` is restored, and its observers
+    are left as they were found, whether the batch succeeds, raises,
+    or its service fails to start.
     """
     batch = [_coerce(q) for q in queries]
     if not batch:
@@ -984,14 +977,7 @@ def run_batch(
     workers = min(int(workers), len(batch))
     if "fork" not in multiprocessing.get_all_start_methods():
         workers = 1  # pragma: no cover - non-fork platforms
-    own_metrics = metrics is not None and solver.metrics is None
-    if own_metrics:
-        solver.metrics = MetricsRegistry()
-    own_tracer = tracer is not None and solver.tracer is None
-    if own_tracer:
-        solver.tracer = SpanTracer(
-            capacity=tracer.capacity, sample_every=tracer.sample_every
-        )
+    tracer = solver.tracer
     batch_span = (
         tracer.begin("batch", cat="batch", queries=len(batch), workers=workers)
         if tracer is not None
@@ -999,35 +985,25 @@ def run_batch(
     )
     try:
         if workers > 1:
-            results, failure = _solve_on_service(
-                solver, batch, workers, stats, metrics, tracer
-            )
+            results, failure = _solve_on_service(solver, batch, workers, stats)
         else:
-            results, failure = _solve_in_process(solver, batch, metrics)
-        if stats is not None:
-            for result in results:
-                stats.merge(result.stats)
-        if tracer is not None:
-            # Re-root before ending the batch span, so its interval
-            # covers all of its children.
-            for result in results:
-                tracer.absorb(result.trace, parent=batch_span)
-            tracer.end(batch_span)
-            batch_span = None
-        if failure is not None:
-            raise failure
-        return results
+            results, failure = _solve_in_process(solver, batch)
     finally:
-        if own_metrics:
-            solver.metrics = None
-        if own_tracer:
-            solver.tracer = None
         if batch_span is not None:
-            tracer.end(batch_span)  # error path: close the batch span
+            tracer.end(batch_span)
+    if stats is not None:
+        for result in results:
+            stats.merge(result.stats)
+    if failure is not None:
+        raise failure
+    return results
 
 
-def _solve_in_process(solver, batch: list, metrics) -> tuple[list, Exception | None]:
-    """The sequential path: stops at the first query that raises."""
+def _solve_in_process(solver, batch: list) -> tuple[list, Exception | None]:
+    """The sequential path: stops at the first query that raises.
+
+    Each query merges its own snapshots into the solver's observers.
+    """
     epoch = service_epoch()
     results: list = []
     for query in batch:
@@ -1042,16 +1018,16 @@ def _solve_in_process(solver, batch: list, metrics) -> tuple[list, Exception | N
             "started_at_s": started - epoch,
             "queue_wait_s": 0.0,
         }
-        if metrics is not None:
-            metrics.observe("queue_wait_ms", 0.0, buckets=LOADTEST_LATENCY_BUCKETS_MS)
-            if result.metrics is not None:
-                metrics.merge(result.metrics)
+        if solver.metrics is not None:
+            solver.metrics.observe(
+                "queue_wait_ms", 0.0, buckets=LOADTEST_LATENCY_BUCKETS_MS
+            )
         results.append(result)
     return results, None
 
 
 def _solve_on_service(
-    solver, batch: list, workers: int, stats, metrics, tracer
+    solver, batch: list, workers: int, stats
 ) -> tuple[list, Exception | None]:
     """The multi-worker path: one :class:`QueryService` for the call."""
     prewarm = tuple(dict.fromkeys((q.category, q.destinations) for q in batch))
@@ -1062,8 +1038,8 @@ def _solve_on_service(
     t_warm = perf_counter()
     service.start()
     try:
-        if tracer is not None:
-            tracer.add("warmup", t_warm, perf_counter(), cat="phase")
+        if solver.tracer is not None:
+            solver.tracer.add("warmup", t_warm, perf_counter(), cat="phase")
         if stats is not None:
             after = solver.cache_info()
             stats.prepared_cache_hits += after["hits"] - before["hits"]
@@ -1078,8 +1054,13 @@ def _solve_on_service(
                 failure = failure or exc
     finally:
         service.shutdown()
-    if metrics is not None:
-        # Every per-query snapshot, the warmup phase, and the service
-        # counters and histograms, failures' siblings included.
-        metrics.merge(service.metrics)
+    # The workers merged into their own copies of the solver's
+    # observers; the parent's take what came back: every per-query
+    # snapshot, the warmup phase, and the service counters and
+    # histograms, failures' siblings included.
+    if solver.metrics is not None:
+        solver.metrics.merge(service.metrics)
+    if solver.tracer is not None:
+        for result in results:
+            solver.tracer.absorb(result.trace)
     return results, failure

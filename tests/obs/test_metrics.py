@@ -285,9 +285,20 @@ class TestPromExposition:
         assert counts == sorted(counts)  # monotone non-decreasing
         assert counts[-1] == 3
 
-    def test_prefix_override(self):
-        samples = parse_prom(self.make_registry().render_prom(prefix="x"))
-        assert ("x_queries_total", ()) in samples
+    def test_values_round_trip_exactly(self):
+        """Counters and gauges read back as recorded: ``{:g}`` would
+        have written 1234567 as ``1.23457e+06``."""
+        reg = MetricsRegistry()
+        reg.inc("edges_relaxed", 1_234_567)
+        reg.set_gauge("prepared_cache_bytes", 135_000_123)
+        reg.set_gauge("load_ratio", 0.1 + 0.2)
+        samples = parse_prom(reg.render_prom())
+        assert samples[("kpj_edges_relaxed_total", ())] == 1_234_567
+        assert samples[("kpj_prepared_cache_bytes", ())] == 135_000_123
+        assert samples[("kpj_load_ratio", ())] == 0.1 + 0.2
+        text = reg.render_text()
+        for shown in ("1234567", "135000123", repr(0.1 + 0.2)):
+            assert f"  {shown}\n" in text + "\n", shown
 
     def test_deterministic_output(self):
         reg = self.make_registry()

@@ -105,7 +105,7 @@ class TestSpanTracer:
             child.add("leaf", 1.0, 2.0, cat="phase")
         parent = SpanTracer()
         batch = parent.begin("batch", cat="batch")
-        parent.absorb(child.as_dict(), parent=batch)
+        parent.absorb(child.as_dict())
         parent.end(batch)
         spans = {s["name"]: s for s in parent.spans}
         assert spans["query"]["parent"] == batch["id"]

@@ -5,6 +5,8 @@ The acceptance bar for the pool is strict: answers from
 solving, in submission order, with the prepared-category cache warm.
 """
 
+from contextlib import contextmanager
+
 import pytest
 
 from repro.core.kpj import KPJSolver
@@ -12,6 +14,7 @@ from repro.core.stats import SearchStats
 from repro.datasets.registry import road_network
 from repro.exceptions import QueryError
 from repro.obs.metrics import SEARCH_PHASES, MetricsRegistry
+from repro.obs.tracing import SpanTracer
 from repro.server.service import BatchQuery, _coerce, run_batch
 
 
@@ -41,6 +44,18 @@ def _fingerprint(results):
         (r.algorithm, tuple((p.nodes, p.length) for p in r.paths))
         for r in results
     ]
+
+
+@contextmanager
+def _attached(solver, metrics=None, tracer=None):
+    """Attach observers to the shared module solver for one block; the
+    solver gets its own back afterwards."""
+    saved = solver.metrics, solver.tracer
+    solver.metrics, solver.tracer = metrics, tracer
+    try:
+        yield
+    finally:
+        solver.metrics, solver.tracer = saved
 
 
 class TestCoercion:
@@ -198,8 +213,9 @@ class TestMetricsAggregation:
         dataset, solver = sj_solver
         queries = _query_mix(dataset, 6)
         agg = MetricsRegistry()
-        results = solver.solve_batch(queries, metrics=agg)
-        assert solver.metrics is None  # temporary registry detached
+        with _attached(solver, metrics=agg):
+            results = solver.solve_batch(queries)
+            assert solver.metrics is agg  # left as the batch found it
         expected = MetricsRegistry()
         for r in results:
             assert r.metrics is not None
@@ -218,7 +234,8 @@ class TestMetricsAggregation:
         dataset, solver = sj_solver
         queries = _query_mix(dataset, 12)
         agg = MetricsRegistry()
-        results = solver.solve_batch(queries, workers=3, metrics=agg)
+        with _attached(solver, metrics=agg):
+            results = solver.solve_batch(queries, workers=3)
         expected = MetricsRegistry()
         for r in results:
             assert r.metrics is not None
@@ -239,8 +256,10 @@ class TestMetricsAggregation:
         dataset, solver = sj_solver
         queries = _query_mix(dataset, 12)
         seq, par = MetricsRegistry(), MetricsRegistry()
-        solver.solve_batch(queries, workers=1, metrics=seq)
-        solver.solve_batch(queries, workers=3, metrics=par)
+        with _attached(solver, metrics=seq):
+            solver.solve_batch(queries, workers=1)
+        with _attached(solver, metrics=par):
+            solver.solve_batch(queries, workers=3)
         # Wall times differ run to run, but the *call counts* of every
         # search phase are a property of the algorithm, not the
         # schedule (the module solver's cache is warm for both runs).
@@ -257,11 +276,12 @@ class TestMetricsAggregation:
             dataset.graph, dataset.categories, landmarks=None, metrics=own
         )
         queries = [BatchQuery(source=s, category="T2", k=3) for s in (1, 5)]
-        agg = MetricsRegistry()
-        solver.solve_batch(queries, metrics=agg)
+        solver.solve_batch(queries)
         assert solver.metrics is own  # not detached
         assert own.counters["queries"] == 2  # sequential merges land on it
-        assert agg.counters["queries"] == 2
+        solver.solve_batch(queries, workers=2)
+        assert solver.metrics is own  # nor replaced by the service's
+        assert own.counters["queries"] == 4  # and so does the service's
 
     def test_metrics_none_leaves_results_bare(self, sj_solver):
         dataset, solver = sj_solver
@@ -288,7 +308,8 @@ class TestWorkerAttribution:
         dataset, solver = sj_solver
         queries = _query_mix(dataset, 8)
         agg = MetricsRegistry()
-        results = solver.solve_batch(queries, workers=2, metrics=agg)
+        with _attached(solver, metrics=agg):
+            results = solver.solve_batch(queries, workers=2)
         # Every query was answered by exactly one indexed worker...
         total, names = _worker_tag_total(agg)
         assert total == len(queries)
@@ -301,8 +322,57 @@ class TestWorkerAttribution:
     def test_sequential_batches_are_untagged(self, sj_solver):
         dataset, solver = sj_solver
         agg = MetricsRegistry()
-        solver.solve_batch(_query_mix(dataset, 3), workers=1, metrics=agg)
+        with _attached(solver, metrics=agg):
+            solver.solve_batch(_query_mix(dataset, 3), workers=1)
         assert _worker_tag_total(agg) == (0, set())
+
+
+class TestWorkerCountParity:
+    """A solver built with its own registry and tracer records the same
+    batch at any worker count; the service only adds its telemetry."""
+
+    @staticmethod
+    def _observed_batch(dataset, queries, workers):
+        metrics, tracer = MetricsRegistry(), SpanTracer()
+        solver = KPJSolver(
+            dataset.graph, dataset.categories, landmarks=8,
+            metrics=metrics, tracer=tracer,
+        )
+        solver.solve_batch(queries, workers=workers)
+        assert solver.metrics is metrics and solver.tracer is tracer
+        return metrics, tracer.spans
+
+    def test_solver_observers_see_the_batch_at_any_worker_count(
+        self, sj_solver
+    ):
+        dataset, _ = sj_solver
+        queries = _query_mix(dataset, 8)
+        seq, seq_spans = self._observed_batch(dataset, queries, 1)
+        par, par_spans = self._observed_batch(dataset, queries, 2)
+        for registry in (seq, par):
+            assert registry.counters["queries"] == len(queries)
+        for name in SEARCH_PHASES:
+            assert seq.phases[name][1] == par.phases[name][1], name
+        for spans in (seq_spans, par_spans):
+            (batch,) = [s for s in spans if s["name"] == "batch"]
+            trees = [s for s in spans if s["name"] == "query"]
+            assert len(trees) == len(queries)
+            assert all(q["parent"] == batch["id"] for q in trees)
+        # What only the service path records: its one-time warmup (a
+        # phase, and a span under the batch span), its counters, the
+        # worker tags, and the parent-side prewarm's cache misses,
+        # after which every worker-answered query is a cache hit.
+        assert "warmup" not in seq.phases and "warmup" in par.phases
+        assert not [s for s in seq_spans if s["name"] == "warmup"]
+        (warmup,) = [s for s in par_spans if s["name"] == "warmup"]
+        assert warmup["parent"] == batch["id"]
+        assert not [c for c in seq.counters if c.startswith("service_")]
+        assert par.counters["service_queries"] == len(queries)
+        assert _worker_tag_total(seq) == (0, set())
+        assert _worker_tag_total(par)[0] == len(queries)
+        categories = {q.category for q in queries}
+        assert par.counters["prepared_cache_misses"] == len(categories)
+        assert par.counters["prepared_cache_hits"] == len(queries)
 
 
 class TestFailureMerge:
@@ -318,12 +388,10 @@ class TestFailureMerge:
         dataset, solver = sj_solver
         agg = MetricsRegistry()
         stats = SearchStats()
-        with pytest.raises(QueryError, match="NOPE"):
+        with _attached(solver, metrics=agg), \
+                pytest.raises(QueryError, match="NOPE"):
             solver.solve_batch(
-                self._mixed_batch(dataset, 4),
-                workers=workers,
-                metrics=agg,
-                stats=stats,
+                self._mixed_batch(dataset, 4), workers=workers, stats=stats
             )
         # Sequential execution stops at the failure; the pool drains
         # the whole batch.  Either way nothing completed is dropped:
@@ -343,10 +411,9 @@ class TestFailureMerge:
         the aggregate even though the batch raises."""
         dataset, solver = sj_solver
         agg = MetricsRegistry()
-        with pytest.raises(QueryError, match="NOPE"):
-            solver.solve_batch(
-                self._mixed_batch(dataset, 4), workers=2, metrics=agg
-            )
+        with _attached(solver, metrics=agg), \
+                pytest.raises(QueryError, match="NOPE"):
+            solver.solve_batch(self._mixed_batch(dataset, 4), workers=2)
         assert agg.histograms["queue_wait_ms"].total == 4
 
 
@@ -380,7 +447,8 @@ class TestTimingStamps:
         dataset, solver = sj_solver
         agg = MetricsRegistry()
         queries = _query_mix(dataset, 8)
-        solver.solve_batch(queries, workers=2, metrics=agg)
+        with _attached(solver, metrics=agg):
+            solver.solve_batch(queries, workers=2)
         hist = agg.histograms["queue_wait_ms"]
         assert hist.total == len(queries)
         assert hist.sum >= 0.0

@@ -1,4 +1,5 @@
-"""Batch span trees: worker snapshots re-root under the batch span."""
+"""Batch span trees: every query tree lands under the batch span of
+the solver's own tracer, whatever process recorded it."""
 
 from __future__ import annotations
 
@@ -55,18 +56,22 @@ def _tree_checks(tracer: SpanTracer, expected_queries: int):
 class TestSequentialBatchTracing:
     def test_batch_span_reroots_query_trees(self, sj_solver):
         _, solver = sj_solver
-        tracer = SpanTracer()
-        results = solver.solve_batch(_workload(), workers=1, tracer=tracer)
+        solver.tracer = tracer = SpanTracer()
+        results = solver.solve_batch(_workload(), workers=1)
         assert all(r.trace is not None for r in results)
         snap, batch, queries = _tree_checks(tracer, len(results))
         assert batch["attrs"]["queries"] == len(results)
         assert validate_chrome_trace(chrome_trace(snap)) == len(snap["spans"])
 
     def test_own_tracer_removed_after_batch(self, sj_solver):
+        """The batch leaves the solver's tracer as it found it: neither
+        removed nor replaced."""
         _, solver = sj_solver
+        solver.solve_batch(_workload(2), workers=1)
         assert solver.tracer is None
-        solver.solve_batch(_workload(2), workers=1, tracer=SpanTracer())
-        assert solver.tracer is None
+        solver.tracer = tracer = SpanTracer()
+        solver.solve_batch(_workload(2), workers=1)
+        assert solver.tracer is tracer
 
     def test_no_tracer_leaves_results_bare(self, sj_solver):
         _, solver = sj_solver
@@ -75,8 +80,8 @@ class TestSequentialBatchTracing:
 
     def test_sampling_stride_respected(self, sj_solver):
         _, solver = sj_solver
-        tracer = SpanTracer(sample_every=2)
-        results = solver.solve_batch(_workload(4), workers=1, tracer=tracer)
+        solver.tracer = SpanTracer(sample_every=2)
+        results = solver.solve_batch(_workload(4), workers=1)
         traced = [r.trace is not None for r in results]
         assert traced == [True, False, True, False]
 
@@ -85,8 +90,8 @@ class TestParallelBatchTracing:
     def test_worker_spans_reroot_with_foreign_pids(self, sj_solver):
         """Worker span trees come home, re-root, and keep their pid."""
         _, solver = sj_solver
-        tracer = SpanTracer()
-        results = solver.solve_batch(_workload(8), workers=2, tracer=tracer)
+        solver.tracer = tracer = SpanTracer()
+        results = solver.solve_batch(_workload(8), workers=2)
         assert all(r.trace is not None for r in results)
         snap, batch, queries = _tree_checks(tracer, len(results))
         pids = {q["pid"] for q in queries}
@@ -106,5 +111,6 @@ class TestParallelBatchTracing:
         _, solver = sj_solver
         queries = _workload(8)
         sequential = solver.solve_batch(queries, workers=1)
-        parallel = solver.solve_batch(queries, workers=2, tracer=SpanTracer())
+        solver.tracer = SpanTracer()
+        parallel = solver.solve_batch(queries, workers=2)
         assert [r.lengths for r in sequential] == [r.lengths for r in parallel]

@@ -8,6 +8,8 @@ MetricsRegistry stack, and no shared-memory segments leaked after
 shutdown.
 """
 
+from contextlib import contextmanager
+
 import pytest
 
 from repro.core.kpj import KPJSolver
@@ -46,6 +48,18 @@ def _fingerprint(results):
         (r.algorithm, tuple((p.nodes, p.length) for p in r.paths))
         for r in results
     ]
+
+
+@contextmanager
+def _attached(solver, metrics=None, tracer=None):
+    """Attach observers to the shared module solver for one block; the
+    solver gets its own back afterwards."""
+    saved = solver.metrics, solver.tracer
+    solver.metrics, solver.tracer = metrics, tracer
+    try:
+        yield
+    finally:
+        solver.metrics, solver.tracer = saved
 
 
 class TestLifecycle:
@@ -235,16 +249,15 @@ class TestBatchIntegration:
 
     def test_solve_batch_engine_passthrough(self, sj_solver):
         """The solver facade hands every argument to the service-backed
-        batch engine."""
+        batch engine, which reports into the solver's observers."""
         from repro.obs.tracing import SpanTracer
 
         dataset, solver = sj_solver
         queries = _query_mix(dataset, 6)
         sequential = solver.solve_batch(queries)
         stats, metrics, tracer = SearchStats(), MetricsRegistry(), SpanTracer()
-        served = solver.solve_batch(
-            queries, workers=2, stats=stats, metrics=metrics, tracer=tracer
-        )
+        with _attached(solver, metrics, tracer):
+            served = solver.solve_batch(queries, workers=2, stats=stats)
         assert _fingerprint(served) == _fingerprint(sequential)
         assert stats.lb_tests == sum(r.stats.lb_tests for r in served)
         assert metrics.counters["service_queries"] == len(queries)
@@ -255,9 +268,8 @@ class TestBatchIntegration:
         dataset, solver = sj_solver
         queries = _query_mix(dataset, 8)
         stats, metrics = SearchStats(), MetricsRegistry()
-        results = run_batch(
-            solver, queries, workers=2, stats=stats, metrics=metrics
-        )
+        with _attached(solver, metrics):
+            results = run_batch(solver, queries, workers=2, stats=stats)
         assert len(results) == len(queries)
         assert stats.lb_tests == sum(r.stats.lb_tests for r in results)
         assert metrics.counters["service_queries"] == len(queries)
@@ -268,8 +280,8 @@ class TestBatchIntegration:
         queries = _query_mix(dataset, 4)
         queries.insert(2, BatchQuery(source=0, category="NOPE"))
         stats, metrics = SearchStats(), MetricsRegistry()
-        with pytest.raises(QueryError, match="NOPE"):
-            run_batch(solver, queries, workers=2, stats=stats, metrics=metrics)
+        with _attached(solver, metrics), pytest.raises(QueryError, match="NOPE"):
+            run_batch(solver, queries, workers=2, stats=stats)
         # The service drains the whole batch: the siblings queued after
         # the bad query are merged too.
         assert metrics.counters["queries"] == 4

@@ -373,12 +373,20 @@ class TestBatchHygiene:
     as it found them."""
 
     def _batch(self, solver, category="T1"):
-        return solver.solve_batch(
-            [_query(source=1), _query(source=5, category=category)],
-            workers=2,
-            metrics=MetricsRegistry(),
-            tracer=SpanTracer(),
-        )
+        saved = solver.metrics, solver.tracer
+        metrics, tracer = MetricsRegistry(), SpanTracer()
+        solver.metrics, solver.tracer = metrics, tracer
+        try:
+            return solver.solve_batch(
+                [_query(source=1), _query(source=5, category=category)],
+                workers=2,
+            )
+        finally:
+            left = solver.metrics, solver.tracer
+            solver.metrics, solver.tracer = saved
+            # The batch reports into the observers it found and leaves
+            # them attached.
+            assert left[0] is metrics and left[1] is tracer
 
     def test_batch_that_succeeds(self, sj):
         _, solver = sj

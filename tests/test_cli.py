@@ -401,6 +401,25 @@ class TestReproErrorMapping:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.splitlines() == ["unknown category 'T9'"]
 
+    def test_closed_stdout_exits_quietly(self):
+        """A reader that goes away before the output arrives (``kpj
+        ... | head``) gets exit code 1 and nothing on stderr."""
+        import subprocess
+        import sys
+
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "query", "--dataset", "SJ",
+             "--source", "3", "--category", "T2", "--k", "5",
+             "--landmarks", "4", "--json"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()  # long before the answer is printed
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=300) == 1
+        assert err == b""
+
 
 class TestFuzzCommand:
     def test_parser_defaults(self):
@@ -613,6 +632,26 @@ class TestObservabilityFlags:
         events = parse_query_log(log.read_text())
         assert len(events) == 3
         assert len({e["query_id"] for e in events}) == 3
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_batch_slow_dumps_carry_their_trace(
+        self, capsys, tmp_path, workers
+    ):
+        """Slow-logging implies tracing for a batch too, on the
+        resident workers as well as in process."""
+        from repro.obs.log import load_slow_query, parse_query_log
+        from repro.obs.tracing import render_tree
+
+        log = tmp_path / "b.jsonl"
+        path = workload(tmp_path, workers=workers)
+        argv = ["batch", "--spec", path, "--log", str(log), "--slow-ms", "0"]
+        assert main(argv) == 0
+        events = parse_query_log(log.read_text())
+        assert len(events) == 3
+        for event in events:
+            dump = load_slow_query(event["slow_dump"])
+            assert dump.trace is not None, event["query_id"]
+            assert event["query_id"] in render_tree(dump.trace)
 
     def test_trace_folded_output(self, capsys, tmp_path):
         out = tmp_path / "t.json"
