@@ -25,8 +25,9 @@ json|text`` attaches a :class:`~repro.obs.metrics.MetricsRegistry` and
 emits the structured run report (phase wall times, counters, gauges,
 and — for batches — p50/p95/p99 query latency); ``batch --metrics
 prom`` prints the same registry as Prometheus text exposition, alone
-on stdout.  A batch's registry carries its summed search counters, so
-all three formats report the same counters.
+on stdout.  Before it is printed, the registry folds in the solver's
+lifetime ``SearchStats`` once, so every format reports the same work
+counters as ``--stats``.
 
 Tracing surfaces (see DESIGN.md §3d): ``query --trace`` prints the
 span tree and the per-depth
@@ -532,6 +533,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
             args.profile, solver.top_k, args.source,
             category=args.category, k=args.k, algorithm=args.algorithm,
         )
+    if reg is not None:
+        reg.merge_stats(solver.stats)
     if args.trace_out:
         from repro.obs.tracing import chrome_trace
 
@@ -598,7 +601,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
     from repro.bench.loadtest import spec_queries, spec_solver
     from repro.bench.workload import generate_schedule
-    from repro.core.stats import SearchStats
 
     spec = _load_spec(args.spec)
     with _observed(args, args.trace_out is not None) as (qlog, mem, reg, tracer):
@@ -613,16 +615,14 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         # Arrival times, target_qps and the SLO belong to the open-loop
         # replay (`kpj loadtest`); here the schedule is one batch.
         queries = spec_queries(spec, generate_schedule(spec, dataset.n))
-        stats = SearchStats()
         start = time.perf_counter()
         results = _profiled(
-            args.profile, solver.solve_batch, queries,
-            workers=spec.workers, stats=stats,
+            args.profile, solver.solve_batch, queries, workers=spec.workers
         )
         elapsed = time.perf_counter() - start
     throughput = len(results) / elapsed if elapsed else 0.0
     if reg is not None:
-        reg.merge_stats(stats)
+        reg.merge_stats(solver.stats)
     if args.trace_out is not None:
         from repro.obs.tracing import chrome_trace
 
@@ -664,7 +664,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             "spec": spec.as_dict(),
             "elapsed_s": elapsed,
             "queries_per_s": throughput,
-            **({"stats": stats.as_dict()} if args.stats else {}),
+            **({"stats": solver.stats.as_dict()} if args.stats else {}),
             "results": [
                 {"source": q.source, "category": q.category, "k": q.k,
                  **r.to_dict()}
@@ -685,7 +685,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         )
     print(f"elapsed {elapsed * 1000.0:.1f}ms  ({throughput:.1f} queries/s)")
     if args.stats:
-        _print_stats(stats)
+        _print_stats(solver.stats)
     if args.metrics == "text":
         print(reg.render_text())
     if args.memory and args.metrics is None:

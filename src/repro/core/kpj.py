@@ -212,6 +212,13 @@ class KPJSolver:
         Requires ``metrics`` to be
         set for the numbers to land anywhere.
 
+    Attributes
+    ----------
+    stats:
+        Lifetime :class:`~repro.core.stats.SearchStats`: each query's
+        counters, merged once when it returns (a query that raises
+        adds nothing), and :meth:`prepare`'s cache lookups.
+
     Example
     -------
     >>> solver = KPJSolver(graph, categories, landmarks=16)
@@ -247,8 +254,7 @@ class KPJSolver:
         self.query_log = query_log
         self.memory = memory
         self._prepared_cache: OrderedDict[tuple, PreparedCategory] = OrderedDict()
-        self._cache_hits = 0
-        self._cache_misses = 0
+        self.stats = SearchStats()
         if isinstance(landmarks, int):
             self.landmark_index: LandmarkIndex | None = LandmarkIndex.build(
                 graph, landmarks, strategy=landmark_strategy, seed=seed,
@@ -314,7 +320,6 @@ class KPJSolver:
         self,
         queries: Sequence,
         workers: int = 1,
-        stats: SearchStats | None = None,
     ) -> list[QueryResult]:
         """Answer a list of queries, optionally on resident workers.
 
@@ -330,21 +335,19 @@ class KPJSolver:
         :func:`repro.server.service.run_batch` for the details and the
         platforms where the batch runs sequentially.
 
-        Pass a :class:`~repro.core.stats.SearchStats` as ``stats`` to
-        collect the batch's aggregate counters: the merge of every
-        result's per-query stats (across all workers) plus the
-        parent-side prepared-cache prewarm that precedes a fork.
-
-        The batch reports into this solver's ``metrics`` and
+        The batch reports into this solver's ``stats``, ``metrics`` and
         ``tracer``, at any worker count: per-query snapshots cross the
         process boundary on each result and are merged before the call
-        returns, a multi-worker batch adds the service's ``warmup``
-        phase and counters, and the whole call becomes one ``batch``
-        span holding every sampled query's span tree.
+        returns (the batch's aggregate counters are the change in
+        ``stats``).  A multi-worker batch adds the parent-side
+        prewarm's cache lookups to ``stats`` and the service's
+        ``warmup`` phase and counters to ``metrics``, and the whole
+        call becomes one ``batch`` span holding every sampled query's
+        span tree.
         """
         from repro.server.service import run_batch
 
-        return run_batch(self, queries, workers=workers, stats=stats)
+        return run_batch(self, queries, workers=workers)
 
     def prepare(
         self,
@@ -359,21 +362,22 @@ class KPJSolver:
         configuration)`` and reused by every ``top_k`` / ``join``
         issued against the handle *or* directly against the solver —
         the paper's "computed once for each query" step, hoisted
-        across the workload.
+        across the workload.  The lookup counts in ``self.stats``.
         """
         with maybe_phase(self.metrics, "prepare"):
             dest = self._resolve(category, destinations, "destination")
             return self._prepared(
-                self._canonical_destinations(dest), None, self.metrics
+                self._canonical_destinations(dest), self.stats, self.metrics
             )
 
     def cache_info(self) -> dict[str, int]:
-        """Prepared-category cache occupancy, bound, and lifetime counters."""
+        """Prepared-category cache occupancy, bound, and ``self.stats``'s
+        lifetime hit and miss counters."""
         return {
             "entries": len(self._prepared_cache),
             "size_bound": self.prepared_cache_size,
-            "hits": self._cache_hits,
-            "misses": self._cache_misses,
+            "hits": self.stats.prepared_cache_hits,
+            "misses": self.stats.prepared_cache_misses,
         }
 
     # ------------------------------------------------------------------
@@ -407,16 +411,16 @@ class KPJSolver:
     def _prepared(
         self,
         dest: tuple[int, ...],
-        stats: SearchStats | None,
+        stats: SearchStats,
         metrics: MetricsRegistry | None = None,
     ) -> "PreparedCategory":
         """Fetch or build the prepared artefacts for ``dest`` (LRU).
 
         The cache key is the canonical destination tuple plus the
         landmark configuration — a different landmark set implies
-        different bound vectors, so the two must never alias.  Hit and
-        miss counters are recorded on ``stats`` when given; occupancy
-        gauges on ``metrics`` when given.
+        different bound vectors, so the two must never alias.  The hit
+        or miss is counted on ``stats``; occupancy gauges on
+        ``metrics`` when given.
         """
         lm = self.landmark_index
         key = (dest, lm.landmarks if lm is not None else None)
@@ -424,15 +428,9 @@ class KPJSolver:
         hit = cache.get(key)
         if hit is not None:
             cache.move_to_end(key)
-            self._cache_hits += 1
-            if stats is not None:
-                stats.prepared_cache_hits += 1
-            if metrics is not None:
-                metrics.inc("prepared_cache_hits")
+            stats.prepared_cache_hits += 1
             return hit
-        self._cache_misses += 1
-        if stats is not None:
-            stats.prepared_cache_misses += 1
+        stats.prepared_cache_misses += 1
         bounds = lm.to_target_bounds(dest) if lm is not None else ZERO_BOUNDS
         prepared = PreparedCategory(self, dest, bounds)
         if self.prepared_cache_size > 0:
@@ -440,7 +438,6 @@ class KPJSolver:
             while len(cache) > self.prepared_cache_size:
                 cache.popitem(last=False)
         if metrics is not None:
-            metrics.inc("prepared_cache_misses")
             metrics.set_gauge("prepared_cache_entries", len(cache))
             # Dominant cost per entry: the Eq. (2) bound vector, one
             # float per node (the overlay is lazy and O(|V_T|)).
@@ -500,17 +497,13 @@ class KPJSolver:
         with maybe_phase(qreg, "prepare"), \
                 self._mem_phase("prepare", qreg), \
                 maybe_span(qtr, "prepare", cat="phase") as prep_span:
-            cache_hits_before = stats.prepared_cache_hits
             if prepared is None:
                 dest = self._canonical_destinations(
                     self._resolve(category, destinations, "destination")
                 )
                 prepared = self._prepared(dest, stats, qreg)
             else:
-                self._cache_hits += 1
                 stats.prepared_cache_hits += 1
-                if qreg is not None:
-                    qreg.inc("prepared_cache_hits")
             if len(set(sources)) == 1:
                 qg = prepared.query_graph_for(sources[0])
             else:
@@ -526,7 +519,7 @@ class KPJSolver:
                 source_bounds = ZERO_BOUNDS
             if prep_span is not None:
                 prep_span["attrs"]["cache"] = (
-                    "hit" if stats.prepared_cache_hits > cache_hits_before else "miss"
+                    "hit" if stats.prepared_cache_hits else "miss"
                 )
         ctx = QueryContext(
             target_bounds=prepared.target_bounds,
@@ -541,8 +534,10 @@ class KPJSolver:
                 maybe_span(qtr, "search", cat="search"):
             raw = run(qg, k, ctx)
             # Stripping the virtual endpoints finishes the search's
-            # answer, so it counts toward search_other below.
+            # answer, so it and the one merge into the solver's
+            # lifetime stats count toward search_other below.
             paths = [Path(length=p.length, nodes=qg.strip(p.nodes)) for p in raw]
+            self.stats.merge(stats)
         search_s = perf_counter() - t_search
         elapsed_ms = (perf_counter() - t_start) * 1000.0
         snapshot = None

@@ -101,13 +101,15 @@ class SearchStats:
 
     def merge(self, other: "SearchStats") -> "SearchStats":
         """Add another stats object into this one (returns self)."""
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+        mine, theirs = self.__dict__, other.__dict__
+        for name in _FIELDS:
+            mine[name] += theirs[name]
         return self
 
     def as_dict(self) -> dict[str, int]:
         """Plain-dict snapshot, for reporting."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        values = self.__dict__
+        return {name: values[name] for name in _FIELDS}
 
     def nonzero(self) -> dict[str, int]:
         """Only the counters that recorded anything, field order kept.
@@ -137,3 +139,8 @@ class SearchStats:
         import json
 
         return cls(**{name: int(value) for name, value in json.loads(text).items()})
+
+
+#: Counter names in declaration order: ``merge`` (once per query) and
+#: ``as_dict`` iterate this, not ``dataclasses.fields()`` per call.
+_FIELDS: tuple[str, ...] = tuple(f.name for f in fields(SearchStats))

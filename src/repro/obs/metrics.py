@@ -108,9 +108,6 @@ LOADTEST_LATENCY_BUCKETS_MS: tuple[float, ...] = log_buckets(0.05, 120_000.0, 5)
 #: the recorded phases tile the query's elapsed time.
 SEARCH_PHASES: tuple[str, ...] = ("comp_sp", "spt_grow", "test_lb", "division")
 
-#: SearchStats counters the solver also counts in its registry.
-_REGISTRY_COUNTED_STATS = frozenset(("prepared_cache_hits", "prepared_cache_misses"))
-
 
 class Histogram:
     """A fixed-bucket histogram with Prometheus ``le`` semantics.
@@ -306,14 +303,15 @@ class MetricsRegistry:
     def merge_stats(self, stats) -> "MetricsRegistry":
         """Fold a :class:`~repro.core.stats.SearchStats` into the counters.
 
-        Used by ``kpj batch`` so its run report and exposition carry
-        the work counters next to the phase timers.
-        Prepared-cache hits and misses are skipped: the solver (and a
-        service's prewarm) counts each one in its registry as it
-        happens, so folding the stats' copy would count it twice.
+        The one place where work counts become registry counters: no
+        registry counts them as they happen, so a registry rendered on
+        its own (``kpj query``/``kpj batch --metrics``, the service's
+        ``/metrics``) folds the stats kept beside it once, at render
+        time, and its exposition carries the work counters next to the
+        phase timers.  Every non-zero field is added.
         """
         for name, value in stats.as_dict().items():
-            if value and name not in _REGISTRY_COUNTED_STATS:
+            if value:
                 self.inc(name, value)
         return self
 

@@ -30,19 +30,19 @@ Front-end structure (asyncio, one driver task per worker):
   :class:`ServiceOverloaded` (counter ``service_rejected_overload``)
   instead of queueing without bound;
 * **deadlines** — an admitted query carries an absolute deadline;
-  cancellation is cooperative, checked at phase boundaries: before
-  dispatch in the parent, and before the ``prepare`` and ``search``
-  phases inside the worker (:class:`DeadlineExceeded`, counter
-  ``service_deadline_exceeded``).  A search that has already started
+  cancellation is cooperative, checked before dispatch in the parent
+  and once inside the worker, before the query starts (its
+  ``prepare`` phase boundary; :class:`DeadlineExceeded`, counter
+  ``service_deadline_exceeded``).  A query that has already started
   runs to completion — its result is returned, late;
 * **routing and coalescing** — each driver tracks which prepare keys
-  its worker holds warm.  A request goes to the least-loaded worker
-  among those holding its key, or to the key's stable ``crc32``
-  worker when none does, so concurrent identical cold keys trigger
-  exactly **one** explicit prepare op (counter ``service_prepares``);
-  the rest ride the warm entry (counter
-  ``service_prepares_coalesced``).  A key prewarmed in every worker
-  spreads over all of them;
+  its worker holds warm (at most ``prepared_cache_size``).  A request
+  goes to the least-loaded worker among those holding its key, or to
+  the key's stable ``crc32`` worker when none does, so concurrent
+  identical cold keys pay exactly **one** cache miss (counter
+  ``service_prepares``); the rest, queued behind it, ride the warm
+  entry (counter ``service_prepares_coalesced``).  A key prewarmed in
+  every worker spreads over all of them;
 * **fault recovery** — a worker that dies mid-query fails that query
   (or, if it died idle, the next op sent to it) with
   :class:`WorkerDied` (counter ``service_worker_deaths``) and is
@@ -59,9 +59,10 @@ Telemetry is the stack every other surface already uses: a
 :class:`~repro.obs.metrics.MetricsRegistry` holding the service
 counters, log-spaced ``queue_wait_ms``/``service_ms`` histograms, the
 one-time ``warmup`` phase, and the merge of every per-query snapshot
-(§3g work counters and ``worker_<i>_queries`` tags included);
-Prometheus exposition via :meth:`QueryService.render_prom`; per-query
-ids minted fork-safely by the workers
+(``worker_<i>_queries`` tags included); ``stats``, the sum of every
+result's :class:`~repro.core.stats.SearchStats`; Prometheus exposition
+via :meth:`QueryService.render_prom`, which folds ``stats`` in;
+per-query ids minted fork-safely by the workers
 (:func:`repro.obs.log.new_query_id`).  ``QueryResult`` timing offsets
 are rebased onto the process-wide
 :func:`~repro.server.epoch.service_epoch`, so sequential batches, the
@@ -215,17 +216,13 @@ def _check_deadline(deadline: float | None, boundary: str) -> None:
 
 
 def _serve_query(solver, query: BatchQuery, deadline: float | None):
-    """Worker body for one query, with phase-boundary deadline checks.
+    """Worker body for one query: one deadline check before it starts.
 
-    The explicit :meth:`~repro.core.kpj.KPJSolver.prepare` both makes
-    the prepare/search boundary a real cancellation point and
-    guarantees the query's own internal prepare is a cache hit — the
-    steady-state the service exists to provide.
+    The query's own prepare is its one prepared-cache lookup, so a
+    cold key's miss is counted on the query's result.
     """
     started = perf_counter()
     _check_deadline(deadline, "prepare")
-    solver.prepare(category=query.category, destinations=query.destinations)
-    _check_deadline(deadline, "search")
     result = _execute(solver, query)
     result.timing = {"started_at_s": started}
     return result
@@ -261,10 +258,6 @@ def _worker_main(conn, index: int) -> None:
                     counters = out.metrics["counters"]
                     tag = f"worker_{index}_queries"
                     counters[tag] = counters.get(tag, 0) + 1
-            elif op == "prepare":
-                _, category, destinations = msg
-                solver.prepare(category=category, destinations=destinations)
-                out = solver.cache_info()
             elif op == "sleep":
                 # Fault-injection/test helper: hold the worker busy.
                 _sleep(msg[1])
@@ -471,7 +464,8 @@ class QueryService:
         self._residents: list[_Resident] = []
         self._queues: list[asyncio.Queue] = []
         self._drivers: list[asyncio.Task] = []
-        self._prewarmed: set[tuple] = set()
+        #: Prewarmed prepare keys, least recently prepared first.
+        self._prewarmed: dict[tuple, None] = {}
         #: Requests queued or in flight per worker (the routing load).
         self._load = [0] * self.workers
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -560,9 +554,10 @@ class QueryService:
         self._shared = SharedCSR.export(shared_csr(solver.graph))
         self._saved_csr = saved
         solver.graph.csr_cache = self._shared.graph
-        # The prewarm's cache counters and gauges go to the service
-        # registry; its time is already inside ``warmup``, so its own
-        # ``prepare`` phase is dropped rather than counted twice.
+        # The prewarm's cache lookups count on the solver's own stats
+        # (forked workers inherit them); its gauges go to the service
+        # registry, and its time is already inside ``warmup``, so its
+        # own ``prepare`` phase is dropped rather than counted twice.
         saved_metrics = solver.metrics
         solver.metrics = prewarm_metrics = MetricsRegistry()
         try:
@@ -574,7 +569,9 @@ class QueryService:
                     solver.prepare(category=category, destinations=destinations)
                 except QueryError:
                     continue
-                self._prewarmed.add(self._prepare_key(category, destinations))
+                key = self._prepare_key(category, destinations)
+                self._prewarmed.pop(key, None)
+                self._prewarmed[key] = None
         finally:
             solver.metrics = saved_metrics
         prewarm_metrics.phases.pop("prepare", None)
@@ -601,8 +598,14 @@ class QueryService:
             _SERVICE_SOLVER = None
             _SERVICE_SHARED = None
             child_conn.close()
-        warm = OrderedDict((key, None) for key in sorted(self._prewarmed))
+        warm = OrderedDict.fromkeys(self._prewarmed)
+        self._trim(warm)
         return _Resident(index=index, process=process, conn=parent_conn, warm=warm)
+
+    def _trim(self, warm: OrderedDict) -> None:
+        """Bound ``warm`` by the solver's prepared cache (empty at 0)."""
+        while len(warm) > self.solver.prepared_cache_size:
+            warm.popitem(last=False)
 
     async def _attach(self, resident: _Resident) -> None:
         """Watch ``resident`` on the loop and await its ``ready``
@@ -825,22 +828,18 @@ class QueryService:
                 )
         if request.op != "query":  # "sleep" / "ping": a control op
             return await self._roundtrip(resident, (request.op, request.payload))
-        query = request.query
         if request.key in resident.warm:
             resident.warm.move_to_end(request.key)
             self.metrics.inc("service_prepares_coalesced")
         else:
             self.metrics.inc("service_prepares")
-            await self._roundtrip(
-                resident, ("prepare", query.category, query.destinations)
-            )
-            resident.warm[request.key] = None
-            bound = max(1, self.solver.prepared_cache_size)
-            while len(resident.warm) > bound:
-                resident.warm.popitem(last=False)
         result = await self._roundtrip(
-            resident, ("query", query, request.deadline)
+            resident, ("query", request.query, request.deadline)
         )
+        # The worker answers one op at a time, so a duplicate queued
+        # behind this query still finds the key warm.
+        resident.warm[request.key] = None
+        self._trim(resident.warm)
         epoch = service_epoch()
         timing = dict(result.timing or {})
         started = timing.get("started_at_s", request.enqueued)
@@ -912,8 +911,10 @@ class QueryService:
         return self._shared.segment_names if self._shared is not None else ()
 
     def render_prom(self) -> str:
-        """Prometheus exposition of the service registry."""
-        return self.metrics.render_prom()
+        """Prometheus exposition of the service registry, with the work
+        counters of :attr:`stats` folded into a copy of it."""
+        merged = MetricsRegistry().merge(self.metrics)
+        return merged.merge_stats(self.stats).render_prom()
 
     def describe(self) -> dict:
         """JSON-ready service status (the ``/status`` endpoint body)."""
@@ -934,7 +935,7 @@ class QueryService:
         }
 
 
-def run_batch(solver, queries: Sequence, workers: int = 1, stats=None) -> list:
+def run_batch(solver, queries: Sequence, workers: int = 1) -> list:
     """Answer ``queries`` with ``solver``, in submission order.
 
     Returns one :class:`~repro.core.result.QueryResult` per query.
@@ -946,18 +947,15 @@ def run_batch(solver, queries: Sequence, workers: int = 1, stats=None) -> list:
     Answers are identical to sequential solving: workers run the
     per-query code path of :meth:`KPJSolver.top_k`.
 
-    ``stats`` (a :class:`~repro.core.stats.SearchStats`) receives the
-    merge of every result's per-query counters, plus the parent's
-    prepared-cache activity from the prewarm, which belongs to no
-    query.
-
-    The batch reports into the solver's own observers, whatever the
-    worker count.  Its ``metrics`` registry receives every per-query
-    snapshot and one ``queue_wait_ms`` sample per query; a
+    The batch reports into the solver's own stores, whatever the
+    worker count.  Its ``stats`` receive every result's counters (on
+    the service path, ``service.stats`` after shutdown) and the
+    prewarm's cache lookups.  Its ``metrics`` registry receives every
+    per-query snapshot and one ``queue_wait_ms`` sample per query; a
     multi-worker batch merges the service registry in after shutdown,
     which adds the one-time ``warmup`` phase, the service counters,
     per-worker ``worker_<i>_queries`` tags and the prewarm's cache
-    counters.  Its ``tracer`` records the call as one ``batch`` span
+    gauges.  Its ``tracer`` records the call as one ``batch`` span
     holding every sampled query's span tree (a worker's keeps that
     process's ``pid``) and, on the service path, the ``warmup`` span.
 
@@ -985,15 +983,12 @@ def run_batch(solver, queries: Sequence, workers: int = 1, stats=None) -> list:
     )
     try:
         if workers > 1:
-            results, failure = _solve_on_service(solver, batch, workers, stats)
+            results, failure = _solve_on_service(solver, batch, workers)
         else:
             results, failure = _solve_in_process(solver, batch)
     finally:
         if batch_span is not None:
             tracer.end(batch_span)
-    if stats is not None:
-        for result in results:
-            stats.merge(result.stats)
     if failure is not None:
         raise failure
     return results
@@ -1027,23 +1022,18 @@ def _solve_in_process(solver, batch: list) -> tuple[list, Exception | None]:
 
 
 def _solve_on_service(
-    solver, batch: list, workers: int, stats
+    solver, batch: list, workers: int
 ) -> tuple[list, Exception | None]:
     """The multi-worker path: one :class:`QueryService` for the call."""
     prewarm = tuple(dict.fromkeys((q.category, q.destinations) for q in batch))
     service = QueryService(
         solver, workers=workers, max_pending=len(batch), prewarm=prewarm
     )
-    before = solver.cache_info()
     t_warm = perf_counter()
     service.start()
     try:
         if solver.tracer is not None:
             solver.tracer.add("warmup", t_warm, perf_counter(), cat="phase")
-        if stats is not None:
-            after = solver.cache_info()
-            stats.prepared_cache_hits += after["hits"] - before["hits"]
-            stats.prepared_cache_misses += after["misses"] - before["misses"]
         futures = [service.submit(q) for q in batch]
         results: list = []
         failure: Exception | None = None
@@ -1055,9 +1045,10 @@ def _solve_on_service(
     finally:
         service.shutdown()
     # The workers merged into their own copies of the solver's
-    # observers; the parent's take what came back: every per-query
+    # stores; the parent's take what came back: every per-query
     # snapshot, the warmup phase, and the service counters and
     # histograms, failures' siblings included.
+    solver.stats.merge(service.stats)
     if solver.metrics is not None:
         solver.metrics.merge(service.metrics)
     if solver.tracer is not None:

@@ -76,8 +76,11 @@ class TestEnabledPath:
         solver = make_solver(sj, metrics=reg)
         solver.top_k(0, category="T2", k=2)
         solver.top_k(5, category="T2", k=2)
-        assert reg.counters["prepared_cache_misses"] == 1
-        assert reg.counters["prepared_cache_hits"] == 1
+        assert solver.stats.prepared_cache_misses == 1
+        assert solver.stats.prepared_cache_hits == 1
+        # Counted once, in the solver's stats: the registry keeps only
+        # the occupancy gauges.
+        assert not [c for c in reg.counters if c.startswith("prepared_cache")]
         assert reg.gauges["prepared_cache_entries"] == 1
         assert reg.gauges["prepared_cache_bytes"] == sj.graph.n * 8
 
@@ -86,7 +89,7 @@ class TestEnabledPath:
         solver = make_solver(sj, metrics=reg)
         solver.prepare(category="T2")
         assert reg.phases["prepare"][1] == 1
-        assert reg.counters["prepared_cache_misses"] == 1
+        assert solver.stats.prepared_cache_misses == 1
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_flat_engine_gauges(self, sj, kernel):

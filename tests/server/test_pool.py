@@ -46,6 +46,15 @@ def _fingerprint(results):
     ]
 
 
+def _gained(solver, before: dict) -> dict:
+    """Per-counter change of ``solver.stats`` since the ``before``
+    snapshot (the module solver is shared across tests)."""
+    return {
+        name: value - before[name]
+        for name, value in solver.stats.as_dict().items()
+    }
+
+
 @contextmanager
 def _attached(solver, metrics=None, tracer=None):
     """Attach observers to the shared module solver for one block; the
@@ -155,25 +164,27 @@ class TestStatsAggregation:
     def test_sequential_total_is_sum_of_results(self, sj_solver):
         dataset, solver = sj_solver
         queries = _query_mix(dataset, 8)
-        total = SearchStats()
-        results = solver.solve_batch(queries, stats=total)
+        before = solver.stats.as_dict()
+        results = solver.solve_batch(queries)
+        total = _gained(solver, before)
         expected = SearchStats()
         for r in results:
             expected.merge(r.stats)
-        assert total.as_dict() == expected.as_dict()
-        assert total.lb_tests > 0
-        assert total.nodes_settled > 0
+        assert total == expected.as_dict()
+        assert total["lb_tests"] > 0
+        assert total["nodes_settled"] > 0
 
     def test_parallel_total_includes_worker_counters(self, sj_solver):
         dataset, solver = sj_solver
         queries = _query_mix(dataset, 12)
-        seq_total = SearchStats()
-        solver.solve_batch(queries, workers=1, stats=seq_total)
-        par_total = SearchStats()
-        results = solver.solve_batch(queries, workers=3, stats=par_total)
+        before = solver.stats.as_dict()
+        solver.solve_batch(queries, workers=1)
+        seq = _gained(solver, before)
+        before = solver.stats.as_dict()
+        results = solver.solve_batch(queries, workers=3)
+        par = _gained(solver, before)
         # Search-work counters ride back with each result and merge to
         # the same totals regardless of which process did the work.
-        seq, par = seq_total.as_dict(), par_total.as_dict()
         for field in (
             "shortest_path_computations",
             "lower_bound_computations",
@@ -192,20 +203,13 @@ class TestStatsAggregation:
         queries = [
             BatchQuery(source=s, category="T1", k=3) for s in range(8)
         ]
-        total = SearchStats()
-        solver.solve_batch(queries, workers=2, stats=total)
+        solver.solve_batch(queries, workers=2)
+        total = solver.stats
         # The pre-fork warm-up's cache misses belong to no single query
         # but must appear in the aggregate; every worker-answered query
         # is then a hit.
         assert total.prepared_cache_misses >= 1
         assert total.prepared_cache_hits >= len(queries)
-
-    def test_stats_none_is_default(self, sj_solver):
-        dataset, solver = sj_solver
-        queries = _query_mix(dataset, 2)
-        assert _fingerprint(solver.solve_batch(queries)) == _fingerprint(
-            solver.solve_batch(queries, stats=None)
-        )
 
 
 class TestMetricsAggregation:
@@ -340,15 +344,15 @@ class TestWorkerCountParity:
         )
         solver.solve_batch(queries, workers=workers)
         assert solver.metrics is metrics and solver.tracer is tracer
-        return metrics, tracer.spans
+        return metrics, tracer.spans, solver.stats
 
     def test_solver_observers_see_the_batch_at_any_worker_count(
         self, sj_solver
     ):
         dataset, _ = sj_solver
         queries = _query_mix(dataset, 8)
-        seq, seq_spans = self._observed_batch(dataset, queries, 1)
-        par, par_spans = self._observed_batch(dataset, queries, 2)
+        seq, seq_spans, _ = self._observed_batch(dataset, queries, 1)
+        par, par_spans, par_stats = self._observed_batch(dataset, queries, 2)
         for registry in (seq, par):
             assert registry.counters["queries"] == len(queries)
         for name in SEARCH_PHASES:
@@ -371,8 +375,8 @@ class TestWorkerCountParity:
         assert _worker_tag_total(seq) == (0, set())
         assert _worker_tag_total(par)[0] == len(queries)
         categories = {q.category for q in queries}
-        assert par.counters["prepared_cache_misses"] == len(categories)
-        assert par.counters["prepared_cache_hits"] == len(queries)
+        assert par_stats.prepared_cache_misses == len(categories)
+        assert par_stats.prepared_cache_hits == len(queries)
 
 
 class TestFailureMerge:
@@ -387,18 +391,16 @@ class TestFailureMerge:
     def test_completed_metrics_survive_a_failure(self, sj_solver, workers):
         dataset, solver = sj_solver
         agg = MetricsRegistry()
-        stats = SearchStats()
+        before = solver.stats.shortest_path_computations
         with _attached(solver, metrics=agg), \
                 pytest.raises(QueryError, match="NOPE"):
-            solver.solve_batch(
-                self._mixed_batch(dataset, 4), workers=workers, stats=stats
-            )
+            solver.solve_batch(self._mixed_batch(dataset, 4), workers=workers)
         # Sequential execution stops at the failure; the pool drains
         # the whole batch.  Either way nothing completed is dropped:
         # the four good queries precede the bad one, so all four land.
         assert agg.counters["queries"] == 4
         assert agg.histograms["query_latency_ms"].total == agg.counters["queries"]
-        assert stats.shortest_path_computations > 0
+        assert solver.stats.shortest_path_computations > before
 
     def test_failure_without_metrics_still_raises(self, sj_solver):
         dataset, solver = sj_solver

@@ -13,7 +13,6 @@ from contextlib import contextmanager
 import pytest
 
 from repro.core.kpj import KPJSolver
-from repro.core.stats import SearchStats
 from repro.datasets.registry import road_network
 from repro.exceptions import QueryError
 from repro.obs.metrics import MetricsRegistry, parse_prom
@@ -192,9 +191,57 @@ class TestTelemetry:
             counters = dict(svc.metrics.counters)
             gauges = dict(svc.metrics.gauges)
             phases = dict(svc.metrics.phases)
-        assert counters["prepared_cache_misses"] == 2
+        # The lookups count once, on the parent solver that made them.
+        assert solver.stats.prepared_cache_misses == 2
+        assert "prepared_cache_misses" not in counters
         assert gauges["prepared_cache_entries"] == 2
         assert "prepare" not in phases  # its time is inside ``warmup``
+
+    def test_cold_key_counts_one_miss_on_every_surface(self, sj_solver):
+        """A served query makes one prepared-cache lookup: a cold key's
+        miss lands on its own result, on ``describe()["work"]`` and on
+        the exposition; the parent's prewarm counts on neither."""
+        dataset, _ = sj_solver
+        solver = KPJSolver(dataset.graph, dataset.categories, landmarks=4)
+        with QueryService(solver, workers=2, prewarm=("T1",)) as svc:
+            results = [
+                svc.query(BatchQuery(source=source, category=category, k=3))
+                for source, category in ((1, "T1"), (2, "T2"), (3, "T2"))
+            ]
+            work = svc.describe()["work"]
+            samples = parse_prom(svc.render_prom(), require_non_negative=False)
+        lookups = [
+            (r.stats.prepared_cache_hits, r.stats.prepared_cache_misses)
+            for r in results
+        ]
+        assert lookups == [(1, 0), (0, 1), (1, 0)]
+        assert work["prepared_cache_hits"] == 2
+        assert work["prepared_cache_misses"] == 1
+        assert samples[("kpj_prepared_cache_hits_total", ())] == 2
+        assert samples[("kpj_prepared_cache_misses_total", ())] == 1
+
+    def test_worker_cache_counters_sum_its_results(self, service):
+        """Over a run, each worker's lifetime cache counters move by
+        exactly the lookups counted on the results it answered."""
+        queries = [
+            BatchQuery(source=source, category=category, k=3)
+            for source, category in ((1, "T1"), (2, "T2"), (3, "T3"), (4, "T1"))
+        ] + [
+            # A destination set no other test asks for: cold everywhere.
+            BatchQuery(source=source, destinations=(11, 29, 47), k=2)
+            for source in (6, 7)
+        ]
+        before = [service.ping(w) for w in range(service.workers)]
+        results = service.solve(queries)
+        for worker, info in enumerate(before):
+            after = service.ping(worker)
+            assert after["pid"] == info["pid"]
+            mine = [r for r in results if _worker_pid(r) == info["pid"]]
+            for counter in ("hits", "misses"):
+                gained = after["cache"][counter] - info["cache"][counter]
+                field = f"prepared_cache_{counter}"
+                assert gained == sum(getattr(r.stats, field) for r in mine)
+        assert sum(r.stats.prepared_cache_misses for r in results) >= 1
 
     def test_work_counters_aggregate(self, service, sj_solver):
         dataset, _ = sj_solver
@@ -255,11 +302,13 @@ class TestBatchIntegration:
         dataset, solver = sj_solver
         queries = _query_mix(dataset, 6)
         sequential = solver.solve_batch(queries)
-        stats, metrics, tracer = SearchStats(), MetricsRegistry(), SpanTracer()
+        before = solver.stats.lb_tests
+        metrics, tracer = MetricsRegistry(), SpanTracer()
         with _attached(solver, metrics, tracer):
-            served = solver.solve_batch(queries, workers=2, stats=stats)
+            served = solver.solve_batch(queries, workers=2)
         assert _fingerprint(served) == _fingerprint(sequential)
-        assert stats.lb_tests == sum(r.stats.lb_tests for r in served)
+        gained = solver.stats.lb_tests - before
+        assert gained == sum(r.stats.lb_tests for r in served)
         assert metrics.counters["service_queries"] == len(queries)
         (batch,) = [s for s in tracer.spans if s["name"] == "batch"]
         assert batch["attrs"] == {"queries": len(queries), "workers": 2}
@@ -267,11 +316,12 @@ class TestBatchIntegration:
     def test_run_batch_aggregates_service_telemetry(self, sj_solver):
         dataset, solver = sj_solver
         queries = _query_mix(dataset, 8)
-        stats, metrics = SearchStats(), MetricsRegistry()
+        before, metrics = solver.stats.lb_tests, MetricsRegistry()
         with _attached(solver, metrics):
-            results = run_batch(solver, queries, workers=2, stats=stats)
+            results = run_batch(solver, queries, workers=2)
         assert len(results) == len(queries)
-        assert stats.lb_tests == sum(r.stats.lb_tests for r in results)
+        gained = solver.stats.lb_tests - before
+        assert gained == sum(r.stats.lb_tests for r in results)
         assert metrics.counters["service_queries"] == len(queries)
         assert "warmup" in metrics.phases
 
@@ -279,13 +329,13 @@ class TestBatchIntegration:
         dataset, solver = sj_solver
         queries = _query_mix(dataset, 4)
         queries.insert(2, BatchQuery(source=0, category="NOPE"))
-        stats, metrics = SearchStats(), MetricsRegistry()
+        before, metrics = solver.stats.lb_tests, MetricsRegistry()
         with _attached(solver, metrics), pytest.raises(QueryError, match="NOPE"):
-            run_batch(solver, queries, workers=2, stats=stats)
+            run_batch(solver, queries, workers=2)
         # The service drains the whole batch: the siblings queued after
         # the bad query are merged too.
         assert metrics.counters["queries"] == 4
-        assert stats.lb_tests > 0
+        assert solver.stats.lb_tests > before
 
     def test_empty_batch(self, sj_solver):
         _, solver = sj_solver

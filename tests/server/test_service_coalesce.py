@@ -1,11 +1,12 @@
 """Request routing and coalescing in the service tier.
 
-Concurrent identical ``(category, k)`` submissions must trigger
-exactly one explicit prepare op on the owning worker — observable in
-the ``service_prepares`` / ``service_prepares_coalesced`` counters —
-while every caller still gets the full, correct answer.  Distinct
-prepare keys must never coalesce with each other.  A key warm in
-several workers spreads over them by load.
+Concurrent identical ``(category, k)`` submissions must pay exactly
+one cold dispatch, one prepared-cache miss, on the owning worker —
+observable in the ``service_prepares`` / ``service_prepares_coalesced``
+counters — while every caller still gets the full, correct answer.
+Distinct prepare keys must never coalesce with each other.  A key warm
+in several workers spreads over them by load, and the warm set a
+worker is tracked with never outgrows its prepared cache.
 """
 
 import pytest
@@ -45,7 +46,7 @@ def test_identical_concurrent_prepares_coalesce(sj):
         blocker.result(timeout=60)
         counters = dict(service.metrics.counters)
 
-    # Exactly one explicit prepare; the other five rode the warm entry.
+    # Exactly one cold dispatch; the other five rode the warm entry.
     assert counters["service_prepares"] == 1
     assert counters["service_prepares_coalesced"] == 5
     assert counters["service_queries"] == 6
@@ -107,7 +108,7 @@ def test_prewarmed_key_never_pays_a_prepare(sj):
             assert service.query(BatchQuery(source=s, category="T1")).paths
         counters = dict(service.metrics.counters)
     # The prewarm paid the prepare inside the warmup phase; no query
-    # triggered an explicit prepare op.
+    # was dispatched cold.
     assert counters.get("service_prepares", 0) == 0
     assert counters["service_prepares_coalesced"] == 3
 
@@ -122,6 +123,23 @@ def test_warm_set_is_bounded_by_the_prepared_cache(sj):
         counters = dict(service.metrics.counters)
     assert counters["service_prepares"] == 3
     assert counters.get("service_prepares_coalesced", 0) == 0
+
+
+def test_a_cache_of_size_zero_holds_no_warm_key(sj):
+    # With caching off every query rebuilds its entry, so none may be
+    # counted as coalesced: not even one for the prewarmed key the
+    # worker was forked with.
+    dataset, _ = sj
+    solver = _solver(dataset, prepared_cache_size=0)
+    with QueryService(solver, workers=1, prewarm=("T1",)) as service:
+        before = service.ping(0)["cache"]["misses"]
+        for source, category in ((1, "T1"), (2, "T1"), (1, "T2"), (2, "T2")):
+            service.query(BatchQuery(source=source, category=category, k=3))
+        misses = service.ping(0)["cache"]["misses"] - before
+        counters = dict(service.metrics.counters)
+    assert counters["service_prepares"] == 4
+    assert counters.get("service_prepares_coalesced", 0) == 0
+    assert misses == 4
 
 
 def _worker_pid(result) -> int:

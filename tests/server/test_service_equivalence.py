@@ -1,14 +1,15 @@
 """Differential service-equivalence suite (pinned fuzz corpus).
 
 Every committed corpus instance is replayed through a real
-:class:`QueryService` — resident worker, shared-memory CSR, explicit
-prepare op — and the answer is held to the same bar as the fuzz
+:class:`QueryService` — resident worker, shared-memory CSR, one cold
+dispatch — and the answer is held to the same bar as the fuzz
 harness's sequential matrix:
 
 * the path set must be tie-admissibly correct against the brute-force
   oracle (`repro.fuzz.oracles` is the comparator, not a re-derivation);
 * the answer must hash-match a sequential reference that mirrors the
-  service discipline (explicit ``prepare`` then search);
+  service discipline (one query, whose own prepare is its one
+  prepared-cache lookup);
 * the §3g work counters (`WORK_PARITY_FIELDS`) and the per-query
   metrics snapshot must tie out exactly with the sequential reference:
   shipping the search to a resident process over shared memory is not
@@ -55,15 +56,13 @@ def _batch_query(case) -> BatchQuery:
 def _reference(case):
     """Sequential answer mirroring the service's serving discipline.
 
-    The worker does an explicit ``prepare`` before the search (making
-    the query's own internal prepare a warm hit), so the reference
-    must too — otherwise the cache counters could never tie out.
+    The worker answers a cold key with the query alone, whose own
+    prepare misses the cache, so the reference does the same — with
+    any extra lookup the cache counters could never tie out.
     """
     solver = build_solver(case, cached=True)
     solver.metrics = MetricsRegistry()
-    query = _batch_query(case)
-    solver.prepare(category=query.category, destinations=query.destinations)
-    return _execute(solver, query)
+    return _execute(solver, _batch_query(case))
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
@@ -94,8 +93,8 @@ def test_service_answers_tie_out_with_sequential(name, case, kernel):
             f"sequential {reference_work[field]})"
         )
 
-    # 4. The metrics snapshots tie out: one query, one explicit
-    #    prepare, phase call counts identical to the reference.
+    # 4. The metrics snapshots tie out: one query, one cold dispatch,
+    #    phase call counts identical to the reference.
     assert counters["service_queries"] == 1
     assert counters["service_prepares"] == 1
     assert counters.get("service_prepares_coalesced", 0) == 0

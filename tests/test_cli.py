@@ -500,7 +500,6 @@ class TestMetricsCommand:
         included, appears once in the exposition."""
         from repro.bench.loadtest import spec_queries, spec_solver
         from repro.bench.workload import generate_schedule, load_spec
-        from repro.core.stats import SearchStats
         from repro.obs.metrics import parse_prom
 
         path = workload(tmp_path, workers=workers)
@@ -508,12 +507,11 @@ class TestMetricsCommand:
         samples = parse_prom(capsys.readouterr().out)
         spec = load_spec(path)
         dataset, solver = spec_solver(spec)
-        total = SearchStats()
         solver.solve_batch(
             spec_queries(spec, generate_schedule(spec, dataset.n)),
             workers=workers,
-            stats=total,
         )
+        total = solver.stats
         assert total.prepared_cache_misses >= 1
         for name, value in total.as_dict().items():
             assert samples.get((f"kpj_{name}_total", ()), 0) == value, name
