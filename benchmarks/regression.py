@@ -1,10 +1,10 @@
 """Continuous perf-regression harness (BENCH_trajectory.json).
 
 Runs a **pinned** small workload — COL, category T2, eight fixed
-sources, ``k=64``, eight landmarks, ``iter-bound-spti`` — with the
-span tracer attached, and derives per-phase latencies from the
-recorded spans (:func:`repro.obs.tracing.phase_durations`, which sums
-only the ``cat == "phase"`` leaves, so container spans never
+sources, ``k=64``, eight landmarks, ``iter-bound-spti`` — with a
+tracer attached, and derives per-phase latencies from each query's
+event record (:func:`repro.obs.tracing.phase_durations`, which sums
+only the ``cat == "phase"`` leaves, so containers never
 double-count).  The protocol keeps the ``"kernel": "flat"`` label of
 the trajectory it continues: the flat search substrate is the only one
 now, so its committed entries stay the baseline.  (Committed ``dict``
@@ -31,10 +31,10 @@ history; no protocol measures them now.)  Each invocation either:
   never gated: counters are deterministic, so a delta is an
   algorithmic change to review, not noise; ``kpj report`` renders the
   same story from the committed trajectory).  On failure
-  the offending run's span timeline is written to
-  ``results/regression_failure.trace.json`` (Chrome trace-event JSON
-  — the CI perf-gate job uploads it as an artifact) and the process
-  exits non-zero.
+  the offending run's records are written to
+  ``results/regression_failure.trace.json`` as one Chrome trace-event
+  document (the CI perf-gate job uploads it as an artifact) and the
+  process exits non-zero.
 
 Noise control: every query is measured ``REPS`` times (default 5)
 and the minimum per phase is kept — the minimum estimates the
@@ -116,9 +116,8 @@ def _percentiles(values_ms: list[float]) -> dict[str, float]:
 def run_workload(spec: dict = PROTOCOL) -> tuple[dict, str, list[dict], dict]:
     """Measure one pinned workload.
 
-    Returns ``(per-phase percentiles, paths checksum, last-rep trace
-    snapshots, work block)`` — the snapshots back the failure
-    artifact; the work block is the workload's summed rep-0 work
+    Returns ``(per-phase percentiles, paths checksum, last-rep
+    records, work block)`` — the records back the failure artifact; the work block is the workload's summed rep-0 work
     counters grouped per phase (deterministic, so one rep suffices —
     the corpus pins hold them fixed across commits).
     """
@@ -307,11 +306,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"  {note}", file=sys.stderr)
     for failure in failures:
         print(f"  - {failure}", file=sys.stderr)
-    # One Chrome document with every query's last-rep timeline.
-    merged = SpanTracer()
-    for trace in traces:
-        merged.absorb(trace)
-    FAILURE_TRACE.write_text(json.dumps(chrome_trace(merged)) + "\n")
+    # One Chrome document with every query's last-rep record.
+    FAILURE_TRACE.write_text(json.dumps(chrome_trace(traces)) + "\n")
     print(f"  span timeline written to {FAILURE_TRACE}", file=sys.stderr)
     return 1
 

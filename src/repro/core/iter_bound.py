@@ -38,9 +38,6 @@ __all__ = ["iter_bound_search", "iter_bound"]
 
 INF = float("inf")
 
-#: ``test_lb`` verdict of a failed test -> its ``iterate`` span verdict.
-_ITERATE_VERDICTS = {"miss": "test-miss", "retire": "retire"}
-
 
 def iter_bound_search(
     graph: DiGraph,
@@ -58,7 +55,7 @@ def iter_bound_search(
     comp_lb_children: Callable | None = None,
     initial_dists: list[float] | None = None,
     metrics=None,
-    tracer=None,
+    record=None,
     bound_kind: str | None = None,
 ) -> list[Path]:
     """Generic Alg. 4 driver; returns paths in ``graph`` coordinates.
@@ -107,30 +104,21 @@ def iter_bound_search(
         the per-hop ``edge_weight`` walk.
     metrics:
         Optional :class:`~repro.obs.metrics.MetricsRegistry` receiving
-        the driver's phase attribution — ``comp_sp`` (the initial
-        shortest-path computation, when run here), ``spt_grow`` (time
-        inside ``before_test``), ``test_lb``, ``division`` — plus the
-        subspace-queue peak gauge.  Times accumulate in locals and
-        flush once; disabled cost is one ``None`` check per site.
-    tracer:
-        Optional :class:`~repro.obs.tracing.SpanTracer`.  The driver
-        opens one ``iter_bound`` span over the whole loop (attributes:
-        ``bound_kind``, end-of-search queue ``leftover``, ``results``),
-        one ``iterate`` span per queue pop (the subspace ``prefix``,
-        its depth and lower bound, the verdict, and the path length of
-        an output or a test hit), and child ``test_lb`` / ``division``
-        / ``spt_grow`` spans carrying the prefix depth, lower bound,
-        τ, and verdict — enough for
-        :func:`~repro.obs.tracing.render_narrative` to narrate the τ
-        schedule and for
-        :class:`~repro.obs.subspace_report.SubspaceTreeReport` to
-        rebuild the explored subspace tree.  Each phase interval is
-        timed once and handed to whichever of ``metrics``/``tracer``
-        is attached; disabled cost is one ``None`` check per site.
+        the subspace-queue peak gauge (``iterbound_queue_peak``).
+        Phase times never go here: they are the sums of ``record``.
+    record:
+        Optional per-query record (:func:`~repro.obs.tracing.new_record`).
+        Each interval is timed once and appended as one event (fields
+        per :data:`~repro.obs.tracing.EVENTS`): ``comp_sp`` when the
+        initial shortest path is computed here, then per queue pop an
+        ``spt_grow`` (time inside ``before_test``) and a ``test_lb``,
+        or a ``division``, each carrying its pop, and last the
+        ``iter_bound`` container.  Disabled cost is one ``None`` check
+        per site.
     bound_kind:
         Which bound family backs ``heuristic``/``comp_lb``
         (``"landmark"``, ``"global"``, ``"spt_p"``, ``"spt_i"``) —
-        recorded on the ``iter_bound`` span for pruning attribution.
+        recorded on the ``iter_bound`` event for pruning attribution.
     """
     if not alpha > 1.0:
         raise ValueError(f"alpha must be > 1, got {alpha}")
@@ -148,26 +136,19 @@ def iter_bound_search(
         test_lb = ctx.make_test_lb(goal, stats)
         search_h = ctx.h
 
-    timed = metrics is not None
-    traced = tracer is not None
-    clocked = timed or traced
-    search_span = None
-    if traced:
-        search_span = tracer.begin("iter_bound", cat="search", bound_kind=bound_kind)
+    append = None if record is None else record["events"].append
+    if append is not None:
+        t_begin = perf_counter()
     if initial is None:
         stats.shortest_path_computations += 1
-        if clocked:
+        if append is not None:
             t0 = perf_counter()
         initial = astar_path(graph, root, goal, search_h, stats=stats)
-        if clocked:
-            t1 = perf_counter()
-            if timed:
-                metrics.observe_phase("comp_sp", t1 - t0)
-            if traced:
-                tracer.add("comp_sp", t0, t1, cat="phase")
+        if append is not None:
+            append(("comp_sp", t0, perf_counter(), None))
     if initial is None:
-        if traced:
-            tracer.end(search_span, results=0, leftover=0)
+        if append is not None:
+            append(("iter_bound", t_begin, perf_counter(), (bound_kind, 0, 0)))
         return []
     first_path, first_length = initial
 
@@ -191,8 +172,7 @@ def iter_bound_search(
     results: list[Path] = []
     edge_weight = graph.edge_weight
     test_info: dict = {}
-    # Hot-loop stats (and phase timings, when enabled) are batched in
-    # locals and flushed once at the end.
+    # Hot-loop stats are batched in locals and flushed once at the end.
     n_created = 1
     n_lb_computations = 0
     n_pruned = 0
@@ -202,23 +182,16 @@ def iter_bound_search(
     n_test_hits = 0
     n_test_misses = 0
     n_test_retires = 0
-    t_test = t_div = t_grow = 0.0
-    n_div = n_grow = 0
     queue_peak = 1
     try:
         while queue and len(results) < k:
-            if timed and len(queue) > queue_peak:
+            if metrics is not None and len(queue) > queue_peak:
                 queue_peak = len(queue)
             bound, _, subspace, found = heappop(queue)
-            if traced:
-                it_span = tracer.begin(
-                    "iterate", cat="search", prefix=subspace.prefix,
-                    depth=len(subspace.prefix) - 1, lb=bound,
-                )
             if found is not None:
                 path, dists = found
                 results.append(Path(length=bound, nodes=path))
-                if clocked:
+                if append is not None:
                     t0 = perf_counter()
                 if comp_lb_children is not None and dists is not None:
                     pairs = comp_lb_children(subspace, path, dists)
@@ -238,21 +211,12 @@ def iter_bound_search(
                         child_bound = bound
                     heappush(queue, (child_bound, next(tie), child, None))
                 n_pruned += born_pruned
-                if clocked:
-                    t1 = perf_counter()
-                    if timed:
-                        t_div += t1 - t0
-                        n_div += 1
-                    if traced:
-                        tracer.add(
-                            "division", t0, t1, cat="phase",
-                            attrs={
-                                "depth": len(subspace.prefix) - 1,
-                                "children": len(pairs),
-                                "pruned": born_pruned,
-                            },
-                        )
-                        tracer.end(it_span, verdict="output", length=bound)
+                if append is not None:
+                    prefix = subspace.prefix
+                    append((
+                        "division", t0, perf_counter(),
+                        (len(prefix) - 1, len(pairs), born_pruned, prefix, bound),
+                    ))
                 continue
             # Enlarge tau: alpha * max(lb(S), next pending bound) — Alg. 4
             # line 9, with the queue top defined as +inf when empty.
@@ -266,26 +230,17 @@ def iter_bound_search(
             if tau >= tau_limit:
                 tau = tau_limit
             if before_test is not None:
-                if clocked:
+                if append is not None:
                     t0 = perf_counter()
                 before_test(tau)
-                if clocked:
-                    t1 = perf_counter()
-                    if timed:
-                        t_grow += t1 - t0
-                        n_grow += 1
-                    if traced:
-                        tracer.add(
-                            "spt_grow", t0, t1, cat="phase", attrs={"tau": tau}
-                        )
+                if append is not None:
+                    append(("spt_grow", t0, perf_counter(), tau))
             n_tests += 1
-            if clocked:
+            if append is not None:
                 t0 = perf_counter()
             hit = test_lb(subspace, tau, test_info)
-            if clocked:
+            if append is not None:
                 t1 = perf_counter()
-                if timed:
-                    t_test += t1 - t0
             if hit is not None:
                 n_test_hits += 1
                 verdict = "hit"
@@ -300,6 +255,7 @@ def iter_bound_search(
                     ),
                 )
             else:
+                length = None
                 n_test_failures += 1
                 if not test_info["pruned"] or tau >= tau_limit:
                     n_test_retires += 1
@@ -309,18 +265,12 @@ def iter_bound_search(
                     n_test_misses += 1
                     verdict = "miss"
                     heappush(queue, (tau, next(tie), subspace, None))
-            if traced:
-                tracer.add(
-                    "test_lb", t0, t1, cat="phase",
-                    attrs={
-                        "depth": len(subspace.prefix) - 1,
-                        "lb": bound, "tau": tau, "verdict": verdict,
-                    },
-                )
-                if hit is None:
-                    tracer.end(it_span, verdict=_ITERATE_VERDICTS[verdict])
-                else:
-                    tracer.end(it_span, verdict="test-hit", length=length)
+            if append is not None:
+                prefix = subspace.prefix
+                append((
+                    "test_lb", t0, t1,
+                    (len(prefix) - 1, bound, tau, verdict, prefix, length),
+                ))
     finally:
         stats.subspaces_created += n_created
         stats.lower_bound_computations += n_lb_computations
@@ -330,18 +280,14 @@ def iter_bound_search(
         stats.lb_test_hits += n_test_hits
         stats.lb_test_misses += n_test_misses
         stats.lb_test_retires += n_test_retires
-        if timed:
-            if n_tests:
-                metrics.observe_phase("test_lb", t_test, n_tests)
-            if n_div:
-                metrics.observe_phase("division", t_div, n_div)
-            if n_grow:
-                metrics.observe_phase("spt_grow", t_grow, n_grow)
+        if metrics is not None:
             metrics.set_gauge("iterbound_queue_peak", queue_peak)
     leftover = sum(1 for entry in queue if entry[3] is None)
     stats.subspaces_pruned += leftover
-    if traced:
-        tracer.end(search_span, leftover=leftover, results=len(results))
+    if append is not None:
+        append(
+            ("iter_bound", t_begin, perf_counter(), (bound_kind, leftover, len(results)))
+        )
     return results
 
 
@@ -352,7 +298,7 @@ def iter_bound(
     alpha: float = 1.1,
     stats: SearchStats | None = None,
     metrics=None,
-    tracer=None,
+    record=None,
 ) -> list[Path]:
     """The plain (index-free) ``IterBound`` on a query transform.
 
@@ -370,6 +316,6 @@ def iter_bound(
         alpha=alpha,
         stats=stats,
         metrics=metrics,
-        tracer=tracer,
+        record=record,
         bound_kind="global" if isinstance(heuristic, ZeroBounds) else "landmark",
     )

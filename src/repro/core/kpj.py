@@ -61,7 +61,7 @@ from repro.landmarks.index import ZERO_BOUNDS, LandmarkIndex
 from repro.obs.log import QueryLogger, new_query_id
 from repro.obs.memory import MemoryTelemetry, scratch_pool_bytes
 from repro.obs.metrics import SEARCH_PHASES, MetricsRegistry, maybe_phase
-from repro.obs.tracing import SpanTracer, maybe_span
+from repro.obs.tracing import SpanTracer, new_record, phase_totals
 
 __all__ = [
     "KPJSolver",
@@ -81,9 +81,9 @@ class QueryContext:
     ``target_bounds``/``source_bounds`` are the Eq. (2)-style landmark
     bound vectors (or the zero bound); ``alpha`` is the iteratively
     bounding growth factor; ``stats`` collects instrumentation;
-    ``metrics`` is the per-query registry and ``tracer`` the per-query
-    span tracer (``None`` when observability is off — implementations
-    must guard on that, never allocate).
+    ``metrics`` is the per-query registry (gauges and counters) and
+    ``record`` the per-query event record (``None`` when observability
+    is off — implementations must guard on that, never allocate).
     """
 
     target_bounds: Callable[[int], float]
@@ -91,7 +91,7 @@ class QueryContext:
     alpha: float
     stats: SearchStats
     metrics: MetricsRegistry | None = None
-    tracer: SpanTracer | None = None
+    record: dict | None = None
 
 
 def _run_da(qg: QueryGraph, k: int, ctx: QueryContext) -> list[Path]:
@@ -109,7 +109,7 @@ def _run_best_first(qg: QueryGraph, k: int, ctx: QueryContext) -> list[Path]:
 def _run_iter_bound(qg: QueryGraph, k: int, ctx: QueryContext) -> list[Path]:
     return iter_bound(
         qg, k, ctx.target_bounds, alpha=ctx.alpha, stats=ctx.stats,
-        metrics=ctx.metrics, tracer=ctx.tracer,
+        metrics=ctx.metrics, record=ctx.record,
     )
 
 
@@ -123,21 +123,21 @@ def _run_iter_bound_sptp(qg: QueryGraph, k: int, ctx: QueryContext) -> list[Path
         source_bounds = eager()
     return iter_bound_sptp(
         qg, k, ctx.target_bounds, source_bounds, alpha=ctx.alpha, stats=ctx.stats,
-        metrics=ctx.metrics, tracer=ctx.tracer,
+        metrics=ctx.metrics, record=ctx.record,
     )
 
 
 def _run_iter_bound_spti(qg: QueryGraph, k: int, ctx: QueryContext) -> list[Path]:
     return iter_bound_spti(
         qg, k, ctx.target_bounds, ctx.source_bounds, alpha=ctx.alpha, stats=ctx.stats,
-        metrics=ctx.metrics, tracer=ctx.tracer,
+        metrics=ctx.metrics, record=ctx.record,
     )
 
 
 def _run_iter_bound_spti_nl(qg: QueryGraph, k: int, ctx: QueryContext) -> list[Path]:
     return iter_bound_spti(
         qg, k, ZERO_BOUNDS, ZERO_BOUNDS, alpha=ctx.alpha, stats=ctx.stats,
-        metrics=ctx.metrics, tracer=ctx.tracer,
+        metrics=ctx.metrics, record=ctx.record,
     )
 
 
@@ -179,24 +179,23 @@ class KPJSolver:
         graph).
     metrics:
         Optional :class:`~repro.obs.metrics.MetricsRegistry`.  When
-        set, every query records phase wall times, counters, and
-        gauges into it (each query runs against a fresh per-query
-        registry whose snapshot rides back on
-        ``QueryResult.metrics``, then merges here).  It is also the
+        set, every query records phase wall times (the sums of its
+        event record), counters, and gauges into it (each query runs
+        against a fresh per-query registry whose snapshot rides back
+        on ``QueryResult.metrics``, then merges here).  It is also the
         one sink of :meth:`solve_batch` at any worker count.  When
         ``None`` (default) the entire layer stays off — one ``is
         None`` check per site, no allocation.
     tracer:
         Optional :class:`~repro.obs.tracing.SpanTracer`.  When set,
-        sampled queries (the tracer's ``sample_every`` stride) record
-        a span tree — ``query`` → ``prepare``/``search`` →
-        ``iter_bound`` → per-iteration ``iterate`` with ``test_lb`` /
-        ``division`` / ``spt_grow`` leaves — into a fresh per-query
-        tracer whose snapshot rides back on ``QueryResult.trace`` and
-        is absorbed here, under the span open at the time (a
-        :meth:`solve_batch` call's ``batch`` span, at any worker
-        count).  Same discipline as ``metrics``: ``None`` keeps every
-        hot site at a single ``is None`` check.
+        every query keeps its event record — ``prepare``, ``comp_sp``,
+        ``spt_grow`` / ``test_lb`` / ``division`` per queue pop, then
+        the ``iter_bound``, ``search`` and ``query`` containers — on
+        ``QueryResult.trace`` and in the tracer's ``records`` (a
+        :meth:`solve_batch` call adds its ``batch`` record, at any
+        worker count).  A registry alone also records each query, to
+        sum its phases, and then drops the record.  With neither
+        attached, every hot site stays a single ``is None`` check.
     query_log:
         Optional :class:`~repro.obs.log.QueryLogger`.  When set, every
         query emits one JSON event (query id, algorithm,
@@ -336,14 +335,14 @@ class KPJSolver:
         platforms where the batch runs sequentially.
 
         The batch reports into this solver's ``stats``, ``metrics`` and
-        ``tracer``, at any worker count: per-query snapshots cross the
-        process boundary on each result and are merged before the call
-        returns (the batch's aggregate counters are the change in
-        ``stats``).  A multi-worker batch adds the parent-side
-        prewarm's cache lookups to ``stats`` and the service's
-        ``warmup`` phase and counters to ``metrics``, and the whole
-        call becomes one ``batch`` span holding every sampled query's
-        span tree.
+        ``tracer``, at any worker count: per-query snapshots and records
+        cross the process boundary on each result and are merged or
+        kept before the call returns (the batch's aggregate counters
+        are the change in ``stats``).  A multi-worker batch adds the
+        parent-side prewarm's cache lookups to ``stats`` and the
+        service's ``warmup`` phase and counters to ``metrics``, and the
+        whole call adds one ``batch`` record whose span holds every
+        query's span tree on export.
         """
         from repro.server.service import run_batch
 
@@ -474,29 +473,22 @@ class KPJSolver:
             raise QueryError(
                 f"unknown algorithm {algorithm!r}; choose one of: {known}"
             ) from None
+        check_query_nodes(sources, self.graph.n)
         stats = SearchStats()
-        # Stable query id: stamped on the result, the root span (every
-        # other span of the query descends from it), and the log event.
+        # Stable query id: stamped on the result, the record's query
+        # event (the root of every span of the query), and the log event.
         query_id = new_query_id()
         # Fresh per-query registry: its snapshot rides back on the
         # result (picklable across the process boundary) and is
         # merged into the solver-lifetime registry afterwards.
         qreg = MetricsRegistry() if self.metrics is not None else None
-        # Same pattern for the tracer, plus the sampling decision —
-        # the per-query tracer always records (stride 1); the solver
-        # tracer decides *whether* this query is traced at all.
-        qtr = None
-        if self.tracer is not None and self.tracer.sample():
-            qtr = SpanTracer(capacity=self.tracer.capacity)
-        root_span = (
-            qtr.begin("query", cat="query", algorithm=algorithm, k=k,
-                      query_id=query_id)
-            if qtr is not None
-            else None
-        )
-        with maybe_phase(qreg, "prepare"), \
-                self._mem_phase("prepare", qreg), \
-                maybe_span(qtr, "prepare", cat="phase") as prep_span:
+        # Either observer turns the record on: the registry's phases
+        # are its sums, and only a tracer keeps it.
+        record = None
+        if qreg is not None or self.tracer is not None:
+            record = new_record()
+            t_prepare = perf_counter()
+        with self._mem_phase("prepare", qreg):
             if prepared is None:
                 dest = self._canonical_destinations(
                     self._resolve(category, destinations, "destination")
@@ -517,36 +509,41 @@ class KPJSolver:
                 source_bounds = self.landmark_index.lazy_source_bounds(qg.sources)
             else:
                 source_bounds = ZERO_BOUNDS
-            if prep_span is not None:
-                prep_span["attrs"]["cache"] = (
-                    "hit" if stats.prepared_cache_hits else "miss"
-                )
+        if record is not None:
+            record["events"].append((
+                "prepare", t_prepare, perf_counter(),
+                "hit" if stats.prepared_cache_hits else "miss",
+            ))
         ctx = QueryContext(
             target_bounds=prepared.target_bounds,
             source_bounds=source_bounds,
             alpha=alpha,
             stats=stats,
             metrics=qreg,
-            tracer=qtr,
+            record=record,
         )
         t_search = perf_counter()
-        with self._mem_phase("search", qreg), \
-                maybe_span(qtr, "search", cat="search"):
+        with self._mem_phase("search", qreg):
             raw = run(qg, k, ctx)
             # Stripping the virtual endpoints finishes the search's
-            # answer, so it and the one merge into the solver's
-            # lifetime stats count toward search_other below.
+            # answer, so it, the one merge into the solver's lifetime
+            # stats and the sum of the record's phases count toward
+            # search_other below.
             paths = [Path(length=p.length, nodes=qg.strip(p.nodes)) for p in raw]
             self.stats.merge(stats)
-        search_s = perf_counter() - t_search
-        elapsed_ms = (perf_counter() - t_start) * 1000.0
+            if qreg is not None:
+                for name, (seconds, calls) in phase_totals(record).items():
+                    qreg.observe_phase(name, seconds, calls)
+        t_end = perf_counter()
+        elapsed_ms = (t_end - t_start) * 1000.0
         snapshot = None
         if qreg is not None:
             # Residue of the search interval not attributed to a named
             # phase (baseline algorithms, driver bookkeeping) — keeps
             # the phase taxonomy tiling elapsed_ms.
             qreg.observe_phase(
-                "search_other", max(0.0, search_s - qreg.phase_seconds(SEARCH_PHASES))
+                "search_other",
+                max(0.0, t_end - t_search - qreg.phase_seconds(SEARCH_PHASES)),
             )
             qreg.inc("queries")
             qreg.observe("query_latency_ms", elapsed_ms)
@@ -558,18 +555,21 @@ class KPJSolver:
                 self.memory.record_gauges(qreg)
             snapshot = qreg.as_dict()
             self.metrics.merge(qreg)
-        trace_snapshot = None
-        if qtr is not None:
-            qtr.end(root_span, paths=len(paths))
-            trace_snapshot = qtr.as_dict()
-            self.tracer.absorb(trace_snapshot)
+        trace = None
+        if self.tracer is not None:
+            trace = record
+            record["events"] += (
+                ("search", t_search, t_end, None),
+                ("query", t_start, t_end, (algorithm, k, query_id, len(paths))),
+            )
+            self.tracer.records.append(record)
         result = QueryResult(
             paths=paths,
             algorithm=algorithm,
             stats=stats,
             elapsed_ms=elapsed_ms,
             metrics=snapshot,
-            trace=trace_snapshot,
+            trace=trace,
             query_id=query_id,
         )
         if self.query_log is not None:

@@ -68,12 +68,10 @@ class QueryResult:
         enabled; ``None`` otherwise.  A plain dict so it crosses the
         worker process boundary like the stats counters do.
     trace:
-        Per-query :meth:`~repro.obs.tracing.SpanTracer.as_dict` span
-        snapshot when the solver has a tracer attached and this query
-        was sampled; ``None`` otherwise.  Also a plain dict — resident
-        workers ship it back with the result and
-        :func:`~repro.server.service.run_batch` folds it into the
-        solver's tracer under the batch span.
+        The query's event record, ``{"pid", "events": [(name, start,
+        end, attrs), ...]}`` (:mod:`repro.obs.tracing`), when the solver
+        has a tracer attached; ``None`` otherwise.  Plain data, so
+        resident workers ship it back with the result.
     query_id:
         Stable id minted by the solver for this query
         (:func:`~repro.obs.log.new_query_id`), the join key between

@@ -52,7 +52,7 @@ def iter_bound_spti(
     alpha: float = 1.1,
     stats: SearchStats | None = None,
     metrics=None,
-    tracer=None,
+    record=None,
 ) -> list[Path]:
     """Top-``k`` paths via the incremental-SPT iteratively bounding search.
 
@@ -68,14 +68,13 @@ def iter_bound_spti(
         ``lb(s, v)`` — Alg. 8's fallback for nodes outside the tree.
     metrics:
         Optional :class:`~repro.obs.metrics.MetricsRegistry` receiving
-        phase attribution: ``comp_sp`` for the initial tree build,
-        then the driver's ``spt_grow``/``test_lb``/``division`` — plus
-        the tree's size gauges.
-    tracer:
-        Optional :class:`~repro.obs.tracing.SpanTracer`; the initial
-        tree build becomes a ``comp_sp`` span and the driver records
-        its span taxonomy with ``bound_kind="spt_i"`` (pruning is by
-        exact tree distances; Prop. 5.2).
+        the tree's size gauges and the driver's.
+    record:
+        Optional per-query record; the initial tree build becomes a
+        ``comp_sp`` event, then the driver's
+        ``spt_grow``/``test_lb``/``division`` events follow with
+        ``bound_kind="spt_i"`` (pruning is by exact tree distances;
+        Prop. 5.2).
 
     Returns paths in ``G_Q`` coordinates (source → … → virtual target).
     """
@@ -86,16 +85,12 @@ def iter_bound_spti(
     ctx = FlatQueryContext(reversed_graph, h=tree.h, metrics=metrics)
     try:
         stats.shortest_path_computations += 1
-        clocked = metrics is not None or tracer is not None
-        if clocked:
+        events = None if record is None else record["events"]
+        if events is not None:
             t0 = perf_counter()
         initial = tree.build_initial(query_graph.target)
-        if clocked:
-            t1 = perf_counter()
-            if metrics is not None:
-                metrics.observe_phase("comp_sp", t1 - t0)
-            if tracer is not None:
-                tracer.add("comp_sp", t0, t1, cat="phase")
+        if events is not None:
+            events.append(("comp_sp", t0, perf_counter(), None))
         if initial is None:
             return []
         first_path, first_length = initial
@@ -134,7 +129,7 @@ def iter_bound_spti(
             ),
             initial_dists=init_dists,
             metrics=metrics,
-            tracer=tracer,
+            record=record,
             bound_kind="spt_i",
         )
         stats.spt_nodes = len(tree)

@@ -79,7 +79,7 @@ def iter_bound_sptp(
     alpha: float = 1.1,
     stats: SearchStats | None = None,
     metrics=None,
-    tracer=None,
+    record=None,
 ) -> list[Path]:
     """Top-``k`` paths via the iteratively bounding search over ``SPT_P``.
 
@@ -92,14 +92,13 @@ def iter_bound_sptp(
         Landmark bound ``lb(s, v)`` — Alg. 6's backward-A* priority
         term.
     metrics:
-        Optional :class:`~repro.obs.metrics.MetricsRegistry`; the
-        Alg. 6 backward build (the query's one unconditional
-        shortest-path computation *and* its partial-tree growth) is
-        attributed to ``comp_sp``, the driver's phases follow.
-    tracer:
-        Optional :class:`~repro.obs.tracing.SpanTracer`; the Alg. 6
-        build becomes a ``comp_sp`` span (tree size as attribute) and
-        the driver records its span taxonomy with
+        Optional :class:`~repro.obs.metrics.MetricsRegistry` receiving
+        the tree-size gauge (``sptp_tree_nodes``) and the driver's.
+    record:
+        Optional per-query record; the Alg. 6 backward build (the
+        query's one unconditional shortest-path computation *and* its
+        partial-tree growth) becomes a ``comp_sp`` event (tree size as
+        attribute) and the driver's events follow with
         ``bound_kind="spt_p"``.
 
     Returns paths in ``G_Q`` coordinates.
@@ -110,8 +109,8 @@ def iter_bound_sptp(
     # seeding every destination at distance zero (the reverse adjacency
     # of t is exactly V_T with zero weights).
     stats.shortest_path_computations += 1
-    clocked = metrics is not None or tracer is not None
-    if clocked:
+    events = None if record is None else record["events"]
+    if events is not None:
         t0 = perf_counter()
     tree = build_partial_spt(
         graph,
@@ -120,16 +119,10 @@ def iter_bound_sptp(
         source_bounds,
         stats=stats,
     )
-    if clocked:
-        t1 = perf_counter()
-        if metrics is not None:
-            metrics.observe_phase("comp_sp", t1 - t0)
-            metrics.set_gauge("sptp_tree_nodes", len(tree))
-        if tracer is not None:
-            tracer.add(
-                "comp_sp", t0, t1, cat="phase",
-                attrs={"tree_nodes": len(tree)},
-            )
+    if events is not None:
+        events.append(("comp_sp", t0, perf_counter(), len(tree)))
+    if metrics is not None:
+        metrics.set_gauge("sptp_tree_nodes", len(tree))
     stats.spt_nodes = len(tree)
     if tree.source_path is None:
         return []
@@ -145,6 +138,6 @@ def iter_bound_sptp(
         stats=stats,
         initial=(tree.source_path, first_length),
         metrics=metrics,
-        tracer=tracer,
+        record=record,
         bound_kind="spt_p",
     )

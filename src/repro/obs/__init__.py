@@ -1,17 +1,17 @@
 """repro.obs — query-lifecycle observability.
 
-Two channels record a search.  The aggregate one is a lightweight,
-dependency-free metrics layer: phase timers, counters, gauges,
-fixed-bucket histograms, Prometheus text exposition, and the strict
-parser the CI smoke job runs against it; every service worker runs
-with it attached.  The per-event one is the opt-in span tracer
-(:mod:`repro.obs.tracing`: per-query timelines, Chrome trace-event
-export, tree dumps, the ``kpj explain`` narrative), with the
-subspace-tree introspection built on it
-(:mod:`repro.obs.subspace_report`).  Around them sit structured
-per-query JSON logging with slow-query dumps (:mod:`repro.obs.log`)
-and opt-in memory telemetry (:mod:`repro.obs.memory`).  Disabled-path
-overhead is one ``None`` check per site — see DESIGN.md §3c/§3d/§3g.
+One event record per query holds a search's timed intervals
+(:mod:`repro.obs.tracing`: the span views built from it on export —
+Chrome trace-event JSON, tree dumps, folded stacks, the ``kpj
+explain`` narrative — and the subspace-tree introspection of
+:mod:`repro.obs.subspace_report`).  The aggregate is a dependency-free
+metrics layer whose per-query phases are the record's sums, plus
+counters, gauges, histograms and Prometheus exposition; every service
+worker runs with it attached, and only a tracer keeps the records.
+Around them sit structured per-query JSON logging with slow-query
+dumps (:mod:`repro.obs.log`) and opt-in memory telemetry
+(:mod:`repro.obs.memory`).  Disabled-path overhead is one ``None``
+check per site — see DESIGN.md §3c/§3d/§3g.
 """
 
 from repro.obs.log import (
@@ -35,8 +35,8 @@ from repro.obs.tracing import (
     SpanTracer,
     chrome_trace,
     folded_stacks,
-    maybe_span,
     phase_durations,
+    spans,
     render_narrative,
     render_tree,
     validate_chrome_trace,
@@ -50,7 +50,7 @@ __all__ = [
     "DEFAULT_LATENCY_BUCKETS_MS",
     "SEARCH_PHASES",
     "SpanTracer",
-    "maybe_span",
+    "spans",
     "chrome_trace",
     "validate_chrome_trace",
     "render_tree",

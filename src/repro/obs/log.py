@@ -1,15 +1,15 @@
 """Structured query logging — one JSON event per query, plus slow dumps.
 
-The metrics registry aggregates *across* queries and the span tracer
-explains *one sampled* query; this module is the per-query ledger in
+The metrics registry aggregates *across* queries and a query's event
+record explains *one* query; this module is the per-query ledger in
 between: every query the solver answers emits exactly one JSON object
 on its own line (``jsonl``), carrying a stable **query id**, the
 algorithm, latency, and the non-zero work counters.  The
 id is generated in :meth:`~repro.core.kpj.KPJSolver._solve`, stamped
-on the :class:`~repro.core.result.QueryResult`, and attached to the
-root ``query`` span, which every other span of the query descends from
-— so a log line, a trace tree, and a batch report all name the same
-query the same way.
+on the :class:`~repro.core.result.QueryResult`, and carried by the
+record's ``query`` event, whose span every other span of the query
+descends from on export — so a log line, a trace tree, and a batch
+report all name the same query the same way.
 
 Query ids are fork-safe by construction: ``q-<pid hex>-<seq>`` — a
 forked worker inherits the parent's sequence counter but never its
@@ -20,11 +20,13 @@ coordination.
 **Slow-query dumps.**  A :class:`QueryLogger` built with ``slow_ms``
 additionally snapshots any query at or over the threshold into its own
 JSON file (``slow-<query_id>.json`` under ``slow_dir``) containing the
-log event *plus* the query's full trace and metrics snapshots — the
+log event *plus* the query's record and metrics snapshot — the
 evidence one wants when a p99 straggler shows up hours later.
 :func:`load_slow_query` round-trips the dump back into a live
-:class:`~repro.obs.metrics.MetricsRegistry` and a span snapshot that
-:func:`~repro.obs.tracing.render_tree` accepts directly.
+:class:`~repro.obs.metrics.MetricsRegistry` and the record, revived
+from JSON (its event tuples are lists), which
+:func:`~repro.obs.tracing.spans` and every export built on it accept
+directly.
 
 Format contract (DESIGN.md §3g): events are single-line JSON objects
 with at least ``event``, ``v``, ``ts``, ``query_id``;
@@ -87,7 +89,7 @@ class QueryLogger:
         so concurrent appenders interleave whole lines).
     slow_ms:
         Latency threshold; a query whose ``elapsed_ms`` reaches it gets
-        a full dump (event + trace + metrics) written under
+        a full dump (event + record + metrics) written under
         ``slow_dir``.  ``None`` disables slow dumps.
     slow_dir:
         Directory for slow-query dump files; created on first dump.
@@ -252,8 +254,9 @@ class SlowQuery:
 
     ``metrics`` is a live registry rebuilt via
     :meth:`~repro.obs.metrics.MetricsRegistry.from_dict` (so
-    ``report()``/``render_prom()`` work on it); ``trace`` is a span
-    snapshot in the exact shape
+    ``report()``/``render_prom()`` work on it); ``trace`` is the
+    query's record as JSON revived it, which
+    :func:`~repro.obs.tracing.spans`,
     :func:`~repro.obs.tracing.render_tree` and
     :func:`~repro.obs.tracing.chrome_trace` accept.  Either may be
     ``None`` when the solver ran without that subsystem enabled.
@@ -280,6 +283,8 @@ def load_slow_query(path: str | os.PathLike) -> SlowQuery:
         MetricsRegistry.from_dict(metrics_dict) if metrics_dict is not None else None
     )
     trace = payload.get("trace")
-    if trace is not None and not isinstance(trace, dict):
-        raise ValueError(f"{path}: trace snapshot is not an object")
+    if trace is not None and not (
+        isinstance(trace, dict) and isinstance(trace.get("events"), list)
+    ):
+        raise ValueError(f"{path}: trace is not an event record")
     return SlowQuery(event=event, metrics=metrics, trace=trace)

@@ -9,10 +9,11 @@ attribution:
 * **phases** — wall-clock accumulators keyed by phase name
   (``prepare`` / ``comp_sp`` / ``spt_grow`` / ``test_lb`` /
   ``division`` / ``search_other`` / ``warmup`` / ``landmark_build``),
-  each recording total seconds and call count.  Hot loops accumulate
-  into locals and flush once (:meth:`MetricsRegistry.observe_phase`);
-  coarse phases use the :meth:`MetricsRegistry.phase_timer` context
-  manager;
+  each recording total seconds and call count.  A query's phases are
+  the sums of its event record (:func:`repro.obs.tracing.phase_totals`),
+  added once per phase with :meth:`MetricsRegistry.observe_phase`;
+  phases outside a query use the :meth:`MetricsRegistry.phase_timer`
+  context manager;
 * **counters** — monotonically increasing event counts;
 * **gauges** — size/peak measurements (heap peaks, scratch-array
   stamp generations, cache bytes).  Gauges record *peaks*: setting a
@@ -29,14 +30,13 @@ and :meth:`MetricsRegistry.render_prom` emits Prometheus text
 exposition with **no dependency** — :func:`parse_prom` is the matching
 strict parser the CI smoke job uses.
 
-Phase timers are the aggregate channel: every service worker runs
-with a registry attached, because a query pays a handful of clock
-reads and one flush for it.  The per-event record of a search — each
-queue pop, ``TestLB`` verdict and division — is the span stream of
-:mod:`repro.obs.tracing`, which costs far more and stays opt-in.  The
-disabled path costs one ``None`` check per site, the same discipline
-as the span tracer: nothing in this module is imported on a query's
-hot path unless a registry was explicitly attached.
+A registry is the aggregate view of the per-query event record
+(:mod:`repro.obs.tracing`): attaching one to a solver turns the record
+on, and each query's phases are summed from it inside the query's
+search interval, then the record is dropped unless a tracer keeps it.
+Every service worker runs that way.  The disabled path costs one
+``None`` check per site: nothing in this module is imported on a
+query's hot path unless a registry was explicitly attached.
 """
 
 from __future__ import annotations
@@ -182,15 +182,20 @@ class Histogram:
         return self.buckets[-1] if self.buckets else math.inf  # pragma: no cover
 
     def merge(self, other: "Histogram | Mapping") -> None:
-        """Bucket-wise addition; bucket layouts must match."""
-        if isinstance(other, Mapping):
-            other = Histogram.from_dict(other)
-        if other.buckets != self.buckets:
+        """Bucket-wise addition of a histogram or an :meth:`as_dict`
+        snapshot, in place; bucket layouts must match."""
+        if isinstance(other, Histogram):
+            buckets, counts = other.buckets, other.counts
+            total, total_sum = other.total, other.sum
+        else:
+            buckets, counts = tuple(other["buckets"]), other["counts"]
+            total, total_sum = other["total"], other["sum"]
+        if buckets != self.buckets:
             raise ValueError("cannot merge histograms with different buckets")
-        for i, count in enumerate(other.counts):
+        for i, count in enumerate(counts):
             self.counts[i] += count
-        self.total += other.total
-        self.sum += other.sum
+        self.total += total
+        self.sum += total_sum
 
     def as_dict(self) -> dict:
         """Picklable snapshot."""
@@ -252,7 +257,7 @@ class MetricsRegistry:
         hist.observe(value)
 
     def observe_phase(self, name: str, seconds: float, calls: int = 1) -> None:
-        """Add ``seconds``/``calls`` to phase ``name`` (flush of a hot loop)."""
+        """Add ``seconds``/``calls`` to phase ``name`` (a record's sum)."""
         entry = self.phases.get(name)
         if entry is None:
             self.phases[name] = [seconds, calls]
@@ -279,25 +284,32 @@ class MetricsRegistry:
         return sum(self.phases[n][0] for n in names if n in self.phases)
 
     def merge(self, other: "MetricsRegistry | Mapping") -> "MetricsRegistry":
-        """Fold another registry (or an :meth:`as_dict` snapshot) in.
+        """Fold another registry (or an :meth:`as_dict` snapshot) in,
+        in place: nothing of ``other`` is copied or shared.
 
         Counters and phases add; gauges take the max (they record
         peaks); histograms add bucket-wise.  Returns self.
         """
-        if isinstance(other, Mapping):
-            other = MetricsRegistry.from_dict(other)
-        for name, value in other.counters.items():
+        if isinstance(other, MetricsRegistry):
+            sections = other.counters, other.gauges, other.phases, other.histograms
+        else:
+            sections = [
+                other.get(key, {}) for key in ("counters", "gauges", "phases", "histograms")
+            ]
+        counters, gauges, phases, histograms = sections
+        for name, value in counters.items():
             self.counters[name] = self.counters.get(name, 0) + value
-        for name, value in other.gauges.items():
+        for name, value in gauges.items():
             self.set_gauge(name, value)
-        for name, (seconds, calls) in other.phases.items():
+        for name, (seconds, calls) in phases.items():
             self.observe_phase(name, seconds, calls)
-        for name, hist in other.histograms.items():
+        for name, hist in histograms.items():
             mine = self.histograms.get(name)
             if mine is None:
-                self.histograms[name] = Histogram.from_dict(hist.as_dict())
-            else:
-                mine.merge(hist)
+                mine = self.histograms[name] = Histogram(
+                    hist.buckets if isinstance(hist, Histogram) else hist["buckets"]
+                )
+            mine.merge(hist)
         return self
 
     def merge_stats(self, stats) -> "MetricsRegistry":
@@ -468,9 +480,9 @@ def _exact(value) -> str:
 def maybe_phase(registry: MetricsRegistry | None, name: str):
     """``registry.phase_timer(name)`` or a no-op context when disabled.
 
-    The one-``None``-check idiom for coarse (per-query, not per-edge)
-    phases; hot loops accumulate locals and flush via
-    :meth:`MetricsRegistry.observe_phase` instead.
+    The one-``None``-check idiom for phases outside a query
+    (``landmark_build``, :meth:`~repro.core.kpj.KPJSolver.prepare`); a
+    query's phases come from its event record instead.
     """
     if registry is None:
         return nullcontext()

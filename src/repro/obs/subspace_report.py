@@ -6,7 +6,7 @@ pruned by a cheap lower bound instead of paying a shortest-path
 computation each.  :class:`SubspaceTreeReport` reconstructs that tree
 for one query — how many subspaces were tested, expanded, or pruned
 at each prefix depth, and which bound family did the pruning — from
-the :mod:`repro.obs.tracing` span snapshot riding on a traced
+the :mod:`repro.obs.tracing` record riding on a traced
 :class:`~repro.core.result.QueryResult` (``test_lb``/``division``
 spans carry depth, bound, τ, verdict, children/pruned counts), so
 ``kpj explain --tree`` and ``kpj query --trace`` print the same
@@ -19,7 +19,8 @@ end-of-search queue leftovers make its totals equal the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+
+from repro.obs.tracing import spans
 
 __all__ = ["DepthRow", "SubspaceTreeReport"]
 
@@ -61,25 +62,18 @@ class SubspaceTreeReport:
     leftover: int | None = None
     #: Whether any ``division`` span recorded fan-out.
     has_divisions: bool = False
-    #: True when the source ring buffer never evicted — totals are
-    #: exact, not lower bounds.
-    complete: bool = True
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
     @classmethod
-    def from_spans(cls, trace: Mapping | None) -> "SubspaceTreeReport":
-        """Build from a span snapshot (``QueryResult.trace``)."""
+    def from_spans(cls, trace) -> "SubspaceTreeReport":
+        """Build from the spans of a record (``QueryResult.trace``), or
+        of anything else :func:`~repro.obs.tracing.spans` takes."""
         report = cls()
-        if trace is None:
-            return report
-        if hasattr(trace, "as_dict") and not isinstance(trace, Mapping):
-            trace = trace.as_dict()  # accept a live SpanTracer too
-        report.complete = not trace.get("evicted", 0)
-        for span in trace.get("spans", ()):
-            name = span.get("name")
-            attrs = span.get("attrs") or {}
+        for span in spans(trace):
+            name = span["name"]
+            attrs = span["attrs"]
             if name == "test_lb":
                 row = report._row(int(attrs.get("depth", 0)))
                 row.tested += 1
@@ -207,7 +201,5 @@ class SubspaceTreeReport:
             totals.append(f"pruned/expanded={ratio:.2f}")
         if self.leftover is not None:
             totals.append(f"leftover={self.leftover}")
-        if not self.complete:
-            totals.append("(ring evicted spans: totals are lower bounds)")
         lines.append("  totals: " + "  ".join(totals))
         return "\n".join(lines)

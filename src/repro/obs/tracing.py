@@ -1,12 +1,29 @@
-"""Span tracing — per-query timelines with parent/child structure.
+"""Per-query event records and the span views built from them.
 
 :class:`~repro.obs.metrics.MetricsRegistry` answers *how much* time
-each phase costs in aggregate; this module answers *why one query was
+each phase costs in aggregate; the record answers *why one query was
 slow*: which subspaces were divided, which ``TestLB`` calls missed the
 threshold, how the ``τ = α·τ`` schedule interacted with tree growth.
-A :class:`SpanTracer` records **spans** — named intervals with
-monotonic timestamps, parent/child nesting, and per-span attributes —
-into a bounded ring buffer, and renders them three ways:
+Both come from the same intervals: a query's search code times each
+interval once and appends one event tuple to the query's **record**,
+
+    {"pid": os.getpid(), "events": [(name, start, end, attrs), ...]}
+
+with :func:`time.perf_counter` times (``CLOCK_MONOTONIC``: one
+machine-wide clock, so parent- and worker-process records share a
+timeline).  The solver sums a record's phase events into its per-query
+registry (:func:`phase_totals`, the one summing rule) and, when a
+:class:`SpanTracer` is attached, keeps it.  Nothing in a record names
+a parent: containers (``query``, ``search``, ``iter_bound``,
+``batch``) are appended when they close, after their children, and
+nesting is worked out on export from interval containment.  A record
+is plain data, so it pickles across the worker process boundary; a
+JSON round trip (slow dumps, ``--json``) turns its tuples into lists,
+and every reader here accepts both.
+
+Dict spans — ``{"id", "parent", "name", "cat", "ts", "dur", "pid",
+"attrs"}`` — exist only on export, built by :func:`spans`, which every
+view reads:
 
 * :func:`chrome_trace` — Chrome trace-event JSON (the ``"X"``
   complete-event flavour) loadable in ``chrome://tracing`` or
@@ -15,41 +32,13 @@ into a bounded ring buffer, and renders them three ways:
   (``kpj query --trace``);
 * :func:`render_narrative` — the τ-schedule narrative of one
   iteratively bounding query, one line per queue pop
-  (``kpj explain``).
+  (``kpj explain``);
+* :func:`folded_stacks` — flamegraph input.
 
-Spans are the package's one per-event record of a search; the
-metrics registry's phase timers are the cheap aggregate channel every
-service worker runs.  Spans stay opt-in because recording them costs
-far more than the timers (DESIGN.md §3d), and the disabled path costs
-one ``None`` check per site — nothing here is imported or allocated on
-a hot path unless a tracer was explicitly attached (a unit test
-asserts the no-allocation property).  Tracers are *per scope*: the
-solver keeps one for its lifetime, every sampled query records into a
-fresh per-query tracer whose :meth:`SpanTracer.as_dict` snapshot rides
-back on the :class:`~repro.core.result.QueryResult` (a plain dict, so
-it crosses the worker process boundary) and is folded into the
-solver's tracer by :meth:`SpanTracer.absorb`, under whatever span is
-open there — a :func:`~repro.server.service.run_batch` call's batch
-span, at any worker count.
-
-Span taxonomy (see DESIGN.md §3d for the full contract):
-
-==============  =========  ==================================================
-name            cat        attributes
-==============  =========  ==================================================
-``query``       query      ``algorithm``, ``k``, ``query_id``, ``paths``
-``prepare``     phase      ``cache`` (``"hit"``/``"miss"``)
-``search``      search     —
-``iter_bound``  search     ``bound_kind``, ``leftover``, ``results``
-``iterate``     search     ``prefix``, ``depth``, ``lb``, ``verdict``,
-                           ``length``
-``comp_sp``     phase      —
-``spt_grow``    phase      ``tau``
-``test_lb``     phase      ``depth``, ``lb``, ``tau``, ``verdict``
-``division``    phase      ``depth``, ``children``, ``pruned``
-``batch``       batch      ``queries``, ``workers``
-``warmup``      phase      —
-==============  =========  ==================================================
+Recording is off unless a registry or a tracer is attached to the
+solver: the disabled path costs one ``None`` check per site and
+allocates nothing (a unit test asserts it).  :data:`EVENTS` is the
+event taxonomy; DESIGN.md §3d states the contract.
 """
 
 from __future__ import annotations
@@ -57,245 +46,209 @@ from __future__ import annotations
 import math
 import os
 from collections import deque
-from contextlib import contextmanager, nullcontext
-from time import perf_counter
-from typing import Iterator, Mapping
+from typing import Mapping
 
 __all__ = [
+    "EVENTS",
+    "RECORDS_KEPT",
     "SpanTracer",
-    "maybe_span",
+    "new_record",
+    "spans",
     "chrome_trace",
     "validate_chrome_trace",
     "render_tree",
     "render_narrative",
     "folded_stacks",
+    "phase_totals",
     "phase_durations",
-    "DEFAULT_CAPACITY",
 ]
 
-#: Default ring-buffer bound — large enough that a single query on the
-#: registry datasets never evicts, small enough that a long-lived
-#: solver tracer stays a few MB.
-DEFAULT_CAPACITY = 65_536
+#: Records a :class:`SpanTracer` keeps, newest last.
+RECORDS_KEPT = 1024
+
+#: Event name -> ``(cat, attribute names)``.  An event's ``attrs`` is
+#: ``None`` (no attributes), the value itself for a one-name entry, or
+#: a tuple in this order; a shorter tuple leaves the trailing names
+#: unset.  A ``test_lb`` or ``division`` event carries its queue pop
+#: after its own values — ``(prefix, length)`` (``length`` ``None``
+#: unless the test hit) and ``(prefix, lb)`` — from which the export
+#: rebuilds the pop's ``iterate`` container.
+EVENTS: dict[str, tuple[str, tuple[str, ...]]] = {
+    "query": ("query", ("algorithm", "k", "query_id", "paths")),
+    "prepare": ("phase", ("cache",)),
+    "search": ("search", ()),
+    "iter_bound": ("search", ("bound_kind", "leftover", "results")),
+    "iterate": ("search", ("prefix", "depth", "lb", "verdict", "length")),
+    "comp_sp": ("phase", ("tree_nodes",)),
+    "spt_grow": ("phase", ("tau",)),
+    "test_lb": ("phase", ("depth", "lb", "tau", "verdict")),
+    "division": ("phase", ("depth", "children", "pruned")),
+    "batch": ("batch", ("queries", "workers")),
+    "warmup": ("phase", ()),
+}
+
+#: The leaves :func:`phase_totals` sums; containers never double-count.
+_PHASES = frozenset(name for name, (cat, _) in EVENTS.items() if cat == "phase")
+
+#: ``test_lb`` verdict -> the verdict of its pop's ``iterate``.
+_ITERATE_VERDICTS = {"hit": "test-hit", "miss": "test-miss", "retire": "retire"}
+
+
+def new_record() -> dict:
+    """An empty record stamped with this process's pid."""
+    return {"pid": os.getpid(), "events": []}
 
 
 class SpanTracer:
-    """Bounded span sink for one scope (a query, a batch, a solver).
+    """Where a solver keeps its queries' records.
 
-    Spans are plain dicts — ``{"id", "parent", "name", "cat", "ts",
-    "dur", "pid", "attrs"}`` — appended to a ring buffer on
-    completion, so :meth:`as_dict` is a shallow copy and the snapshot
-    pickles across the worker process boundary unchanged.  ``ts`` is
-    :func:`time.perf_counter` (``CLOCK_MONOTONIC``: one machine-wide
-    clock, so parent- and worker-process spans share a timeline) and
-    ``dur`` is in seconds.
-
-    Parameters
-    ----------
-    capacity:
-        Ring-buffer bound; once full, the *oldest* completed span is
-        evicted per append (:attr:`evicted` counts them).  Tree
-        reconstruction treats spans whose parent was evicted as roots.
-    sample_every:
-        Sampling stride for :meth:`sample` — the solver traces one
-        query in every ``sample_every`` (1 = every query).
+    Attaching one to a :class:`~repro.core.kpj.KPJSolver` traces every
+    query: the query's record rides back on ``QueryResult.trace`` and
+    is appended to :attr:`records`, which holds the last
+    :data:`RECORDS_KEPT` of them by reference (a
+    :func:`~repro.server.service.run_batch` call adds its own ``batch``
+    record and its workers' records).  :attr:`spans` is their export.
     """
 
-    __slots__ = ("capacity", "sample_every", "evicted", "_spans", "_stack",
-                 "_next_id", "_pid", "_seen")
+    __slots__ = ("records",)
 
-    def __init__(self, capacity: int = DEFAULT_CAPACITY, sample_every: int = 1) -> None:
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        if sample_every <= 0:
-            raise ValueError(f"sample_every must be positive, got {sample_every}")
-        self.capacity = capacity
-        self.sample_every = sample_every
-        #: Completed spans dropped by the ring buffer.
-        self.evicted = 0
-        self._spans: deque[dict] = deque(maxlen=capacity)
-        self._stack: list[dict] = []
-        self._next_id = 0
-        self._pid = os.getpid()
-        self._seen = 0
-
-    # ------------------------------------------------------------------
-    # Recording
-    # ------------------------------------------------------------------
-    def sample(self) -> bool:
-        """Sampling decision for the next unit of work (1-in-N)."""
-        decision = self._seen % self.sample_every == 0
-        self._seen += 1
-        return decision
-
-    def begin(self, name: str, cat: str = "span", **attrs) -> dict:
-        """Open a span; returns the token :meth:`end` expects.
-
-        The span nests under the innermost still-open span of this
-        tracer.  It is buffered only on :meth:`end` (children complete
-        first; reconstruction orders by ``ts``, not buffer position).
-        """
-        span = {
-            "id": self._next_id,
-            "parent": self._stack[-1]["id"] if self._stack else None,
-            "name": name,
-            "cat": cat,
-            "ts": perf_counter(),
-            "dur": 0.0,
-            "pid": self._pid,
-            "attrs": dict(attrs) if attrs else {},
-        }
-        self._next_id += 1
-        self._stack.append(span)
-        return span
-
-    def end(self, span: dict, **attrs) -> None:
-        """Close ``span`` (and any forgotten children still open)."""
-        now = perf_counter()
-        span["dur"] = now - span["ts"]
-        if attrs:
-            span["attrs"].update(attrs)
-        while self._stack:
-            top = self._stack.pop()
-            if top is span:
-                break
-            top["dur"] = now - top["ts"]  # implicitly closed straggler
-            self._push(top)
-        self._push(span)
-
-    @contextmanager
-    def span(self, name: str, cat: str = "span", **attrs) -> Iterator[dict]:
-        """Context-manager form of :meth:`begin`/:meth:`end`.
-
-        Yields the span dict so the body can set late attributes:
-        ``with tracer.span("prepare") as sp: ...; sp["attrs"]["x"] = 1``.
-        """
-        span = self.begin(name, cat, **attrs)
-        try:
-            yield span
-        finally:
-            self.end(span)
-
-    def add(
-        self,
-        name: str,
-        start: float,
-        end: float,
-        cat: str = "span",
-        attrs: Mapping | None = None,
-    ) -> dict:
-        """Record an already-timed span under the current open parent.
-
-        The hot-loop form: the iteratively bounding driver takes its
-        own ``perf_counter`` pair (shared with the metrics phase
-        accumulators) and hands the completed interval in — no context
-        manager, no stack traffic.
-        """
-        span = {
-            "id": self._next_id,
-            "parent": self._stack[-1]["id"] if self._stack else None,
-            "name": name,
-            "cat": cat,
-            "ts": start,
-            "dur": end - start,
-            "pid": self._pid,
-            "attrs": dict(attrs) if attrs else {},
-        }
-        self._next_id += 1
-        self._push(span)
-        return span
-
-    def absorb(self, snapshot: Mapping | None) -> None:
-        """Fold another tracer's :meth:`as_dict` snapshot in.
-
-        Span ids are re-based to stay unique; spans whose parent is
-        missing from the snapshot (evicted in the source ring, or
-        genuine roots) nest under the innermost still-open span of
-        this tracer, the rule :meth:`begin` and :meth:`add` follow —
-        this is how every query tree of a
-        :func:`~repro.server.service.run_batch` lands under its batch
-        span.  Original ``pid``/timestamps are kept, so a Chrome
-        export shows one lane per worker on the shared monotonic
-        timeline.
-        """
-        if snapshot is None:
-            return
-        spans = snapshot.get("spans", ())
-        self.evicted += int(snapshot.get("evicted", 0))
-        if not spans:
-            return
-        offset = self._next_id
-        present = {s["id"] for s in spans}
-        top = 0
-        new_parent = self._stack[-1]["id"] if self._stack else None
-        for s in spans:
-            t = dict(s)
-            t["attrs"] = dict(s.get("attrs") or {})
-            if t["id"] > top:
-                top = t["id"]
-            p = t.get("parent")
-            if p is None or p not in present:
-                t["parent"] = new_parent
-            else:
-                t["parent"] = p + offset
-            t["id"] += offset
-            self._push(t)
-        self._next_id = offset + top + 1
-
-    def _push(self, span: dict) -> None:
-        if len(self._spans) == self.capacity:
-            self.evicted += 1
-        self._spans.append(span)
-
-    # ------------------------------------------------------------------
-    # Views
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self._spans)
+    def __init__(self) -> None:
+        self.records: deque = deque(maxlen=RECORDS_KEPT)
 
     @property
     def spans(self) -> list[dict]:
-        """Completed spans, in completion order."""
-        return list(self._spans)
-
-    def as_dict(self) -> dict:
-        """Picklable snapshot: completed spans plus still-open ones.
-
-        Open spans are included as copies with ``dur`` measured up to
-        now (flagged ``"open": True``), so a snapshot taken mid-search
-        — or after an exception unwound past an ``end`` — still
-        renders a coherent tree.  The tracer itself is not mutated.
-        """
-        spans = list(self._spans)
-        if self._stack:
-            now = perf_counter()
-            for open_span in self._stack:
-                t = dict(open_span)
-                t["attrs"] = dict(open_span["attrs"])
-                t["dur"] = now - t["ts"]
-                t["attrs"]["open"] = True
-                spans.append(t)
-        return {"spans": spans, "evicted": self.evicted}
-
-
-def maybe_span(tracer: SpanTracer | None, name: str, cat: str = "span", **attrs):
-    """``tracer.span(...)`` or a no-op context when tracing is off.
-
-    The one-``None``-check idiom for coarse (per-query) spans, the
-    tracing twin of :func:`~repro.obs.metrics.maybe_phase`.
-    """
-    if tracer is None:
-        return nullcontext()
-    return tracer.span(name, cat, **attrs)
+        """The kept records as dict spans (see :func:`spans`)."""
+        return spans(self)
 
 
 # ----------------------------------------------------------------------
 # Exports
 # ----------------------------------------------------------------------
-def _snapshot(trace: "SpanTracer | Mapping") -> Mapping:
+def _records(trace) -> list:
+    """A record, a list of records, or a tracer, as a list of records."""
+    if isinstance(trace, dict):
+        return [trace]
+    if trace is None:
+        return []
     if isinstance(trace, SpanTracer):
-        return trace.as_dict()
-    return trace
+        return list(trace.records)
+    return list(trace)
+
+
+def _attrs(name: str, attrs) -> dict:
+    entry = EVENTS.get(name)
+    if entry is None or attrs is None:
+        return {}
+    fields = entry[1]
+    if len(fields) == 1:
+        return {fields[0]: attrs}
+    return dict(zip(fields, attrs))
+
+
+def _with_pops(events) -> list:
+    """``events`` plus each queue pop's ``iterate``, right after the
+    ``test_lb`` or ``division`` event that closed the pop.  A test pop
+    starts at its ``spt_grow``, when the tree grew first."""
+    out = []
+    previous = None
+    for event in events:
+        name, start, end, attrs = event
+        out.append(event)
+        if name == "test_lb":
+            depth, lb, _, verdict, prefix, length = attrs
+            if previous is not None and previous[0] == "spt_grow":
+                start = previous[1]
+            pop = (prefix, depth, lb, _ITERATE_VERDICTS[verdict])
+            out.append(("iterate", start, end, pop if length is None else pop + (length,)))
+        elif name == "division":
+            depth, _, _, prefix, lb = attrs
+            out.append(("iterate", start, end, (prefix, depth, lb, "output", lb)))
+        previous = event
+    return out
+
+
+def _nested(events) -> tuple[list[int], list[int | None]]:
+    """Start order and parent index of each event, by containment.
+
+    Sorted by start, longest first; among identical intervals the
+    later-appended event (the container, appended when it closed)
+    comes first.  Each event's parent is the innermost earlier event
+    whose interval holds it.
+    """
+    order = sorted(
+        range(len(events)), key=lambda i: (events[i][1], -events[i][2], -i)
+    )
+    parents: list[int | None] = [None] * len(events)
+    stack: list[int] = []
+    for i in order:
+        end = events[i][2]
+        while stack and events[stack[-1]][2] < end:
+            stack.pop()
+        if stack:
+            parents[i] = stack[-1]
+        stack.append(i)
+    return order, parents
+
+
+def spans(trace) -> list[dict]:
+    """Dict spans of a record, a list of records, or a :class:`SpanTracer`.
+
+    Each span is ``{"id", "parent", "name", "cat", "ts", "dur", "pid",
+    "attrs"}``, ``ts`` and ``dur`` in seconds, ``cat`` and ``attrs``
+    from :data:`EVENTS` (a name missing from it gets ``cat`` ``"span"``
+    and no attributes).  Within a record an event nests in the
+    innermost event whose interval contains it, and ids follow start
+    order.  Across records, a record's root nests in the innermost
+    event of another record that contains it — that is how a batch's
+    ``query`` trees land under its ``batch`` — but never in a record
+    whose roots share its name: resident workers' query records
+    overlap each other in time without nesting.
+    """
+    out: list[dict] = []
+    groups: list[tuple[frozenset, list[dict], list[dict]]] = []
+    for record in _records(trace):
+        pid = int(record.get("pid") or 0)
+        events = _with_pops(record["events"])
+        order, parents = _nested(events)
+        base = len(out)
+        rank = {i: base + r for r, i in enumerate(order)}
+        mine: list[dict] = []
+        for i in order:
+            name, start, end, attrs = events[i]
+            parent = parents[i]
+            mine.append({
+                "id": rank[i],
+                "parent": None if parent is None else rank[parent],
+                "name": name,
+                "cat": EVENTS.get(name, ("span",))[0],
+                "ts": start,
+                "dur": end - start,
+                "pid": pid,
+                "attrs": _attrs(name, attrs),
+            })
+        out.extend(mine)
+        roots = [s for s in mine if s["parent"] is None]
+        groups.append((frozenset(s["name"] for s in roots), roots, mine))
+    if len(groups) > 1:
+        hosts_of: dict[frozenset, list[dict]] = {}
+        for kind, roots, _ in groups:
+            hosts = hosts_of.get(kind)
+            if hosts is None:
+                hosts = hosts_of[kind] = [
+                    s for other, _, theirs in groups if kind.isdisjoint(other)
+                    for s in theirs
+                ]
+            for root in roots:
+                end = root["ts"] + root["dur"]
+                holders = [
+                    s for s in hosts
+                    if s["ts"] <= root["ts"] and end <= s["ts"] + s["dur"]
+                ]
+                if holders:
+                    root["parent"] = min(
+                        holders, key=lambda s: (s["dur"], -s["id"])
+                    )["id"]
+    return out
 
 
 def _json_safe(value):
@@ -306,34 +259,31 @@ def _json_safe(value):
     return repr(value)
 
 
-def chrome_trace(trace: "SpanTracer | Mapping") -> dict:
-    """Export a tracer (or snapshot) as a Chrome trace-event document.
+def chrome_trace(trace) -> dict:
+    """Export records (anything :func:`spans` takes) as a Chrome
+    trace-event document.
 
     Every span becomes one complete (``"ph": "X"``) event with
     microsecond timestamps relative to the earliest span; ``cat``
-    carries the phase taxonomy so Perfetto can filter by category, and
-    span attributes land in ``args``.  ``pid`` and ``tid`` are the
-    recording process id, which gives each worker process its own lane.
-    Load the JSON in ``chrome://tracing`` or https://ui.perfetto.dev.
+    carries the taxonomy so Perfetto can filter by category, and span
+    attributes land in ``args``.  ``pid`` and ``tid`` are the recording
+    process id, which gives each worker process its own lane.  Load
+    the JSON in ``chrome://tracing`` or https://ui.perfetto.dev.
     """
-    spans = _snapshot(trace).get("spans", [])
-    epoch = min((s["ts"] for s in spans), default=0.0)
+    all_spans = spans(trace)
+    epoch = min((s["ts"] for s in all_spans), default=0.0)
     events = []
-    for s in sorted(spans, key=lambda s: (s["ts"], s["id"])):
-        pid = int(s.get("pid") or 0)
+    for s in sorted(all_spans, key=lambda s: (s["ts"], s["id"])):
         events.append(
             {
                 "name": str(s["name"]),
-                "cat": str(s.get("cat") or "span"),
+                "cat": s["cat"],
                 "ph": "X",
                 "ts": (s["ts"] - epoch) * 1e6,
                 "dur": max(float(s["dur"]), 0.0) * 1e6,
-                "pid": pid,
-                "tid": pid,
-                "args": {
-                    str(k): _json_safe(v)
-                    for k, v in (s.get("attrs") or {}).items()
-                },
+                "pid": s["pid"],
+                "tid": s["pid"],
+                "args": {str(k): _json_safe(v) for k, v in s["attrs"].items()},
             }
         )
     return {"traceEvents": events, "displayTimeUnit": "ms"}
@@ -390,24 +340,18 @@ def validate_chrome_trace(doc) -> int:
     return len(events)
 
 
-def render_tree(trace: "SpanTracer | Mapping", limit: int | None = None) -> str:
+def render_tree(trace, limit: int | None = None) -> str:
     """Human-readable indented span tree (``kpj query --trace``).
 
-    Children sort by start time under their parent; spans whose parent
-    was evicted from the ring render as roots.  ``limit`` caps the
-    number of lines (a truncation notice follows).
+    Children sort by start time under their parent.  ``limit`` caps
+    the number of lines (a truncation notice follows).
     """
-    snapshot = _snapshot(trace)
-    spans = sorted(snapshot.get("spans", []), key=lambda s: (s["ts"], s["id"]))
-    if not spans:
+    all_spans = sorted(spans(trace), key=lambda s: (s["ts"], s["id"]))
+    if not all_spans:
         return "(no spans)"
-    by_id = {s["id"]: s for s in spans}
     children: dict[int | None, list[dict]] = {}
-    for s in spans:
-        parent = s["parent"]
-        if parent is not None and parent not in by_id:
-            parent = None  # evicted parent: promote to root
-        children.setdefault(parent, []).append(s)
+    for s in all_spans:
+        children.setdefault(s["parent"], []).append(s)
 
     lines: list[str] = []
     truncated = [0]
@@ -416,10 +360,9 @@ def render_tree(trace: "SpanTracer | Mapping", limit: int | None = None) -> str:
         if limit is not None and len(lines) >= limit:
             truncated[0] += 1
             return
-        attrs = span.get("attrs") or {}
         blob = "".join(
             f"  {k}={v:.4g}" if isinstance(v, float) else f"  {k}={v}"
-            for k, v in attrs.items()
+            for k, v in span["attrs"].items()
         )
         lines.append(
             f"{'  ' * depth}{span['name']:<{max(10, 12 - 2 * depth)}}"
@@ -431,17 +374,13 @@ def render_tree(trace: "SpanTracer | Mapping", limit: int | None = None) -> str:
     for root in children.get(None, ()):
         emit(root, 0)
     if truncated[0] or (limit is not None and len(lines) >= limit):
-        hidden = len(spans) - len(lines)
+        hidden = len(all_spans) - len(lines)
         if hidden > 0:
             lines.append(f"... {hidden} more spans")
-    if snapshot.get("evicted"):
-        lines.append(f"({snapshot['evicted']} spans evicted by the ring buffer)")
     return "\n".join(lines)
 
 
-def render_narrative(
-    trace: "SpanTracer | Mapping", limit: int | None = None
-) -> str:
+def render_narrative(trace, limit: int | None = None) -> str:
     """The τ-schedule narrative of one traced query (``kpj explain``).
 
     One line per ``iterate`` span, in queue-pop order: the verdict
@@ -452,10 +391,11 @@ def render_narrative(
     the event lines (a truncation notice follows); the totals always
     cover the whole search.
     """
-    snapshot = _snapshot(trace)
-    spans = snapshot.get("spans", ())
-    taus = {s["parent"]: s["attrs"]["tau"] for s in spans if s["name"] == "test_lb"}
-    pops = sorted((s for s in spans if s["name"] == "iterate"), key=lambda s: s["id"])
+    all_spans = spans(trace)
+    taus = {
+        s["parent"]: s["attrs"]["tau"] for s in all_spans if s["name"] == "test_lb"
+    }
+    pops = [s for s in all_spans if s["name"] == "iterate"]
     counts: dict[str, int] = {}
     lines: list[str] = []
     for span in pops:
@@ -480,33 +420,28 @@ def render_narrative(
     lines.append(
         "totals: " + ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
     )
-    if snapshot.get("evicted"):
-        lines.append(f"({snapshot['evicted']} spans evicted by the ring buffer)")
     return "\n".join(lines)
 
 
-def folded_stacks(trace: "SpanTracer | Mapping") -> str:
-    """Export a tracer (or snapshot) in folded-stack flamegraph format.
+def folded_stacks(trace) -> str:
+    """Export records in folded-stack flamegraph format.
 
     One line per unique span ancestry — ``query;search;test_lb 1234``
     — where the value is the stack's aggregate **self time** in
     integer microseconds (span duration minus child durations), the
     number ``flamegraph.pl``, speedscope, and inferno all consume
-    directly.  Spans whose parent was evicted from the ring buffer
-    root their own stack, mirroring :func:`render_tree`.  Every span
-    contributes at least 1µs so sub-microsecond leaves stay visible in
-    the rendered graph; lines are sorted for deterministic output.
+    directly.  Every span contributes at least 1µs so sub-microsecond
+    leaves stay visible in the rendered graph; lines are sorted for
+    deterministic output.
     """
-    spans = sorted(
-        _snapshot(trace).get("spans", []), key=lambda s: (s["ts"], s["id"])
-    )
-    if not spans:
+    all_spans = spans(trace)
+    if not all_spans:
         return ""
-    by_id = {s["id"]: s for s in spans}
+    by_id = {s["id"]: s for s in all_spans}
     child_time: dict[int, float] = {}
-    for s in spans:
+    for s in all_spans:
         parent = s["parent"]
-        if parent in by_id:
+        if parent is not None:
             child_time[parent] = child_time.get(parent, 0.0) + max(
                 float(s["dur"]), 0.0
             )
@@ -517,11 +452,11 @@ def folded_stacks(trace: "SpanTracer | Mapping") -> str:
         while node is not None:
             names.append(str(node["name"]).replace(";", "_"))
             parent = node["parent"]
-            node = by_id.get(parent) if parent is not None else None
+            node = by_id[parent] if parent is not None else None
         return ";".join(reversed(names))
 
     totals: dict[str, int] = {}
-    for s in spans:
+    for s in all_spans:
         self_time = max(float(s["dur"]), 0.0) - child_time.get(s["id"], 0.0)
         micros = max(1, int(round(max(self_time, 0.0) * 1e6)))
         stack = stack_of(s)
@@ -529,19 +464,32 @@ def folded_stacks(trace: "SpanTracer | Mapping") -> str:
     return "\n".join(f"{stack} {value}" for stack, value in sorted(totals.items()))
 
 
-def phase_durations(trace: "SpanTracer | Mapping") -> dict[str, float]:
-    """Total seconds per *leaf* phase span, keyed by span name.
+def phase_totals(trace) -> dict[str, list]:
+    """``[seconds, calls]`` per *leaf* phase event, keyed by name.
 
-    Only ``cat == "phase"`` spans count — the leaves of the taxonomy
+    Only ``cat == "phase"`` events count — the leaves of the taxonomy
     (``prepare``/``comp_sp``/``spt_grow``/``test_lb``/``division``/…)
-    — so container spans (``query``, ``search``, ``iterate``) never
-    double-count their children.  This is what the perf-regression
-    harness feeds its per-phase percentiles from.
+    — so containers (``query``, ``search``, ``iter_bound``) never
+    double-count their children.  Reads the events directly, without
+    building spans: the solver sums every recorded query's phases into
+    its per-query registry with this.
     """
-    totals: dict[str, float] = {}
-    for s in _snapshot(trace).get("spans", ()):
-        if s.get("cat") != "phase":
-            continue
-        name = s["name"]
-        totals[name] = totals.get(name, 0.0) + max(float(s["dur"]), 0.0)
+    totals: dict[str, list] = {}
+    get = totals.get
+    for record in _records(trace):
+        for name, start, end, _ in record["events"]:
+            if name in _PHASES:
+                entry = get(name)
+                if entry is None:
+                    totals[name] = [end - start, 1]
+                else:
+                    entry[0] += end - start
+                    entry[1] += 1
     return totals
+
+
+def phase_durations(trace) -> dict[str, float]:
+    """Total seconds per leaf phase (the seconds of :func:`phase_totals`);
+    what the perf-regression harness feeds its per-phase percentiles
+    from."""
+    return {name: seconds for name, (seconds, _) in phase_totals(trace).items()}

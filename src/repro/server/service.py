@@ -87,6 +87,7 @@ from repro.core.stats import SearchStats
 from repro.exceptions import QueryError
 from repro.graph.virtual import is_int
 from repro.obs.metrics import LOADTEST_LATENCY_BUCKETS_MS, MetricsRegistry
+from repro.obs.tracing import new_record
 from repro.server.epoch import service_epoch
 from repro.server.shared import SharedCSR
 
@@ -955,16 +956,18 @@ def run_batch(solver, queries: Sequence, workers: int = 1) -> list:
     multi-worker batch merges the service registry in after shutdown,
     which adds the one-time ``warmup`` phase, the service counters,
     per-worker ``worker_<i>_queries`` tags and the prewarm's cache
-    gauges.  Its ``tracer`` records the call as one ``batch`` span
-    holding every sampled query's span tree (a worker's keeps that
-    process's ``pid``) and, on the service path, the ``warmup`` span.
+    gauges.  Its ``tracer`` keeps every result's record (a worker's
+    carries that process's ``pid``) and one record of the call, its
+    ``batch`` event and, on the service path, ``warmup``: on export
+    every query's span tree nests under the ``batch`` span.
 
     Every result carries ``QueryResult.timing``: ``enqueued_at_s`` and
     ``started_at_s`` offsets from
     :func:`~repro.server.epoch.service_epoch` and the derived
     ``queue_wait_s`` (zero on the sequential path).  A query that
     raises fails the batch with its original exception, but only after
-    the completed queries' stats/metrics/trace snapshots are merged.
+    the completed queries' stats, metrics and records are merged or
+    kept.
     The solver's graph ``csr_cache`` is restored, and its observers
     are left as they were found, whether the batch succeeds, raises,
     or its service fails to start.
@@ -976,19 +979,19 @@ def run_batch(solver, queries: Sequence, workers: int = 1) -> list:
     if "fork" not in multiprocessing.get_all_start_methods():
         workers = 1  # pragma: no cover - non-fork platforms
     tracer = solver.tracer
-    batch_span = (
-        tracer.begin("batch", cat="batch", queries=len(batch), workers=workers)
-        if tracer is not None
-        else None
-    )
+    record = new_record() if tracer is not None else None
+    t_batch = perf_counter()
     try:
         if workers > 1:
-            results, failure = _solve_on_service(solver, batch, workers)
+            results, failure = _solve_on_service(solver, batch, workers, record)
         else:
             results, failure = _solve_in_process(solver, batch)
     finally:
-        if batch_span is not None:
-            tracer.end(batch_span)
+        if record is not None:
+            record["events"].append(
+                ("batch", t_batch, perf_counter(), (len(batch), workers))
+            )
+            tracer.records.append(record)
     if failure is not None:
         raise failure
     return results
@@ -1022,9 +1025,10 @@ def _solve_in_process(solver, batch: list) -> tuple[list, Exception | None]:
 
 
 def _solve_on_service(
-    solver, batch: list, workers: int
+    solver, batch: list, workers: int, record: dict | None
 ) -> tuple[list, Exception | None]:
-    """The multi-worker path: one :class:`QueryService` for the call."""
+    """The multi-worker path: one :class:`QueryService` for the call,
+    whose start is the ``warmup`` event of the batch's ``record``."""
     prewarm = tuple(dict.fromkeys((q.category, q.destinations) for q in batch))
     service = QueryService(
         solver, workers=workers, max_pending=len(batch), prewarm=prewarm
@@ -1032,8 +1036,8 @@ def _solve_on_service(
     t_warm = perf_counter()
     service.start()
     try:
-        if solver.tracer is not None:
-            solver.tracer.add("warmup", t_warm, perf_counter(), cat="phase")
+        if record is not None:
+            record["events"].append(("warmup", t_warm, perf_counter(), None))
         futures = [service.submit(q) for q in batch]
         results: list = []
         failure: Exception | None = None
@@ -1046,12 +1050,11 @@ def _solve_on_service(
         service.shutdown()
     # The workers merged into their own copies of the solver's
     # stores; the parent's take what came back: every per-query
-    # snapshot, the warmup phase, and the service counters and
-    # histograms, failures' siblings included.
+    # snapshot and record, the warmup phase, and the service counters
+    # and histograms, failures' siblings included.
     solver.stats.merge(service.stats)
     if solver.metrics is not None:
         solver.metrics.merge(service.metrics)
     if solver.tracer is not None:
-        for result in results:
-            solver.tracer.absorb(result.trace)
+        solver.tracer.records.extend(result.trace for result in results)
     return results, failure

@@ -134,3 +134,23 @@ class TestCacheNeutrality:
                 assert paths_of(a) == paths_of(b) == paths_of(c)
             assert uncached.cache_info()["entries"] == 0
             assert cached.cache_info()["hits"] > 0
+
+
+class TestBadSourceBuildsNothing:
+    """A source outside the graph fails before the prepared cache is
+    consulted: no entry is built, and no lookup is counted."""
+
+    def test_out_of_range_source_leaves_the_cache_cold(self):
+        from repro.datasets.registry import road_network
+        from repro.exceptions import QueryError
+
+        sj = road_network("SJ")
+        solver = KPJSolver(sj.graph, sj.categories, landmarks=4)
+        before = solver.stats.as_dict()
+        with pytest.raises(QueryError, match="out of range"):
+            solver.top_k(source=sj.n + 5, category="T1")
+        with pytest.raises(QueryError, match="out of range"):
+            solver.join(sources=[sj.n + 5], category="T2")
+        info = solver.cache_info()
+        assert (info["entries"], info["misses"]) == (0, 0)
+        assert solver.stats.as_dict() == before

@@ -12,7 +12,7 @@ from repro.datasets.registry import road_network
 from repro.graph.virtual import build_query_graph
 from repro.landmarks.index import ZERO_BOUNDS, LandmarkIndex
 from repro.obs.subspace_report import SubspaceTreeReport
-from repro.obs.tracing import SpanTracer, render_narrative
+from repro.obs.tracing import SpanTracer, new_record, render_narrative, spans
 from tests.conftest import KERNELS
 
 #: The iteratively bounding variants: the algorithms whose spans narrate.
@@ -85,7 +85,7 @@ class TestRenderNarrative:
     ):
         result = paper_query(paper_graph, paper_categories, paper_built)
         taus = [
-            s["attrs"]["tau"] for s in result.trace["spans"]
+            s["attrs"]["tau"] for s in spans(result.trace)
             if s["name"] == "test_lb"
         ]
         assert taus, "no TestLB recorded"
@@ -100,17 +100,9 @@ class TestRenderNarrative:
         revived = json.loads(json.dumps(trace))
         assert render_narrative(revived) == render_narrative(trace)
 
-    def test_evicted_ring_is_flagged(self, sj):
-        solver = KPJSolver(sj.graph, sj.categories, landmarks=4,
-                           tracer=SpanTracer(capacity=8))
-        trace = solver.top_k(100, category="T2", k=5).trace
-        assert trace["evicted"] > 0
-        last = render_narrative(trace).splitlines()[-1]
-        assert last == f"({trace['evicted']} spans evicted by the ring buffer)"
-
 
 class TestSearchTrace:
-    """The span trace of a bare ``iter_bound`` run, read as a narrative."""
+    """The record of a bare ``iter_bound`` run, read as a narrative."""
 
     def query_graph(self, paper_graph, paper_built):
         v = paper_built.node_id
@@ -119,22 +111,22 @@ class TestSearchTrace:
         )
 
     def test_records_one_output_per_path(self, paper_graph, paper_built):
-        tracer = SpanTracer()
+        record = new_record()
         paths = iter_bound(
             self.query_graph(paper_graph, paper_built), 3, ZERO_BOUNDS,
-            tracer=tracer,
+            record=record,
         )
-        counts = narrative_counts(render_narrative(tracer))
+        counts = narrative_counts(render_narrative(record))
         assert counts.get("output") == len(paths) == 3
 
     def test_hits_and_misses_sum_to_lb_tests(self, paper_graph, paper_built):
-        tracer = SpanTracer()
+        record = new_record()
         stats = SearchStats()
         iter_bound(
             self.query_graph(paper_graph, paper_built), 3, ZERO_BOUNDS,
-            stats=stats, tracer=tracer,
+            stats=stats, record=record,
         )
-        counts = narrative_counts(render_narrative(tracer))
+        counts = narrative_counts(render_narrative(record))
         tested = (
             counts.get("test-hit", 0)
             + counts.get("test-miss", 0)
@@ -146,7 +138,7 @@ class TestSearchTrace:
         self, paper_graph, paper_built
     ):
         qg = self.query_graph(paper_graph, paper_built)
-        traced = iter_bound(qg, 3, ZERO_BOUNDS, tracer=SpanTracer())
+        traced = iter_bound(qg, 3, ZERO_BOUNDS, record=new_record())
         plain = iter_bound(qg, 3, ZERO_BOUNDS)
         assert [p.length for p in traced] == [p.length for p in plain]
 
@@ -178,7 +170,6 @@ class TestTraceEquivalence:
             assert counts.get("test-miss", 0) == stats.lb_test_misses, algorithm
             assert counts.get("retire", 0) == stats.lb_test_retires, algorithm
             tree = SubspaceTreeReport.from_spans(traced.trace)
-            assert tree.complete, algorithm
             assert tree.lb_tests == stats.lb_tests, algorithm
             assert tree.subspaces_created == stats.subspaces_created, algorithm
             assert tree.subspaces_pruned == stats.subspaces_pruned, algorithm

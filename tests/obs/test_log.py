@@ -18,7 +18,7 @@ from repro.obs.log import (
     parse_query_log,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracing import SpanTracer, render_tree
+from repro.obs.tracing import SpanTracer, render_tree, spans
 
 
 @pytest.fixture(scope="module")
@@ -187,13 +187,13 @@ class TestSolverIntegration:
     def test_spans_tagged_with_query_id(self, sj):
         solver = make_solver(sj, tracer=SpanTracer())
         result = solver.top_k(3, category="T2", k=3)
-        spans = {s["id"]: s for s in result.trace["spans"]}
-        (root,) = [s for s in spans.values() if s["parent"] is None]
+        by_id = {s["id"]: s for s in spans(result.trace)}
+        (root,) = [s for s in by_id.values() if s["parent"] is None]
         assert root["name"] == "query"
         assert root["attrs"]["query_id"] == result.query_id
-        for span in spans.values():
+        for span in by_id.values():
             while span["parent"] is not None:  # every span descends from it
-                span = spans[span["parent"]]
+                span = by_id[span["parent"]]
             assert span is root
 
     def test_one_event_per_query_in_order(self, sj, tmp_path):

@@ -196,6 +196,27 @@ class TestMetricsRegistry:
         assert dst.counters["c"] == 2
         assert dst.histograms["h"].total == 1
 
+    def test_merge_folds_a_snapshot_in_place(self):
+        src = MetricsRegistry()
+        src.inc("c", 2)
+        src.set_gauge("g", 3)
+        src.observe_phase("p", 0.5, calls=2)
+        src.observe("h", 1.0)
+        snapshot = src.as_dict()
+        frozen = pickle.loads(pickle.dumps(snapshot))
+        dst = MetricsRegistry().merge(snapshot).merge(snapshot)
+        assert dst.as_dict() == MetricsRegistry().merge(src).merge(src).as_dict()
+        # Mutating the aggregate leaves the merged snapshot untouched:
+        # no phase entry or bucket list is shared with it.
+        dst.observe_phase("p", 1.0)
+        dst.observe("h", 1.0)
+        dst.inc("c")
+        assert snapshot == frozen
+        bad = MetricsRegistry()
+        bad.observe("h", 1.0, buckets=(1.0, 2.0))
+        with pytest.raises(ValueError, match="different buckets"):
+            dst.merge(bad.as_dict())
+
     def test_snapshot_is_picklable(self):
         reg = MetricsRegistry()
         reg.inc("c")

@@ -1,4 +1,4 @@
-"""SubspaceTreeReport: reconstruction from span snapshots."""
+"""SubspaceTreeReport: reconstruction from a record's spans."""
 
 from __future__ import annotations
 
@@ -16,9 +16,22 @@ def sj():
     return road_network("SJ")
 
 
-def span(name, attrs):
-    return {"id": 0, "parent": None, "name": name, "cat": "phase",
-            "ts": 0.0, "dur": 0.0, "pid": 1, "attrs": attrs}
+def record(*events):
+    """A record of ``(name, attrs)`` events, one time unit apart."""
+    return {"pid": 1, "events": [
+        (name, float(i), i + 0.5, attrs) for i, (name, attrs) in enumerate(events)
+    ]}
+
+
+def probe(depth, verdict):
+    """A ``test_lb`` event's attrs: depth, lb, tau, verdict, prefix, length."""
+    prefix = tuple(range(depth + 1))
+    return ("test_lb", (depth, 1.0, 1.1, verdict, prefix, 1.0 if verdict == "hit" else None))
+
+
+def division(depth, children, pruned):
+    """A ``division`` event's attrs: depth, children, pruned, prefix, lb."""
+    return ("division", (depth, children, pruned, tuple(range(depth + 1)), 1.0))
 
 
 class TestFromSpans:
@@ -30,19 +43,15 @@ class TestFromSpans:
         assert "no subspace events" in report.render()
 
     def test_counts_and_totals(self):
-        snapshot = {
-            "spans": [
-                span("division", {"depth": 0, "children": 5, "pruned": 2}),
-                span("test_lb", {"depth": 1, "verdict": "hit"}),
-                span("test_lb", {"depth": 1, "verdict": "miss"}),
-                span("test_lb", {"depth": 2, "verdict": "retire"}),
-                span("division", {"depth": 1, "children": 3, "pruned": 0}),
-                span("iter_bound",
-                     {"bound_kind": "spt_i", "leftover": 4, "results": 2}),
-            ],
-            "evicted": 0,
-        }
-        report = SubspaceTreeReport.from_spans(snapshot)
+        trace = record(
+            division(0, 5, 2),
+            probe(1, "hit"),
+            probe(1, "miss"),
+            probe(2, "retire"),
+            division(1, 3, 0),
+            ("iter_bound", ("spt_i", 4, 2)),
+        )
+        report = SubspaceTreeReport.from_spans(trace)
         assert report.bound_kind == "spt_i"
         assert report.lb_tests == 3
         assert report.lb_test_failures == 2  # miss + retire
@@ -53,19 +62,12 @@ class TestFromSpans:
         assert report.rows[1] == DepthRow(
             depth=1, tested=2, hits=1, misses=1, expanded=1, children=3
         )
-        assert report.complete
         text = report.render()
         assert "bound: spt_i" in text
         assert "created=9" in text and "pruned=7" in text
 
-    def test_eviction_marks_incomplete(self):
-        report = SubspaceTreeReport.from_spans({"spans": [], "evicted": 3})
-        assert not report.complete
-
     def test_render_without_divisions_omits_fanout_columns(self):
-        report = SubspaceTreeReport.from_spans(
-            {"spans": [span("test_lb", {"depth": 0, "verdict": "miss"})]}
-        )
+        report = SubspaceTreeReport.from_spans(record(probe(0, "miss")))
         assert report.subspaces_created is None
         text = report.render()
         assert "children" not in text
@@ -73,8 +75,7 @@ class TestFromSpans:
 
     def test_accepts_live_tracer(self):
         tracer = SpanTracer()
-        tracer.add("test_lb", 0.0, 0.1, cat="phase",
-                   attrs={"depth": 0, "verdict": "hit"})
+        tracer.records.append(record(probe(0, "hit")))
         report = SubspaceTreeReport.from_spans(tracer)
         assert report.lb_tests == 1
 

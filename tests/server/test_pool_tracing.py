@@ -27,8 +27,7 @@ def _workload(count: int = 6) -> list[BatchQuery]:
 
 
 def _tree_checks(tracer: SpanTracer, expected_queries: int):
-    snap = tracer.as_dict()
-    spans = snap["spans"]
+    spans = tracer.spans
     (batch,) = [s for s in spans if s["name"] == "batch"]
     queries = [s for s in spans if s["name"] == "query"]
     assert len(queries) == expected_queries
@@ -50,7 +49,7 @@ def _tree_checks(tracer: SpanTracer, expected_queries: int):
         assert s["ts"] + s["dur"] <= parent["ts"] + parent["dur"] + eps, (
             s["name"], parent["name"],
         )
-    return snap, batch, queries
+    return spans, batch, queries
 
 
 class TestSequentialBatchTracing:
@@ -59,9 +58,9 @@ class TestSequentialBatchTracing:
         solver.tracer = tracer = SpanTracer()
         results = solver.solve_batch(_workload(), workers=1)
         assert all(r.trace is not None for r in results)
-        snap, batch, queries = _tree_checks(tracer, len(results))
+        spans, batch, queries = _tree_checks(tracer, len(results))
         assert batch["attrs"]["queries"] == len(results)
-        assert validate_chrome_trace(chrome_trace(snap)) == len(snap["spans"])
+        assert validate_chrome_trace(chrome_trace(tracer)) == len(spans)
 
     def test_own_tracer_removed_after_batch(self, sj_solver):
         """The batch leaves the solver's tracer as it found it: neither
@@ -78,13 +77,6 @@ class TestSequentialBatchTracing:
         results = solver.solve_batch(_workload(2), workers=1)
         assert all(r.trace is None for r in results)
 
-    def test_sampling_stride_respected(self, sj_solver):
-        _, solver = sj_solver
-        solver.tracer = SpanTracer(sample_every=2)
-        results = solver.solve_batch(_workload(4), workers=1)
-        traced = [r.trace is not None for r in results]
-        assert traced == [True, False, True, False]
-
 
 class TestParallelBatchTracing:
     def test_worker_spans_reroot_with_foreign_pids(self, sj_solver):
@@ -93,17 +85,17 @@ class TestParallelBatchTracing:
         solver.tracer = tracer = SpanTracer()
         results = solver.solve_batch(_workload(8), workers=2)
         assert all(r.trace is not None for r in results)
-        snap, batch, queries = _tree_checks(tracer, len(results))
+        spans, batch, queries = _tree_checks(tracer, len(results))
         pids = {q["pid"] for q in queries}
         # forked workers recorded under their own pids, none of them ours
         assert os.getpid() not in pids
         assert len(pids) >= 1  # >=2 usually, but sharding may starve one
         assert batch["pid"] == os.getpid()
         # warmup phase recorded in the parent, under the batch span
-        (warmup,) = [s for s in snap["spans"] if s["name"] == "warmup"]
+        (warmup,) = [s for s in spans if s["name"] == "warmup"]
         assert warmup["parent"] == batch["id"]
-        doc = chrome_trace(snap)
-        assert validate_chrome_trace(doc) == len(snap["spans"])
+        doc = chrome_trace(tracer)
+        assert validate_chrome_trace(doc) == len(spans)
         lanes = {e["pid"] for e in doc["traceEvents"]}
         assert len(lanes) >= 2  # parent lane + at least one worker lane
 
