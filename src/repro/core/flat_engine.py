@@ -7,11 +7,11 @@ per-search state in the pooled, generation-stamped buffers of
 :mod:`repro.pathing.flat`.  This module holds what the iteratively
 bounding algorithms keep *across* searches of one query:
 
-* :class:`FlatQueryContext` — the per-query bundle every ``TestLB``
-  runs from: the search graph and the heuristic resolved once into a
-  dense vector (``h[v]`` by index, no closure call); each test hands
-  the subspace prefix to the kernel, which pre-stamps it in
-  ``O(|prefix|)``;
+* :func:`make_test_lb` — the ``TestLB`` closure every test of a query
+  runs: the search graph and a heuristic already resolved into a
+  dense vector (``h[v]`` by index, no closure call; see
+  :func:`dense_heuristic`); each test hands the subspace prefix to the
+  kernel, which pre-stamps it in ``O(|prefix|)``;
 * :class:`FlatIncrementalSPT` — Alg. 7 on pooled dist/parent/stamp
   arrays; its distance vector *is* the reverse search's heuristic
   array (settled = exact ``ds``, unsettled = ``inf`` = "outside the
@@ -40,7 +40,7 @@ from repro.pathing.flat import (
 )
 
 __all__ = [
-    "FlatQueryContext",
+    "make_test_lb",
     "FlatIncrementalSPT",
     "make_comp_lb",
     "make_comp_lb_children",
@@ -75,66 +75,49 @@ def dense_heuristic(
     return heuristic
 
 
-class FlatQueryContext:
-    """Per-query substrate shared by every ``TestLB`` of a query.
+def make_test_lb(
+    graph,
+    h: memoryview | list[float] | Callable[[int], float] | None,
+    goal: int,
+    stats: SearchStats | None,
+):
+    """The ``TestLB`` closure for
+    :func:`~repro.core.iter_bound.iter_bound_search`.
 
-    Construction densifies the heuristic once (or adopts ``h``, an
-    already-dense vector such as the incremental tree's ``ds``) for
-    searches on ``graph`` — a frozen
+    Runs :func:`~repro.pathing.astar.bounded_astar_path` toward
+    ``goal`` on ``graph`` — a frozen
     :class:`~repro.graph.digraph.DiGraph`, a ``G_Q`` overlay, or a
-    :class:`~repro.graph.digraph.ReversedView` of either.
-    :meth:`make_test_lb` returns the closure the iteratively bounding
-    driver calls thousands of times per query; each call hands the
-    subspace prefix straight to the kernel, which pre-stamps it into
-    its pooled scratch — no per-test set build and no per-edge
-    membership check.
+    :class:`~repro.graph.digraph.ReversedView` of either — with ``h``,
+    a heuristic already in its kernel form (:func:`dense_heuristic`'s
+    output, or the incremental tree's ``ds`` vector).  The iteratively
+    bounding driver calls it thousands of times per query; each call
+    hands the subspace prefix straight to the kernel, which pre-stamps
+    it into its pooled scratch — no per-test set build and no per-edge
+    membership check.  ``banned`` passes through as the subspace's
+    frozenset (it is only consulted on the source row, where a C-level
+    set lookup beats stamping).
     """
 
-    __slots__ = ("graph", "h")
+    def test_lb(subspace: Subspace, tau: float, info: dict):
+        prefix = subspace.prefix
+        # The whole prefix (head included) goes in as blocked: the
+        # kernel re-opens its source after stamping, so this equals
+        # blocking prefix[:-1] while saving a tuple slice per test.
+        return bounded_astar_path(
+            graph,
+            prefix[-1],
+            goal,
+            h,
+            tau,
+            blocked=prefix if len(prefix) > 1 else _EMPTY,
+            banned_first_hops=subspace.banned,
+            initial_distance=subspace.prefix_weight,
+            stats=stats,
+            info=info,
+            collect_dists=True,
+        )
 
-    def __init__(
-        self,
-        graph,
-        heuristic=None,
-        h: memoryview | list[float] | Callable[[int], float] | None = None,
-        metrics=None,
-    ) -> None:
-        self.graph = graph
-        self.h = h if h is not None else dense_heuristic(heuristic, graph.n)
-        if metrics is not None:
-            metrics.inc("flat_query_contexts")
-
-    def make_test_lb(self, goal: int, stats: SearchStats | None):
-        """The ``TestLB`` closure for :func:`iter_bound_search`.
-
-        Runs :func:`~repro.pathing.astar.bounded_astar_path` with the
-        context's graph and dense heuristic.  ``banned`` passes through
-        as the subspace's frozenset (it is only consulted on the
-        source row, where a C-level set lookup beats stamping).
-        """
-        graph = self.graph
-        h = self.h
-
-        def test_lb(subspace: Subspace, tau: float, info: dict):
-            prefix = subspace.prefix
-            # The whole prefix (head included) goes in as blocked: the
-            # kernel re-opens its source after stamping, so this equals
-            # blocking prefix[:-1] while saving a tuple slice per test.
-            return bounded_astar_path(
-                graph,
-                prefix[-1],
-                goal,
-                h,
-                tau,
-                blocked=prefix if len(prefix) > 1 else _EMPTY,
-                banned_first_hops=subspace.banned,
-                initial_distance=subspace.prefix_weight,
-                stats=stats,
-                info=info,
-                collect_dists=True,
-            )
-
-        return test_lb
+    return test_lb
 
 
 class FlatIncrementalSPT:
@@ -157,11 +140,14 @@ class FlatIncrementalSPT:
     search over the overlay rows.  Only virtual nodes read the overlay.
 
     The persistent queue (the paper's ``Q_T``) survives across
-    :meth:`grow` calls; :meth:`close` returns the pooled buffers.
+    :meth:`grow` calls; :attr:`queue_peak` is its largest size at the
+    end of a settle call (at least 1).  :meth:`close` returns the
+    pooled buffers.
     """
 
     __slots__ = (
         "h",
+        "queue_peak",
         "_graph",
         "_base_rows",
         "_rows",
@@ -182,8 +168,6 @@ class FlatIncrementalSPT:
         "_dest_dists",
         "_dest_cache",
         "_stats",
-        "_metrics",
-        "_heap_peak",
     )
 
     def __init__(
@@ -191,7 +175,6 @@ class FlatIncrementalSPT:
         query_graph: QueryGraph,
         target_bounds,
         stats: SearchStats | None = None,
-        metrics=None,
     ) -> None:
         graph = query_graph.graph
         source = query_graph.source
@@ -221,8 +204,7 @@ class FlatIncrementalSPT:
         self._dest_dists: list[float] = []
         self._dest_cache: tuple[np.ndarray, np.ndarray] | None = None
         self._stats = stats
-        self._metrics = metrics
-        self._heap_peak = 1
+        self.queue_peak = 1
         self._dist[source] = 0.0
         self._stamp[source] = self._gen
         key = 0.0 if tb is None else 0.0 + tb[source]
@@ -325,10 +307,10 @@ class FlatIncrementalSPT:
             # (the initial source push is counted in ``__init__``).
             stats.heap_pushes += relaxed
             stats.heap_pops += pops
-        if self._metrics is not None and len(heap) > self._heap_peak:
-            # The queue peak at phase boundaries — one check per grow
+        if len(heap) > self.queue_peak:
+            # The queue peak at phase boundaries — one check per settle
             # call, not per settled node.
-            self._heap_peak = len(heap)
+            self.queue_peak = len(heap)
         return found
 
     def build_initial(self, target: int) -> tuple[tuple[int, ...], float] | None:
@@ -397,11 +379,6 @@ class FlatIncrementalSPT:
 
     def close(self) -> None:
         """Return the pooled buffers; the tree must not be used after."""
-        metrics = self._metrics
-        if metrics is not None:
-            metrics.set_gauge("spt_heap_peak", self._heap_peak)
-            metrics.set_gauge("spt_settled_peak", len(self._settled_order))
-            metrics.set_gauge("flat_scratch_stamp_gen", self._gen)
         if self._scratch is not None:
             release_scratch(self._scratch)
             self._scratch = None

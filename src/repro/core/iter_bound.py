@@ -26,7 +26,7 @@ from itertools import count
 from time import perf_counter
 from typing import Callable
 
-from repro.core.flat_engine import FlatQueryContext
+from repro.core.flat_engine import dense_heuristic, make_test_lb
 from repro.core.result import Path
 from repro.core.stats import SearchStats
 from repro.core.subspace import Subspace, compute_lower_bound, divide
@@ -54,7 +54,6 @@ def iter_bound_search(
     | None = None,
     comp_lb_children: Callable | None = None,
     initial_dists: list[float] | None = None,
-    metrics=None,
     record=None,
     bound_kind: str | None = None,
 ) -> list[Path]:
@@ -86,9 +85,9 @@ def iter_bound_search(
         ``test_lb(subspace, tau, info)`` and expected to honour the
         same contract as :func:`~repro.pathing.astar.bounded_astar_path`
         (``(tail, length)`` within ``tau`` or ``None`` with
-        ``info["pruned"]`` set).  Defaults to the closure of a
-        :class:`~repro.core.flat_engine.FlatQueryContext` over
-        ``graph`` and ``heuristic``; the ``SPT_I`` driver supplies one
+        ``info["pruned"]`` set).  Defaults to
+        :func:`~repro.core.flat_engine.make_test_lb` over ``graph`` and
+        ``heuristic`` densified once; the ``SPT_I`` driver supplies one
         over its incremental tree here.
     comp_lb_children:
         Optional batched division: called as
@@ -102,10 +101,6 @@ def iter_bound_search(
         weight of ``path[: i + 1]`` accumulated left-to-right exactly
         as ``divide`` would.  Lets the first (largest) division skip
         the per-hop ``edge_weight`` walk.
-    metrics:
-        Optional :class:`~repro.obs.metrics.MetricsRegistry` receiving
-        the subspace-queue peak gauge (``iterbound_queue_peak``).
-        Phase times never go here: they are the sums of ``record``.
     record:
         Optional per-query record (:func:`~repro.obs.tracing.new_record`).
         Each interval is timed once and appended as one event (fields
@@ -113,8 +108,8 @@ def iter_bound_search(
         initial shortest path is computed here, then per queue pop an
         ``spt_grow`` (time inside ``before_test``) and a ``test_lb``,
         or a ``division``, each carrying its pop, and last the
-        ``iter_bound`` container.  Disabled cost is one ``None`` check
-        per site.
+        ``iter_bound`` container with the subspace queue's peak size.
+        Disabled cost is one ``None`` check per site.
     bound_kind:
         Which bound family backs ``heuristic``/``comp_lb``
         (``"landmark"``, ``"global"``, ``"spt_p"``, ``"spt_i"``) —
@@ -132,9 +127,8 @@ def iter_bound_search(
     if test_lb is None:
         # Resolve the heuristic into its dense form once per query
         # instead of once per TestLB.
-        ctx = FlatQueryContext(graph, heuristic)
-        test_lb = ctx.make_test_lb(goal, stats)
-        search_h = ctx.h
+        search_h = dense_heuristic(heuristic, graph.n)
+        test_lb = make_test_lb(graph, search_h, goal, stats)
 
     append = None if record is None else record["events"].append
     if append is not None:
@@ -185,7 +179,7 @@ def iter_bound_search(
     queue_peak = 1
     try:
         while queue and len(results) < k:
-            if metrics is not None and len(queue) > queue_peak:
+            if append is not None and len(queue) > queue_peak:
                 queue_peak = len(queue)
             bound, _, subspace, found = heappop(queue)
             if found is not None:
@@ -280,14 +274,13 @@ def iter_bound_search(
         stats.lb_test_hits += n_test_hits
         stats.lb_test_misses += n_test_misses
         stats.lb_test_retires += n_test_retires
-        if metrics is not None:
-            metrics.set_gauge("iterbound_queue_peak", queue_peak)
     leftover = sum(1 for entry in queue if entry[3] is None)
     stats.subspaces_pruned += leftover
     if append is not None:
-        append(
-            ("iter_bound", t_begin, perf_counter(), (bound_kind, leftover, len(results)))
-        )
+        append((
+            "iter_bound", t_begin, perf_counter(),
+            (bound_kind, leftover, len(results), queue_peak),
+        ))
     return results
 
 
@@ -297,7 +290,6 @@ def iter_bound(
     heuristic: Callable[[int], float],
     alpha: float = 1.1,
     stats: SearchStats | None = None,
-    metrics=None,
     record=None,
 ) -> list[Path]:
     """The plain (index-free) ``IterBound`` on a query transform.
@@ -315,7 +307,6 @@ def iter_bound(
         heuristic,
         alpha=alpha,
         stats=stats,
-        metrics=metrics,
         record=record,
         bound_kind="global" if isinstance(heuristic, ZeroBounds) else "landmark",
     )

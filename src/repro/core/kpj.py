@@ -61,7 +61,7 @@ from repro.landmarks.index import ZERO_BOUNDS, LandmarkIndex
 from repro.obs.log import QueryLogger, new_query_id
 from repro.obs.memory import MemoryTelemetry, scratch_pool_bytes
 from repro.obs.metrics import SEARCH_PHASES, MetricsRegistry, maybe_phase
-from repro.obs.tracing import SpanTracer, new_record, phase_totals
+from repro.obs.tracing import SpanTracer, fold, new_record
 
 __all__ = [
     "KPJSolver",
@@ -80,17 +80,16 @@ class QueryContext:
 
     ``target_bounds``/``source_bounds`` are the Eq. (2)-style landmark
     bound vectors (or the zero bound); ``alpha`` is the iteratively
-    bounding growth factor; ``stats`` collects instrumentation;
-    ``metrics`` is the per-query registry (gauges and counters) and
-    ``record`` the per-query event record (``None`` when observability
-    is off — implementations must guard on that, never allocate).
+    bounding growth factor; ``stats`` collects the work counters and
+    ``record`` is the per-query event record (``None`` when
+    observability is off — implementations must guard on that, never
+    allocate).  The two are all an implementation reports to.
     """
 
     target_bounds: Callable[[int], float]
     source_bounds: Callable[[int], float]
     alpha: float
     stats: SearchStats
-    metrics: MetricsRegistry | None = None
     record: dict | None = None
 
 
@@ -109,7 +108,7 @@ def _run_best_first(qg: QueryGraph, k: int, ctx: QueryContext) -> list[Path]:
 def _run_iter_bound(qg: QueryGraph, k: int, ctx: QueryContext) -> list[Path]:
     return iter_bound(
         qg, k, ctx.target_bounds, alpha=ctx.alpha, stats=ctx.stats,
-        metrics=ctx.metrics, record=ctx.record,
+        record=ctx.record,
     )
 
 
@@ -123,21 +122,21 @@ def _run_iter_bound_sptp(qg: QueryGraph, k: int, ctx: QueryContext) -> list[Path
         source_bounds = eager()
     return iter_bound_sptp(
         qg, k, ctx.target_bounds, source_bounds, alpha=ctx.alpha, stats=ctx.stats,
-        metrics=ctx.metrics, record=ctx.record,
+        record=ctx.record,
     )
 
 
 def _run_iter_bound_spti(qg: QueryGraph, k: int, ctx: QueryContext) -> list[Path]:
     return iter_bound_spti(
         qg, k, ctx.target_bounds, ctx.source_bounds, alpha=ctx.alpha, stats=ctx.stats,
-        metrics=ctx.metrics, record=ctx.record,
+        record=ctx.record,
     )
 
 
 def _run_iter_bound_spti_nl(qg: QueryGraph, k: int, ctx: QueryContext) -> list[Path]:
     return iter_bound_spti(
         qg, k, ZERO_BOUNDS, ZERO_BOUNDS, alpha=ctx.alpha, stats=ctx.stats,
-        metrics=ctx.metrics, record=ctx.record,
+        record=ctx.record,
     )
 
 
@@ -179,10 +178,15 @@ class KPJSolver:
         graph).
     metrics:
         Optional :class:`~repro.obs.metrics.MetricsRegistry`.  When
-        set, every query records phase wall times (the sums of its
-        event record), counters, and gauges into it (each query runs
-        against a fresh per-query registry whose snapshot rides back
-        on ``QueryResult.metrics``, then merges here).  It is also the
+        set, every query folds its event record — phase wall times
+        and the search's queue peaks
+        (:func:`~repro.obs.tracing.fold`) — plus its counters and cache
+        gauges into a fresh per-query registry, whose snapshot rides
+        back on ``QueryResult.metrics`` and then merges here; the
+        query's latency goes into this registry's ``query_latency_ms``
+        alone.  The solver is the one place a registry is filled: the
+        search code reports to ``SearchStats`` and the record only.
+        Construction times the landmark build into it.  It is also the
         one sink of :meth:`solve_batch` at any worker count.  When
         ``None`` (default) the entire layer stays off — one ``is
         None`` check per site, no allocation.
@@ -255,10 +259,12 @@ class KPJSolver:
         self._prepared_cache: OrderedDict[tuple, PreparedCategory] = OrderedDict()
         self.stats = SearchStats()
         if isinstance(landmarks, int):
-            self.landmark_index: LandmarkIndex | None = LandmarkIndex.build(
-                graph, landmarks, strategy=landmark_strategy, seed=seed,
-                metrics=metrics,
-            )
+            with maybe_phase(metrics, "landmark_build"):
+                self.landmark_index: LandmarkIndex | None = LandmarkIndex.build(
+                    graph, landmarks, strategy=landmark_strategy, seed=seed
+                )
+            if metrics is not None:
+                metrics.set_gauge("landmark_matrix_bytes", self.landmark_index.nbytes)
         else:
             self.landmark_index = landmarks
 
@@ -519,7 +525,6 @@ class KPJSolver:
             source_bounds=source_bounds,
             alpha=alpha,
             stats=stats,
-            metrics=qreg,
             record=record,
         )
         t_search = perf_counter()
@@ -527,13 +532,12 @@ class KPJSolver:
             raw = run(qg, k, ctx)
             # Stripping the virtual endpoints finishes the search's
             # answer, so it, the one merge into the solver's lifetime
-            # stats and the sum of the record's phases count toward
-            # search_other below.
+            # stats and the fold of the record's phases and peaks count
+            # toward search_other below.
             paths = [Path(length=p.length, nodes=qg.strip(p.nodes)) for p in raw]
             self.stats.merge(stats)
             if qreg is not None:
-                for name, (seconds, calls) in phase_totals(record).items():
-                    qreg.observe_phase(name, seconds, calls)
+                fold(qreg, record)
         t_end = perf_counter()
         elapsed_ms = (t_end - t_start) * 1000.0
         snapshot = None
@@ -546,7 +550,6 @@ class KPJSolver:
                 max(0.0, t_end - t_search - qreg.phase_seconds(SEARCH_PHASES)),
             )
             qreg.inc("queries")
-            qreg.observe("query_latency_ms", elapsed_ms)
             if self.memory is not None:
                 # Byte gauges: idle scratch buffers pooled on the base
                 # graph (searches on every G_Q overlay share them).
@@ -555,6 +558,10 @@ class KPJSolver:
                 self.memory.record_gauges(qreg)
             snapshot = qreg.as_dict()
             self.metrics.merge(qreg)
+            # Into the solver's registry only: a one-sample histogram
+            # would double every snapshot's size (a service observes
+            # the latency of the results it merges itself).
+            self.metrics.observe("query_latency_ms", elapsed_ms)
         trace = None
         if self.tracer is not None:
             trace = record

@@ -32,9 +32,9 @@ from typing import Callable
 
 from repro.core.flat_engine import (
     FlatIncrementalSPT,
-    FlatQueryContext,
     make_comp_lb,
     make_comp_lb_children,
+    make_test_lb,
 )
 from repro.core.iter_bound import iter_bound_search
 from repro.core.result import Path
@@ -51,7 +51,6 @@ def iter_bound_spti(
     source_bounds: Callable[[int], float],
     alpha: float = 1.1,
     stats: SearchStats | None = None,
-    metrics=None,
     record=None,
 ) -> list[Path]:
     """Top-``k`` paths via the incremental-SPT iteratively bounding search.
@@ -66,31 +65,29 @@ def iter_bound_spti(
         (Section 6).
     source_bounds:
         ``lb(s, v)`` — Alg. 8's fallback for nodes outside the tree.
-    metrics:
-        Optional :class:`~repro.obs.metrics.MetricsRegistry` receiving
-        the tree's size gauges and the driver's.
     record:
-        Optional per-query record; the initial tree build becomes a
-        ``comp_sp`` event, then the driver's
-        ``spt_grow``/``test_lb``/``division`` events follow with
+        Optional per-query record; the driver's
+        ``spt_grow``/``test_lb``/``division`` events carry
         ``bound_kind="spt_i"`` (pruning is by exact tree distances;
-        Prop. 5.2).
+        Prop. 5.2), and the initial tree build becomes a ``comp_sp``
+        event appended last, once the tree has stopped growing, with
+        the tree's final size and queue peak.
 
     Returns paths in ``G_Q`` coordinates (source → … → virtual target).
     """
     stats = stats if stats is not None else SearchStats()
     gq = query_graph.graph
-    tree = FlatIncrementalSPT(query_graph, target_bounds, stats=stats, metrics=metrics)
+    tree = FlatIncrementalSPT(query_graph, target_bounds, stats=stats)
     reversed_graph = query_graph.reversed_graph()
-    ctx = FlatQueryContext(reversed_graph, h=tree.h, metrics=metrics)
+    events = None if record is None else record["events"]
+    built = None
     try:
         stats.shortest_path_computations += 1
-        events = None if record is None else record["events"]
         if events is not None:
             t0 = perf_counter()
         initial = tree.build_initial(query_graph.target)
         if events is not None:
-            events.append(("comp_sp", t0, perf_counter(), None))
+            built = perf_counter()
         if initial is None:
             return []
         first_path, first_length = initial
@@ -123,12 +120,11 @@ def iter_bound_spti(
             initial=(rev_first, first_length),
             comp_lb=comp_lb,
             before_test=tree.grow,
-            test_lb=ctx.make_test_lb(query_graph.source, stats),
+            test_lb=make_test_lb(reversed_graph, tree.h, query_graph.source, stats),
             comp_lb_children=make_comp_lb_children(
                 tree, in_adjacency, comp_lb, source_bounds
             ),
             initial_dists=init_dists,
-            metrics=metrics,
             record=record,
             bound_kind="spt_i",
         )
@@ -138,4 +134,8 @@ def iter_bound_spti(
             for p in reverse_paths
         ]
     finally:
+        if built is not None:
+            # Export nests events by interval, so the build's event can
+            # wait until the tree is done growing.
+            events.append(("comp_sp", t0, built, (len(tree), tree.queue_peak)))
         tree.close()

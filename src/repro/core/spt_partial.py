@@ -78,7 +78,6 @@ def iter_bound_sptp(
     source_bounds: Callable[[int], float],
     alpha: float = 1.1,
     stats: SearchStats | None = None,
-    metrics=None,
     record=None,
 ) -> list[Path]:
     """Top-``k`` paths via the iteratively bounding search over ``SPT_P``.
@@ -91,9 +90,6 @@ def iter_bound_sptp(
     source_bounds:
         Landmark bound ``lb(s, v)`` — Alg. 6's backward-A* priority
         term.
-    metrics:
-        Optional :class:`~repro.obs.metrics.MetricsRegistry` receiving
-        the tree-size gauge (``sptp_tree_nodes``) and the driver's.
     record:
         Optional per-query record; the Alg. 6 backward build (the
         query's one unconditional shortest-path computation *and* its
@@ -120,9 +116,7 @@ def iter_bound_sptp(
         stats=stats,
     )
     if events is not None:
-        events.append(("comp_sp", t0, perf_counter(), len(tree)))
-    if metrics is not None:
-        metrics.set_gauge("sptp_tree_nodes", len(tree))
+        events.append(("comp_sp", t0, perf_counter(), (len(tree),)))
     stats.spt_nodes = len(tree)
     if tree.source_path is None:
         return []
@@ -137,7 +131,6 @@ def iter_bound_sptp(
         alpha=alpha,
         stats=stats,
         initial=(tree.source_path, first_length),
-        metrics=metrics,
         record=record,
         bound_kind="spt_p",
     )

@@ -119,27 +119,6 @@ class SearchStats:
         """
         return {name: value for name, value in self.as_dict().items() if value}
 
-    def to_json(self) -> str:
-        """Stable JSON encoding (sorted keys) of :meth:`as_dict`.
-
-        Bench and regression artifacts persist stats with this instead
-        of hand-rolling dict conversions; :meth:`from_json` inverts it.
-        """
-        import json
-
-        return json.dumps(self.as_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SearchStats":
-        """Inverse of :meth:`to_json`.
-
-        Unknown keys raise :class:`TypeError` (a stats artifact from a
-        different schema version should fail loudly, not drop fields).
-        """
-        import json
-
-        return cls(**{name: int(value) for name, value in json.loads(text).items()})
-
 
 #: Counter names in declaration order: ``merge`` (once per query) and
 #: ``as_dict`` iterate this, not ``dataclasses.fields()`` per call.

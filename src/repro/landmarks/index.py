@@ -175,21 +175,13 @@ class LandmarkIndex:
         num_landmarks: int = 16,
         strategy: str = "farthest",
         seed: int = 0,
-        metrics=None,
     ) -> "LandmarkIndex":
         """Select landmarks and run one Dijkstra per landmark.
 
         ``num_landmarks=16`` is the paper's default (Fig. 6(a) shows it
         as the sweet spot on CAL).  The ``|L|`` offline runs are
-        whole-graph sweeps (scipy where it imports).  ``metrics``
-        (a :class:`~repro.obs.metrics.MetricsRegistry`) attributes the
-        offline cost to the ``landmark_build`` phase and records the
-        distance-matrix footprint as a gauge.
+        whole-graph sweeps (scipy where it imports).
         """
-        if metrics is not None:
-            from time import perf_counter
-
-            start = perf_counter()
         exported = graph.csr_cache
         landmarks = select_landmarks(graph, num_landmarks, strategy, seed)
         dist = np.empty((len(landmarks), graph.n), dtype=np.float64)
@@ -201,15 +193,17 @@ class LandmarkIndex:
             # would hold it for nothing (about 3 MB on FLA), so the
             # graph's cache is left as it was found.
             graph.csr_cache = None
-        if metrics is not None:
-            metrics.observe_phase("landmark_build", perf_counter() - start)
-            metrics.set_gauge("landmark_matrix_bytes", dist.nbytes)
         return cls(graph, landmarks, dist)
 
     @property
     def size(self) -> int:
         """Number of landmarks ``|L|``."""
         return len(self.landmarks)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the ``|L| x n`` distance matrix, the index's footprint."""
+        return self._dist.nbytes
 
     # ------------------------------------------------------------------
     # Bounds

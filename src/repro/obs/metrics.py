@@ -10,15 +10,14 @@ attribution:
   (``prepare`` / ``comp_sp`` / ``spt_grow`` / ``test_lb`` /
   ``division`` / ``search_other`` / ``warmup`` / ``landmark_build``),
   each recording total seconds and call count.  A query's phases are
-  the sums of its event record (:func:`repro.obs.tracing.phase_totals`),
-  added once per phase with :meth:`MetricsRegistry.observe_phase`;
-  phases outside a query use the :meth:`MetricsRegistry.phase_timer`
-  context manager;
+  the sums of its event record, and its search peaks that record's
+  peak attributes, both added once per query by
+  :func:`repro.obs.tracing.fold`; phases outside a query use the
+  :meth:`MetricsRegistry.phase_timer` context manager;
 * **counters** — monotonically increasing event counts;
-* **gauges** — size/peak measurements (heap peaks, scratch-array
-  stamp generations, cache bytes).  Gauges record *peaks*: setting a
-  gauge keeps the maximum seen, and merging two registries takes the
-  per-gauge max;
+* **gauges** — size/peak measurements (queue peaks, cache and matrix
+  bytes).  Gauges record *peaks*: setting a gauge keeps the maximum
+  seen, and merging two registries takes the per-gauge max;
 * **histograms** — fixed-bucket latency distributions with quantile
   estimation (p50/p95/p99 for batch reports).
 
@@ -32,11 +31,12 @@ strict parser the CI smoke job uses.
 
 A registry is the aggregate view of the per-query event record
 (:mod:`repro.obs.tracing`): attaching one to a solver turns the record
-on, and each query's phases are summed from it inside the query's
-search interval, then the record is dropped unless a tracer keeps it.
-Every service worker runs that way.  The disabled path costs one
-``None`` check per site: nothing in this module is imported on a
-query's hot path unless a registry was explicitly attached.
+on, and each query's record is folded into it inside the query's
+search interval, then dropped unless a tracer keeps it.  Every service
+worker runs that way.  The search code never sees a registry: it
+reports to its :class:`~repro.core.stats.SearchStats` and its record
+alone, and :class:`~repro.core.kpj.KPJSolver` fills the per-query
+registry.  The disabled path costs one ``None`` check per site.
 """
 
 from __future__ import annotations
@@ -349,25 +349,6 @@ class MetricsRegistry:
         for name, hist in data.get("histograms", {}).items():
             reg.histograms[name] = Histogram.from_dict(hist)
         return reg
-
-    def to_json(self) -> str:
-        """Stable JSON encoding (sorted keys) of :meth:`as_dict`.
-
-        The persistence form for run artifacts (bench reports,
-        regression baselines); :meth:`from_json` inverts it exactly —
-        a round-tripped registry merges, reports, and renders
-        identically to the original.
-        """
-        import json
-
-        return json.dumps(self.as_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "MetricsRegistry":
-        """Inverse of :meth:`to_json`."""
-        import json
-
-        return cls.from_dict(json.loads(text))
 
     def report(self) -> dict:
         """The structured run report (``--metrics json`` payload).

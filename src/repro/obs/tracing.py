@@ -11,8 +11,9 @@ interval once and appends one event tuple to the query's **record**,
 
 with :func:`time.perf_counter` times (``CLOCK_MONOTONIC``: one
 machine-wide clock, so parent- and worker-process records share a
-timeline).  The solver sums a record's phase events into its per-query
-registry (:func:`phase_totals`, the one summing rule) and, when a
+timeline).  The solver folds a record into its per-query registry —
+the sums of its phase events (:func:`phase_totals`, the one summing
+rule) and its peaks (:data:`PEAKS`), with :func:`fold` — and, when a
 :class:`SpanTracer` is attached, keeps it.  Nothing in a record names
 a parent: containers (``query``, ``search``, ``iter_bound``,
 ``batch``) are appended when they close, after their children, and
@@ -50,6 +51,7 @@ from typing import Mapping
 
 __all__ = [
     "EVENTS",
+    "PEAKS",
     "RECORDS_KEPT",
     "SpanTracer",
     "new_record",
@@ -61,6 +63,7 @@ __all__ = [
     "folded_stacks",
     "phase_totals",
     "phase_durations",
+    "fold",
 ]
 
 #: Records a :class:`SpanTracer` keeps, newest last.
@@ -77,14 +80,28 @@ EVENTS: dict[str, tuple[str, tuple[str, ...]]] = {
     "query": ("query", ("algorithm", "k", "query_id", "paths")),
     "prepare": ("phase", ("cache",)),
     "search": ("search", ()),
-    "iter_bound": ("search", ("bound_kind", "leftover", "results")),
+    "iter_bound": ("search", ("bound_kind", "leftover", "results", "queue_peak")),
     "iterate": ("search", ("prefix", "depth", "lb", "verdict", "length")),
-    "comp_sp": ("phase", ("tree_nodes",)),
+    "comp_sp": ("phase", ("tree_nodes", "queue_peak")),
     "spt_grow": ("phase", ("tau",)),
     "test_lb": ("phase", ("depth", "lb", "tau", "verdict")),
     "division": ("phase", ("depth", "children", "pruned")),
     "batch": ("batch", ("queries", "workers")),
     "warmup": ("phase", ()),
+}
+
+#: Event name -> ``(attribute, gauge)``: the peak an event carries and
+#: the registry gauge :func:`fold` keeps its largest value in — the
+#: subspace queue of Alg. 4 and the incremental tree's queue of Alg. 7.
+PEAKS: dict[str, tuple[str, str]] = {
+    "iter_bound": ("queue_peak", "iterbound_queue_peak"),
+    "comp_sp": ("queue_peak", "spt_heap_peak"),
+}
+
+#: Event name -> ``(index into attrs, gauge)``, from :data:`PEAKS`.
+_PEAK_SLOTS = {
+    name: (EVENTS[name][1].index(attr), gauge)
+    for name, (attr, gauge) in PEAKS.items()
 }
 
 #: The leaves :func:`phase_totals` sums; containers never double-count.
@@ -471,7 +488,7 @@ def phase_totals(trace) -> dict[str, list]:
     (``prepare``/``comp_sp``/``spt_grow``/``test_lb``/``division``/…)
     — so containers (``query``, ``search``, ``iter_bound``) never
     double-count their children.  Reads the events directly, without
-    building spans: the solver sums every recorded query's phases into
+    building spans: :func:`fold` adds every recorded query's phases to
     its per-query registry with this.
     """
     totals: dict[str, list] = {}
@@ -493,3 +510,22 @@ def phase_durations(trace) -> dict[str, float]:
     what the perf-regression harness feeds its per-phase percentiles
     from."""
     return {name: seconds for name, (seconds, _) in phase_totals(trace).items()}
+
+
+def fold(registry, record) -> None:
+    """Add one record's phase sums and peaks to ``registry``.
+
+    Phases are :func:`phase_totals`' ``[seconds, calls]``; each peak
+    of :data:`PEAKS` that an event carries sets its gauge, which keeps
+    the maximum.  An event may stop short of its peak (an ``iter_bound``
+    that found no first path, ``SPT_P``'s ``comp_sp``).  Accepts a
+    record revived from JSON, whose tuples are lists.  The solver folds
+    every recorded query into its per-query registry with this, inside
+    the query's ``search`` interval.
+    """
+    for name, (seconds, calls) in phase_totals(record).items():
+        registry.observe_phase(name, seconds, calls)
+    for name, _, _, attrs in record["events"]:
+        slot = _PEAK_SLOTS.get(name)
+        if slot is not None and attrs is not None and len(attrs) > slot[0]:
+            registry.set_gauge(slot[1], attrs[slot[0]])

@@ -57,8 +57,9 @@ retired, the segments unlinked, and the solver's ``csr_cache`` and
 
 Telemetry is the stack every other surface already uses: a
 :class:`~repro.obs.metrics.MetricsRegistry` holding the service
-counters, log-spaced ``queue_wait_ms``/``service_ms`` histograms, the
-one-time ``warmup`` phase, and the merge of every per-query snapshot
+counters, log-spaced ``queue_wait_ms``/``service_ms`` histograms and
+the ``query_latency_ms`` one (a snapshot carries none), the one-time
+``warmup`` phase, and the merge of every per-query snapshot
 (``worker_<i>_queries`` tags included); ``stats``, the sum of every
 result's :class:`~repro.core.stats.SearchStats`; Prometheus exposition
 via :meth:`QueryService.render_prom`, which folds ``stats`` in;
@@ -476,6 +477,9 @@ class QueryService:
         self._started = False
         self._closed = False
         self._started_at: float | None = None
+        #: ``(start, end)`` of the one-time start, timed once: the
+        #: ``warmup`` phase and a batch's ``warmup`` event both read it.
+        self.warmup_interval: tuple[float, float] | None = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -629,7 +633,9 @@ class QueryService:
         # One-time cost — shared-memory export, prewarm, forks and
         # handshakes — lands under the ``warmup`` phase, so "paid once
         # at startup" is visible in the exposition.
-        self.metrics.observe_phase("warmup", perf_counter() - started)
+        ended = perf_counter()
+        self.warmup_interval = (started, ended)
+        self.metrics.observe_phase("warmup", ended - started)
         self._started_at = perf_counter()
         self._queues = [asyncio.Queue() for _ in range(self.workers)]
         self._drivers = [
@@ -776,7 +782,9 @@ class QueryService:
     def _prepare_key(category, destinations) -> tuple:
         if category is not None:
             return ("category", category)
-        return ("destinations", tuple(destinations or ()))
+        # The set, as the worker's cache keys it: any order of the
+        # same nodes routes to the worker that holds it warm.
+        return ("destinations", tuple(sorted(set(destinations or ()))))
 
     def _query_key(self, query: BatchQuery) -> tuple:
         return self._prepare_key(query.category, query.destinations)
@@ -859,6 +867,7 @@ class QueryService:
         self.metrics.observe(
             "service_ms", result.elapsed_ms, buckets=LOADTEST_LATENCY_BUCKETS_MS
         )
+        self.metrics.observe("query_latency_ms", result.elapsed_ms)
         self.stats.merge(result.stats)
         if result.metrics is not None:
             self.metrics.merge(result.metrics)
@@ -952,7 +961,8 @@ def run_batch(solver, queries: Sequence, workers: int = 1) -> list:
     worker count.  Its ``stats`` receive every result's counters (on
     the service path, ``service.stats`` after shutdown) and the
     prewarm's cache lookups.  Its ``metrics`` registry receives every
-    per-query snapshot and one ``queue_wait_ms`` sample per query; a
+    per-query snapshot and one ``query_latency_ms`` and one
+    ``queue_wait_ms`` sample per query; a
     multi-worker batch merges the service registry in after shutdown,
     which adds the one-time ``warmup`` phase, the service counters,
     per-worker ``worker_<i>_queries`` tags and the prewarm's cache
@@ -1033,11 +1043,10 @@ def _solve_on_service(
     service = QueryService(
         solver, workers=workers, max_pending=len(batch), prewarm=prewarm
     )
-    t_warm = perf_counter()
     service.start()
     try:
         if record is not None:
-            record["events"].append(("warmup", t_warm, perf_counter(), None))
+            record["events"].append(("warmup", *service.warmup_interval, None))
         futures = [service.submit(q) for q in batch]
         results: list = []
         failure: Exception | None = None

@@ -21,7 +21,7 @@ import random
 import pytest
 
 from repro.baselines.brute_force import brute_force_topk
-from repro.core.flat_engine import FlatQueryContext, dense_heuristic
+from repro.core.flat_engine import dense_heuristic, make_test_lb
 from repro.core.iter_bound import iter_bound_search
 from repro.core.spt_incremental import iter_bound_spti
 from repro.core.stats import SearchStats
@@ -289,7 +289,7 @@ class TestEngineEquivalence:
         assert [dense[v] for v in range(g.n)] == [tb(v) for v in range(g.n)]
 
     def test_query_context_blocked_prefix_equals_dict_blocked(self):
-        # One subspace, tested through FlatQueryContext (whole prefix
+        # One subspace, tested through make_test_lb (whole prefix
         # blocked, head re-opened) vs the kernel given prefix[:-1].
         g = DiGraph.from_edges(
             7,
@@ -308,7 +308,7 @@ class TestEngineEquivalence:
         sub = Subspace(
             prefix=(0, 1, 2, 3), banned=frozenset((4,)), prefix_weight=3.0
         )
-        test_lb = FlatQueryContext(g, None).make_test_lb(6, None)
+        test_lb = make_test_lb(g, None, 6, None)
         flat_info: dict = {}
         flat_hit = test_lb(sub, 100.0, flat_info)
         dict_info: dict = {}

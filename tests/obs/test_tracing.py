@@ -418,7 +418,7 @@ class TestDisabledHotPath:
             raise AssertionError("record made on the disabled path")
 
         monkeypatch.setattr(kpj_module, "new_record", boom)
-        monkeypatch.setattr(kpj_module, "phase_totals", boom)
+        monkeypatch.setattr(kpj_module, "fold", boom)
         solver = make_solver(sj)
         for algorithm in ("iter-bound", "iter-bound-sptp", "iter-bound-spti"):
             result = solver.top_k(3, category="T2", k=5, algorithm=algorithm)

@@ -224,15 +224,17 @@ class TestMetricsAggregation:
         for r in results:
             assert r.metrics is not None
             expected.merge(r.metrics)
-        # The queue-wait histogram is recorded parent-side (workers
-        # cannot know the enqueue time), so it is the one series the
-        # per-query snapshots never contain.
+        # The two histograms are recorded into the solver's registry
+        # alone (workers cannot know the enqueue time, and a
+        # one-sample latency histogram would double every snapshot),
+        # so they are the series the per-query snapshots never contain.
         queue_wait = agg.histograms.pop("queue_wait_ms")
         assert queue_wait.total == len(queries)
-        # No fork, no warm-up: the aggregate IS the sum of snapshots.
+        latency = agg.histograms.pop("query_latency_ms")
+        assert latency.total == len(queries)
+        # No fork, no warm-up: the rest IS the sum of snapshots.
         assert agg.as_dict() == expected.as_dict()
         assert agg.counters["queries"] == len(queries)
-        assert agg.histograms["query_latency_ms"].total == len(queries)
 
     def test_parallel_aggregate_is_snapshots_plus_warmup(self, sj_solver):
         dataset, solver = sj_solver
@@ -355,6 +357,7 @@ class TestWorkerCountParity:
         par, par_spans, par_stats = self._observed_batch(dataset, queries, 2)
         for registry in (seq, par):
             assert registry.counters["queries"] == len(queries)
+            assert registry.histograms["query_latency_ms"].total == len(queries)
         for name in SEARCH_PHASES:
             assert seq.phases[name][1] == par.phases[name][1], name
         for spans in (seq_spans, par_spans):
@@ -370,6 +373,8 @@ class TestWorkerCountParity:
         assert not [s for s in seq_spans if s["name"] == "warmup"]
         (warmup,) = [s for s in par_spans if s["name"] == "warmup"]
         assert warmup["parent"] == batch["id"]
+        # The service times its start once, for both views.
+        assert warmup["dur"] == par.phases["warmup"][0]
         assert not [c for c in seq.counters if c.startswith("service_")]
         assert par.counters["service_queries"] == len(queries)
         assert _worker_tag_total(seq) == (0, set())

@@ -100,6 +100,24 @@ def test_destination_set_keys_coalesce_by_set(sj):
     assert counters["service_prepares_coalesced"] == 1
 
 
+def test_destination_order_does_not_split_a_key(sj):
+    # The worker's cache keys a destination set sorted and deduplicated;
+    # routing must too, or the reordered set lands cold elsewhere.
+    dataset, _ = sj
+    solver = _solver(dataset)
+    nodes = dataset.categories.nodes_of("T2")[:5]
+    with QueryService(solver, workers=2) as service:
+        for order in (nodes, tuple(reversed(nodes))):
+            assert service.query(
+                BatchQuery(source=1, destinations=order, k=3)
+            ).paths
+        counters = dict(service.metrics.counters)
+        stats = service.stats
+    assert counters["service_prepares"] == 1
+    assert counters["service_prepares_coalesced"] == 1
+    assert (stats.prepared_cache_hits, stats.prepared_cache_misses) == (1, 1)
+
+
 def test_prewarmed_key_never_pays_a_prepare(sj):
     dataset, _ = sj
     solver = _solver(dataset)
