@@ -21,8 +21,8 @@ The same pacing loop drives both ways of reaching the service:
   snapshot and the ``warmup`` phase from the server's ``/status``
   report.
 
-Every query comes back with its metrics snapshot and epoch-rebased
-timing carrying its ``queue_wait_s``, so queue wait and service time
+Every query comes back with its metrics snapshot and serving timing
+carrying its ``queue_wait_s``, so queue wait and service time
 are attributed separately without any new timers on the query path.
 Entries record ``target: service``; the baseline lookup
 (:func:`repro.bench.trajectory.latest` on the exact spec plus

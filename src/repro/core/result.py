@@ -81,15 +81,15 @@ class QueryResult:
         Serving-side timestamps stamped by
         :func:`~repro.server.service.run_batch`, the resident
         :class:`~repro.server.service.QueryService`, and the load-test
-        replay engine: ``enqueued_at_s``/``started_at_s`` monotonic
-        offsets from the process-wide
-        :func:`~repro.server.epoch.service_epoch` plus the derived
-        ``queue_wait_s``, so queue wait is attributable separately
-        from the service time in :attr:`elapsed_ms` and offsets from
-        different batches and surfaces share one timeline.  ``None``
-        outside batch/service/load-test serving.  A plain dict —
-        workers stamp their half (``started_at_s``) and the parent
-        merges the enqueue side after results cross the fork boundary.
+        replay engine: ``enqueued_at_s``/``started_at_s`` in
+        ``perf_counter`` seconds — the clock of the events in
+        :attr:`trace`, one machine-wide monotonic clock under fork —
+        plus the derived ``queue_wait_s``, so queue wait is
+        attributable separately from the service time in
+        :attr:`elapsed_ms`.  ``None`` outside batch/service/load-test
+        serving.  A plain dict — workers stamp their half
+        (``started_at_s``) and the parent adds the enqueue side after
+        results cross the fork boundary.
     """
 
     paths: list[Path]

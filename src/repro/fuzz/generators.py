@@ -179,18 +179,6 @@ class FuzzCase:
 # ----------------------------------------------------------------------
 # Edge-set shapes
 # ----------------------------------------------------------------------
-def _dedup(edges: list[tuple[int, int, float]]) -> list[tuple[int, int, float]]:
-    """Keep the first copy of each (u, v) pair (order-preserving)."""
-    seen: set[tuple[int, int]] = set()
-    out = []
-    for u, v, w in edges:
-        if (u, v) in seen:
-            continue
-        seen.add((u, v))
-        out.append((u, v, w))
-    return out
-
-
 def _weight(rng: random.Random, zero_prob: float = 0.1) -> float:
     """A small non-negative integer weight (ties are common on purpose)."""
     if rng.random() < zero_prob:

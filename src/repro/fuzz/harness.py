@@ -335,19 +335,3 @@ def self_check(
     clean = run_fuzz(seed=seed, cases=cases_per_mutation, shrink=False)
     outcomes["clean"] = clean.ok
     return outcomes
-
-
-def _rebuild_failure(data: dict) -> FuzzFailure:  # pragma: no cover - debug aid
-    """Inverse of :meth:`FuzzFailure.to_dict` (debugging helper)."""
-    case = FuzzCase.from_dict(data["case"])
-    original = (
-        FuzzCase.from_dict(data["original_case"])
-        if "original_case" in data
-        else case
-    )
-    return FuzzFailure(
-        case=case,
-        original=original,
-        mode=data.get("mode", "oracle"),
-        messages=tuple(data.get("failures", ())),
-    )

@@ -9,11 +9,10 @@ coalescing.  ``kpj serve`` exposes a long-lived service over HTTP
 :meth:`repro.core.kpj.KPJSolver.solve_batch` and ``kpj batch`` — and
 ``kpj loadtest`` start one for the call.
 
-All serving surfaces stamp ``QueryResult.timing`` offsets against the
-shared :func:`repro.server.epoch.service_epoch`.
+All serving surfaces stamp ``QueryResult.timing`` in ``perf_counter``
+seconds, the clock of every event in a query's record.
 """
 
-from repro.server.epoch import service_epoch
 from repro.server.service import (
     BatchQuery,
     DeadlineExceeded,
@@ -33,5 +32,4 @@ __all__ = [
     "WorkerDied",
     "active_segments",
     "run_batch",
-    "service_epoch",
 ]

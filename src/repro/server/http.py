@@ -15,7 +15,8 @@ tiny and JSON-first:
   ``category``/``destinations``/``k``/``algorithm``/``alpha``
   optional) plus ``timeout_s`` for a per-query deadline.  Responds
   with ``QueryResult.to_dict()`` — paths, stats, per-query metrics
-  snapshot, query id, and the epoch-rebased serving timing.
+  snapshot, query id, and the serving timing in ``perf_counter``
+  seconds.
 
 Error mapping keeps the service's failure taxonomy visible to load
 generators, and goes by exception type, never by the error text:
@@ -26,7 +27,8 @@ death mid-query (``WorkerDied``) → ``500``, any other ``QueryError``
 Malformed framing — a request line without a method and a path, a
 head line over :data:`LINE_LIMIT` bytes, a negative, non-integer or
 over-long ``Content-Length`` — is answered ``400`` too, with the
-problem named, and the server keeps serving.
+problem named, and a ``Content-Length`` over :data:`BODY_LIMIT` gets
+``413`` before any body byte is read; the server keeps serving.
 """
 
 from __future__ import annotations
@@ -48,6 +50,12 @@ __all__ = ["run_server", "serve_forever"]
 #: Longest request-head line read (asyncio's default stream limit).
 LINE_LIMIT = 2**16
 
+#: Largest request body read.  A body listing every node of the
+#: largest registry dataset (the USA analogue's 120,000 node ids,
+#: about 0.85 MB of JSON) fits with room to spare; without a cap the
+#: server would wait for, and buffer, whatever length the head names.
+BODY_LIMIT = 4 * 2**20
+
 
 def _response(status: int, body: bytes, content_type: str) -> bytes:
     reason = {
@@ -55,6 +63,7 @@ def _response(status: int, body: bytes, content_type: str) -> bytes:
         400: "Bad Request",
         404: "Not Found",
         405: "Method Not Allowed",
+        413: "Content Too Large",
         429: "Too Many Requests",
         500: "Internal Server Error",
         504: "Gateway Timeout",
@@ -160,8 +169,14 @@ async def _handle(service: QueryService, reader, writer) -> None:
         if head is None:
             return
         method, path, content_length, problem = head
+        status = 400
+        if problem is None and content_length > BODY_LIMIT:
+            status, problem = 413, (
+                f"Content-Length {content_length} is over the "
+                f"{BODY_LIMIT}-byte body limit"
+            )
         if problem is not None:
-            writer.write(_json_response(400, {"error": problem}))
+            writer.write(_json_response(status, {"error": problem}))
             await writer.drain()
             return
         body = (

@@ -36,13 +36,14 @@ Front-end structure (asyncio, one driver task per worker):
   ``service_deadline_exceeded``).  A query that has already started
   runs to completion — its result is returned, late;
 * **routing and coalescing** — each driver tracks which prepare keys
-  its worker holds warm (at most ``prepared_cache_size``).  A request
-  goes to the least-loaded worker among those holding its key, or to
-  the key's stable ``crc32`` worker when none does, so concurrent
-  identical cold keys pay exactly **one** cache miss (counter
-  ``service_prepares``); the rest, queued behind it, ride the warm
-  entry (counter ``service_prepares_coalesced``).  A key prewarmed in
-  every worker spreads over all of them;
+  its worker holds warm (at most ``prepared_cache_size``), marking a
+  key warm when a reply for it arrives.  A request goes to the
+  least-loaded worker among those holding its key, or to the key's
+  stable ``crc32`` worker when none does, so concurrent identical cold
+  keys pay exactly **one** cache miss; the rest, queued behind it,
+  ride the warm entry.  Each reply's own cache lookup is counted:
+  ``service_prepares`` for a miss, ``service_prepares_coalesced`` for
+  a hit.  A key prewarmed in every worker spreads over all of them;
 * **fault recovery** — a worker that dies mid-query fails that query
   (or, if it died idle, the next op sent to it) with
   :class:`WorkerDied` (counter ``service_worker_deaths``) and is
@@ -52,22 +53,26 @@ Front-end structure (asyncio, one driver task per worker):
 
 A start that raises part-way (a failed fork, a worker that never
 answers its handshake) undoes what it did: forked workers are
-retired, the segments unlinked, and the solver's ``csr_cache`` and
-``metrics`` restored.
+retired, the segments unlinked, and the solver's ``csr_cache``
+restored.
 
+Each served query's reply is its one account: the parent counts from
+it when it arrives, so a query that raises adds no prepare, query or
+latency count, only its failure counter if it has one.
 Telemetry is the stack every other surface already uses: a
 :class:`~repro.obs.metrics.MetricsRegistry` holding the service
-counters, log-spaced ``queue_wait_ms``/``service_ms`` histograms and
-the ``query_latency_ms`` one (a snapshot carries none), the one-time
-``warmup`` phase, and the merge of every per-query snapshot
-(``worker_<i>_queries`` tags included); ``stats``, the sum of every
-result's :class:`~repro.core.stats.SearchStats`; Prometheus exposition
-via :meth:`QueryService.render_prom`, which folds ``stats`` in;
-per-query ids minted fork-safely by the workers
-(:func:`repro.obs.log.new_query_id`).  ``QueryResult`` timing offsets
-are rebased onto the process-wide
-:func:`~repro.server.epoch.service_epoch`, so sequential batches, the
-service and HTTP replays share one timeline.
+counters (``worker_<i>_queries`` among them), the log-spaced
+``queue_wait_ms`` histogram and the ``query_latency_ms`` one (a
+snapshot carries none), the one-time ``warmup`` phase, and the merge
+of every per-query snapshot; ``stats``, the sum of every result's
+:class:`~repro.core.stats.SearchStats`; Prometheus exposition via
+:meth:`QueryService.render_prom`, which folds ``stats`` in; per-query
+ids minted fork-safely by the workers
+(:func:`repro.obs.log.new_query_id`).  ``QueryResult.timing`` holds
+raw ``perf_counter`` seconds, the clock of every event in a query's
+record; it is one machine-wide monotonic clock under fork, so a
+worker's ``started_at_s`` minus the parent's ``enqueued_at_s`` is a
+real queue wait.
 """
 
 from __future__ import annotations
@@ -89,7 +94,6 @@ from repro.exceptions import QueryError
 from repro.graph.virtual import is_int
 from repro.obs.metrics import LOADTEST_LATENCY_BUCKETS_MS, MetricsRegistry
 from repro.obs.tracing import new_record
-from repro.server.epoch import service_epoch
 from repro.server.shared import SharedCSR
 
 __all__ = [
@@ -240,6 +244,10 @@ def _worker_main(conn, index: int) -> None:
     """
     solver = _SERVICE_SOLVER
     shared = _SERVICE_SHARED
+    if solver.metrics is None:
+        # Every served result carries a snapshot, whatever the caller
+        # attached; the caller's solver in the parent stays as it is.
+        solver.metrics = MetricsRegistry()
     conn.send(("ready", {"pid": os.getpid(), "worker": index}))
     while True:
         try:
@@ -254,12 +262,6 @@ def _worker_main(conn, index: int) -> None:
             if op == "query":
                 _, query, deadline = msg
                 out = _serve_query(solver, query, deadline)
-                if out.metrics is not None:
-                    # Merged snapshots sum the tags, so the aggregate
-                    # shows how the queries spread over the workers.
-                    counters = out.metrics["counters"]
-                    tag = f"worker_{index}_queries"
-                    counters[tag] = counters.get(tag, 0) + 1
             elif op == "sleep":
                 # Fault-injection/test helper: hold the worker busy.
                 _sleep(msg[1])
@@ -422,9 +424,10 @@ class QueryService:
     ----------
     solver:
         A fully built :class:`~repro.core.kpj.KPJSolver`.  Its frozen
-        graph's CSR cache is moved into shared memory at start; if it
-        has no :class:`MetricsRegistry`, one is installed (before the
-        fork) so per-query snapshots exist for the service telemetry.
+        graph's CSR cache is moved into shared memory at start.  Its
+        observers are left as they are: a worker forked from a solver
+        without a :class:`MetricsRegistry` installs its own, so every
+        served result carries a per-query snapshot.
     workers:
         Resident processes to fork.
     max_pending:
@@ -472,7 +475,6 @@ class QueryService:
         self._load = [0] * self.workers
         self._loop: asyncio.AbstractEventLoop | None = None
         self._thread: threading.Thread | None = None
-        self._own_metrics = False
         self._pending = 0
         self._started = False
         self._closed = False
@@ -534,7 +536,6 @@ class QueryService:
                 "the resident-worker service needs the fork start method; "
                 "use run_batch(workers=1) on this platform"
             ) from None
-        service_epoch()  # pin the timing origin before anything enqueues
         started = perf_counter()
         self._warmup()
         for index in range(self.workers):
@@ -543,11 +544,6 @@ class QueryService:
 
     def _warmup(self) -> None:
         solver = self.solver
-        if solver.metrics is None:
-            # Installed before the fork so workers produce per-query
-            # snapshots; removed again at shutdown.
-            solver.metrics = MetricsRegistry()
-            self._own_metrics = True
         from repro.graph.csr import shared_csr
 
         # Export the in-process CSR into shared segments and point the
@@ -692,9 +688,6 @@ class QueryService:
             self._shared.unlink()
             self.solver.graph.csr_cache = self._saved_csr
             self._shared.release()
-        if self._own_metrics:
-            self.solver.metrics = None
-            self._own_metrics = False
 
     def __enter__(self) -> "QueryService":
         return self.start()
@@ -837,40 +830,37 @@ class QueryService:
                 )
         if request.op != "query":  # "sleep" / "ping": a control op
             return await self._roundtrip(resident, (request.op, request.payload))
-        if request.key in resident.warm:
-            resident.warm.move_to_end(request.key)
-            self.metrics.inc("service_prepares_coalesced")
-        else:
-            self.metrics.inc("service_prepares")
         result = await self._roundtrip(
             resident, ("query", request.query, request.deadline)
         )
-        # The worker answers one op at a time, so a duplicate queued
-        # behind this query still finds the key warm.
+        # Counted from the reply: its one cache lookup says whether the
+        # key was cold.  The worker answers one op at a time, so a
+        # duplicate queued behind this query finds the key warm.
+        resident.warm.pop(request.key, None)
         resident.warm[request.key] = None
         self._trim(resident.warm)
-        epoch = service_epoch()
-        timing = dict(result.timing or {})
-        started = timing.get("started_at_s", request.enqueued)
+        self.metrics.inc(
+            "service_prepares_coalesced"
+            if result.stats.prepared_cache_hits
+            else "service_prepares"
+        )
+        started = result.timing["started_at_s"]
         queue_wait = max(0.0, started - request.enqueued)
         result.timing = {
-            "enqueued_at_s": request.enqueued - epoch,
-            "started_at_s": started - epoch,
+            "enqueued_at_s": request.enqueued,
+            "started_at_s": started,
             "queue_wait_s": queue_wait,
         }
         self.metrics.inc("service_queries")
+        self.metrics.inc(f"worker_{index}_queries")
         self.metrics.observe(
             "queue_wait_ms",
             queue_wait * 1e3,
             buckets=LOADTEST_LATENCY_BUCKETS_MS,
         )
-        self.metrics.observe(
-            "service_ms", result.elapsed_ms, buckets=LOADTEST_LATENCY_BUCKETS_MS
-        )
         self.metrics.observe("query_latency_ms", result.elapsed_ms)
         self.stats.merge(result.stats)
-        if result.metrics is not None:
-            self.metrics.merge(result.metrics)
+        self.metrics.merge(result.metrics)
         return result
 
     async def _roundtrip(self, resident: _Resident, message):
@@ -964,20 +954,20 @@ def run_batch(solver, queries: Sequence, workers: int = 1) -> list:
     per-query snapshot and one ``query_latency_ms`` and one
     ``queue_wait_ms`` sample per query; a
     multi-worker batch merges the service registry in after shutdown,
-    which adds the one-time ``warmup`` phase, the service counters,
-    per-worker ``worker_<i>_queries`` tags and the prewarm's cache
-    gauges.  Its ``tracer`` keeps every result's record (a worker's
-    carries that process's ``pid``) and one record of the call, its
-    ``batch`` event and, on the service path, ``warmup``: on export
-    every query's span tree nests under the ``batch`` span.
+    which adds the one-time ``warmup`` phase, the service counters
+    (per-worker ``worker_<i>_queries`` among them) and the prewarm's
+    cache gauges.  Its ``tracer`` keeps every result's record (a
+    worker's carries that process's ``pid``) and one record of the
+    call, its ``batch`` event and, on the service path, ``warmup``: on
+    export every query's span tree nests under the ``batch`` span.
 
     Every result carries ``QueryResult.timing``: ``enqueued_at_s`` and
-    ``started_at_s`` offsets from
-    :func:`~repro.server.epoch.service_epoch` and the derived
-    ``queue_wait_s`` (zero on the sequential path).  A query that
-    raises fails the batch with its original exception, but only after
-    the completed queries' stats, metrics and records are merged or
-    kept.
+    ``started_at_s`` in ``perf_counter`` seconds, the clock of its
+    record's events, and the derived ``queue_wait_s`` (zero on the
+    sequential path).  One failure rule holds at any worker count:
+    every query runs, and the first one that raised fails the batch
+    with its original exception after the others' stats, metrics and
+    records are merged or kept.
     The solver's graph ``csr_cache`` is restored, and its observers
     are left as they were found, whether the batch succeeds, raises,
     or its service fails to start.
@@ -1008,22 +998,24 @@ def run_batch(solver, queries: Sequence, workers: int = 1) -> list:
 
 
 def _solve_in_process(solver, batch: list) -> tuple[list, Exception | None]:
-    """The sequential path: stops at the first query that raises.
+    """The sequential path: every query runs, and the first failure is
+    returned with the completed results, as on the service path.
 
     Each query merges its own snapshots into the solver's observers.
     """
-    epoch = service_epoch()
     results: list = []
+    failure: Exception | None = None
     for query in batch:
         started = perf_counter()
         try:
             result = _execute(solver, query)
         except Exception as exc:
-            return results, exc
+            failure = failure or exc
+            continue
         # The query starts the instant it is dequeued: zero queue wait.
         result.timing = {
-            "enqueued_at_s": started - epoch,
-            "started_at_s": started - epoch,
+            "enqueued_at_s": started,
+            "started_at_s": started,
             "queue_wait_s": 0.0,
         }
         if solver.metrics is not None:
@@ -1031,7 +1023,7 @@ def _solve_in_process(solver, batch: list) -> tuple[list, Exception | None]:
                 "queue_wait_ms", 0.0, buckets=LOADTEST_LATENCY_BUCKETS_MS
             )
         results.append(result)
-    return results, None
+    return results, failure
 
 
 def _solve_on_service(

@@ -1,20 +1,20 @@
-"""The process-wide serving epoch (`repro.server.epoch`).
+"""One serving clock for every surface.
 
 Regression suite for the latent `run_batch` timing bug: queue-wait
 offsets used to be rebased against each batch's own start time, so
 two batches (or a batch and the resident service) produced offsets on
 *different* timelines and load-test histograms were not comparable
-across targets.  All serving surfaces now share one
-``service_epoch()`` origin, pinned at first use.
+across targets.  Every serving surface now stamps
+``QueryResult.timing`` in raw ``perf_counter`` seconds, the clock of
+every event in a query's record.
 """
 
-from time import sleep
+from time import perf_counter, sleep
 
 import pytest
 
 from repro.core.kpj import KPJSolver
 from repro.datasets.registry import road_network
-from repro.server.epoch import service_epoch, since_epoch
 from repro.server.service import BatchQuery, QueryService, run_batch
 
 
@@ -29,22 +29,6 @@ def _queries(dataset, count):
         BatchQuery(source=(i * 31) % dataset.n, category="T1", k=3)
         for i in range(count)
     ]
-
-
-class TestEpochPrimitive:
-    def test_epoch_is_pinned_once(self):
-        assert service_epoch() == service_epoch()
-
-    def test_since_epoch_is_monotonic_non_negative(self):
-        a = since_epoch()
-        sleep(0.01)
-        b = since_epoch()
-        assert 0.0 <= a < b
-
-    def test_since_epoch_accepts_explicit_timestamps(self):
-        origin = service_epoch()
-        assert since_epoch(origin) == 0.0
-        assert since_epoch(origin + 2.5) == pytest.approx(2.5)
 
 
 class TestBatchOffsetsShareOneTimeline:
@@ -62,17 +46,16 @@ class TestBatchOffsetsShareOneTimeline:
 
     def test_offsets_are_epoch_relative(self, sj_solver):
         dataset, solver = sj_solver
-        before = since_epoch()
+        before = perf_counter()
         results = run_batch(solver, _queries(dataset, 3), workers=1)
-        after = since_epoch()
+        after = perf_counter()
         for r in results:
             assert before <= r.timing["enqueued_at_s"] <= after
             assert before <= r.timing["started_at_s"] <= after
 
     def test_pool_and_service_offsets_are_comparable(self, sj_solver):
-        """Cross-target comparability — the reason the epoch exists:
-        a pool batch and a service query interleaved in time must
-        carry interleaved offsets."""
+        """Cross-target comparability: a pool batch and a service
+        query interleaved in time must carry interleaved stamps."""
         dataset, solver = sj_solver
         pooled = run_batch(solver, _queries(dataset, 3), workers=2)
         with QueryService(solver, workers=1) as service:

@@ -5,7 +5,7 @@ callback), exercised with stdlib urllib and raw sockets only: health,
 query, metrics exposition, status, the error-code mapping, and
 malformed input (wrong field types, bad ``Content-Length``, over-long
 or incomplete request lines and headers) answered with a 400 instead
-of a dropped connection.
+of a dropped connection, and a body over the limit with a 413.
 """
 
 import asyncio
@@ -83,14 +83,14 @@ def _post(url, payload):
         return response.status, json.loads(response.read())
 
 
-def _raw(base, head: bytes):
+def _raw(base, head: bytes, timeout: float = 30):
     """Send raw request bytes; return ``(status, body)``.
 
     ``status`` is ``None`` when the server closed the connection
     without writing a status line.
     """
     host, port = base.removeprefix("http://").split(":")
-    with socket.create_connection((host, int(port)), timeout=30) as sock:
+    with socket.create_connection((host, int(port)), timeout=timeout) as sock:
         sock.sendall(head)
         chunks = []
         while True:
@@ -296,6 +296,20 @@ class TestMalformedInput:
         )
         assert status == 400
         assert "Content-Length" in json.loads(body)["error"]
+        _assert_still_serving(base)
+
+    def test_body_over_the_limit_is_413_before_any_body_byte(self, endpoint):
+        # The head names a length it never sends: without the cap the
+        # server waits for that body and never replies.
+        base, _ = endpoint
+        status, body = _raw(
+            base,
+            b"POST /query HTTP/1.1\r\nHost: localhost\r\n"
+            b"Content-Length: 999999999999\r\n\r\n",
+            timeout=5,
+        )
+        assert status == 413
+        assert "body limit" in json.loads(body)["error"]
         _assert_still_serving(base)
 
     @pytest.mark.parametrize(

@@ -311,6 +311,8 @@ def _worker_tag_total(metrics) -> tuple[int, set[str]]:
 
 class TestWorkerAttribution:
     def test_parallel_snapshots_carry_worker_index(self, sj_solver):
+        """The service counts which worker answered; the per-query
+        snapshots, merged into the same aggregate, carry no tag."""
         dataset, solver = sj_solver
         queries = _query_mix(dataset, 8)
         agg = MetricsRegistry()
@@ -320,10 +322,9 @@ class TestWorkerAttribution:
         total, names = _worker_tag_total(agg)
         assert total == len(queries)
         assert names <= {"worker_0_queries", "worker_1_queries"}
-        # ...and each per-query snapshot names exactly one worker.
+        # ...which its own snapshot does not repeat.
         for r in results:
-            per_query, per_names = _worker_tag_total(r.metrics)
-            assert per_query == 1 and len(per_names) == 1
+            assert _worker_tag_total(r.metrics) == (0, set())
 
     def test_sequential_batches_are_untagged(self, sj_solver):
         dataset, solver = sj_solver
@@ -400,12 +401,30 @@ class TestFailureMerge:
         with _attached(solver, metrics=agg), \
                 pytest.raises(QueryError, match="NOPE"):
             solver.solve_batch(self._mixed_batch(dataset, 4), workers=workers)
-        # Sequential execution stops at the failure; the pool drains
-        # the whole batch.  Either way nothing completed is dropped:
-        # the four good queries precede the bad one, so all four land.
+        # Nothing completed is dropped: all four good queries land.
         assert agg.counters["queries"] == 4
         assert agg.histograms["query_latency_ms"].total == agg.counters["queries"]
         assert solver.stats.shortest_path_computations > before
+
+    def test_a_failing_first_query_fails_alike_at_any_worker_count(
+        self, sj_solver
+    ):
+        """One failure rule: every query runs and the first failure is
+        raised after the batch, so a bad first query stops nothing."""
+        dataset, solver = sj_solver
+        queries = [BatchQuery(source=0, category="NOPE", k=3)]
+        queries += _query_mix(dataset, 4)
+        seen = []
+        for workers in (1, 2):
+            agg = MetricsRegistry()
+            before = solver.stats.shortest_path_computations
+            with _attached(solver, metrics=agg), \
+                    pytest.raises(QueryError, match="NOPE"):
+                solver.solve_batch(queries, workers=workers)
+            gained = solver.stats.shortest_path_computations - before
+            seen.append((agg.counters["queries"], gained))
+        assert seen[0] == seen[1]
+        assert seen[0][0] == 4
 
     def test_failure_without_metrics_still_raises(self, sj_solver):
         dataset, solver = sj_solver

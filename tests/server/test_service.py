@@ -16,6 +16,7 @@ from repro.core.kpj import KPJSolver
 from repro.datasets.registry import road_network
 from repro.exceptions import QueryError
 from repro.obs.metrics import MetricsRegistry, parse_prom
+from repro.obs.tracing import SpanTracer
 from repro.server.service import BatchQuery, QueryService, run_batch
 from repro.server.shared import active_segments
 
@@ -153,6 +154,7 @@ class TestSharedResidency:
 
 class TestTiming:
     def test_timing_rebased_to_service_epoch(self, service, sj_solver):
+        """The stamps are raw ``perf_counter`` seconds, not offsets."""
         dataset, _ = sj_solver
         results = service.solve(_query_mix(dataset, 6))
         for r in results:
@@ -163,6 +165,23 @@ class TestTiming:
             assert timing["started_at_s"] >= timing["enqueued_at_s"] >= 0.0
             assert timing["queue_wait_s"] >= 0.0
 
+    def test_timing_shares_the_record_clock(self, sj_solver):
+        """A served query's ``timing`` and its record's events read one
+        clock: the ``query`` event starts just after ``started_at_s``."""
+        dataset, _ = sj_solver
+        solver = KPJSolver(
+            dataset.graph, dataset.categories, landmarks=4, tracer=SpanTracer()
+        )
+        with QueryService(solver, workers=1) as svc:
+            result = svc.query(BatchQuery(source=7, category="T2", k=3))
+        timing = result.timing
+        assert timing["enqueued_at_s"] <= timing["started_at_s"]
+        (query_start,) = [
+            start for name, start, _, _ in result.trace["events"]
+            if name == "query"
+        ]
+        assert 0.0 <= query_start - timing["started_at_s"] < 1.0
+
 
 class TestTelemetry:
     def test_service_counters_and_histograms(self, sj_solver):
@@ -171,10 +190,62 @@ class TestTelemetry:
             svc.solve(_query_mix(dataset, 4))
         metrics = svc.metrics
         assert metrics.counters["service_queries"] == 4
+        assert metrics.counters["worker_0_queries"] == 4
         assert metrics.counters["queries"] == 4  # per-query snapshots merged
         assert metrics.histograms["queue_wait_ms"].total == 4
-        assert metrics.histograms["service_ms"].total == 4
+        assert metrics.histograms["query_latency_ms"].total == 4
+        assert "service_ms" not in metrics.histograms
         assert metrics.counters.get("service_rejected_overload", 0) == 0
+
+    def test_coalescing_counts_come_from_the_replies(self, sj_solver):
+        """A query that raises counts no prepare, and a key the parent
+        has not seen but the worker holds warm counts as coalesced: the
+        counters equal the served results' own cache lookups."""
+        dataset, _ = sj_solver
+        solver = KPJSolver(dataset.graph, dataset.categories, landmarks=4)
+        nodes = tuple(dataset.categories.nodes_of("T2"))
+        with QueryService(solver, workers=1) as svc:
+            for bad in (
+                BatchQuery(source=1, category="T9"),
+                BatchQuery(source=10**6, category="T2"),
+            ):
+                with pytest.raises(QueryError):
+                    svc.query(bad)
+            for good in (
+                BatchQuery(source=1, category="T2", k=3),
+                BatchQuery(source=1, destinations=nodes),
+            ):
+                assert svc.query(good).paths
+            counters = dict(svc.metrics.counters)
+            stats = svc.stats
+            warm = list(svc._residents[0].warm)
+        assert counters["service_queries"] == 2
+        assert counters["service_prepares"] == stats.prepared_cache_misses == 1
+        assert (
+            counters["service_prepares_coalesced"]
+            == stats.prepared_cache_hits
+            == 1
+        )
+        assert warm == [
+            ("category", "T2"), ("destinations", tuple(sorted(nodes)))
+        ]
+
+    def test_a_solver_without_a_registry_is_left_without_one(self, sj_solver):
+        """The workers install their own registry after the fork: the
+        caller's solver is not touched, and served results still carry
+        snapshots, tagged with no worker (the service counts those)."""
+        dataset, _ = sj_solver
+        solver = KPJSolver(dataset.graph, dataset.categories, landmarks=4)
+        with QueryService(solver, workers=1) as svc:
+            assert solver.metrics is None
+            result = svc.query(BatchQuery(source=4, category="T1", k=2))
+            assert solver.metrics is None
+            counters = dict(svc.metrics.counters)
+        assert solver.metrics is None
+        snapshot = result.metrics["counters"]
+        assert snapshot["queries"] == 1
+        assert not [name for name in snapshot if name.startswith("worker_")]
+        assert counters["worker_0_queries"] == 1
 
     def test_warmup_phase_paid_exactly_once(self, sj_solver):
         dataset, solver = sj_solver
