@@ -12,7 +12,10 @@ SSSP on scipy's C loop (where installed) against the pure-Python loop
 the scipy-free stack runs, checks the distances agree, and appends a
 stamped entry (:func:`repro.bench.trajectory.stamp`: sha, dirty flag,
 date, Python, host) to ``benchmarks/results/BENCH_kernels.json``
-(queries/sec per path plus the ratio).
+(queries/sec per path plus the ratio).  ``test_compiled_tier_report``
+does the same for the compiled tier (:mod:`repro.native`) against the
+pure-Python search loops, and fails if the tier built yet is not
+:data:`NATIVE_SPEEDUP_FLOOR` times faster.
 """
 
 from __future__ import annotations
@@ -22,13 +25,21 @@ from pathlib import Path
 
 import numpy as np
 
+from repro import native
 from repro.bench.harness import solver_for, workload_for
 from repro.bench.trajectory import append, stamp
+from repro.core.flat_engine import FlatIncrementalSPT
+from repro.core.stats import SearchStats
+from repro.graph.virtual import build_query_graph
 from repro.pathing.astar import astar_path, bounded_astar_path
 from repro.pathing.dijkstra import single_source_distances
 from repro.pathing.spt import build_spt_to_target
 
 RESULTS_DIR = Path(__file__).parent / "results"
+
+#: ROADMAP item 5's gate: each compiled kernel at least this many
+#: times faster than the pure-Python loop it replaces.
+NATIVE_SPEEDUP_FLOOR = 3.0
 
 
 def _setup():
@@ -194,3 +205,71 @@ def test_kernel_comparison_report(monkeypatch):
     out = RESULTS_DIR / "BENCH_kernels.json"
     append(out, report)
     print(f"\nSSSP on COL, scipy over the Python loop: {ratio:.2f}x  -> {out}")
+
+
+# ----------------------------------------------------------------------
+# The compiled tier vs the pure-Python search loops
+# ----------------------------------------------------------------------
+
+
+def test_compiled_tier_report(monkeypatch):
+    """Time two kernels on COL on both tiers; append to BENCH_kernels.json.
+
+    * ``spti_initial`` — :class:`FlatIncrementalSPT`'s initial build
+      (Alg. 7's settle loop up to the virtual target) from three ``Q3``
+      sources toward ``T1``, on a warm Eq. (2) vector;
+    * ``cache_miss`` — the same builds, each on a fresh
+      ``to_target_bounds``: Eq. (2) plus the settle loop, what a
+      prepared-cache miss costs ``SPT_I``.
+
+    Both tiers must build the same trees (first path, length, size,
+    work counters).  Where the tier built, each kernel must beat pure
+    Python by :data:`NATIVE_SPEEDUP_FLOOR`.
+    """
+    network, solver, _ = _setup()
+    index = solver.landmark_index
+    targets = network.categories.nodes_of("T1")
+    sources = workload_for("COL", "T1").group("Q3")[:3]
+    graphs = [build_query_graph(network.graph, (s,), targets) for s in sources]
+    warm = index.to_target_bounds(graphs[0].destinations)
+
+    def build(fresh_bounds: bool):
+        trees = []
+        for qg in graphs:
+            bounds = index.to_target_bounds(qg.destinations) if fresh_bounds else warm
+            stats = SearchStats()
+            tree = FlatIncrementalSPT(qg, bounds, stats)
+            trees.append((tree.build_initial(qg.target), len(tree), stats.as_dict()))
+            tree.close()
+        return trees
+
+    tiers = ("native", "python") if native.HAVE_NATIVE else ("python",)
+    report = {
+        **stamp(),
+        "bench": "compiled_tier", "dataset": "COL", "n": network.graph.n,
+        "native": native.HAVE_NATIVE, "kernels": {},
+    }
+    answers = {}
+    for tier in tiers:
+        monkeypatch.setattr(native, "HAVE_NATIVE", tier == "native")
+        answers[tier] = build(False)
+        report["kernels"][tier] = {
+            f"{name}_seconds_per_query": _time_kernel(lambda: build(fresh), rounds=5)
+            / len(graphs)
+            for name, fresh in (("spti_initial", False), ("cache_miss", True))
+        }
+    monkeypatch.undo()
+    if native.HAVE_NATIVE:
+        assert answers["native"] == answers["python"]
+        speedups = {
+            name: report["kernels"]["python"][f"{name}_seconds_per_query"]
+            / report["kernels"]["native"][f"{name}_seconds_per_query"]
+            for name in ("spti_initial", "cache_miss")
+        }
+        report["native_speedup_over_python"] = speedups
+    out = RESULTS_DIR / "BENCH_kernels.json"
+    append(out, report)
+    if native.HAVE_NATIVE:
+        print(f"\ncompiled tier on COL over pure Python: {speedups}  -> {out}")
+        for name, speedup in speedups.items():
+            assert speedup >= NATIVE_SPEEDUP_FLOOR, (name, speedup)

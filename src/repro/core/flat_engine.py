@@ -28,14 +28,17 @@ from typing import Callable
 
 import numpy as np
 
+from repro import native
 from repro.core.stats import SearchStats
 from repro.core.subspace import Subspace
 from repro.graph.virtual import QueryGraph
 from repro.pathing.astar import bounded_astar_path
 from repro.pathing.flat import (
     acquire_inf_array,
+    acquire_native_scratch,
     acquire_scratch,
     release_inf_array,
+    release_native_scratch,
     release_scratch,
 )
 
@@ -143,6 +146,17 @@ class FlatIncrementalSPT:
     :meth:`grow` calls; :attr:`queue_peak` is its largest size at the
     end of a settle call (at least 1).  :meth:`close` returns the
     pooled buffers.
+
+    With the compiled tier (:data:`repro.native.HAVE_NATIVE`) each
+    settle call is one C call (``kpj_spt_settle``) over the base
+    graph's CSR export and the overlay's virtual rows, on a
+    :class:`~repro.pathing.flat.NativeScratch`: a binary heap on
+    ``(key, node)`` — the order ``heapq`` gives the tuples — so pops,
+    parents, ties, :attr:`queue_peak` and every counter equal the
+    Python loop's.  A :class:`~repro.landmarks.index.TargetBounds`
+    key term is computed per node on first touch, into its memo.
+    :attr:`h` is then a ``memoryview`` of the pooled ``float64``
+    vector, read exactly as the list is.
     """
 
     __slots__ = (
@@ -168,6 +182,7 @@ class FlatIncrementalSPT:
         "_dest_dists",
         "_dest_cache",
         "_stats",
+        "_native",
     )
 
     def __init__(
@@ -179,11 +194,17 @@ class FlatIncrementalSPT:
         graph = query_graph.graph
         source = query_graph.source
         self._graph = graph
+        self._source = source
+        self._stats = stats
+        self.queue_peak = 1
+        if native.HAVE_NATIVE:
+            self._begin_native(query_graph, target_bounds)
+            return
+        self._native = None
         self._base_rows = query_graph.base.adjacency
         self._rows = graph.adjacency
         self._n = query_graph.base.n
         self._target = query_graph.target
-        self._source = source
         self._destinations = frozenset(query_graph.destinations)
         tb = dense_heuristic(target_bounds, graph.n)
         if callable(tb):
@@ -203,14 +224,48 @@ class FlatIncrementalSPT:
         self._dest_nodes: list[int] = []
         self._dest_dists: list[float] = []
         self._dest_cache: tuple[np.ndarray, np.ndarray] | None = None
-        self._stats = stats
-        self.queue_peak = 1
         self._dist[source] = 0.0
         self._stamp[source] = self._gen
         key = 0.0 if tb is None else 0.0 + tb[source]
         self._heap: list[tuple[float, int]] = [(key, source)]
         if stats is not None:
             stats.heap_pushes += 1
+
+    def _begin_native(self, query_graph: QueryGraph, target_bounds) -> None:
+        """Set up the compiled tier's tree: the key term, pooled state,
+        the overlay's flags and virtual rows, and the source's push."""
+        size = self._graph.n
+        args = getattr(target_bounds, "native_args", None)
+        if args is not None:
+            self._tb = args(query_graph.base.n)
+        else:
+            tb = dense_heuristic(target_bounds, size)
+            if tb is None:
+                self._tb = (native.ffi.NULL, native.ffi.NULL, native.ffi.NULL, 0)
+            else:
+                if callable(tb):
+                    tb = [tb(v) for v in range(size)]
+                vector = np.array(tb, dtype=np.float64)
+                if len(vector) < size:
+                    raise ValueError(
+                        f"a key term of {len(vector)} entries for {size} nodes"
+                    )
+                self._tb = (native.pointer("double[]", vector), native.ffi.NULL,
+                            native.ffi.NULL, 0)
+        scratch = acquire_native_scratch(self._graph)
+        state = scratch.state
+        state.dest, state.vptr, state.vidx, state.vw = _overlay_arrays(query_graph)
+        state.target = query_graph.target
+        state.tb, state.lm, state.dmin, state.nlm = self._tb
+        self._native = scratch
+        if native.lib.kpj_spt_begin(state, self._source):
+            raise RuntimeError("incremental SPT heap has no room for the source")
+        self._settled_tag = -state.gen
+        self._stamp = scratch.stamp
+        self._parent = scratch.parent
+        self.h = scratch.h
+        if self._stats is not None:
+            self._stats.heap_pushes += 1
 
     # ------------------------------------------------------------------
     # Growth
@@ -226,6 +281,8 @@ class FlatIncrementalSPT:
         hottest path: every local is bound exactly once per *phase*,
         not once per settled node.
         """
+        if self._native is not None:
+            return self._settle_native(target, tau)
         heap = self._heap
         stamp = self._stamp
         dist = self._dist
@@ -313,6 +370,25 @@ class FlatIncrementalSPT:
             self.queue_peak = len(heap)
         return found
 
+    def _settle_native(self, target: int, tau: float) -> int | None:
+        """:meth:`_settle_until` as one C call; the call's counters and
+        the queue peak are read back only when it settled anything."""
+        state = self._native.state
+        found = native.lib.kpj_spt_settle(state, target, tau)
+        if found == _IDLE:
+            return None
+        if found == _FULL:
+            raise RuntimeError("incremental SPT heap overflow")
+        stats = self._stats
+        if stats is not None:
+            relaxed = state.relaxed
+            stats.nodes_settled += state.settled
+            stats.edges_relaxed += relaxed
+            stats.heap_pushes += relaxed
+            stats.heap_pops += state.pops
+        self.queue_peak = state.peak
+        return found if found >= 0 else None
+
     def build_initial(self, target: int) -> tuple[tuple[int, ...], float] | None:
         """Phase one: settle until ``target`` is reached.
 
@@ -334,6 +410,9 @@ class FlatIncrementalSPT:
 
     def grow(self, tau: float) -> None:
         """Phase two (Alg. 7): settle every node with key ≤ ``tau``."""
+        if self._native is not None:
+            self._settle_native(-1, tau)
+            return
         heap = self._heap
         if heap and heap[0][0] <= tau:
             self._settle_until(-1, tau)
@@ -345,6 +424,8 @@ class FlatIncrementalSPT:
         return self._stamp[v] == self._settled_tag
 
     def __len__(self) -> int:
+        if self._native is not None:
+            return self._native.state.count
         return len(self._settled_order)
 
     def distance(self, v: int) -> float | None:
@@ -360,14 +441,22 @@ class FlatIncrementalSPT:
     @property
     def num_settled_destinations(self) -> int:
         """``|D|`` — destinations already in the tree."""
+        if self._native is not None:
+            return self._native.state.dest_count
         return len(self._dest_nodes)
 
     def dest_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """The settled destinations as ``(nodes, distances)`` arrays.
 
         Rebuilt lazily only when new destinations settled since the
-        last call — Alg. 8's vectorised reduction runs over these.
+        last call — Alg. 8's vectorised reduction runs over these.  On
+        the compiled tier they are views of the pooled arrays, valid
+        until the tree grows or closes.
         """
+        scratch = self._native
+        if scratch is not None:
+            count = scratch.state.dest_count
+            return scratch.dest_nodes[:count], scratch.dest_dists[:count]
         cache = self._dest_cache
         if cache is None:
             cache = (
@@ -379,12 +468,46 @@ class FlatIncrementalSPT:
 
     def close(self) -> None:
         """Return the pooled buffers; the tree must not be used after."""
-        if self._scratch is not None:
+        if self.h is None:
+            return
+        if self._native is not None:
+            release_native_scratch(self._native)
+            self._native = None
+            self._tb = None
+        else:
             release_scratch(self._scratch)
             self._scratch = None
-        if self.h is not None:
             release_inf_array(self._graph, self.h, self._settled_order)
-            self.h = None
+        self.h = None
+
+
+_FULL, _IDLE = -2, -3  # kpj_spt_settle's status codes (see kernels.c)
+
+
+def _overlay_arrays(query_graph: QueryGraph) -> tuple:
+    """``G_Q``'s forward overlay as the compiled settle loop reads it:
+    destination flags by node id (``n + 2`` bytes) and the virtual
+    nodes' rows as a small CSR (``vptr``, ``vidx``, ``vw``), as cdata
+    pointers.  Cached on the overlay, so a prepared entry builds them
+    once for every query against its destination set."""
+    rows = query_graph.graph.adjacency
+    cached = rows.kernel_arrays
+    if cached is None:
+        n = query_graph.base.n
+        flags = np.zeros(n + 2, dtype=np.uint8)
+        flags[list(query_graph.destinations)] = 1
+        virtual = [rows[u] for u in range(n, len(rows))]
+        vptr = np.zeros(len(virtual) + 1, dtype=np.int64)
+        np.cumsum([len(row) for row in virtual], out=vptr[1:])
+        vidx = np.array([v for row in virtual for v, _ in row], dtype=np.int64)
+        vw = np.array([w for row in virtual for _, w in row], dtype=np.float64)
+        cached = rows.kernel_arrays = (
+            native.pointer("uint8_t[]", flags),
+            native.pointer("int64_t[]", vptr),
+            native.pointer("int64_t[]", vidx),
+            native.pointer("double[]", vw),
+        )
+    return cached
 
 
 def make_comp_lb(

@@ -45,6 +45,7 @@ from numbers import Real
 from time import perf_counter
 from typing import Callable, Sequence
 
+from repro import native
 from repro.baselines.deviation import deviation_algorithm
 from repro.baselines.deviation_spt import deviation_spt
 from repro.core.best_first import best_first
@@ -172,10 +173,12 @@ class KPJSolver:
     prepared_cache_size:
         Number of prepared destination sets kept in the LRU
         cross-query cache (``0`` disables caching).  Each entry holds
-        the Eq. (2) bound vector (one float64 per node) and, lazily,
-        the ``G_Q`` overlay (``O(|V_T|)``: the destination rows and the
-        virtual target's in-row, every other row shared with the base
-        graph).
+        the Eq. (2) bounds (one float64 per node, each computed when a
+        search first needs it) and, lazily, the ``G_Q`` overlay
+        (``O(|V_T|)``: the destination rows and the virtual target's
+        in-row, every other row shared with the base graph; the
+        compiled tier adds one flag byte per node).  The
+        ``prepared_cache_bytes`` gauge sums :attr:`PreparedCategory.nbytes`.
     metrics:
         Optional :class:`~repro.obs.metrics.MetricsRegistry`.  When
         set, every query folds its event record — phase wall times
@@ -444,9 +447,9 @@ class KPJSolver:
                 cache.popitem(last=False)
         if metrics is not None:
             metrics.set_gauge("prepared_cache_entries", len(cache))
-            # Dominant cost per entry: the Eq. (2) bound vector, one
-            # float per node (the overlay is lazy and O(|V_T|)).
-            metrics.set_gauge("prepared_cache_bytes", len(cache) * self.graph.n * 8)
+            metrics.set_gauge(
+                "prepared_cache_bytes", sum(entry.nbytes for entry in cache.values())
+            )
         return prepared
 
     def _mem_phase(self, name: str, qreg: MetricsRegistry | None):
@@ -538,6 +541,12 @@ class KPJSolver:
             self.stats.merge(stats)
             if qreg is not None:
                 fold(qreg, record)
+                qreg.inc("queries")
+            # The search's inputs, its raw answer and an untraced
+            # record go here, so their teardown is search time too.
+            del raw, ctx, source_bounds
+            if self.tracer is None:
+                record = None
         t_end = perf_counter()
         elapsed_ms = (t_end - t_start) * 1000.0
         snapshot = None
@@ -549,7 +558,6 @@ class KPJSolver:
                 "search_other",
                 max(0.0, t_end - t_search - qreg.phase_seconds(SEARCH_PHASES)),
             )
-            qreg.inc("queries")
             if self.memory is not None:
                 # Byte gauges: idle scratch buffers pooled on the base
                 # graph (searches on every G_Q overlay share them).
@@ -599,7 +607,7 @@ class PreparedCategory:
     calls without re-deriving the Eq. (2) bounds or the ``G_Q``
     overlay.  The overlay is built lazily on first use and costs
     ``O(|V_T|)`` (it shares the base graph's rows), so an entry stays
-    at one float64 per node.
+    at about one float64 per node (:attr:`nbytes`).
     """
 
     def __init__(
@@ -612,6 +620,18 @@ class PreparedCategory:
         self.destinations = destinations
         self.target_bounds = target_bounds
         self._gq_graph: DiGraph | None = None
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes the entry holds: the Eq. (2) buffer (``n + 2`` floats)
+        and landmark minima, plus the destination flags and virtual
+        rows the compiled settle loop caches on the overlay once it has
+        run against this set (the overlay's rows are the base graph's)."""
+        total = getattr(self.target_bounds, "nbytes", 0)
+        gq = self._gq_graph
+        if gq is not None and gq.adjacency.kernel_arrays is not None:
+            total += sum(native.ffi.sizeof(p) for p in gq.adjacency.kernel_arrays)
+        return total
 
     # -- cached artefacts ------------------------------------------------
     def query_graph_for(self, source: int) -> QueryGraph:

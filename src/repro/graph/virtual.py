@@ -63,12 +63,15 @@ class OverlayRows(Sequence):
     base graph's row list in this orientation) and ``patched`` (the
     stored rows by node id) let a search loop read a row without a
     Python call: ``patched[u]`` when ``u in patched``, else ``base_rows[u]``
-    (see :func:`repro.pathing.flat.row_source`).
+    (see :func:`repro.pathing.flat.row_source`).  ``kernel_arrays``
+    caches the compiled settle loop's view of a forward overlay
+    (destination flags and virtual rows), built on first use by
+    :mod:`repro.core.flat_engine`.
     """
 
     __slots__ = (
         "base", "destinations", "sources", "reverse", "base_rows", "patched",
-        "_get", "_size",
+        "kernel_arrays", "_get", "_size",
     )
 
     def __init__(
@@ -100,6 +103,7 @@ class OverlayRows(Sequence):
         self.reverse = reverse
         self.base_rows = base_rows
         self.patched = patched
+        self.kernel_arrays = None
         self._get = patched.get
         self._size = n + (2 if sources else 1)
 

@@ -13,8 +13,8 @@ triangle inequality ``δ(w, u) + δ(u, v) >= δ(w, v)``:
   tight but ``O(|L| |V_T|)`` per evaluation;
 * ``lb(u, V_T)``  via **Eq. (2)**: ``max_w { min_{v} δ(w, v) - δ(w, u) }``
   — the paper's choice: after one ``O(|L| |V_T|)`` pass per query it
-  costs ``O(|L|)`` per node, and we vectorise that over *all* nodes at
-  once with numpy.
+  costs ``O(|L|)`` per node, paid per node the compiled settle loop
+  touches, or vectorised over *all* nodes at once with numpy.
 
 Disconnected pairs are handled conservatively: a landmark that cannot
 reach ``u`` contributes no information (``-inf``), and a bound of
@@ -28,6 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro import native
 from repro.exceptions import LandmarkError
 from repro.graph.digraph import DiGraph
 from repro.landmarks.selection import select_landmarks
@@ -45,37 +46,126 @@ INF = float("inf")
 
 
 class TargetBounds:
-    """Per-query vector of lower bounds ``lb(u, V_T)`` for all ``u``.
+    """Per-query lower bounds ``lb(u, V_T)`` for every node ``u``.
 
     Callable: ``bounds(u)`` returns the bound for node ``u`` and ``0``
     for the virtual nodes (ids ``n`` and ``n + 1``), so instances plug
     directly into the A* kernels as heuristics on the transformed
-    graph ``G_Q``.  The vector is stored once, as a zero-padded
-    ``float64`` buffer of ``n + 2`` entries; ``values`` is the
-    ``n``-entry view of it.
+    graph ``G_Q``.  The vector lives in one zero-padded ``float64``
+    buffer of ``n + 2`` entries.
+
+    Built from a finished vector (``TargetBounds(values)``), the
+    buffer is full at once.  Built by
+    :meth:`LandmarkIndex.to_target_bounds` (``index`` and ``dmin``,
+    the per-landmark minimum over ``V_T`` — Eq. (2)'s one
+    ``O(|L| |V_T|)`` pass), every real entry starts as NaN and is
+    computed on demand, as §4.2 of the paper prices it:
+
+    * the compiled settle loop (:mod:`repro.native`) computes entry
+      ``v`` in ``O(|L|)`` when it first touches ``v``
+      (:meth:`native_args`), so a query pays for the nodes it visits,
+      not for all ``n``;
+    * :meth:`dense` and :meth:`__call__` — the interpreted searches —
+      fill the whole buffer with one numpy pass on first use.
+
+    Either way entry ``v`` is the same float, bit for bit, and a hot
+    category reuses what earlier queries computed.
     """
 
-    __slots__ = ("values", "_view")
+    __slots__ = ("dmin", "_index", "_buffer", "_view", "_full", "_native")
 
-    def __init__(self, values: np.ndarray) -> None:
-        n = len(values)
-        padded = np.zeros(n + 2)
-        padded[:n] = values
-        self.values = padded[:n]
-        self._view = memoryview(padded)
+    def __init__(
+        self,
+        values: np.ndarray | None = None,
+        *,
+        index: "LandmarkIndex | None" = None,
+        dmin: np.ndarray | None = None,
+    ) -> None:
+        self.dmin = dmin
+        self._index = index
+        self._native = None
+        if values is not None:
+            n = len(values)
+            buffer = np.zeros(n + 2)
+            buffer[:n] = values
+        else:
+            n = index._dist.shape[1]
+            buffer = np.full(n + 2, np.nan)
+            buffer[n:] = 0.0
+        self._buffer = buffer
+        self._full = values is not None
+        self._view = memoryview(buffer)
+
+    def _fill(self) -> None:
+        """Eq. (2) for every node at once: one subtraction and one
+        max-reduction over the ``|L| x n`` matrix, into the buffer."""
+        index = self._index
+        dist = index._dist
+        with np.errstate(invalid="ignore"):  # inf - inf -> nan, masked below
+            diff = self.dmin[:, None] - dist
+        if index._unreachable is not None:
+            # A landmark that cannot reach u gives no information on
+            # δ(u, ·).  This also covers every nan, since inf - inf
+            # needs δ(w, u) = inf.
+            diff[index._unreachable] = -INF
+        out = self._buffer[: dist.shape[1]]
+        np.max(diff, axis=0, out=out)
+        del diff
+        # -inf (no landmark informs u) and negative bounds become 0.
+        np.maximum(out, 0.0, out=out)
+        self._full = True
 
     def __call__(self, u: int) -> float:
+        if not self._full:
+            self._fill()
         return self._view[u]
 
     def dense(self, size: int) -> memoryview:
         """The padded buffer as a ``memoryview`` (``size`` may be at
-        most ``n + 2``, the largest ``G_Q``): the search engine indexes
-        it in its inner loops instead of paying a Python call per
-        relaxation, and entry ``u`` equals ``self(u)``.  Nothing is
+        most ``n + 2``, the largest ``G_Q``), filled: the search engine
+        indexes it in its inner loops instead of paying a Python call
+        per relaxation, and entry ``u`` equals ``self(u)``.  Nothing is
         copied, so a prepared category holds one ``O(n)`` float64
         vector and no Python-float list.
         """
+        if not self._full:
+            self._fill()
         return self._view
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held: the padded buffer and the landmark minima."""
+        return self._buffer.nbytes + (0 if self.dmin is None else self.dmin.nbytes)
+
+    def native_args(self, n: int) -> tuple:
+        """``(memo, matrix, dmin, |L|)`` as cdata pointers for the
+        compiled settle loop on a graph of ``n`` nodes, which fills a
+        NaN entry on first touch (``matrix`` is NULL for a finished
+        vector).  Cached.
+
+        Raises
+        ------
+        ValueError
+            If the bounds are for a graph of another size: the kernel
+            indexes the buffer, and the matrix with stride ``n``,
+            unchecked.
+        """
+        if len(self._buffer) != n + 2:
+            raise ValueError(
+                f"bounds cover {len(self._buffer) - 2} nodes, the graph has {n}"
+            )
+        if self._native is None:
+            buffer = native.pointer("double[]", self._buffer)
+            if self._index is None:
+                self._native = (buffer, native.ffi.NULL, native.ffi.NULL, 0)
+            else:
+                self._native = (
+                    buffer,
+                    self._index.native_matrix(),
+                    native.pointer("double[]", self.dmin),
+                    len(self.dmin),
+                )
+        return self._native
 
 
 class LazySourceBounds:
@@ -91,12 +181,19 @@ class LazySourceBounds:
     bit-identical to the eager vector's entry while a typical query
     touches a few dozen columns instead of all ``n``.
 
+    With the compiled tier (:mod:`repro.native`) a miss is one C call
+    over the same column (``kpj_eq1_source``), with the same
+    semantics: ``-inf`` where both ``dmax[w]`` and ``δ(w, u)`` are
+    inf, then the max, then a floor at 0.
+
     Algorithms that genuinely read the bound densely (the ``SPT_P``
     backward build) call :meth:`eager` to get the classic
     :class:`TargetBounds` vector instead.
     """
 
-    __slots__ = ("_index", "_sources", "_dist", "_dmax", "_n", "_memo", "_eager")
+    __slots__ = (
+        "_index", "_sources", "_dist", "_dmax", "_n", "_memo", "_eager", "_cdmax",
+    )
 
     def __init__(self, index: "LandmarkIndex", sources: Sequence[int]) -> None:
         if not sources:
@@ -109,6 +206,7 @@ class LazySourceBounds:
         self._n = dist.shape[1]
         self._memo: dict[int, float] = {}
         self._eager: TargetBounds | None = None
+        self._cdmax = None
 
     def __call__(self, u: int) -> float:
         if u >= self._n:
@@ -118,6 +216,15 @@ class LazySourceBounds:
             dmax = self._dmax
             if dmax is None:
                 dmax = self._dmax = self._dist[:, list(self._sources)].max(axis=1)
+            if native.HAVE_NATIVE and u >= 0:
+                cdmax = self._cdmax
+                if cdmax is None:
+                    cdmax = self._cdmax = native.pointer("double[]", dmax)
+                bound = native.lib.kpj_eq1_source(
+                    self._index.native_matrix(), cdmax, len(dmax), self._n, u
+                )
+                self._memo[u] = bound
+                return bound
             col = self._dist[:, u]
             with np.errstate(invalid="ignore"):  # inf - inf -> nan, masked below
                 diff = col - dmax
@@ -159,11 +266,14 @@ class LandmarkIndex:
     def __init__(self, graph: DiGraph, landmarks: Sequence[int], dist: np.ndarray) -> None:
         self.graph = graph
         self.landmarks = tuple(landmarks)
-        self._dist = dist  # shape (|L|, n); δ(landmark_i, u)
+        # shape (|L|, n); δ(landmark_i, u), row-major: the compiled
+        # kernels read column u with stride n.
+        self._dist = np.ascontiguousarray(dist, dtype=np.float64)
         # The (landmark, node) pairs with δ(w, u) = inf, or None when
         # every landmark reaches every node (strongly connected graphs).
-        unreachable = np.isinf(dist)
+        unreachable = np.isinf(self._dist)
         self._unreachable = unreachable if unreachable.any() else None
+        self._cdist = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -187,9 +297,10 @@ class LandmarkIndex:
         dist = np.empty((len(landmarks), graph.n), dtype=np.float64)
         for i, w in enumerate(landmarks):
             dist[i, :] = single_source_distances(graph, w)
-        if exported is None and graph.csr_cache is not None:
+        if exported is None and graph.csr_cache is not None and not native.HAVE_NATIVE:
             # The CSR export scipy just swept was made for this build
-            # alone; a solver whose queries run no whole-graph sweep
+            # alone: without the compiled tier, whose settle loop runs
+            # over it, a solver whose queries run no whole-graph sweep
             # would hold it for nothing (about 3 MB on FLA), so the
             # graph's cache is left as it was found.
             graph.csr_cache = None
@@ -204,6 +315,13 @@ class LandmarkIndex:
     def nbytes(self) -> int:
         """Bytes of the ``|L| x n`` distance matrix, the index's footprint."""
         return self._dist.nbytes
+
+    def native_matrix(self):
+        """The distance matrix as a cdata pointer for the compiled
+        kernels (:mod:`repro.native`), cached."""
+        if self._cdist is None:
+            self._cdist = native.pointer("double[]", self._dist)
+        return self._cdist
 
     # ------------------------------------------------------------------
     # Bounds
@@ -222,30 +340,20 @@ class LandmarkIndex:
         return best
 
     def to_target_bounds(self, targets: Sequence[int]) -> TargetBounds:
-        """Eq. (2): the vector ``lb(u, V_T)`` for every node at once.
+        """Eq. (2): the bounds ``lb(u, V_T)``, computed on demand.
 
         One ``O(|L| |V_T|)`` reduction computes each landmark's
-        distance to the virtual target (``min_{v in V_T} δ(w, v)``),
-        then one subtraction and one max-reduction over the ``|L| x n``
-        matrix produce the whole bound vector.  This is the per-query
-        initialisation the paper describes at the start of Section
-        4.2's remarks.
+        distance to the virtual target (``min_{v in V_T} δ(w, v)``) —
+        the per-query initialisation the paper describes at the start
+        of Section 4.2's remarks.  Each node's bound then costs
+        ``O(|L|)`` when a search first needs it, or one vectorised pass
+        over the ``|L| x n`` matrix gives them all (see
+        :class:`TargetBounds`).
         """
         if not targets:
             raise LandmarkError("target set must be non-empty")
         dmin = self._dist[:, list(targets)].min(axis=1)  # δ(w, t) per landmark
-        with np.errstate(invalid="ignore"):  # inf - inf -> nan, masked below
-            diff = dmin[:, None] - self._dist
-        if self._unreachable is not None:
-            # A landmark that cannot reach u gives no information on
-            # δ(u, ·).  This also covers every nan, since inf - inf
-            # needs δ(w, u) = inf.
-            diff[self._unreachable] = -INF
-        bounds = diff.max(axis=0)
-        del diff  # the |L| x n temporary goes before the padded copy
-        # -inf (no landmark informs u) and negative bounds become 0.
-        np.maximum(bounds, 0.0, out=bounds)
-        return TargetBounds(bounds)
+        return TargetBounds(index=self, dmin=dmin)
 
     def to_target_bound_eq1(self, u: int, targets: Sequence[int]) -> float:
         """Eq. (1): ``min_{v in V_T} max_w { δ(w, v) - δ(w, u) }``.

@@ -14,7 +14,8 @@ algorithm drives it:
   lives in preallocated, generation-stamped buffers
   (:class:`FlatScratch`) pooled on the *base* graph with ``n + 2``
   slots, so the virtual target and source of any overlay fit and a
-  search allocates nothing proportional to ``n``.
+  search allocates nothing proportional to ``n``.  The compiled
+  settle loop's state (:class:`NativeScratch`) is pooled the same way.
 * **Whole-graph distance sweeps** (landmark SSSP, query stratification,
   the full SPT of DA-SPT) go to ``scipy.sparse.csgraph.dijkstra`` over
   the base graph's cached CSR export when scipy imports
@@ -30,6 +31,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
+from repro import native
 from repro.graph.csr import CSRGraph, shared_csr
 from repro.graph.digraph import DiGraph, ReversedView
 from repro.graph.virtual import OverlayRows
@@ -37,9 +41,12 @@ from repro.graph.virtual import OverlayRows
 __all__ = [
     "HAVE_SCIPY",
     "FlatScratch",
+    "NativeScratch",
     "row_source",
     "acquire_scratch",
     "release_scratch",
+    "acquire_native_scratch",
+    "release_native_scratch",
     "acquire_inf_array",
     "release_inf_array",
     "scipy_csr",
@@ -98,18 +105,77 @@ class FlatScratch:
         return self.n * 3 * 8
 
 
-def _buffer_size(graph) -> int:
-    """``n + 2`` of the input graph behind ``graph``: room for the
-    virtual target and source of any overlay.
+class NativeScratch:
+    """The compiled settle loop's pooled state (:mod:`repro.native`).
 
-    A :class:`~repro.graph.digraph.ReversedView` resolves to the graph
-    it reverses and a ``G_Q`` overlay to its base graph.
+    ``float64``/``int64`` buffers of ``n + 2`` slots — dist, stamp,
+    parent, the tree's ``h``, the settled order and the settled
+    destinations — plus a binary heap of ``(key, node)`` entries, and
+    the C struct (``state``) that points at them and at the base
+    graph's CSR export.  The heap holds ``1 + m + 2n`` entries: Alg. 7
+    pushes the source once and then at most once per edge of ``G_Q``,
+    which has ``m + |V_T| + |V_S|`` of them; a push past the end is
+    refused all the same.  Between trees ``h`` is all ``inf`` and the
+    stamps carry no current generation.  ``h``, ``parent`` and
+    ``stamp`` are ``memoryview`` s, so Python reads plain floats and
+    ints from them.
     """
+
+    __slots__ = ("state", "h", "parent", "stamp", "dest_nodes", "dest_dists",
+                 "_keep", "home")
+
+    def __init__(self, base, home: list | None = None) -> None:
+        self.home = home
+        n = base.n
+        size = n + 2
+        indptr, indices, weights = shared_csr(base).typed_arrays()
+        h = np.full(size, INF)
+        parent = np.empty(size, dtype=np.int64)
+        stamp = np.zeros(size, dtype=np.int64)
+        dest_nodes = np.empty(size, dtype=np.int64)
+        dest_dists = np.empty(size)
+        heap = np.empty(1 + len(indices) + 2 * n, dtype=[("key", "f8"), ("node", "i8")])
+        state = native.ffi.new("kpj_spt *")
+        keep = []
+        for field, ctype, array in (
+            ("indptr", "int64_t[]", indptr),
+            ("indices", "int64_t[]", indices),
+            ("weights", "double[]", weights),
+            ("dist", "double[]", np.empty(size)),
+            ("stamp", "int64_t[]", stamp),
+            ("parent", "int64_t[]", parent),
+            ("h", "double[]", h),
+            ("order", "int64_t[]", np.empty(size, dtype=np.int64)),
+            ("dest_nodes", "int64_t[]", dest_nodes),
+            ("dest_dists", "double[]", dest_dists),
+            ("heap", "kpj_entry[]", heap),
+        ):
+            cdata = native.pointer(ctype, array)
+            keep.append(cdata)
+            setattr(state, field, cdata)
+        state.n = n
+        state.heap_cap = len(heap)
+        self.state = state
+        self.h = memoryview(h)
+        self.parent = memoryview(parent)
+        self.stamp = memoryview(stamp)
+        self.dest_nodes = dest_nodes
+        self.dest_dists = dest_dists
+        self._keep = keep
+
+
+def _base_graph(graph):
+    """The input graph behind a reversed view or a ``G_Q`` overlay."""
     if isinstance(graph, ReversedView):
         graph = graph.underlying
     rows = graph.adjacency
-    base = rows.base if isinstance(rows, OverlayRows) else graph
-    return base.n + 2
+    return rows.base if isinstance(rows, OverlayRows) else graph
+
+
+def _buffer_size(graph) -> int:
+    """``n + 2`` of the input graph behind ``graph``: room for the
+    virtual target and source of any overlay."""
+    return _base_graph(graph).n + 2
 
 
 def row_source(graph) -> tuple[Sequence[list], dict[int, list]]:
@@ -147,6 +213,21 @@ def acquire_scratch(graph) -> FlatScratch:
 
 def release_scratch(scratch: FlatScratch) -> None:
     """Return a scratch buffer to the pool it came from."""
+    scratch.home.append(scratch)
+
+
+def acquire_native_scratch(graph) -> NativeScratch:
+    """Check the compiled settle loop's state out of the base graph's
+    pool (or make one)."""
+    pool = _pool(graph, "native")
+    if pool:
+        return pool.pop()
+    return NativeScratch(_base_graph(graph), pool)
+
+
+def release_native_scratch(scratch: NativeScratch) -> None:
+    """Restore ``h`` to all ``inf`` and return ``scratch`` to its pool."""
+    native.lib.kpj_spt_release(scratch.state)
     scratch.home.append(scratch)
 
 

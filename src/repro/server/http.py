@@ -28,7 +28,10 @@ Malformed framing — a request line without a method and a path, a
 head line over :data:`LINE_LIMIT` bytes, a negative, non-integer or
 over-long ``Content-Length`` — is answered ``400`` too, with the
 problem named, and a ``Content-Length`` over :data:`BODY_LIMIT` gets
-``413`` before any body byte is read; the server keeps serving.
+``413`` before any body byte is read; the server then drains what the
+client still sends (up to :data:`DISCARD_LIMIT` bytes and
+:data:`DISCARD_DEADLINE_S` seconds), so the client reads the 413
+instead of a reset, and keeps serving.
 """
 
 from __future__ import annotations
@@ -55,6 +58,14 @@ LINE_LIMIT = 2**16
 #: about 0.85 MB of JSON) fits with room to spare; without a cap the
 #: server would wait for, and buffer, whatever length the head names.
 BODY_LIMIT = 4 * 2**20
+
+#: After a 413 the server half-closes and reads and drops up to this
+#: many bytes of the refused body, for at most
+#: :data:`DISCARD_DEADLINE_S` seconds, before it closes.  Closing with
+#: the body unread would reset the connection, and a client still
+#: sending it (``urllib`` does) would see the reset, not the 413.
+DISCARD_LIMIT = 16 * 2**20
+DISCARD_DEADLINE_S = 2.0
 
 
 def _response(status: int, body: bytes, content_type: str) -> bytes:
@@ -163,6 +174,24 @@ async def _read_head(reader):
     return method, path, content_length, problem
 
 
+async def _discard(reader, limit: int) -> None:
+    """Read and drop up to ``limit`` bytes, for at most
+    :data:`DISCARD_DEADLINE_S` seconds or until the peer closes."""
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + DISCARD_DEADLINE_S
+    while limit > 0:
+        left = deadline - loop.time()
+        if left <= 0:
+            return
+        try:
+            chunk = await asyncio.wait_for(reader.read(min(limit, 2**16)), left)
+        except asyncio.TimeoutError:
+            return
+        if not chunk:
+            return
+        limit -= len(chunk)
+
+
 async def _handle(service: QueryService, reader, writer) -> None:
     try:
         head = await _read_head(reader)
@@ -178,6 +207,9 @@ async def _handle(service: QueryService, reader, writer) -> None:
         if problem is not None:
             writer.write(_json_response(status, {"error": problem}))
             await writer.drain()
+            if status == 413:
+                writer.write_eof()
+                await _discard(reader, min(content_length, DISCARD_LIMIT))
             return
         body = (
             await reader.readexactly(content_length) if content_length else b""

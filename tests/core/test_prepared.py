@@ -141,20 +141,15 @@ class TestPreparedCache:
         assert [p.nodes for p in a.paths] == [p.nodes for p in b.paths]
 
 
-def test_cache_miss_allocates_only_the_eq2_pass():
-    """A prepared-cache miss allocates nothing of size O(n) beyond
-    Eq. (2): the ``|L| x n`` temporary of the bound vector plus four
-    n-float vectors of slack.  A per-miss export of ``G_Q`` (a CSR, its
-    reverse, per-row lists) or a per-entry Python-float mirror of the
-    bounds would blow through this (the dual-substrate flat kernel
-    peaked near 22 MiB here against a 2.35 MiB bound)."""
+def _miss_peak_bytes() -> tuple[int, int]:
+    """Traced peak of a COL prepared-cache miss (16 landmarks, after a
+    warm-up query that fills the pools), and ``n``."""
     import tracemalloc
 
     from repro.datasets.registry import road_network
 
     dataset = road_network("COL")
-    landmarks = 16
-    solver = KPJSolver(dataset.graph, dataset.categories, landmarks=landmarks)
+    solver = KPJSolver(dataset.graph, dataset.categories, landmarks=16)
     n = dataset.graph.n
     solver.top_k(5, destinations=(1, 2, 3), k=2)  # warm-up: pools, caches
     tracemalloc.start()
@@ -165,4 +160,31 @@ def test_cache_miss_allocates_only_the_eq2_pass():
         tracemalloc.stop()
     assert result.stats.prepared_cache_misses == 1
     assert len(result.paths) == 2
-    assert peak < (landmarks + 4) * 8 * n
+    return peak, n
+
+
+def test_cache_miss_allocates_only_the_eq2_pass(monkeypatch):
+    """On the Python path a prepared-cache miss allocates nothing of
+    size O(n) beyond Eq. (2): the ``|L| x n`` temporary of the bound
+    vector plus four n-float vectors of slack.  A per-miss export of
+    ``G_Q`` (a CSR, its reverse, per-row lists) or a per-entry
+    Python-float mirror of the bounds would blow through this (the
+    dual-substrate flat kernel peaked near 22 MiB here against a
+    2.35 MiB bound)."""
+    from repro import native
+
+    monkeypatch.setattr(native, "HAVE_NATIVE", False)
+    peak, n = _miss_peak_bytes()
+    assert peak < (16 + 4) * 8 * n
+
+
+def test_cache_miss_on_the_compiled_tier_has_no_eq2_matrix():
+    """With the compiled tier Eq. (2) is computed per touched node, so
+    a miss has no ``|L| x n`` term at all: a few n-float vectors (the
+    entry's padded buffer, its destination flags) at most."""
+    from repro import native
+
+    if not native.HAVE_NATIVE:
+        pytest.skip("compiled tier not built")
+    peak, n = _miss_peak_bytes()
+    assert peak < 4 * 8 * n

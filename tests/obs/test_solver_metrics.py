@@ -84,7 +84,10 @@ class TestEnabledPath:
         # the occupancy gauges.
         assert not [c for c in reg.counters if c.startswith("prepared_cache")]
         assert reg.gauges["prepared_cache_entries"] == 1
-        assert reg.gauges["prepared_cache_bytes"] == sj.graph.n * 8
+        # At the miss the entry holds the padded Eq. (2) buffer and one
+        # landmark minimum per landmark.
+        n_landmarks = solver.landmark_index.size
+        assert reg.gauges["prepared_cache_bytes"] == (sj.graph.n + 2 + n_landmarks) * 8
 
     def test_prepare_method_records_phase(self, sj):
         reg = MetricsRegistry()

@@ -312,6 +312,24 @@ class TestMalformedInput:
         assert "body limit" in json.loads(body)["error"]
         _assert_still_serving(base)
 
+    def test_oversized_body_413_reaches_a_client_still_sending(self, endpoint):
+        # urllib sends the whole body before it reads the reply; a
+        # server that closes with the body unread resets the connection
+        # and the client sees ECONNRESET instead of the 413.
+        base, _ = endpoint
+        request = urllib.request.Request(
+            base + "/query",
+            data=b"x" * (5 * 2**20),
+            headers={"Content-Type": "application/json"},
+            method="POST",
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=30)
+        with excinfo.value:
+            assert excinfo.value.code == 413
+            assert "body limit" in json.loads(excinfo.value.read())["error"]
+        _assert_still_serving(base)
+
     @pytest.mark.parametrize(
         "head,problem",
         [
