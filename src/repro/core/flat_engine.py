@@ -154,9 +154,10 @@ class FlatIncrementalSPT:
     ``(key, node)`` — the order ``heapq`` gives the tuples — so pops,
     parents, ties, :attr:`queue_peak` and every counter equal the
     Python loop's.  A :class:`~repro.landmarks.index.TargetBounds`
-    key term is computed per node on first touch, into its memo.
-    :attr:`h` is then a ``memoryview`` of the pooled ``float64``
-    vector, read exactly as the list is.
+    key term is computed per node on first touch, into its memo;
+    bounds without ``native_args`` (a plain callable) run the Python
+    loop.  :attr:`h` is then a ``memoryview`` of the pooled
+    ``float64`` vector, read exactly as the list is.
     """
 
     __slots__ = (
@@ -197,8 +198,9 @@ class FlatIncrementalSPT:
         self._source = source
         self._stats = stats
         self.queue_peak = 1
-        if native.HAVE_NATIVE:
-            self._begin_native(query_graph, target_bounds)
+        args = native.HAVE_NATIVE and getattr(target_bounds, "native_args", None)
+        if args:
+            self._begin_native(query_graph, args(query_graph.base.n))
             return
         self._native = None
         self._base_rows = query_graph.base.adjacency
@@ -231,39 +233,23 @@ class FlatIncrementalSPT:
         if stats is not None:
             stats.heap_pushes += 1
 
-    def _begin_native(self, query_graph: QueryGraph, target_bounds) -> None:
-        """Set up the compiled tier's tree: the key term, pooled state,
-        the overlay's flags and virtual rows, and the source's push."""
-        size = self._graph.n
-        args = getattr(target_bounds, "native_args", None)
-        if args is not None:
-            self._tb = args(query_graph.base.n)
-        else:
-            tb = dense_heuristic(target_bounds, size)
-            if tb is None:
-                self._tb = (native.ffi.NULL, native.ffi.NULL, native.ffi.NULL, 0)
-            else:
-                if callable(tb):
-                    tb = [tb(v) for v in range(size)]
-                vector = np.array(tb, dtype=np.float64)
-                if len(vector) < size:
-                    raise ValueError(
-                        f"a key term of {len(vector)} entries for {size} nodes"
-                    )
-                self._tb = (native.pointer("double[]", vector), native.ffi.NULL,
-                            native.ffi.NULL, 0)
+    def _begin_native(self, query_graph: QueryGraph, tb: tuple) -> None:
+        """Set up the compiled tier's tree: the key term ``tb`` (the
+        bounds' ``native_args``), pooled state, the overlay's flags and
+        virtual rows, and the source's push."""
+        self._tb = tb
         scratch = acquire_native_scratch(self._graph)
         state = scratch.state
         state.dest, state.vptr, state.vidx, state.vw = _overlay_arrays(query_graph)
         state.target = query_graph.target
-        state.tb, state.lm, state.dmin, state.nlm = self._tb
+        state.tb, state.lm, state.dmin, state.nlm = tb
         self._native = scratch
-        if native.lib.kpj_spt_begin(state, self._source):
-            raise RuntimeError("incremental SPT heap has no room for the source")
-        self._settled_tag = -state.gen
         self._stamp = scratch.stamp
         self._parent = scratch.parent
         self.h = scratch.h
+        if native.lib.kpj_spt_begin(state, self._source):
+            raise RuntimeError("incremental SPT heap has no room for the source")
+        self._settled_tag = -state.gen
         if self._stats is not None:
             self._stats.heap_pushes += 1
 

@@ -256,6 +256,10 @@ class ZeroBounds:
         """``None``: the search kernels' zero heuristic, ``estimate = g``."""
         return None
 
+    def native_args(self, n: int) -> tuple:
+        """The compiled settle loop's zero key term: no memo, no matrix."""
+        return (native.ffi.NULL, native.ffi.NULL, native.ffi.NULL, 0)
+
 
 ZERO_BOUNDS = ZeroBounds()
 

@@ -22,11 +22,22 @@ built in a child process (``python -m repro.native.build <dir>``), so
 setuptools and the compiler never add to this process's memory.  The
 cache is the gitignored ``_cache`` directory next to this file, or a
 per-user directory under the system temp directory where that one is
-not writable.  :data:`HAVE_NATIVE` says whether the tier loaded, the
-way :data:`repro.pathing.flat.HAVE_SCIPY` says whether scipy did:
+not writable.  A cache directory is used only if it is a real
+directory (not a symlink), owned by this user or root, and writable by
+no one else; it is made with mode ``0o700``.  An extension is loaded
+only under the same rule, so no other user can plant or swap the code
+this process runs.  :data:`HAVE_NATIVE` says whether the tier loaded,
+the way :data:`repro.pathing.flat.HAVE_SCIPY` says whether scipy did:
 without cffi it is ``False``, and a failed build logs one line and
-leaves it ``False``.  There is no switch; tests pick a tier by
-monkeypatching :data:`HAVE_NATIVE`.
+leaves it ``False``.  A compile that fails (the child ran and exited
+non-zero) is remembered in a ``.failed`` marker next to where the
+extension would be, under the same key, so later imports (every CLI
+call, every served process) take the Python path without rebuilding
+or logging again; deleting the marker makes the next import retry.  A
+child that could not be started or timed out leaves no marker: this
+process runs the Python path, and the next import tries again.  There
+is no switch; tests pick a tier by monkeypatching :data:`HAVE_NATIVE`.
+The tier is POSIX-only.
 """
 
 from __future__ import annotations
@@ -36,6 +47,7 @@ import importlib.machinery
 import importlib.util
 import logging
 import os
+import stat
 import subprocess
 import sys
 import tempfile
@@ -72,19 +84,25 @@ def module_name(source: str, cffi_version: str) -> str:
 
 def _cache_dirs() -> list[Path]:
     """The in-tree cache, then a per-user temp directory."""
-    uid = os.getuid() if hasattr(os, "getuid") else "user"
     return [
         Path(__file__).with_name("_cache"),
-        Path(tempfile.gettempdir()) / f"repro-native-{uid}",
+        Path(tempfile.gettempdir()) / f"repro-native-{os.getuid()}",
     ]
 
 
-def _writable(directory: Path) -> bool:
+def _private(path: Path, kind) -> bool:
+    """Whether ``path`` is, without following a symlink, of ``kind``
+    (:func:`stat.S_ISDIR` or :func:`stat.S_ISREG`), owned by this user
+    or root, and writable by neither group nor others."""
     try:
-        directory.mkdir(parents=True, exist_ok=True)
+        st = os.lstat(path)
     except OSError:
         return False
-    return os.access(directory, os.W_OK | os.X_OK)
+    return (
+        kind(st.st_mode)
+        and st.st_uid in (0, os.getuid())
+        and not st.st_mode & (stat.S_IWGRP | stat.S_IWOTH)
+    )
 
 
 def _import(name: str, path: Path):
@@ -96,17 +114,22 @@ def _import(name: str, path: Path):
 
 def _build(directory: Path) -> str | None:
     """Run the child build into ``directory``; ``None`` on success,
-    else the reason it failed."""
+    else the reason the compile failed.
+
+    Raises
+    ------
+    OSError, subprocess.SubprocessError
+        If the child could not be started or did not finish in
+        :data:`BUILD_TIMEOUT_S`: a failure of this moment, not of the
+        source.
+    """
     src = str(Path(__file__).parents[2])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    try:
-        done = subprocess.run(
-            [sys.executable, "-m", "repro.native.build", str(directory)],
-            env=env, capture_output=True, text=True, timeout=BUILD_TIMEOUT_S,
-        )
-    except (OSError, subprocess.SubprocessError) as exc:
-        return str(exc)
+    done = subprocess.run(
+        [sys.executable, "-m", "repro.native.build", str(directory)],
+        env=env, capture_output=True, text=True, timeout=BUILD_TIMEOUT_S,
+    )
     if done.returncode != 0:
         lines = done.stderr.strip().splitlines()
         return lines[-1] if lines else f"exit code {done.returncode}"
@@ -120,35 +143,56 @@ def _in_builder() -> bool:
     return any(a == "-m" and b == __name__ + ".build" for a, b in zip(argv, argv[1:]))
 
 
+def _unavailable(reason: str, marker: Path | None = None) -> None:
+    """Log, once, why the Python path runs.  ``marker`` records the
+    failure under the extension's key, so later imports neither
+    rebuild nor log; deleting it makes the next import try again."""
+    if marker is not None:
+        try:
+            marker.write_text(reason + "\n")
+        except OSError:
+            marker = None
+    retry = f" (delete {marker} to retry)" if marker is not None else ""
+    _log.warning("compiled tier unavailable (%s); using the Python path%s", reason, retry)
+
+
 def _load():
     """The compiled module, or ``None`` when the tier is unavailable."""
-    if _in_builder():
+    if _in_builder() or not hasattr(os, "getuid"):
         return None
     try:
         import _cffi_backend
     except ImportError:  # no cffi: the Python path, silently
         return None
     name = module_name(SOURCE.read_text(), _cffi_backend.__version__)
-    filename = name + extension_suffix()
-    dirs = _cache_dirs()
-    for directory in dirs:
-        if (directory / filename).is_file():
-            try:
-                return _import(name, directory / filename)
-            except ImportError:
-                break  # unusable: build afresh below
-    reason = "no writable build directory"
-    for directory in dirs:
-        if not _writable(directory):
+    for directory in _cache_dirs():
+        try:
+            directory.mkdir(mode=0o700, parents=True, exist_ok=True)
+        except OSError:
             continue
-        reason = _build(directory)
-        if reason is None:
+        if not _private(directory, stat.S_ISDIR):
+            continue  # a symlink, or others may write in it
+        extension = directory / (name + extension_suffix())
+        marker = directory / (name + ".failed")
+        if marker.is_file():
+            return None  # this build failed here before, and said why then
+        if not _private(extension, stat.S_ISREG):
+            if not os.access(directory, os.W_OK | os.X_OK):
+                continue
             try:
-                return _import(name, directory / filename)
-            except ImportError as exc:
-                reason = str(exc)
-        break
-    _log.warning("compiled tier unavailable (%s); using the Python path", reason)
+                reason = _build(directory)
+            except (OSError, subprocess.SubprocessError) as exc:
+                _unavailable(str(exc))
+                return None
+            if reason is not None:
+                _unavailable(reason, marker)
+                return None
+        try:
+            return _import(name, extension)
+        except ImportError as exc:
+            _unavailable(str(exc), marker)
+            return None
+    _unavailable("no private writable build directory")
     return None
 
 

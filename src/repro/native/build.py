@@ -5,9 +5,10 @@ name :func:`repro.native.module_name` gives, which hashes the C
 source, the compile flags, the cffi version and the interpreter's
 extension ABI tag, so a build for other sources or another
 interpreter is never loaded.  The compile runs in a private temporary
-directory inside ``<dir>`` and the finished extension is moved into
-place with :func:`os.replace`, so processes that build at the same
-time never see a partial file.
+directory inside ``<dir>`` and the finished extension, made writable
+by its owner only whatever the umask, is moved into place with
+:func:`os.replace`, so processes that build at the same time never see
+a partial file and the loader's ownership check accepts it.
 
 On success it prints nothing and exits 0; on failure it prints the
 compiler's last output line to stderr and exits 1.  The loader
@@ -44,6 +45,7 @@ def build(out_dir: Path) -> Path:
     ffi.set_source(name, source, extra_compile_args=list(CFLAGS))
     with tempfile.TemporaryDirectory(dir=out_dir, prefix=".build-") as tmp:
         built = ffi.compile(tmpdir=tmp, verbose=False)
+        os.chmod(built, 0o755)
         os.replace(built, target)
     return target
 

@@ -6,7 +6,8 @@ that work *cost in memory*, in three independent tiers:
 * :func:`peak_rss_bytes` — the process high-water mark from
   ``getrusage`` (always available, ~µs to read);
 * pool/cache byte accounting — :func:`scratch_pool_bytes` sizes the
-  pooled :class:`~repro.pathing.flat.FlatScratch` buffers parked on a
+  pooled :class:`~repro.pathing.flat.FlatScratch` and
+  :class:`~repro.pathing.flat.NativeScratch` buffers parked on a
   graph (each reports itself via ``nbytes()``), complementing the
   solver's ``prepared_cache_bytes`` gauge;
 * :class:`MemoryTelemetry` — **opt-in** per-phase ``tracemalloc``
@@ -58,15 +59,19 @@ def peak_rss_bytes() -> int:
 
 
 def scratch_pool_bytes(graph) -> dict[str, int]:
-    """Bytes parked in the scratch pool searches on ``graph`` draw from.
+    """Bytes parked in the scratch pools searches on ``graph`` draw from.
 
     Sums ``nbytes()`` over the pooled flat scratch sets of the base
-    graph (idle buffers awaiting reuse — buffers currently checked out
-    by a running search are owned by that search, not the pool).  A
-    ``G_Q`` overlay or reversed view reports its base graph's pool.
+    graph and the compiled settle loop's pooled states (idle buffers
+    awaiting reuse — buffers currently checked out by a running search
+    are owned by that search, not the pool).  A ``G_Q`` overlay or
+    reversed view reports its base graph's pools.
     """
-    pool = graph.search_pools.get("scratch", ())
-    return {"flat_scratch_pool_bytes": sum(s.nbytes() for s in pool)}
+    pools = graph.search_pools
+    held = sum(
+        s.nbytes() for kind in ("scratch", "native") for s in pools.get(kind, ())
+    )
+    return {"flat_scratch_pool_bytes": held}
 
 
 class MemoryTelemetry:

@@ -117,12 +117,12 @@ class NativeScratch:
     which has ``m + |V_T| + |V_S|`` of them; a push past the end is
     refused all the same.  Between trees ``h`` is all ``inf`` and the
     stamps carry no current generation.  ``h``, ``parent`` and
-    ``stamp`` are ``memoryview`` s, so Python reads plain floats and
-    ints from them.
+    ``stamp`` are memoryviews, so Python reads plain floats and ints
+    from them.
     """
 
     __slots__ = ("state", "h", "parent", "stamp", "dest_nodes", "dest_dists",
-                 "_keep", "home")
+                 "_keep", "_nbytes", "home")
 
     def __init__(self, base, home: list | None = None) -> None:
         self.home = home
@@ -134,13 +134,12 @@ class NativeScratch:
         stamp = np.zeros(size, dtype=np.int64)
         dest_nodes = np.empty(size, dtype=np.int64)
         dest_dists = np.empty(size)
-        heap = np.empty(1 + len(indices) + 2 * n, dtype=[("key", "f8"), ("node", "i8")])
+        heap = np.empty(
+            1 + len(indices) + 2 * n, dtype=[("key", "f8"), ("node", "i8")]
+        )
         state = native.ffi.new("kpj_spt *")
         keep = []
-        for field, ctype, array in (
-            ("indptr", "int64_t[]", indptr),
-            ("indices", "int64_t[]", indices),
-            ("weights", "double[]", weights),
+        owned = (
             ("dist", "double[]", np.empty(size)),
             ("stamp", "int64_t[]", stamp),
             ("parent", "int64_t[]", parent),
@@ -149,10 +148,17 @@ class NativeScratch:
             ("dest_nodes", "int64_t[]", dest_nodes),
             ("dest_dists", "double[]", dest_dists),
             ("heap", "kpj_entry[]", heap),
-        ):
+        )
+        for field, ctype, array in (
+            ("indptr", "int64_t[]", indptr),
+            ("indices", "int64_t[]", indices),
+            ("weights", "double[]", weights),
+        ) + owned:
             cdata = native.pointer(ctype, array)
             keep.append(cdata)
             setattr(state, field, cdata)
+        # The CSR arrays are the base graph's shared export: not counted.
+        self._nbytes = sum(array.nbytes for _, _, array in owned)
         state.n = n
         state.heap_cap = len(heap)
         self.state = state
@@ -162,6 +168,12 @@ class NativeScratch:
         self.dest_nodes = dest_nodes
         self.dest_dists = dest_dists
         self._keep = keep
+
+    def nbytes(self) -> int:
+        """Bytes of the buffers this state owns: seven ``n + 2``-slot
+        vectors and the heap (the CSR export is the base graph's).
+        Feeds the memory-telemetry pool gauge."""
+        return self._nbytes
 
 
 def _base_graph(graph):

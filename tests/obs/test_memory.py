@@ -13,6 +13,7 @@ from repro.obs.memory import (
     peak_rss_bytes,
     scratch_pool_bytes,
 )
+from repro import native
 from repro.obs.metrics import MetricsRegistry
 from repro.pathing.flat import FlatScratch
 
@@ -44,22 +45,49 @@ class TestScratchBytes:
     def test_flat_scratch_nbytes_nominal(self):
         assert FlatScratch(100).nbytes() == 100 * 3 * 8
 
-    def test_pool_bytes_track_checkin(self, sj):
+    @pytest.fixture
+    def empty_pools(self, sj):
+        """SJ's flat and compiled-tier scratch pools, emptied for the
+        test and restored after it."""
+        pools = sj.graph.search_pools
+        saved = {kind: pools.setdefault(kind, [])[:] for kind in ("scratch", "native")}
+        for kind in saved:
+            pools[kind].clear()
+        yield pools
+        for kind, items in saved.items():
+            pools[kind][:] = items
+
+    def test_pool_bytes_track_checkin(self, sj, empty_pools):
         from repro.pathing.flat import acquire_scratch, release_scratch
 
-        pool = sj.graph.search_pools.setdefault("scratch", [])
-        saved = pool[:]
-        pool.clear()
-        try:
-            assert scratch_pool_bytes(sj.graph)["flat_scratch_pool_bytes"] == 0
-            scratch = acquire_scratch(sj.graph)
-            release_scratch(scratch)
-            assert (
-                scratch_pool_bytes(sj.graph)["flat_scratch_pool_bytes"]
-                == (sj.n + 2) * 3 * 8
-            )
-        finally:
-            pool[:] = saved
+        assert scratch_pool_bytes(sj.graph)["flat_scratch_pool_bytes"] == 0
+        scratch = acquire_scratch(sj.graph)
+        release_scratch(scratch)
+        assert (
+            scratch_pool_bytes(sj.graph)["flat_scratch_pool_bytes"]
+            == (sj.n + 2) * 3 * 8
+        )
+
+    @pytest.mark.skipif(not native.HAVE_NATIVE, reason="compiled tier not built")
+    def test_pool_bytes_count_the_compiled_tier_state(self, sj, empty_pools):
+        # SPT_I's state on the compiled tier is the largest pooled
+        # buffer: seven n + 2 vectors and a heap of 1 + m + 2n
+        # (key, node) entries.  A query leaves it in the pool.
+        from repro.pathing.flat import acquire_native_scratch, release_native_scratch
+
+        scratch = acquire_native_scratch(sj.graph)
+        release_native_scratch(scratch)
+        held = 7 * (sj.n + 2) * 8 + (1 + sj.graph.m + 2 * sj.n) * 16
+        assert scratch.nbytes() == held
+        assert scratch_pool_bytes(sj.graph) == {"flat_scratch_pool_bytes": held}
+        empty_pools["native"].clear()
+        reg = MetricsRegistry()
+        solver = KPJSolver(
+            sj.graph, sj.categories, landmarks=4, metrics=reg,
+            memory=MemoryTelemetry(),
+        )
+        solver.top_k(3, category="T2", k=3, algorithm="iter-bound-spti")
+        assert reg.gauges["flat_scratch_pool_bytes"] >= held
 
     def test_overlay_reports_its_base_graph_pool(self, sj):
         # Searches on a G_Q overlay draw from the base graph's pool, so

@@ -10,8 +10,10 @@ they exercise is their own.
 
 from __future__ import annotations
 
+import logging
 import os
 import shutil
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -41,8 +43,8 @@ def _copy_package(root: Path, extra_source: str = "") -> Path:
     return root
 
 
-def _run(root: Path, code: str = PROBE) -> subprocess.CompletedProcess:
-    env = dict(os.environ, PYTHONPATH=str(root))
+def _run(root: Path, code: str = PROBE, **env: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(root), **env)
     return subprocess.run(
         [sys.executable, "-c", code], cwd=root, env=env,
         capture_output=True, text=True, timeout=300,
@@ -82,6 +84,9 @@ def test_without_cffi_the_python_path_loads_quietly(tmp_path):
 
 @needs_tier
 def test_failed_build_falls_back_with_one_log_line(tmp_path):
+    """A failed build logs one line, once: its marker sends later
+    imports (a CLI call, a served process) to the Python path without
+    a rebuild or another line on stderr."""
     root = _copy_package(tmp_path, "\n#error deliberately broken\n")
     done = _run(root)
     assert done.returncode == 0, done.stderr
@@ -89,7 +94,82 @@ def test_failed_build_falls_back_with_one_log_line(tmp_path):
     lines = done.stderr.strip().splitlines()
     assert len(lines) == 1, lines
     assert "compiled tier unavailable" in lines[0]
-    assert not [name for name in _built(root) if name.startswith("_kpj_")]
+    built = _built(root)
+    assert len(built) == 1 and built[0].endswith(".failed"), built
+    assert built[0] in lines[0]
+    again = _run(root)
+    assert (again.returncode, again.stdout, again.stderr) == (0, "False\n", "")
+    assert _built(root) == built
+
+
+@needs_tier
+def test_cache_directories_others_may_write_are_refused(tmp_path):
+    """A cache directory that others may write, or a symlink in its
+    place, is never read from or built into, so no other user can plant
+    an extension or a failure marker.  Here a planted marker in an
+    other-writable in-tree cache would turn the tier off; it is ignored
+    and the tier builds into the private temp fallback instead."""
+    import _cffi_backend
+
+    root = _copy_package(tmp_path / "pkg", "\n/* refused caches */\n")
+    name = native.module_name(
+        (root / "repro" / "native" / "kernels.c").read_text(),
+        _cffi_backend.__version__,
+    )
+    planted = root / "repro" / "native" / "_cache"
+    planted.mkdir()
+    planted.chmod(0o777)
+    (planted / (name + ".failed")).write_text("planted\n")
+    (planted / (name + native.extension_suffix())).write_bytes(b"planted")
+    temp = tmp_path / "tmp"
+    temp.mkdir()
+    fallback = temp / f"repro-native-{os.getuid()}"
+
+    done = _run(root, TMPDIR=str(temp))
+    assert (done.returncode, done.stdout, done.stderr) == (0, "True\n", "")
+    assert _built(root) == sorted([name + ".failed", name + native.extension_suffix()])
+    assert stat.S_IMODE(fallback.stat().st_mode) == 0o700
+    assert [p.name for p in fallback.iterdir()] == [name + native.extension_suffix()]
+
+    fallback.chmod(0o777)  # both caches shared now: the Python path
+    done = _run(root, TMPDIR=str(temp))
+    assert (done.returncode, done.stdout) == (0, "False\n")
+    assert "no private writable build directory" in done.stderr
+    assert [p.name for p in fallback.iterdir()] == [name + native.extension_suffix()]
+
+    fallback.chmod(0o700)  # a symlink to a private directory is no better
+    fallback.rename(temp / "elsewhere")
+    fallback.symlink_to(temp / "elsewhere")
+    done = _run(root, TMPDIR=str(temp))
+    assert (done.returncode, done.stdout) == (0, "False\n")
+    assert "no private writable build directory" in done.stderr
+
+
+@pytest.mark.parametrize(
+    "error",
+    [OSError(11, "Resource temporarily unavailable"),
+     subprocess.TimeoutExpired(["build"], 300)],
+    ids=["spawn", "timeout"],
+)
+def test_a_build_that_could_not_run_leaves_no_marker(tmp_path, monkeypatch, caplog, error):
+    """A child that could not start or timed out says nothing about
+    the source: this process falls back with one log line, and no
+    marker keeps the next import from trying again."""
+    pytest.importorskip("_cffi_backend")
+
+    def fail(*args, **kwargs):
+        raise error
+
+    cache = tmp_path / "cache"
+    monkeypatch.setattr(native, "_cache_dirs", lambda: [cache])
+    monkeypatch.setattr(native, "_in_builder", lambda: False)
+    monkeypatch.setattr(native.subprocess, "run", fail)
+    with caplog.at_level(logging.WARNING, logger=native.__name__):
+        assert native._load() is None
+    assert len(caplog.records) == 1
+    assert "compiled tier unavailable" in caplog.records[0].getMessage()
+    assert "to retry" not in caplog.records[0].getMessage()
+    assert list(cache.iterdir()) == []
 
 
 @needs_tier
