@@ -28,7 +28,7 @@ import numpy as np
 from repro import native
 from repro.bench.harness import solver_for, workload_for
 from repro.bench.trajectory import append, stamp
-from repro.core.flat_engine import FlatIncrementalSPT
+from repro.core.flat_engine import CompiledIncrementalSPT, FlatIncrementalSPT
 from repro.core.stats import SearchStats
 from repro.graph.virtual import build_query_graph
 from repro.pathing.astar import astar_path, bounded_astar_path
@@ -212,12 +212,13 @@ def test_kernel_comparison_report(monkeypatch):
 # ----------------------------------------------------------------------
 
 
-def test_compiled_tier_report(monkeypatch):
+def test_compiled_tier_report():
     """Time two kernels on COL on both tiers; append to BENCH_kernels.json.
 
-    * ``spti_initial`` — :class:`FlatIncrementalSPT`'s initial build
-      (Alg. 7's settle loop up to the virtual target) from three ``Q3``
-      sources toward ``T1``, on a warm Eq. (2) vector;
+    * ``spti_initial`` — the initial build of Alg. 7's tree (the settle
+      loop up to the virtual target) from three ``Q3`` sources toward
+      ``T1``, on a warm Eq. (2) vector: :class:`CompiledIncrementalSPT`
+      against :class:`FlatIncrementalSPT`;
     * ``cache_miss`` — the same builds, each on a fresh
       ``to_target_bounds``: Eq. (2) plus the settle loop, what a
       prepared-cache miss costs ``SPT_I``.
@@ -233,32 +234,34 @@ def test_compiled_tier_report(monkeypatch):
     graphs = [build_query_graph(network.graph, (s,), targets) for s in sources]
     warm = index.to_target_bounds(graphs[0].destinations)
 
-    def build(fresh_bounds: bool):
+    def build(tree_class, fresh_bounds: bool):
         trees = []
         for qg in graphs:
             bounds = index.to_target_bounds(qg.destinations) if fresh_bounds else warm
             stats = SearchStats()
-            tree = FlatIncrementalSPT(qg, bounds, stats)
+            tree = tree_class(qg, bounds, stats)
             trees.append((tree.build_initial(qg.target), len(tree), stats.as_dict()))
             tree.close()
         return trees
 
-    tiers = ("native", "python") if native.HAVE_NATIVE else ("python",)
+    tiers = {"python": FlatIncrementalSPT}
+    if native.HAVE_NATIVE:
+        tiers["native"] = CompiledIncrementalSPT
     report = {
         **stamp(),
         "bench": "compiled_tier", "dataset": "COL", "n": network.graph.n,
         "native": native.HAVE_NATIVE, "kernels": {},
     }
     answers = {}
-    for tier in tiers:
-        monkeypatch.setattr(native, "HAVE_NATIVE", tier == "native")
-        answers[tier] = build(False)
+    for tier, tree_class in tiers.items():
+        answers[tier] = build(tree_class, False)
         report["kernels"][tier] = {
-            f"{name}_seconds_per_query": _time_kernel(lambda: build(fresh), rounds=5)
+            f"{name}_seconds_per_query": _time_kernel(
+                lambda: build(tree_class, fresh), rounds=5
+            )
             / len(graphs)
             for name, fresh in (("spti_initial", False), ("cache_miss", True))
         }
-    monkeypatch.undo()
     if native.HAVE_NATIVE:
         assert answers["native"] == answers["python"]
         speedups = {

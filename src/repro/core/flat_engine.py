@@ -16,6 +16,8 @@ bounding algorithms keep *across* searches of one query:
   arrays; its distance vector *is* the reverse search's heuristic
   array (settled = exact ``ds``, unsettled = ``inf`` = "outside the
   tree, prune"), so growing the tree updates the heuristic in place;
+  :class:`CompiledIncrementalSPT` is the same tree with its settle
+  loop in C (:mod:`repro.native`);
 * the Alg. 8 one-hop bounds over those pieces
   (:func:`make_comp_lb`, :func:`make_comp_lb_children`), used by
   :func:`repro.core.spt_incremental.iter_bound_spti`.
@@ -26,8 +28,6 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from typing import Callable
 
-import numpy as np
-
 from repro import native
 from repro.core.stats import SearchStats
 from repro.core.subspace import Subspace
@@ -35,16 +35,15 @@ from repro.graph.virtual import QueryGraph
 from repro.pathing.astar import bounded_astar_path
 from repro.pathing.flat import (
     acquire_inf_array,
-    acquire_native_scratch,
     acquire_scratch,
     release_inf_array,
-    release_native_scratch,
     release_scratch,
 )
 
 __all__ = [
     "make_test_lb",
     "FlatIncrementalSPT",
+    "CompiledIncrementalSPT",
     "make_comp_lb",
     "make_comp_lb_children",
     "dense_heuristic",
@@ -123,7 +122,58 @@ def make_test_lb(
     return test_lb
 
 
-class FlatIncrementalSPT:
+class _IncrementalSPT:
+    """The tier-free half of Alg. 7's tree: the first path and lookups.
+
+    The shared members of :class:`FlatIncrementalSPT` and
+    :class:`CompiledIncrementalSPT`; each subclass supplies the settle
+    loop (``_settle_until``) and the dense ``ds`` vector :attr:`h`.
+    """
+
+    __slots__ = ("h", "queue_peak", "_source", "_parent", "_stamp", "_settled_tag",
+                 "_stats")
+
+    def __init__(self, source: int, stats: SearchStats | None) -> None:
+        self._source = source
+        self._stats = stats
+        self.queue_peak = 1
+        if stats is not None:
+            stats.heap_pushes += 1  # the source's
+
+    def build_initial(self, target: int) -> tuple[tuple[int, ...], float] | None:
+        """Phase one: settle until ``target`` is reached.
+
+        Returns the first shortest path (source → … → target) and its
+        length, or ``None`` if the target is unreachable.  This is the
+        by-product construction invoked at line 1 of Alg. 4.
+        """
+        u = self._settle_until(target, INF)
+        if u is None:
+            return None
+        path = [u]
+        node = u
+        parent = self._parent
+        while node != self._source:
+            node = parent[node]
+            path.append(node)
+        path.reverse()
+        return tuple(path), self.h[target]
+
+    def __contains__(self, v: int) -> bool:
+        return self._stamp[v] == self._settled_tag
+
+    def distance(self, v: int) -> float | None:
+        """Exact ``ds(v)`` if settled, else ``None``."""
+        d = self.h[v]
+        return None if d == INF else d
+
+    def heuristic(self, v: int) -> float:
+        """The reverse search's bound: exact ``ds`` if settled, else
+        ``inf`` ("outside the tree, prune")."""
+        return self.h[v]
+
+
+class FlatIncrementalSPT(_IncrementalSPT):
     """Alg. 7 on flat arrays: the incremental shortest-path tree.
 
     Grows *forward* from the query source over ``G_Q``, settling nodes
@@ -145,45 +195,26 @@ class FlatIncrementalSPT:
     The persistent queue (the paper's ``Q_T``) survives across
     :meth:`grow` calls; :attr:`queue_peak` is its largest size at the
     end of a settle call (at least 1).  :meth:`close` returns the
-    pooled buffers.
-
-    With the compiled tier (:data:`repro.native.HAVE_NATIVE`) each
-    settle call is one C call (``kpj_spt_settle``) over the base
-    graph's CSR export and the overlay's virtual rows, on a
-    :class:`~repro.pathing.flat.NativeScratch`: a binary heap on
-    ``(key, node)`` — the order ``heapq`` gives the tuples — so pops,
-    parents, ties, :attr:`queue_peak` and every counter equal the
-    Python loop's.  A :class:`~repro.landmarks.index.TargetBounds`
-    key term is computed per node on first touch, into its memo;
-    bounds without ``native_args`` (a plain callable) run the Python
-    loop.  :attr:`h` is then a ``memoryview`` of the pooled
-    ``float64`` vector, read exactly as the list is.
+    pooled buffers.  This pure-Python loop is the reference the
+    compiled tree (:class:`CompiledIncrementalSPT`) is tested against,
+    and the tree for bounds it cannot read.
     """
 
     __slots__ = (
-        "h",
-        "queue_peak",
         "_graph",
         "_base_rows",
         "_rows",
         "_n",
         "_target",
-        "_source",
         "_destinations",
         "_tb",
         "_scratch",
         "_gen",
-        "_settled_tag",
         "_dist",
-        "_stamp",
-        "_parent",
         "_heap",
         "_settled_order",
         "_dest_nodes",
         "_dest_dists",
-        "_dest_cache",
-        "_stats",
-        "_native",
     )
 
     def __init__(
@@ -194,15 +225,8 @@ class FlatIncrementalSPT:
     ) -> None:
         graph = query_graph.graph
         source = query_graph.source
+        super().__init__(source, stats)
         self._graph = graph
-        self._source = source
-        self._stats = stats
-        self.queue_peak = 1
-        args = native.HAVE_NATIVE and getattr(target_bounds, "native_args", None)
-        if args:
-            self._begin_native(query_graph, args(query_graph.base.n))
-            return
-        self._native = None
         self._base_rows = query_graph.base.adjacency
         self._rows = graph.adjacency
         self._n = query_graph.base.n
@@ -225,33 +249,10 @@ class FlatIncrementalSPT:
         self._settled_order: list[int] = []
         self._dest_nodes: list[int] = []
         self._dest_dists: list[float] = []
-        self._dest_cache: tuple[np.ndarray, np.ndarray] | None = None
         self._dist[source] = 0.0
         self._stamp[source] = self._gen
         key = 0.0 if tb is None else 0.0 + tb[source]
         self._heap: list[tuple[float, int]] = [(key, source)]
-        if stats is not None:
-            stats.heap_pushes += 1
-
-    def _begin_native(self, query_graph: QueryGraph, tb: tuple) -> None:
-        """Set up the compiled tier's tree: the key term ``tb`` (the
-        bounds' ``native_args``), pooled state, the overlay's flags and
-        virtual rows, and the source's push."""
-        self._tb = tb
-        scratch = acquire_native_scratch(self._graph)
-        state = scratch.state
-        state.dest, state.vptr, state.vidx, state.vw = _overlay_arrays(query_graph)
-        state.target = query_graph.target
-        state.tb, state.lm, state.dmin, state.nlm = tb
-        self._native = scratch
-        self._stamp = scratch.stamp
-        self._parent = scratch.parent
-        self.h = scratch.h
-        if native.lib.kpj_spt_begin(state, self._source):
-            raise RuntimeError("incremental SPT heap has no room for the source")
-        self._settled_tag = -state.gen
-        if self._stats is not None:
-            self._stats.heap_pushes += 1
 
     # ------------------------------------------------------------------
     # Growth
@@ -267,8 +268,6 @@ class FlatIncrementalSPT:
         hottest path: every local is bound exactly once per *phase*,
         not once per settled node.
         """
-        if self._native is not None:
-            return self._settle_native(target, tau)
         heap = self._heap
         stamp = self._stamp
         dist = self._dist
@@ -330,7 +329,6 @@ class FlatIncrementalSPT:
             if u in destinations:
                 dest_nodes.append(u)
                 dest_dists.append(du)
-                self._dest_cache = None
                 # G_Q's zero-weight edge u -> t, last in u's overlay row;
                 # lb(t, V_T) is 0, so its key is du itself.
                 st = stamp[t]
@@ -356,148 +354,100 @@ class FlatIncrementalSPT:
             self.queue_peak = len(heap)
         return found
 
-    def _settle_native(self, target: int, tau: float) -> int | None:
-        """:meth:`_settle_until` as one C call; the call's counters and
-        the queue peak are read back only when it settled anything."""
-        state = self._native.state
-        found = native.lib.kpj_spt_settle(state, target, tau)
-        if found == _IDLE:
-            return None
-        if found == _FULL:
-            raise RuntimeError("incremental SPT heap overflow")
-        stats = self._stats
-        if stats is not None:
-            relaxed = state.relaxed
-            stats.nodes_settled += state.settled
-            stats.edges_relaxed += relaxed
-            stats.heap_pushes += relaxed
-            stats.heap_pops += state.pops
-        self.queue_peak = state.peak
-        return found if found >= 0 else None
-
-    def build_initial(self, target: int) -> tuple[tuple[int, ...], float] | None:
-        """Phase one: settle until ``target`` is reached.
-
-        Returns the first shortest path (source → … → target) and its
-        length, or ``None`` if the target is unreachable.  This is the
-        by-product construction invoked at line 1 of Alg. 4.
-        """
-        u = self._settle_until(target, INF)
-        if u is None:
-            return None
-        path = [u]
-        node = u
-        parent = self._parent
-        while node != self._source:
-            node = parent[node]
-            path.append(node)
-        path.reverse()
-        return tuple(path), self.h[target]
-
     def grow(self, tau: float) -> None:
         """Phase two (Alg. 7): settle every node with key ≤ ``tau``."""
-        if self._native is not None:
-            self._settle_native(-1, tau)
-            return
         heap = self._heap
         if heap and heap[0][0] <= tau:
             self._settle_until(-1, tau)
 
-    # ------------------------------------------------------------------
-    # Lookups
-    # ------------------------------------------------------------------
-    def __contains__(self, v: int) -> bool:
-        return self._stamp[v] == self._settled_tag
-
     def __len__(self) -> int:
-        if self._native is not None:
-            return self._native.state.count
         return len(self._settled_order)
 
-    def distance(self, v: int) -> float | None:
-        """Exact ``ds(v)`` if settled, else ``None``."""
-        d = self.h[v]
-        return None if d == INF else d
-
-    def heuristic(self, v: int) -> float:
-        """The reverse search's bound: exact ``ds`` if settled, else
-        ``inf`` ("outside the tree, prune")."""
-        return self.h[v]
-
-    @property
-    def num_settled_destinations(self) -> int:
-        """``|D|`` — destinations already in the tree."""
-        if self._native is not None:
-            return self._native.state.dest_count
-        return len(self._dest_nodes)
-
-    def dest_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The settled destinations as ``(nodes, distances)`` arrays.
-
-        Rebuilt lazily only when new destinations settled since the
-        last call — Alg. 8's vectorised reduction runs over these.  On
-        the compiled tier they are views of the pooled arrays, valid
-        until the tree grows or closes.
-        """
-        scratch = self._native
-        if scratch is not None:
-            count = scratch.state.dest_count
-            return scratch.dest_nodes[:count], scratch.dest_dists[:count]
-        cache = self._dest_cache
-        if cache is None:
-            cache = (
-                np.asarray(self._dest_nodes, dtype=np.int64),
-                np.asarray(self._dest_dists, dtype=np.float64),
-            )
-            self._dest_cache = cache
-        return cache
+    def settled_destinations(self) -> tuple[list[int], list[float]]:
+        """The destinations settled so far and their distances, in
+        settle order — ``D`` of Alg. 8, read at the virtual target."""
+        return self._dest_nodes, self._dest_dists
 
     def close(self) -> None:
         """Return the pooled buffers; the tree must not be used after."""
         if self.h is None:
             return
-        if self._native is not None:
-            release_native_scratch(self._native)
-            self._native = None
-            self._tb = None
-        else:
-            release_scratch(self._scratch)
-            self._scratch = None
-            release_inf_array(self._graph, self.h, self._settled_order)
+        release_scratch(self._scratch)
+        self._scratch = None
+        release_inf_array(self._graph, self.h, self._settled_order)
         self.h = None
 
 
-_FULL, _IDLE = -2, -3  # kpj_spt_settle's status codes (see kernels.c)
+class CompiledIncrementalSPT(_IncrementalSPT):
+    """Alg. 7 with its settle loop in C: :class:`FlatIncrementalSPT`'s
+    interface on a pooled :class:`repro.native.SPTState`.
 
+    Each settle call is one C call over the base graph's CSR export and
+    the overlay's virtual rows, on a binary heap ordered on ``(key,
+    node)`` as ``heapq`` orders the tuples, so pops, parents, ties,
+    :attr:`queue_peak` and every counter equal the Python loop's.  The
+    key term comes from a :class:`~repro.landmarks.index.TargetBounds`
+    (its memo, filled per node on first touch) or
+    :data:`~repro.landmarks.index.ZERO_BOUNDS`; other bounds run the
+    Python tree.  :attr:`h` is a ``memoryview`` of the pooled
+    ``float64`` vector, read exactly as the list is.
+    """
 
-def _overlay_arrays(query_graph: QueryGraph) -> tuple:
-    """``G_Q``'s forward overlay as the compiled settle loop reads it:
-    destination flags by node id (``n + 2`` bytes) and the virtual
-    nodes' rows as a small CSR (``vptr``, ``vidx``, ``vw``), as cdata
-    pointers.  Cached on the overlay, so a prepared entry builds them
-    once for every query against its destination set."""
-    rows = query_graph.graph.adjacency
-    cached = rows.kernel_arrays
-    if cached is None:
-        n = query_graph.base.n
-        flags = np.zeros(n + 2, dtype=np.uint8)
-        flags[list(query_graph.destinations)] = 1
-        virtual = [rows[u] for u in range(n, len(rows))]
-        vptr = np.zeros(len(virtual) + 1, dtype=np.int64)
-        np.cumsum([len(row) for row in virtual], out=vptr[1:])
-        vidx = np.array([v for row in virtual for v, _ in row], dtype=np.int64)
-        vw = np.array([w for row in virtual for _, w in row], dtype=np.float64)
-        cached = rows.kernel_arrays = (
-            native.pointer("uint8_t[]", flags),
-            native.pointer("int64_t[]", vptr),
-            native.pointer("int64_t[]", vidx),
-            native.pointer("double[]", vw),
+    __slots__ = ("_state",)
+
+    def __init__(
+        self,
+        query_graph: QueryGraph,
+        target_bounds,
+        stats: SearchStats | None = None,
+    ) -> None:
+        state = native.begin_spt(
+            query_graph, target_bounds.memo, target_bounds.matrix, target_bounds.dmin
         )
-    return cached
+        super().__init__(query_graph.source, stats)
+        self._state = state
+        self.h = state.h
+        self._parent = state.parent
+        self._stamp = state.stamp
+        self._settled_tag = state.settled_tag
+
+    def _settle_until(self, target: int, tau: float) -> int | None:
+        done = self._state.settle(target, tau)
+        if done is None:
+            return None
+        found, settled, relaxed, pops, self.queue_peak = done
+        stats = self._stats
+        if stats is not None:
+            stats.nodes_settled += settled
+            stats.edges_relaxed += relaxed
+            stats.heap_pushes += relaxed
+            stats.heap_pops += pops
+        return found
+
+    def grow(self, tau: float) -> None:
+        """Phase two (Alg. 7): settle every node with key ≤ ``tau``."""
+        self._settle_until(-1, tau)
+
+    def __len__(self) -> int:
+        return len(self._state)
+
+    def settled_destinations(self) -> tuple[memoryview, memoryview]:
+        """The destinations settled so far and their distances, in
+        settle order; views valid until the tree grows or closes."""
+        return self._state.settled_destinations()
+
+    def close(self) -> None:
+        """Return the pooled state with ``h`` all ``inf``; the tree must
+        not be used after."""
+        if self.h is None:
+            return
+        self._state.release()
+        self._state = None
+        self.h = None
 
 
 def make_comp_lb(
-    tree: FlatIncrementalSPT,
+    tree: _IncrementalSPT,
     in_adjacency,
     target: int,
     total_destinations: int,
@@ -505,9 +455,11 @@ def make_comp_lb(
 ) -> Callable[[Subspace], float]:
     """Alg. 8 (``CompLB-SPT_I``) over the flat structures.
 
-    At the virtual target (the reverse root) the bound is a vectorised
-    min over the settled-destination arrays; at interior nodes it is a
-    loop over the reverse adjacency rows reading the tree's dense
+    At the virtual target (the reverse root) the bound is the smallest
+    distance among the settled destinations that are neither banned
+    nor on the prefix, plus the prefix weight: a plain scan, since the
+    tree has seldom settled more than a handful.  At interior nodes it
+    is a loop over the reverse adjacency rows reading the tree's dense
     ``ds`` vector, with the landmark bound as fallback.  Values match
     the scalar definition exactly (a min is order-independent and the
     sums use the same operands).
@@ -520,22 +472,16 @@ def make_comp_lb(
         banned = subspace.banned
         base = subspace.prefix_weight
         if u == target:
-            nodes, dists = tree.dest_arrays()
+            nodes, dists = tree.settled_destinations()
             best = INF
-            if nodes.size:
-                if banned or len(prefix) > 1:
-                    excluded = list(banned)
-                    excluded.extend(prefix)
-                    candidates = dists[~np.isin(nodes, excluded)]
-                else:
-                    candidates = dists
-                if candidates.size:
-                    best = base + float(candidates.min())
-            if best == INF and tree.num_settled_destinations < total_destinations:
+            for v, d in zip(nodes, dists):
+                if d < best and v not in banned and v not in prefix:
+                    best = d
+            if best == INF:
                 # Unsettled destinations may still open this subspace
                 # later; 0 keeps it alive (Alg. 8 line 8).
-                return 0.0
-            return best
+                return 0.0 if len(nodes) < total_destinations else INF
+            return base + best
         best = INF
         for v, w in in_adjacency[u]:
             if v in banned or v in prefix:
@@ -552,7 +498,7 @@ def make_comp_lb(
 
 
 def make_comp_lb_children(
-    tree: FlatIncrementalSPT,
+    tree: _IncrementalSPT,
     in_adjacency,
     comp_lb: Callable[[Subspace], float],
     source_bounds: Callable[[int], float],

@@ -45,7 +45,6 @@ from numbers import Real
 from time import perf_counter
 from typing import Callable, Sequence
 
-from repro import native
 from repro.baselines.deviation import deviation_algorithm
 from repro.baselines.deviation_spt import deviation_spt
 from repro.core.best_first import best_first
@@ -57,7 +56,7 @@ from repro.core.stats import SearchStats
 from repro.exceptions import QueryError
 from repro.graph.categories import CategoryIndex
 from repro.graph.digraph import DiGraph
-from repro.graph.virtual import QueryGraph, build_query_graph, check_query_nodes, is_int
+from repro.graph.virtual import QueryGraph, check_query_nodes, is_int
 from repro.landmarks.index import ZERO_BOUNDS, LandmarkIndex
 from repro.obs.log import QueryLogger, new_query_id
 from repro.obs.memory import MemoryTelemetry, scratch_pool_bytes
@@ -482,6 +481,8 @@ class KPJSolver:
             raise QueryError(
                 f"unknown algorithm {algorithm!r}; choose one of: {known}"
             ) from None
+        if not sources:
+            raise QueryError("query needs at least one source node")
         check_query_nodes(sources, self.graph.n)
         stats = SearchStats()
         # Stable query id: stamped on the result, the record's query
@@ -508,7 +509,10 @@ class KPJSolver:
             if len(set(sources)) == 1:
                 qg = prepared.query_graph_for(sources[0])
             else:
-                qg = build_query_graph(self.graph, sources, prepared.destinations)
+                # Both endpoint sets are checked by now.
+                qg = QueryGraph.overlay(
+                    self.graph, tuple(sorted(set(sources))), prepared.destinations
+                )
             if self.landmark_index is not None:
                 # Lazy: columns of the landmark matrix are reduced on first
                 # use per node.  Algorithms that never consult the source
@@ -564,7 +568,10 @@ class KPJSolver:
                 for key, value in scratch_pool_bytes(self.graph).items():
                     qreg.set_gauge(key, value)
                 self.memory.record_gauges(qreg)
-            snapshot = qreg.as_dict()
+            # The per-query registry is dropped here, so the snapshot
+            # takes its dicts rather than copies (it holds no histogram).
+            snapshot = {"counters": qreg.counters, "gauges": qreg.gauges,
+                        "phases": qreg.phases, "histograms": qreg.histograms}
             self.metrics.merge(qreg)
             # Into the solver's registry only: a one-sample histogram
             # would double every snapshot's size (a service observes
@@ -630,7 +637,7 @@ class PreparedCategory:
         total = getattr(self.target_bounds, "nbytes", 0)
         gq = self._gq_graph
         if gq is not None and gq.adjacency.kernel_arrays is not None:
-            total += sum(native.ffi.sizeof(p) for p in gq.adjacency.kernel_arrays)
+            total += sum(array.nbytes for array in gq.adjacency.kernel_arrays)
         return total
 
     # -- cached artefacts ------------------------------------------------
@@ -645,9 +652,8 @@ class PreparedCategory:
         base = self._solver.graph
         check_query_nodes((source,), base.n)
         if self._gq_graph is None:
-            self._gq_graph = build_query_graph(
-                base, (source,), self.destinations
-            ).graph
+            # The destinations were checked and canonicalised on entry.
+            self._gq_graph = QueryGraph.overlay(base, (source,), self.destinations).graph
         return QueryGraph(
             base=base,
             graph=self._gq_graph,

@@ -22,7 +22,9 @@ target, goal = source, on the reversed ``G_Q``): prefixes are the
 paper's ``P_{t,u}`` suffixes, and the remaining-distance heuristic of
 a reverse search is precisely "distance from ``s``", which is what
 the tree knows exactly.  The tree and the Alg. 8 bounds are the flat
-engine's (:mod:`repro.core.flat_engine`).
+engine's (:mod:`repro.core.flat_engine`); each query picks the tree
+once, the compiled one wherever the tier loaded and can read the
+bounds.
 """
 
 from __future__ import annotations
@@ -30,7 +32,9 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Callable
 
+from repro import native
 from repro.core.flat_engine import (
+    CompiledIncrementalSPT,
     FlatIncrementalSPT,
     make_comp_lb,
     make_comp_lb_children,
@@ -40,6 +44,7 @@ from repro.core.iter_bound import iter_bound_search
 from repro.core.result import Path
 from repro.core.stats import SearchStats
 from repro.graph.virtual import QueryGraph
+from repro.landmarks.index import TargetBounds, ZeroBounds
 
 __all__ = ["iter_bound_spti"]
 
@@ -62,7 +67,10 @@ def iter_bound_spti(
         :data:`~repro.landmarks.index.ZERO_BOUNDS` for the paper's
         no-landmark (``IterBound_I``-NL) variant, which turns the tree
         growth into plain Dijkstra but leaves everything else intact
-        (Section 6).
+        (Section 6).  With the compiled tier
+        (:data:`repro.native.HAVE_NATIVE`, read per call) these two
+        kinds of bounds grow a :class:`CompiledIncrementalSPT`; any
+        other callable, or no tier, a :class:`FlatIncrementalSPT`.
     source_bounds:
         ``lb(s, v)`` — Alg. 8's fallback for nodes outside the tree.
     record:
@@ -77,7 +85,12 @@ def iter_bound_spti(
     """
     stats = stats if stats is not None else SearchStats()
     gq = query_graph.graph
-    tree = FlatIncrementalSPT(query_graph, target_bounds, stats=stats)
+    compiled = native.HAVE_NATIVE and isinstance(
+        target_bounds, (TargetBounds, ZeroBounds)
+    )
+    tree = (CompiledIncrementalSPT if compiled else FlatIncrementalSPT)(
+        query_graph, target_bounds, stats=stats
+    )
     reversed_graph = query_graph.reversed_graph()
     events = None if record is None else record["events"]
     built = None

@@ -64,9 +64,9 @@ class OverlayRows(Sequence):
     stored rows by node id) let a search loop read a row without a
     Python call: ``patched[u]`` when ``u in patched``, else ``base_rows[u]``
     (see :func:`repro.pathing.flat.row_source`).  ``kernel_arrays``
-    caches the compiled settle loop's view of a forward overlay
+    caches the compiled settle loop's numpy view of a forward overlay
     (destination flags and virtual rows), built on first use by
-    :mod:`repro.core.flat_engine`.
+    :mod:`repro.native`.
     """
 
     __slots__ = (
@@ -157,6 +157,29 @@ class QueryGraph:
     destinations: tuple[int, ...]
     sources: tuple[int, ...]
 
+    @classmethod
+    def overlay(
+        cls, base: DiGraph, srcs: tuple[int, ...], dest: tuple[int, ...]
+    ) -> "QueryGraph":
+        """:func:`build_query_graph` without its checks: for a frozen
+        ``base`` and endpoint tuples already checked, deduplicated and
+        sorted (the solver's prepared destination sets)."""
+        virtual_sources = srcs if len(srcs) > 1 else ()
+        n = base.n
+        # The transform is an O(|V_T| + |V_S|) *overlay*: every other
+        # row is the base graph's own row object (see OverlayRows).
+        # Building a query graph must stay cheap — the paper's
+        # algorithms never touch the whole edge set per query.
+        gq = DiGraph.from_shared_rows(
+            OverlayRows(base, dest, virtual_sources),
+            base.m + len(dest) + len(virtual_sources),
+            base.max_edge_weight,
+            OverlayRows(base, dest, virtual_sources, reverse=True),
+            base.search_pools,
+        )
+        source = n + 1 if virtual_sources else srcs[0]
+        return cls(base, gq, source, n, dest, srcs)
+
     @property
     def has_virtual_source(self) -> bool:
         """Whether this is a GKPJ transform (virtual source present)."""
@@ -215,28 +238,6 @@ def build_query_graph(
     if not destinations:
         raise QueryError("query needs at least one destination node")
     check_query_nodes((*sources, *destinations), base.n)
-
-    dest = tuple(sorted(set(destinations)))
-    srcs = tuple(sorted(set(sources)))
-    virtual_sources = srcs if len(srcs) > 1 else ()
-    n = base.n
-
-    # The transform is an O(|V_T| + |V_S|) *overlay*: every other row is
-    # the base graph's own row object (see OverlayRows).  Building a
-    # query graph must stay cheap — the paper's algorithms never touch
-    # the whole edge set per query.
-    gq = DiGraph.from_shared_rows(
-        OverlayRows(base, dest, virtual_sources),
-        base.m + len(dest) + len(virtual_sources),
-        base.max_edge_weight,
-        OverlayRows(base, dest, virtual_sources, reverse=True),
-        base.search_pools,
-    )
-    return QueryGraph(
-        base=base,
-        graph=gq,
-        source=n + 1 if virtual_sources else srcs[0],
-        target=n,
-        destinations=dest,
-        sources=srcs,
+    return QueryGraph.overlay(
+        base, tuple(sorted(set(sources))), tuple(sorted(set(destinations)))
     )

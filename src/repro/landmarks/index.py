@@ -62,17 +62,19 @@ class TargetBounds:
     computed on demand, as §4.2 of the paper prices it:
 
     * the compiled settle loop (:mod:`repro.native`) computes entry
-      ``v`` in ``O(|L|)`` when it first touches ``v``
-      (:meth:`native_args`), so a query pays for the nodes it visits,
-      not for all ``n``;
+      ``v`` in ``O(|L|)`` when it first touches ``v``, reading
+      :attr:`memo`, :attr:`matrix` and :attr:`dmin`, so a query pays
+      for the nodes it visits, not for all ``n``;
     * :meth:`dense` and :meth:`__call__` — the interpreted searches —
       fill the whole buffer with one numpy pass on first use.
 
     Either way entry ``v`` is the same float, bit for bit, and a hot
-    category reuses what earlier queries computed.
+    category reuses what earlier queries computed.  ``matrix`` is the
+    index's ``|L| x n`` distance matrix (``None`` for a finished
+    vector).
     """
 
-    __slots__ = ("dmin", "_index", "_buffer", "_view", "_full", "_native")
+    __slots__ = ("memo", "dmin", "matrix", "_index", "_view", "_full")
 
     def __init__(
         self,
@@ -83,7 +85,7 @@ class TargetBounds:
     ) -> None:
         self.dmin = dmin
         self._index = index
-        self._native = None
+        self.matrix = None if index is None else index._dist
         if values is not None:
             n = len(values)
             buffer = np.zeros(n + 2)
@@ -92,7 +94,8 @@ class TargetBounds:
             n = index._dist.shape[1]
             buffer = np.full(n + 2, np.nan)
             buffer[n:] = 0.0
-        self._buffer = buffer
+        #: The padded ``float64`` buffer, NaN where not yet computed.
+        self.memo = buffer
         self._full = values is not None
         self._view = memoryview(buffer)
 
@@ -100,7 +103,7 @@ class TargetBounds:
         """Eq. (2) for every node at once: one subtraction and one
         max-reduction over the ``|L| x n`` matrix, into the buffer."""
         index = self._index
-        dist = index._dist
+        dist = self.matrix
         with np.errstate(invalid="ignore"):  # inf - inf -> nan, masked below
             diff = self.dmin[:, None] - dist
         if index._unreachable is not None:
@@ -108,7 +111,7 @@ class TargetBounds:
             # δ(u, ·).  This also covers every nan, since inf - inf
             # needs δ(w, u) = inf.
             diff[index._unreachable] = -INF
-        out = self._buffer[: dist.shape[1]]
+        out = self.memo[: dist.shape[1]]
         np.max(diff, axis=0, out=out)
         del diff
         # -inf (no landmark informs u) and negative bounds become 0.
@@ -135,37 +138,7 @@ class TargetBounds:
     @property
     def nbytes(self) -> int:
         """Bytes held: the padded buffer and the landmark minima."""
-        return self._buffer.nbytes + (0 if self.dmin is None else self.dmin.nbytes)
-
-    def native_args(self, n: int) -> tuple:
-        """``(memo, matrix, dmin, |L|)`` as cdata pointers for the
-        compiled settle loop on a graph of ``n`` nodes, which fills a
-        NaN entry on first touch (``matrix`` is NULL for a finished
-        vector).  Cached.
-
-        Raises
-        ------
-        ValueError
-            If the bounds are for a graph of another size: the kernel
-            indexes the buffer, and the matrix with stride ``n``,
-            unchecked.
-        """
-        if len(self._buffer) != n + 2:
-            raise ValueError(
-                f"bounds cover {len(self._buffer) - 2} nodes, the graph has {n}"
-            )
-        if self._native is None:
-            buffer = native.pointer("double[]", self._buffer)
-            if self._index is None:
-                self._native = (buffer, native.ffi.NULL, native.ffi.NULL, 0)
-            else:
-                self._native = (
-                    buffer,
-                    self._index.native_matrix(),
-                    native.pointer("double[]", self.dmin),
-                    len(self.dmin),
-                )
-        return self._native
+        return self.memo.nbytes + (0 if self.dmin is None else self.dmin.nbytes)
 
 
 class LazySourceBounds:
@@ -182,9 +155,9 @@ class LazySourceBounds:
     touches a few dozen columns instead of all ``n``.
 
     With the compiled tier (:mod:`repro.native`) a miss is one C call
-    over the same column (``kpj_eq1_source``), with the same
-    semantics: ``-inf`` where both ``dmax[w]`` and ``δ(w, u)`` are
-    inf, then the max, then a floor at 0.
+    over the same column (:func:`repro.native.eq1_source`), with the
+    same semantics: ``-inf`` where both ``dmax[w]`` and ``δ(w, u)``
+    are inf, then the max, then a floor at 0.
 
     Algorithms that genuinely read the bound densely (the ``SPT_P``
     backward build) call :meth:`eager` to get the classic
@@ -192,7 +165,7 @@ class LazySourceBounds:
     """
 
     __slots__ = (
-        "_index", "_sources", "_dist", "_dmax", "_n", "_memo", "_eager", "_cdmax",
+        "_index", "_sources", "_dist", "_dmax", "_n", "_memo", "_eager", "_miss",
     )
 
     def __init__(self, index: "LandmarkIndex", sources: Sequence[int]) -> None:
@@ -206,34 +179,33 @@ class LazySourceBounds:
         self._n = dist.shape[1]
         self._memo: dict[int, float] = {}
         self._eager: TargetBounds | None = None
-        self._cdmax = None
+        self._miss = None  # the per-node evaluator, chosen on first call
 
     def __call__(self, u: int) -> float:
         if u >= self._n:
             return 0.0
         bound = self._memo.get(u)
         if bound is None:
-            dmax = self._dmax
-            if dmax is None:
-                dmax = self._dmax = self._dist[:, list(self._sources)].max(axis=1)
-            if native.HAVE_NATIVE and u >= 0:
-                cdmax = self._cdmax
-                if cdmax is None:
-                    cdmax = self._cdmax = native.pointer("double[]", dmax)
-                bound = native.lib.kpj_eq1_source(
-                    self._index.native_matrix(), cdmax, len(dmax), self._n, u
+            if self._miss is None:
+                self._dmax = self._dist[:, list(self._sources)].max(axis=1)
+                self._miss = (
+                    native.eq1_source(self._dist, self._dmax)
+                    if native.HAVE_NATIVE
+                    else self._column
                 )
-                self._memo[u] = bound
-                return bound
-            col = self._dist[:, u]
-            with np.errstate(invalid="ignore"):  # inf - inf -> nan, masked below
-                diff = col - dmax
-            diff[np.isinf(dmax) & np.isinf(col)] = -INF  # every nan is one of these
-            bound = float(diff.max())
-            if bound < 0.0:
-                bound = 0.0
-            self._memo[u] = bound
+            # The C evaluator reads column u unchecked: a negative id
+            # takes the numpy column, indexed as Python indexes.
+            bound = self._memo[u] = (self._miss if u >= 0 else self._column)(u)
         return bound
+
+    def _column(self, u: int) -> float:
+        col = self._dist[:, u]
+        dmax = self._dmax
+        with np.errstate(invalid="ignore"):  # inf - inf -> nan, masked below
+            diff = col - dmax
+        diff[np.isinf(dmax) & np.isinf(col)] = -INF  # every nan is one of these
+        bound = float(diff.max())
+        return 0.0 if bound < 0.0 else bound
 
     def eager(self) -> TargetBounds:
         """The full :meth:`LandmarkIndex.from_source_bounds` vector, cached."""
@@ -249,16 +221,16 @@ class ZeroBounds:
     as Section 6 of the paper prescribes for graphs without landmarks.
     """
 
+    #: No memo, landmark matrix or minima: the compiled settle loop's
+    #: zero key term.
+    memo = matrix = dmin = None
+
     def __call__(self, u: int) -> float:
         return 0.0
 
     def dense(self, size: int) -> None:
         """``None``: the search kernels' zero heuristic, ``estimate = g``."""
         return None
-
-    def native_args(self, n: int) -> tuple:
-        """The compiled settle loop's zero key term: no memo, no matrix."""
-        return (native.ffi.NULL, native.ffi.NULL, native.ffi.NULL, 0)
 
 
 ZERO_BOUNDS = ZeroBounds()
@@ -277,7 +249,6 @@ class LandmarkIndex:
         # every landmark reaches every node (strongly connected graphs).
         unreachable = np.isinf(self._dist)
         self._unreachable = unreachable if unreachable.any() else None
-        self._cdist = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -319,13 +290,6 @@ class LandmarkIndex:
     def nbytes(self) -> int:
         """Bytes of the ``|L| x n`` distance matrix, the index's footprint."""
         return self._dist.nbytes
-
-    def native_matrix(self):
-        """The distance matrix as a cdata pointer for the compiled
-        kernels (:mod:`repro.native`), cached."""
-        if self._cdist is None:
-            self._cdist = native.pointer("double[]", self._dist)
-        return self._cdist
 
     # ------------------------------------------------------------------
     # Bounds

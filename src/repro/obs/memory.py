@@ -6,8 +6,8 @@ that work *cost in memory*, in three independent tiers:
 * :func:`peak_rss_bytes` — the process high-water mark from
   ``getrusage`` (always available, ~µs to read);
 * pool/cache byte accounting — :func:`scratch_pool_bytes` sizes the
-  pooled :class:`~repro.pathing.flat.FlatScratch` and
-  :class:`~repro.pathing.flat.NativeScratch` buffers parked on a
+  pooled :class:`~repro.pathing.flat.FlatScratch` buffers and
+  compiled-tier :class:`~repro.native.SPTState` states parked on a
   graph (each reports itself via ``nbytes()``), complementing the
   solver's ``prepared_cache_bytes`` gauge;
 * :class:`MemoryTelemetry` — **opt-in** per-phase ``tracemalloc``

@@ -27,11 +27,15 @@ death mid-query (``WorkerDied``) → ``500``, any other ``QueryError``
 Malformed framing — a request line without a method and a path, a
 head line over :data:`LINE_LIMIT` bytes, a negative, non-integer or
 over-long ``Content-Length`` — is answered ``400`` too, with the
-problem named, and a ``Content-Length`` over :data:`BODY_LIMIT` gets
-``413`` before any body byte is read; the server then drains what the
-client still sends (up to :data:`DISCARD_LIMIT` bytes and
-:data:`DISCARD_DEADLINE_S` seconds), so the client reads the 413
-instead of a reset, and keeps serving.
+problem named.  A head over :data:`HEAD_LIMIT` bytes gets a ``400``
+and a ``Content-Length`` over :data:`BODY_LIMIT` a ``413``, each
+before the rest is read; the server then drains what the client
+still sends (up to :data:`DISCARD_LIMIT` bytes and
+:data:`DISCARD_DEADLINE_S` seconds), so the client reads the reply
+instead of a reset, and keeps serving.  A request whose head and body
+have not arrived within :data:`READ_DEADLINE_S` seconds of the
+connection gets a ``408`` and the connection closes; the deadline
+ends once the body is read, so a slow query is never cut.
 """
 
 from __future__ import annotations
@@ -52,6 +56,16 @@ __all__ = ["run_server", "serve_forever"]
 
 #: Longest request-head line read (asyncio's default stream limit).
 LINE_LIMIT = 2**16
+
+#: Most bytes a whole request head may take: four lines at the line
+#: limit.  Without it a client streaming header lines, each under the
+#: line limit, is read for as long as it sends.
+HEAD_LIMIT = 4 * LINE_LIMIT
+
+#: Seconds from the connection's accept within which the head and
+#: the body must arrive.  Without it an idle connection, or one that
+#: stalls mid-request, holds its socket and handler forever.
+READ_DEADLINE_S = 30.0
 
 #: Largest request body read.  A body listing every node of the
 #: largest registry dataset (the USA analogue's 120,000 node ids,
@@ -74,6 +88,7 @@ def _response(status: int, body: bytes, content_type: str) -> bytes:
         400: "Bad Request",
         404: "Not Found",
         405: "Method Not Allowed",
+        408: "Request Timeout",
         413: "Content Too Large",
         429: "Too Many Requests",
         500: "Internal Server Error",
@@ -135,11 +150,15 @@ async def _read_head(reader):
     when the peer closed before sending anything.  ``problem`` names
     the first framing error; the rest of the head is still consumed,
     so that the 400 reply is not lost to a reset of a connection
-    closed with unread input.
+    closed with unread input, up to :data:`HEAD_LIMIT` bytes.  A head
+    over that is read no further: its ``content_length`` is then
+    :data:`DISCARD_LIMIT`, what the caller drains after its 400.
     """
     request_line = await _read_line(reader)
     if request_line == b"":
         return None
+    # An over-long line was read up to the line limit, then dropped.
+    size = LINE_LIMIT if request_line is None else len(request_line)
     method = path = problem = None
     if request_line is None:
         problem = f"request line longer than {LINE_LIMIT} bytes"
@@ -155,6 +174,10 @@ async def _read_head(reader):
     content_length = 0
     while True:
         line = await _read_line(reader)
+        size += LINE_LIMIT if line is None else len(line)
+        if size > HEAD_LIMIT:
+            problem = problem or f"request head longer than {HEAD_LIMIT} bytes"
+            return method, path, DISCARD_LIMIT, problem
         if line is None:
             problem = problem or f"header line longer than {LINE_LIMIT} bytes"
             continue
@@ -193,27 +216,48 @@ async def _discard(reader, limit: int) -> None:
 
 
 async def _handle(service: QueryService, reader, writer) -> None:
+    task = asyncio.current_task()
+    expired = False
+
+    def expire() -> None:
+        nonlocal expired
+        expired = True
+        task.cancel()
+
+    # One timer per connection, cancelled once the body is read.
+    deadline = asyncio.get_running_loop().call_later(READ_DEADLINE_S, expire)
     try:
-        head = await _read_head(reader)
-        if head is None:
-            return
-        method, path, content_length, problem = head
-        status = 400
-        if problem is None and content_length > BODY_LIMIT:
-            status, problem = 413, (
-                f"Content-Length {content_length} is over the "
-                f"{BODY_LIMIT}-byte body limit"
-            )
+        try:
+            head = await _read_head(reader)
+            if head is None:
+                return
+            method, path, content_length, problem = head
+            status = 400
+            if problem is None and content_length > BODY_LIMIT:
+                status, problem = 413, (
+                    f"Content-Length {content_length} is over the "
+                    f"{BODY_LIMIT}-byte body limit"
+                )
+            if problem is None:
+                body = (
+                    await reader.readexactly(content_length) if content_length else b""
+                )
+        except asyncio.CancelledError:
+            if not expired:
+                raise
+            status, content_length = 408, 0
+            problem = f"request not received within {READ_DEADLINE_S:g} s"
+        finally:
+            deadline.cancel()
         if problem is not None:
             writer.write(_json_response(status, {"error": problem}))
             await writer.drain()
-            if status == 413:
+            if content_length:
+                # Half-close, then read what the client still sends,
+                # so it reads this reply instead of a reset.
                 writer.write_eof()
                 await _discard(reader, min(content_length, DISCARD_LIMIT))
             return
-        body = (
-            await reader.readexactly(content_length) if content_length else b""
-        )
         if method == "GET" and path == "/healthz":
             out = _json_response(
                 200,

@@ -85,6 +85,10 @@ class TestValidation:
         with pytest.raises(QueryError):
             solver.top_k(paper_built.node_id("v1"))
 
+    def test_join_without_sources(self, solver):
+        with pytest.raises(QueryError, match="at least one source"):
+            solver.join(sources=[], category="H")
+
     def test_category_without_index(self, paper_graph):
         bare = KPJSolver(paper_graph, landmarks=None)
         with pytest.raises(QueryError, match="CategoryIndex"):

@@ -19,6 +19,7 @@ import pytest
 
 from repro import native
 from repro.core import spt_incremental
+from repro.core.flat_engine import CompiledIncrementalSPT
 from repro.core.kpj import ALGORITHMS, KPJSolver
 from repro.core.stats import WORK_PARITY_FIELDS
 from repro.datasets.registry import road_network
@@ -26,6 +27,7 @@ from repro.fuzz import seed_corpus_cases
 from repro.fuzz.generators import sequence_hash
 from repro.fuzz.oracles import build_solver, run_query
 from repro.graph.digraph import DiGraph
+from repro.graph.virtual import build_query_graph
 from repro.landmarks.index import LandmarkIndex
 from repro.obs.tracing import SpanTracer
 from tests.conftest import random_graph
@@ -149,11 +151,11 @@ def test_eq2_kernel_matches_the_numpy_pass(which):
     for targets in ((0,), (1, graph.n - 1), tuple(range(0, graph.n, 3))):
         dense = index.to_target_bounds(targets)
         lazy = index.to_target_bounds(targets)
-        memo, matrix, dmin, nlm = lazy.native_args(graph.n)
-        got = [
-            native.lib.kpj_eq2_target(matrix, dmin, nlm, graph.n, v)
-            for v in range(graph.n)
-        ]
+        # A tree begun at v computes v's entry in C (its source's key).
+        for v in range(graph.n):
+            qg = build_query_graph(graph, (v,), targets)
+            CompiledIncrementalSPT(qg, lazy).close()
+        got = lazy.memo[: graph.n]
         expected = list(dense.dense(graph.n + 2))[: graph.n]
         assert np.array_equal(np.array(got), np.array(expected)), targets
 
@@ -177,8 +179,9 @@ def test_eq1_kernel_matches_the_numpy_column(which, monkeypatch):
 def test_bounds_for_another_graph_size_are_refused():
     graph, index = next(_indexes())
     bounds = index.to_target_bounds((0,))
+    other = DiGraph.from_edges(graph.n + 1, [(0, 1, 1.0)])
     with pytest.raises(ValueError, match="bounds cover"):
-        bounds.native_args(graph.n + 1)
+        CompiledIncrementalSPT(build_query_graph(other, (1,), (0,)), bounds)
 
 
 @needs_tier
@@ -189,7 +192,7 @@ def test_a_hot_category_reuses_its_memo(sj):
     solver = KPJSolver(sj.graph, sj.categories, landmarks=8)
     solver.top_k(5, category="T1", k=4)
     bounds = solver.prepare(category="T1").target_bounds
-    buffer = np.asarray(memoryview(bounds._buffer))
+    buffer = bounds.memo
     touched = np.count_nonzero(~np.isnan(buffer))
     assert 0 < touched < sj.n
     solver.top_k(5, category="T1", k=4)

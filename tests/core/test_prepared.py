@@ -124,6 +124,31 @@ class TestPreparedCache:
         assert info["entries"] == 0
         assert info["hits"] == 0 and info["misses"] == 2
 
+    @pytest.mark.parametrize("sources", [("v1",), ("v9", "v12")], ids=["kpj", "gkpj"])
+    def test_a_miss_checks_its_destination_set_once(
+        self, paper_graph, paper_categories, paper_built, sources, monkeypatch
+    ):
+        # The solver checks and sorts the set on entry, then builds G_Q
+        # from that canonical tuple without checking it again.
+        from repro.core import kpj
+        from repro.graph import virtual
+
+        real = virtual.check_query_nodes
+        checked = []
+
+        def check(nodes, n):
+            checked.append(set(nodes))
+            return real(nodes, n)
+
+        monkeypatch.setattr(kpj, "check_query_nodes", check)
+        monkeypatch.setattr(virtual, "check_query_nodes", check)
+        v = paper_built.node_id
+        dests = {v("v7"), v("v4")}
+        s = self._solver(paper_graph, paper_categories)
+        result = s.join(sources=[v(name) for name in sources], destinations=dests, k=2)
+        assert result.stats.prepared_cache_misses == 1
+        assert sum(dests <= nodes for nodes in checked) == 1
+
     def test_invalid_config_rejected(self, paper_graph, paper_categories):
         with pytest.raises(QueryError):
             KPJSolver(paper_graph, paper_categories, prepared_cache_size=-1)

@@ -4,8 +4,9 @@ import random
 
 import pytest
 
+from repro import native
 from repro.baselines.brute_force import brute_force_topk, enumerate_simple_paths
-from repro.core.flat_engine import FlatIncrementalSPT
+from repro.core.flat_engine import CompiledIncrementalSPT, FlatIncrementalSPT
 from repro.core.kpj import KPJSolver
 from repro.core.spt_incremental import iter_bound_spti
 from repro.core.stats import SearchStats
@@ -31,6 +32,10 @@ def run(graph, source, destinations, k, index=None, stats=None, alpha=1.1):
 
 
 class TestIncrementalSPT:
+    #: The Python reference; the subclass below runs every case on the
+    #: compiled tree.
+    tree_class = FlatIncrementalSPT
+
     def make(self, seed=121):
         rng = random.Random(seed)
         g = random_graph(rng, min_nodes=12, max_nodes=18, bidirectional=True)
@@ -41,7 +46,7 @@ class TestIncrementalSPT:
 
     def test_build_initial_finds_shortest_path(self):
         g, qg = self.make()
-        tree = FlatIncrementalSPT(qg, ZERO_BOUNDS)
+        tree = self.tree_class(qg, ZERO_BOUNDS)
         initial = tree.build_initial(qg.target)
         dist = single_source_distances(qg.graph, qg.source)
         assert initial is not None
@@ -51,7 +56,7 @@ class TestIncrementalSPT:
 
     def test_settled_distances_are_exact(self):
         g, qg = self.make(seed=122)
-        tree = FlatIncrementalSPT(qg, ZERO_BOUNDS)
+        tree = self.tree_class(qg, ZERO_BOUNDS)
         tree.build_initial(qg.target)
         tree.grow(10.0)
         dist = single_source_distances(qg.graph, qg.source)
@@ -64,7 +69,7 @@ class TestIncrementalSPT:
         """After grow(tau), every node of every path of length <= tau
         from the source to the target is settled (Prop. 5.2)."""
         g, qg = self.make(seed=123)
-        tree = FlatIncrementalSPT(qg, ZERO_BOUNDS)
+        tree = self.tree_class(qg, ZERO_BOUNDS)
         initial = tree.build_initial(qg.target)
         assert initial is not None
         tau = initial[1] * 1.5
@@ -75,7 +80,7 @@ class TestIncrementalSPT:
 
     def test_grow_is_monotone(self):
         g, qg = self.make(seed=124)
-        tree = FlatIncrementalSPT(qg, ZERO_BOUNDS)
+        tree = self.tree_class(qg, ZERO_BOUNDS)
         tree.build_initial(qg.target)
         before = len(tree)
         tree.grow(5.0)
@@ -85,17 +90,18 @@ class TestIncrementalSPT:
 
     def test_settled_destinations_tracked(self):
         g, qg = self.make(seed=125)
-        tree = FlatIncrementalSPT(qg, ZERO_BOUNDS)
+        tree = self.tree_class(qg, ZERO_BOUNDS)
         tree.build_initial(qg.target)
         tree.grow(1e9)
         dist = single_source_distances(qg.graph, qg.source)
         expected = {v for v in qg.destinations if dist[v] < INF}
-        assert set(tree.dest_arrays()[0].tolist()) == expected
-        assert tree.num_settled_destinations == len(expected)
+        nodes, dists = tree.settled_destinations()
+        assert set(nodes) == expected
+        assert len(nodes) == len(dists) == len(expected)
 
     def test_distance_lookup(self):
         g, qg = self.make(seed=126)
-        tree = FlatIncrementalSPT(qg, ZERO_BOUNDS)
+        tree = self.tree_class(qg, ZERO_BOUNDS)
         tree.build_initial(qg.target)
         assert tree.distance(qg.source) == 0.0
         assert tree.distance(-1) is None
@@ -103,8 +109,13 @@ class TestIncrementalSPT:
     def test_unreachable_target(self):
         g = DiGraph.from_edges(3, [(0, 1, 1.0)])
         qg = build_query_graph(g, (0,), (2,))
-        tree = FlatIncrementalSPT(qg, ZERO_BOUNDS)
+        tree = self.tree_class(qg, ZERO_BOUNDS)
         assert tree.build_initial(qg.target) is None
+
+
+@pytest.mark.skipif(not native.HAVE_NATIVE, reason="compiled tier not built")
+class TestCompiledIncrementalSPT(TestIncrementalSPT):
+    tree_class = CompiledIncrementalSPT
 
 
 class TestIterBoundSPTI:

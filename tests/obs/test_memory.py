@@ -73,10 +73,13 @@ class TestScratchBytes:
         # SPT_I's state on the compiled tier is the largest pooled
         # buffer: seven n + 2 vectors and a heap of 1 + m + 2n
         # (key, node) entries.  A query leaves it in the pool.
-        from repro.pathing.flat import acquire_native_scratch, release_native_scratch
+        from repro.core.flat_engine import CompiledIncrementalSPT
+        from repro.graph.virtual import build_query_graph
+        from repro.landmarks.index import ZERO_BOUNDS
 
-        scratch = acquire_native_scratch(sj.graph)
-        release_native_scratch(scratch)
+        qg = build_query_graph(sj.graph, (0,), (1, 2))
+        CompiledIncrementalSPT(qg, ZERO_BOUNDS).close()
+        (scratch,) = empty_pools["native"]
         held = 7 * (sj.n + 2) * 8 + (1 + sj.graph.m + 2 * sj.n) * 16
         assert scratch.nbytes() == held
         assert scratch_pool_bytes(sj.graph) == {"flat_scratch_pool_bytes": held}

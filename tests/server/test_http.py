@@ -4,12 +4,15 @@ A real service behind a real socket (ephemeral port via the ``ready``
 callback), exercised with stdlib urllib and raw sockets only: health,
 query, metrics exposition, status, the error-code mapping, and
 malformed input (wrong field types, bad ``Content-Length``, over-long
-or incomplete request lines and headers) answered with a 400 instead
-of a dropped connection, and a body over the limit with a 413.
+or incomplete request lines and headers, a head over its size limit)
+answered with a 400 instead of a dropped connection, a body over the
+limit with a 413, and a request that does not arrive in time with a
+408.
 """
 
 import asyncio
 import json
+import select
 import socket
 import threading
 import urllib.error
@@ -21,6 +24,7 @@ from repro.core.kpj import KPJSolver
 from repro.datasets.registry import road_network
 from repro.exceptions import QueryError
 from repro.obs.metrics import parse_prom
+from repro.server import http
 from repro.server.http import _error_status, serve_forever
 from repro.server.service import (
     DeadlineExceeded,
@@ -83,21 +87,27 @@ def _post(url, payload):
         return response.status, json.loads(response.read())
 
 
-def _raw(base, head: bytes, timeout: float = 30):
-    """Send raw request bytes; return ``(status, body)``.
-
-    ``status`` is ``None`` when the server closed the connection
-    without writing a status line.
-    """
+def _connect(base, timeout: float):
     host, port = base.removeprefix("http://").split(":")
-    with socket.create_connection((host, int(port)), timeout=timeout) as sock:
+    return socket.create_connection((host, int(port)), timeout=timeout)
+
+
+def _raw(base, head: bytes, timeout: float = 30):
+    """Send raw request bytes; return ``(status, body)``."""
+    with _connect(base, timeout) as sock:
         sock.sendall(head)
-        chunks = []
-        while True:
-            chunk = sock.recv(65536)
-            if not chunk:
-                break
-            chunks.append(chunk)
+        return _reply(sock)
+
+
+def _reply(sock):
+    """Read to the end; ``(status, body)``, where ``status`` is ``None``
+    when the server closed the connection without a status line."""
+    chunks = []
+    while True:
+        chunk = sock.recv(65536)
+        if not chunk:
+            break
+        chunks.append(chunk)
     response = b"".join(chunks)
     if not response.startswith(b"HTTP/1.1 "):
         return None, response
@@ -227,8 +237,9 @@ def _assert_still_serving(base):
 
 
 class TestMalformedInput:
-    """Wrong field types and bad framing get a 400 JSON error, and the
-    server keeps answering afterwards."""
+    """Wrong field types and bad framing get a 400 JSON error, a request
+    that does not arrive in time a 408, and the server keeps answering
+    afterwards."""
 
     @pytest.mark.parametrize(
         "payload,field",
@@ -355,6 +366,37 @@ class TestMalformedInput:
         status, body = _raw(base, head)
         assert status == 400
         assert problem in json.loads(body)["error"]
+        _assert_still_serving(base)
+
+    def test_header_flood_is_400(self, endpoint):
+        # Header lines, each under the line limit, sent for as long as
+        # no reply comes: the server must stop reading the head.
+        base, _ = endpoint
+        line = b"X-Flood: " + b"a" * 60_000 + b"\r\n"
+        with _connect(base, timeout=10) as sock:
+            sock.sendall(b"GET /healthz HTTP/1.1\r\n")
+            for _ in range(300):
+                if select.select([sock], [], [], 0)[0]:
+                    break
+                sock.sendall(line)
+            status, body = _reply(sock)
+        assert status == 400
+        assert "request head longer than" in json.loads(body)["error"]
+        _assert_still_serving(base)
+
+    @pytest.mark.parametrize(
+        "head",
+        [b"", b"GET /healthz HTTP/1.1\r\nHost: localhost\r\n"],
+        ids=["idle", "partial-head"],
+    )
+    def test_request_not_sent_in_time_is_408(self, endpoint, head, monkeypatch):
+        # Without a read deadline the server waits on such a
+        # connection for as long as the client keeps it open.
+        monkeypatch.setattr(http, "READ_DEADLINE_S", 0.5)
+        base, _ = endpoint
+        status, body = _raw(base, head, timeout=10)
+        assert status == 408
+        assert "not received within 0.5 s" in json.loads(body)["error"]
         _assert_still_serving(base)
 
 
